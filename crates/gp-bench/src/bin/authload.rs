@@ -1,23 +1,18 @@
 //! `authload` — load generator for the netauth serving layer.
 //!
 //! Drives client threads × pipelined login requests against a real TCP
-//! server in several configurations and reports logins/sec:
+//! server (the epoll reactor, the only serving path) in several
+//! configurations and reports logins/sec:
 //!
-//! * **single_worker** — 1 shard, 1 blocking worker, scalar verification
-//!   ([`ServerConfig::single_worker_baseline`]): the pre-sharding shape.
-//! * **sharded_pooled** — 4 shards, blocking worker pool, 16-way batch
-//!   verification ([`ServerConfig::pooled_baseline`]): the PR 2 serving
-//!   layer.
 //! * **reactor** — the epoll reactor with a fixed small thread count
 //!   (1 event loop + 3 hash-compute threads), same active load.
 //! * **reactor_idle** — the reactor carrying `GP_AUTHLOAD_IDLE`
 //!   (default 256) additional *mostly-idle* connections while serving the
-//!   same active load: the scenario a blocking pool cannot survive
-//!   without one thread per connection.
+//!   same active load: the scenario thread-per-connection serving cannot
+//!   survive.
 //! * **reactor_highconc** — connection scaling: `GP_AUTHLOAD_CONNS`
 //!   (default 32) concurrently active connections with shallow (4-deep)
-//!   pipelines.  A 4-worker pool would strand all but 4 of these
-//!   connections; the reactor serves them all and the cross-connection
+//!   pipelines.  The reactor serves them all and the cross-connection
 //!   turn queue keeps the hash lanes full — reported as the
 //!   `reactor_highconc_mean_batch` occupancy metric.
 //! * **reactor_durable** — the reactor serving the same login load with
@@ -75,7 +70,7 @@ use gp_geometry::Point;
 use gp_netauth::replication::ReplicatorConfig;
 use gp_netauth::{
     AuthClient, AuthServer, ClientMessage, Cluster, ClusterClient, DurabilityConfig, FsyncPolicy,
-    LoginDecision, ServerConfig, ServerMessage, ServingMode,
+    LoginDecision, ServerConfig, ServerMessage,
 };
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -611,33 +606,6 @@ fn main() {
     let idle: usize = env_or("GP_AUTHLOAD_IDLE", 256);
     let conns: usize = env_or("GP_AUTHLOAD_CONNS", 32).max(1);
 
-    let single_worker = Scenario {
-        config: ServerConfig {
-            hash_iterations: iterations,
-            ..ServerConfig::single_worker_baseline()
-        },
-        threads,
-        pipeline,
-        idle_connections: 0,
-        enrolls_per_burst: 0,
-        durable_fsync: None,
-    };
-    let pooled_config = ServerConfig {
-        hash_iterations: iterations,
-        workers: std::thread::available_parallelism()
-            .map(|p| p.get().clamp(4, 16))
-            .unwrap_or(4),
-        ..ServerConfig::pooled_baseline()
-    };
-    assert_eq!(pooled_config.shards, 4, "acceptance config is 4 shards");
-    let sharded_pooled = Scenario {
-        config: pooled_config,
-        threads,
-        pipeline,
-        idle_connections: 0,
-        enrolls_per_burst: 0,
-        durable_fsync: None,
-    };
     // The reactor runs with a *fixed small* thread budget on every host:
     // 1 event-loop thread + 3 hash-compute threads.  The point of the
     // scenarios below is that connection count no longer dictates thread
@@ -645,7 +613,6 @@ fn main() {
     let reactor_config = ServerConfig {
         hash_iterations: iterations,
         workers: 3,
-        serving: ServingMode::Reactor,
         ..ServerConfig::study_default()
     };
     let reactor = Scenario {
@@ -721,48 +688,13 @@ fn main() {
     if let Some(filter) = &only {
         eprintln!("[authload] GP_AUTHLOAD_ONLY={filter} — non-matching scenarios skipped");
     }
-    let baseline = enabled("single_worker")
-        .then(|| run_scenario_best_of("single_worker", &single_worker, users, secs, trials));
-    let pooled = enabled("sharded_pooled")
-        .then(|| run_scenario_best_of("sharded_pooled", &sharded_pooled, users, secs, trials));
-
     let path = std::env::var("GP_BENCH_OUT").unwrap_or_else(|_| "BENCH_results.json".into());
     let path = std::path::PathBuf::from(path);
     let mut out = BenchReport::load(&path).unwrap_or_default();
     let mut fresh = BenchReport::new();
-    if let Some(baseline) = &baseline {
-        fresh.set_result(
-            "authload/single_worker_ns_per_login",
-            baseline.ns_per_login(),
-        );
-        fresh.set_throughput(
-            "authload/single_worker_logins_per_sec",
-            baseline.logins_per_sec(),
-        );
-    }
-    if let Some(pooled) = &pooled {
-        fresh.set_result(
-            "authload/sharded_pooled_ns_per_login",
-            pooled.ns_per_login(),
-        );
-        fresh.set_throughput(
-            "authload/sharded_pooled_logins_per_sec",
-            pooled.logins_per_sec(),
-        );
-    }
-    if let (Some(baseline), Some(pooled)) = (&baseline, &pooled) {
-        let scaling = pooled.logins_per_sec() / baseline.logins_per_sec();
-        eprintln!("[authload] pooled/single {scaling:.2}x");
-        fresh.set_speedup("authload_scaling", scaling);
-    }
 
-    // The reactor scenarios measure the epoll path, which only exists on
-    // Linux: `AuthServer::spawn` quietly serves through the blocking pool
-    // elsewhere, and recording those numbers under reactor metric names
-    // would poison the committed baselines (a pool cannot even hold the
-    // idle-connection population the reactor_idle scenario is about).
-    // The cluster scenario rides the same gate: its nodes serve in
-    // reactor mode.
+    // Every scenario serves through the epoll reactor, which only exists
+    // on Linux: elsewhere `AuthServer::spawn` returns `Unsupported`.
     if cfg!(target_os = "linux") {
         let reactive = enabled("reactor")
             .then(|| run_scenario_best_of("reactor", &reactor, users, secs, trials));
@@ -852,21 +784,6 @@ fn main() {
             fresh.set_result("authload/cluster_rejoin_ns_per_op", rejoin.ns_per_op());
             fresh.set_throughput("authload/cluster_rejoin_ops_per_sec", rejoin.ops_per_sec());
         }
-        if let (Some(reactive), Some(pooled)) = (&reactive, &pooled) {
-            let ratio = reactive.logins_per_sec() / pooled.logins_per_sec();
-            eprintln!("[authload] reactor/pooled {ratio:.2}x");
-            fresh.set_speedup("authload_reactor_vs_pooled", ratio);
-        }
-        if let (Some(idle_result), Some(pooled)) = (&idle_result, &pooled) {
-            let ratio = idle_result.logins_per_sec() / pooled.logins_per_sec();
-            eprintln!("[authload] reactor+{idle} idle/pooled {ratio:.2}x");
-            fresh.set_speedup("authload_reactor_idle_vs_pooled", ratio);
-        }
-        if let (Some(highconc), Some(pooled)) = (&highconc, &pooled) {
-            let ratio = highconc.logins_per_sec() / pooled.logins_per_sec();
-            eprintln!("[authload] reactor {conns}-conn/pooled {ratio:.2}x");
-            fresh.set_speedup("authload_reactor_highconc_vs_pooled", ratio);
-        }
         if let (Some(durable), Some(reactive)) = (&durable, &reactive) {
             let ratio = durable.logins_per_sec() / reactive.logins_per_sec();
             eprintln!("[authload] durable/reactor {ratio:.2}x");
@@ -889,8 +806,8 @@ fn main() {
         }
     } else {
         eprintln!(
-            "[authload] reactor and cluster scenarios skipped \
-             (epoll reactor is Linux-only; the pool fallback would be mislabeled)"
+            "[authload] all scenarios skipped \
+             (the epoll reactor, the only serving path, is Linux-only)"
         );
     }
 

@@ -1,33 +1,17 @@
-//! Cross-connection batch verifier: coalesces concurrent login attempts
-//! into one multi-lane iterated-hash call.
+//! Batch verifier: hashes an already-coalesced batch of login and
+//! enrollment attempts as multi-lane iterated-hash runs.
 //!
 //! The PR 1 crypto work made *batched* hashing ~5× cheaper per message
 //! than scalar hashing ([`gp_crypto::iterated_hash_many`]), but a serving
 //! loop that verifies one attempt at a time can never use it.  The
-//! [`BatchVerifier`] is the bridge: workers submit the hash jobs of the
-//! pipelined requests they just drained, a leader collects up to
-//! `max_batch` jobs across *all* connections (waiting at most
-//! `coalesce_window` for stragglers), runs one
-//! [`gp_crypto::iterated_hash_many_salted`] call per iteration-count
-//! group, and wakes every submitter with its digests.
-//!
-//! Leadership rotates: whichever submitter finds no leader active takes the
-//! role, executes queued jobs until its own submission is complete, then
-//! hands off.  Waiters poll the shared state on a short condvar timeout, so
-//! there is no missed-wakeup hazard to reason about — in the worst case a
-//! result is observed one timeout (1 ms) late.
+//! reactor's turn queue coalesces hash jobs across connections; each
+//! compute worker hands its batch to [`BatchVerifier::run_direct`], which
+//! runs one [`gp_crypto::iterated_hash_many_salted`] call per
+//! iteration-count group (at most `max_batch` jobs each) on the calling
+//! thread and records occupancy counters.
 
 use gp_crypto::{iterated_hash_many_salted_into, Digest, SaltedHasher};
-use std::collections::VecDeque;
-// The Mutex/Condvar pair coordinating leader election and result
-// delivery comes from the gp-sched facade so `--cfg gp_sched` model
-// tests can explore every leader/follower interleaving; the stats
-// counters stay on plain std atomics (they are not control flow, and
-// instrumenting them would explode the model state space).
-use gp_sched::sync::{Condvar, Mutex, MutexGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// One hash job: iterate `salt || pre_image` under the job's own salt.
 #[derive(Debug)]
@@ -38,32 +22,6 @@ pub struct HashJob {
     pub pre_image: Vec<u8>,
     /// Iteration count recorded in the stored hash.
     pub iterations: u32,
-}
-
-/// A submission's shared result slots.
-#[derive(Debug)]
-struct Submission {
-    /// `results[i]` is filled exactly once by a leader.
-    state: Mutex<SubmissionState>,
-}
-
-#[derive(Debug)]
-struct SubmissionState {
-    results: Vec<Option<Digest>>,
-    remaining: usize,
-}
-
-/// A queued job plus its result slot.
-struct QueuedJob {
-    job: HashJob,
-    submission: Arc<Submission>,
-    index: usize,
-}
-
-#[derive(Default)]
-struct Inner {
-    queue: VecDeque<QueuedJob>,
-    leader_active: bool,
 }
 
 /// Aggregate counters for observability and the `authload` report.
@@ -100,39 +58,23 @@ impl BatchStats {
     }
 }
 
-/// Coalesces hash jobs from many workers into multi-lane runs.
+/// Hashes coalesced batches as multi-lane runs and counts their occupancy.
+#[derive(Debug)]
 pub struct BatchVerifier {
     max_batch: usize,
-    coalesce_window: Duration,
-    inner: Mutex<Inner>,
-    work: Condvar,
     runs: AtomicU64,
     attempts: AtomicU64,
     max_run: AtomicU64,
     full_runs: AtomicU64,
 }
 
-impl core::fmt::Debug for BatchVerifier {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("BatchVerifier")
-            .field("max_batch", &self.max_batch)
-            .field("coalesce_window", &self.coalesce_window)
-            .finish_non_exhaustive()
-    }
-}
-
 impl BatchVerifier {
-    /// A verifier that coalesces up to `max_batch` attempts per hash run,
-    /// with a leader waiting at most `coalesce_window` for more jobs to
-    /// arrive before running a partial batch.  `max_batch` is clamped to
-    /// ≥ 1; `max_batch == 1` (or a zero window with no queued work) makes
-    /// every submission run immediately — the scalar baseline.
-    pub fn new(max_batch: usize, coalesce_window: Duration) -> Self {
+    /// A verifier that runs at most `max_batch` attempts per hash call.
+    /// `max_batch` is clamped to ≥ 1; `max_batch == 1` hashes every
+    /// attempt on its own — the scalar baseline.
+    pub fn new(max_batch: usize) -> Self {
         Self {
             max_batch: max_batch.max(1),
-            coalesce_window,
-            inner: Mutex::new(Inner::default()),
-            work: Condvar::new(),
             runs: AtomicU64::new(0),
             attempts: AtomicU64::new(0),
             max_run: AtomicU64::new(0),
@@ -155,113 +97,17 @@ impl BatchVerifier {
         }
     }
 
-    /// Hash every job, blocking until all digests are available.  Jobs from
-    /// concurrent submissions may be coalesced into the same runs.
+    /// Hash an already-coalesced batch on the calling thread.  Callers
+    /// never wait on each other, so distinct compute workers hash distinct
+    /// batches **in parallel on separate cores**.
     ///
-    /// Returns one digest per job, in submission order.
-    pub fn submit(&self, jobs: Vec<HashJob>) -> Vec<Digest> {
-        let n = jobs.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let submission = Arc::new(Submission {
-            state: Mutex::new(SubmissionState {
-                results: vec![None; n],
-                remaining: n,
-            }),
-        });
-        {
-            let mut inner = self.inner.lock();
-            for (index, job) in jobs.into_iter().enumerate() {
-                inner.queue.push_back(QueuedJob {
-                    job,
-                    submission: Arc::clone(&submission),
-                    index,
-                });
-            }
-        }
-        self.work.notify_all();
-
-        loop {
-            {
-                let state = submission.state.lock();
-                if state.remaining == 0 {
-                    let mut results = Vec::with_capacity(n);
-                    // `state` is final; unwrap is safe because remaining==0
-                    // means every slot was filled.
-                    for slot in state.results.iter() {
-                        results.push(slot.expect("slot filled"));
-                    }
-                    return results;
-                }
-            }
-            let inner = self.inner.lock();
-            if !inner.leader_active && !inner.queue.is_empty() {
-                self.lead(inner);
-            } else {
-                // Short timed wait: re-check the submission either on a
-                // leader's notify or after 1 ms, whichever comes first.
-                // (Fixed interval, no deadline arithmetic: the loop's exit
-                // predicate is `remaining == 0`, re-checked above.)
-                let _ = self.work.wait_timeout(inner, Duration::from_millis(1));
-            }
-        }
-    }
-
-    /// Hash an already-coalesced batch on the calling thread, bypassing
-    /// the leader/follower queue entirely.
-    ///
-    /// [`BatchVerifier::submit`] serializes execution through one leader
-    /// at a time — the right shape when submitters each hold a few jobs
-    /// and the verifier is the coalescing point.  The reactor's compute
-    /// pool coalesces *before* hashing (its turn queue merges jobs across
-    /// connections), so its workers call this instead and hash distinct
-    /// batches **in parallel on separate cores**.  Counters (`runs`,
-    /// `attempts`, `max_run`, `full_runs`) are recorded identically;
-    /// batches larger than `max_batch` split into multiple runs.
+    /// Jobs sharing an iteration count go through one multi-salt
+    /// multi-lane call; mixed iteration counts split into one call per
+    /// group, and groups larger than `max_batch` split further.  Each call
+    /// counts as one run in [`BatchStats`].
     ///
     /// Returns one digest per job, in input order.
     pub fn run_direct(&self, jobs: &[HashJob]) -> Vec<Digest> {
-        let refs: Vec<&HashJob> = jobs.iter().collect();
-        self.run_groups(&refs)
-    }
-
-    /// Take the leader role: optionally wait out the coalescing window,
-    /// drain up to `max_batch` jobs, hash them, deliver results.
-    fn lead(&self, mut inner: MutexGuard<'_, Inner>) {
-        inner.leader_active = true;
-        if !self.coalesce_window.is_zero() && self.max_batch > 1 {
-            let deadline = Instant::now() + self.coalesce_window;
-            while inner.queue.len() < self.max_batch {
-                // Saturating: a notify can wake this loop at or past the
-                // deadline, and `deadline - now` would panic on underflow.
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    break;
-                }
-                let (guard, _) = self.work.wait_timeout(inner, remaining);
-                inner = guard;
-            }
-        }
-        let take = inner.queue.len().min(self.max_batch);
-        let batch: Vec<QueuedJob> = inner.queue.drain(..take).collect();
-        drop(inner);
-
-        self.execute(&batch);
-
-        let mut inner = self.inner.lock();
-        inner.leader_active = false;
-        drop(inner);
-        self.work.notify_all();
-    }
-
-    /// Run the multi-lane hashes for `jobs`, recording stats.  Jobs
-    /// "sharing a config" (same iteration count) go through one
-    /// multi-salt multi-lane call; mixed iteration counts split into one
-    /// call per group; groups larger than `max_batch` split further.
-    ///
-    /// Returns one digest per job, in input order.
-    fn run_groups(&self, jobs: &[&HashJob]) -> Vec<Digest> {
         self.attempts
             .fetch_add(jobs.len() as u64, Ordering::Relaxed);
 
@@ -299,17 +145,6 @@ impl BatchVerifier {
         }
         digests
     }
-
-    /// Run the hashes for one drained batch and fill result slots.
-    fn execute(&self, batch: &[QueuedJob]) {
-        let jobs: Vec<&HashJob> = batch.iter().map(|q| &q.job).collect();
-        let digests = self.run_groups(&jobs);
-        for (queued, digest) in batch.iter().zip(digests) {
-            let mut state = queued.submission.state.lock();
-            state.results[queued.index] = Some(digest);
-            state.remaining -= 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -327,102 +162,46 @@ mod tests {
     }
 
     #[test]
-    fn empty_submission_returns_immediately() {
-        let v = BatchVerifier::new(16, Duration::from_micros(200));
-        assert!(v.submit(Vec::new()).is_empty());
-        assert_eq!(v.stats().runs, 0);
+    fn empty_batch_returns_immediately() {
+        let v = BatchVerifier::new(16);
+        assert!(v.run_direct(&[]).is_empty());
+        assert_eq!(v.stats(), BatchStats::default());
     }
 
     #[test]
-    fn single_submission_matches_scalar_hashing() {
-        let v = BatchVerifier::new(16, Duration::from_micros(100));
-        let digests = v.submit(vec![
+    fn run_direct_matches_scalar_hashing_and_splits_by_iteration_group() {
+        let v = BatchVerifier::new(16);
+        let digests = v.run_direct(&[
             job(b"salt-a", b"attempt-1", 10),
-            job(b"salt-b", b"attempt-2", 10),
             job(b"salt-c", b"attempt-3", 25),
+            job(b"salt-b", b"attempt-2", 10),
         ]);
         assert_eq!(digests[0], iterated_hash(b"salt-a", b"attempt-1", 10));
-        assert_eq!(digests[1], iterated_hash(b"salt-b", b"attempt-2", 10));
-        assert_eq!(digests[2], iterated_hash(b"salt-c", b"attempt-3", 25));
+        assert_eq!(digests[1], iterated_hash(b"salt-c", b"attempt-3", 25));
+        assert_eq!(digests[2], iterated_hash(b"salt-b", b"attempt-2", 10));
         let stats = v.stats();
         assert_eq!(stats.attempts, 3);
         // Mixed iteration counts split into one hash call per group, and
-        // the counters report the calls, not the drained batch.
+        // the counters report the calls, not the batch.
         assert_eq!(stats.runs, 2);
         assert_eq!(stats.max_run, 2);
     }
 
     #[test]
     fn scalar_mode_max_batch_one_still_correct() {
-        let v = BatchVerifier::new(1, Duration::ZERO);
-        let digests = v.submit(vec![job(b"s", b"a", 5), job(b"s", b"b", 5)]);
+        let v = BatchVerifier::new(1);
+        let digests = v.run_direct(&[job(b"s", b"a", 5), job(b"s", b"b", 5)]);
         assert_eq!(digests[0], iterated_hash(b"s", b"a", 5));
         assert_eq!(digests[1], iterated_hash(b"s", b"b", 5));
-        assert_eq!(v.stats().max_run, 1, "no coalescing in scalar mode");
-    }
-
-    #[test]
-    fn concurrent_submissions_coalesce_and_all_complete() {
-        let v = Arc::new(BatchVerifier::new(16, Duration::from_millis(2)));
-        let mut handles = Vec::new();
-        for t in 0..8u32 {
-            let v = Arc::clone(&v);
-            handles.push(std::thread::spawn(move || {
-                let salt = format!("salt-{t}");
-                let pre = format!("attempt-{t}");
-                let digests = v.submit(vec![
-                    job(salt.as_bytes(), pre.as_bytes(), 50),
-                    job(salt.as_bytes(), b"second", 50),
-                ]);
-                assert_eq!(
-                    digests[0],
-                    iterated_hash(salt.as_bytes(), pre.as_bytes(), 50)
-                );
-                assert_eq!(digests[1], iterated_hash(salt.as_bytes(), b"second", 50));
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
         let stats = v.stats();
-        assert_eq!(stats.attempts, 16);
-        assert!(
-            stats.runs <= 16,
-            "some coalescing or at least no run inflation: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn run_direct_matches_scalar_hashing_and_counts_stats() {
-        let v = BatchVerifier::new(4, Duration::ZERO);
-        let jobs: Vec<HashJob> = (0..6)
-            .map(|i| {
-                job(
-                    format!("salt-{i}").as_bytes(),
-                    b"pre",
-                    if i < 3 { 5 } else { 9 },
-                )
-            })
-            .collect();
-        let digests = v.run_direct(&jobs);
-        for (i, d) in digests.iter().enumerate() {
-            let iters = if i < 3 { 5 } else { 9 };
-            assert_eq!(
-                *d,
-                iterated_hash(format!("salt-{i}").as_bytes(), b"pre", iters),
-                "digest {i} in input order"
-            );
-        }
-        let stats = v.stats();
-        assert_eq!(stats.attempts, 6);
-        assert_eq!(stats.runs, 2, "one run per iteration group");
-        assert_eq!(stats.max_run, 3);
-        assert!(v.run_direct(&[]).is_empty());
+        assert_eq!(stats.max_run, 1, "no coalescing in scalar mode");
+        assert_eq!(stats.runs, 2);
+        assert_eq!(stats.full_runs, 0, "a 1-lane run is never 'full'");
     }
 
     #[test]
     fn run_direct_from_many_threads_in_parallel_is_correct() {
-        let v = Arc::new(BatchVerifier::new(16, Duration::ZERO));
+        let v = Arc::new(BatchVerifier::new(16));
         let mut handles = Vec::new();
         for t in 0..8u32 {
             let v = Arc::clone(&v);
@@ -451,7 +230,7 @@ mod tests {
 
     #[test]
     fn full_runs_counts_filled_lanes() {
-        let v = BatchVerifier::new(4, Duration::ZERO);
+        let v = BatchVerifier::new(4);
         let jobs: Vec<HashJob> = (0..8)
             .map(|i| job(format!("s{i}").as_bytes(), b"p", 3))
             .collect();
@@ -462,18 +241,19 @@ mod tests {
     }
 
     #[test]
-    fn oversized_submission_splits_into_multiple_runs() {
-        let v = BatchVerifier::new(4, Duration::ZERO);
+    fn oversized_batch_splits_into_multiple_runs() {
+        let v = BatchVerifier::new(4);
         let jobs: Vec<HashJob> = (0..10)
             .map(|i| job(format!("salt-{i}").as_bytes(), b"pre", 7))
             .collect();
-        let digests = v.submit(jobs);
+        let digests = v.run_direct(&jobs);
         for (i, d) in digests.iter().enumerate() {
             assert_eq!(*d, iterated_hash(format!("salt-{i}").as_bytes(), b"pre", 7));
         }
         let stats = v.stats();
         assert_eq!(stats.attempts, 10);
-        assert!(stats.runs >= 3, "10 jobs with max_batch 4 need ≥3 runs");
-        assert!(stats.max_run <= 4);
+        assert_eq!(stats.runs, 3, "10 jobs at max_batch 4 run as 4 + 4 + 2");
+        assert_eq!(stats.max_run, 4);
+        assert_eq!(stats.full_runs, 2);
     }
 }

@@ -16,24 +16,25 @@
 //! * [`lockout`] — per-account consecutive-failure tracking implementing
 //!   the online-attack countermeasure, sharded by account hash and bounded
 //!   in memory against username-spraying attacks.
-//! * [`batch`] — the cross-connection [`batch::BatchVerifier`], which
-//!   coalesces concurrent login attempts into single multi-lane
-//!   [`gp_crypto::iterated_hash_many_salted`] runs.
+//! * [`batch`] — the [`batch::BatchVerifier`], which hashes the login and
+//!   enrollment attempts the reactor coalesced across connections as
+//!   single multi-lane [`gp_crypto::iterated_hash_many_salted`] runs.
 //! * [`server`] — the serving layer over a
 //!   [`GraphicalPasswordSystem`](gp_passwords::GraphicalPasswordSystem)
 //!   and a [`ShardedPasswordStore`](gp_passwords::ShardedPasswordStore):
-//!   protocol logic plus two interchangeable multiplexing strategies
-//!   ([`server::ServingMode`]), with graceful shutdown and per-worker
-//!   metrics.  With [`server::DurabilityConfig`] set, the store is
+//!   protocol logic served through the reactor, with graceful shutdown
+//!   and per-thread metrics.  With [`server::DurabilityConfig`] set, the store is
 //!   crash-safe: every enrollment is written (and, per the configured
 //!   [`gp_passwords::FsyncPolicy`], fsynced) to a per-shard write-ahead
 //!   log *before* the `Enroll` frame is acknowledged, a background
 //!   thread compacts logs into atomic snapshots, and a restart recovers
 //!   snapshots + WAL tails — no acked account is ever lost.
-//! * [`reactor`] (Linux) — the event-driven serving path: one `epoll`
-//!   thread owns every connection's nonblocking state machine and a
-//!   dedicated hash-compute pool drains prepared verify jobs, so
-//!   connection count is decoupled from thread count.
+//! * [`reactor`] (Linux) — the serving path: one `epoll` thread owns
+//!   every connection's nonblocking state machine and a dedicated
+//!   hash-compute pool drains prepared verify jobs, so connection count
+//!   is decoupled from thread count.  There is no other path: off Linux
+//!   [`server::AuthServer::spawn`] returns
+//!   [`std::io::ErrorKind::Unsupported`].
 //! * [`sys`] (Linux) — the minimal `epoll`/`eventfd` FFI the reactor
 //!   stands on (std already links libc; no crates involved).
 //! * [`client`] — a blocking client (with a pipelined burst API) used by
@@ -60,7 +61,7 @@
 //!   proves no acked enrollment is ever lost — including across a kill +
 //!   rejoin.
 //!
-//! # Request flow (reactor mode, Linux)
+//! # Request flow
 //!
 //! ```text
 //! epoll: accept ─ read-ready ─ write-ready ─ completions   (1 thread)
@@ -77,10 +78,6 @@
 //!                    ▼
 //!            completion queue ─ eventfd ──► reactor writes responses
 //! ```
-//!
-//! In pool mode (non-Linux, or [`server::ServingMode::WorkerPool`]) the
-//! same prepare/batch/settle phases run on a bounded worker pool that
-//! parks one thread per connection.
 //!
 //! The protocol remains deliberately simple (length-prefixed frames, no
 //! TLS): it exists to demonstrate and test the password subsystem under

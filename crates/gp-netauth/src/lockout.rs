@@ -10,7 +10,7 @@
 //! * **Sharding** — failure state is partitioned into independently locked
 //!   shards keyed by the same account hash the password store uses
 //!   ([`gp_passwords::shard_index`]), so the tracker is never a global
-//!   contention point for the worker pool.
+//!   contention point for the serving threads.
 //! * **Bounded memory** — a username-spraying online attacker (one failure
 //!   each against millions of *distinct* names) must not grow the tracker
 //!   without bound.  Each shard keeps two generations of entries; when the

@@ -1,11 +1,11 @@
 //! Event-driven serving: an `epoll` reactor plus a dedicated hash-compute
 //! pool.
 //!
-//! The worker-pool server parks one thread on every connection it serves,
-//! so idle or slow clients occupy workers and concurrent-connection
-//! capacity is capped near the pool size.  The paper's verification
-//! primitive (`h^1000`) makes serving cost *CPU-bound hashing*, not I/O —
-//! so the reactor splits the two concerns:
+//! This is the server's only serving path.  Parking one thread on every
+//! connection would let idle or slow clients occupy threads and cap
+//! concurrent-connection capacity near the thread count.  The paper's
+//! verification primitive (`h^1000`) makes serving cost *CPU-bound
+//! hashing*, not I/O — so the reactor splits the two concerns:
 //!
 //! * **One event-loop thread** owns every connection as a nonblocking
 //!   state machine (read → parse → hash-pending → write-backpressure),
@@ -64,7 +64,8 @@ use crate::batch::HashJob;
 use crate::error::NetAuthError;
 use crate::framing::{FrameReader, FrameWriter, WriteBuffer};
 use crate::server::{
-    AuthServer, Planned, WorkerMetrics, MAX_CONSECUTIVE_PROTOCOL_ERRORS, SHUTDOWN_POLL,
+    AuthServer, Planned, ReactorParts, WorkerMetrics, MAX_CONSECUTIVE_PROTOCOL_ERRORS,
+    SHUTDOWN_POLL,
 };
 use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use bytes::Bytes;
@@ -74,7 +75,6 @@ use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Epoll token of the listening socket.
@@ -220,7 +220,7 @@ struct Connection {
     fd: RawFd,
     /// Pending (partially written) response bytes.
     out: WriteBuffer,
-    /// Per-connection verify scratch (same reuse the pool workers get).
+    /// Per-connection verify scratch (reused across turns).
     scratch: VerifyScratch,
     /// Slot generation this connection was created under.
     generation: u64,
@@ -244,8 +244,7 @@ struct Connection {
     last_activity: Instant,
     /// When the pending output last stopped making progress (`None` while
     /// the buffer is draining or empty).  A peer that stops reading is
-    /// closed after [`WRITE_TIMEOUT`] — the reactor's equivalent of the
-    /// pool's blocking-write timeout.
+    /// closed once it has stalled for `ServerConfig::write_timeout`.
     write_stalled_since: Option<Instant>,
 }
 
@@ -310,15 +309,6 @@ struct Reactor {
     /// When the last idle/stall sweep ran (sweeps are rate-limited to
     /// [`SWEEP_INTERVAL`]).
     last_sweep: Instant,
-}
-
-/// The running pieces `AuthServer::spawn` assembles into a `ServerHandle`:
-/// the reactor thread, the compute-worker threads, and the per-thread
-/// metrics (reactor first, then one per compute worker).
-pub(crate) struct ReactorParts {
-    pub(crate) reactor_join: JoinHandle<()>,
-    pub(crate) compute_joins: Vec<JoinHandle<()>>,
-    pub(crate) metrics: Vec<Arc<WorkerMetrics>>,
 }
 
 /// Spawn the reactor thread and its hash-compute pool for `server` on
@@ -420,8 +410,7 @@ fn compute_loop(
 
         // Merge every turn's jobs into one cross-connection batch and hash
         // it directly on this thread: the turn queue already coalesced, so
-        // distinct compute workers hash distinct batches in parallel
-        // instead of serializing through the verifier's leader queue.
+        // distinct compute workers hash distinct batches in parallel.
         let mut job_counts = Vec::with_capacity(batch.len());
         let mut all_jobs = Vec::new();
         let mut merged = batch;
@@ -460,8 +449,7 @@ fn compute_loop(
                     // is an over-`MAX_FRAME_LEN` response.  Silently
                     // dropping one response would desync every later
                     // reply on the connection; deliver the in-order
-                    // prefix and close instead (the pool path fails the
-                    // connection the same way).
+                    // prefix and close instead.
                     if writer.write_frame_buffered(&response.encode()).is_err() {
                         encode_failed = true;
                         break;
@@ -659,9 +647,7 @@ impl Reactor {
                 }
                 // Refresh the idle clock only when the peer produced at
                 // least one *complete* frame: a byte-trickling peer
-                // (slowloris) must keep aging toward the idle sweep,
-                // exactly as it does against the pool's time-to-first-
-                // frame timeout.
+                // (slowloris) must keep aging toward the idle sweep.
                 if !conn.pending.is_empty() {
                     conn.last_activity = Instant::now();
                 }
@@ -803,7 +789,7 @@ impl Reactor {
             let before = conn.out.pending();
             let result = conn.out.flush_to(conn.reader.get_mut().get_mut());
             // Track write progress: any accepted byte restarts the stall
-            // window, so only a peer taking *nothing* for WRITE_TIMEOUT
+            // window, so only a peer taking *nothing* for `write_timeout`
             // is declared dead by the sweep.
             conn.write_stalled_since = match result {
                 Ok(false) if conn.out.pending() == before => {
@@ -906,11 +892,10 @@ impl Reactor {
     }
 
     /// Drop connections that have been silent past the idle timeout (the
-    /// slowloris defense the pool implements with read timeouts) and
-    /// connections whose peer has accepted no response bytes for
-    /// `ServerConfig::write_timeout` (the pool enforces the same limit as
-    /// a blocking-write timeout — without this, a peer that stops reading
-    /// would pin its buffers and a `max_connections` slot forever).
+    /// slowloris defense) and connections whose peer has accepted no
+    /// response bytes for `ServerConfig::write_timeout` (without this, a
+    /// peer that stops reading would pin its buffers and a
+    /// `max_connections` slot forever).
     fn sweep_idle(&mut self) {
         let now = Instant::now();
         if now.duration_since(self.last_sweep) < SWEEP_INTERVAL {
@@ -959,7 +944,7 @@ mod tests {
     use super::*;
     use crate::client::AuthClient;
     use crate::protocol::{ClientMessage, LoginDecision, ServerMessage};
-    use crate::server::{ServerConfig, ServingMode};
+    use crate::server::ServerConfig;
     use gp_geometry::Point;
     use std::io::{Read as _, Write as _};
     use std::time::Duration;
@@ -974,13 +959,6 @@ mod tests {
         ]
     }
 
-    fn reactor_config() -> ServerConfig {
-        ServerConfig {
-            serving: ServingMode::Reactor,
-            ..ServerConfig::fast_for_tests()
-        }
-    }
-
     fn spawn(config: ServerConfig) -> crate::server::ServerHandle {
         AuthServer::new(config)
             .spawn()
@@ -989,7 +967,7 @@ mod tests {
 
     #[test]
     fn end_to_end_enroll_login_lockout_through_the_reactor() {
-        let handle = spawn(reactor_config());
+        let handle = spawn(ServerConfig::fast_for_tests());
         let mut client = AuthClient::connect(handle.addr()).expect("connect");
         let (scheme, n) = client.get_config().unwrap();
         assert_eq!((scheme.as_str(), n), ("centered:9", 5));
@@ -1010,7 +988,7 @@ mod tests {
     #[test]
     fn pipelined_burst_with_corrupt_frame_stays_in_sync() {
         use crate::framing::FaultyBuffer;
-        let handle = spawn(reactor_config());
+        let handle = spawn(ServerConfig::fast_for_tests());
         {
             let mut client = AuthClient::connect(handle.addr()).unwrap();
             client.enroll("alice", &clicks()).unwrap();
@@ -1071,7 +1049,7 @@ mod tests {
         // enroll for the same account must be prepared only after the
         // enrollment group-commits, even though both hash through the
         // compute pool.
-        let handle = spawn(reactor_config());
+        let handle = spawn(ServerConfig::fast_for_tests());
         let mut client = AuthClient::connect(handle.addr()).unwrap();
         let burst = vec![
             ClientMessage::Enroll {
@@ -1126,7 +1104,7 @@ mod tests {
 
     #[test]
     fn login_racing_an_uncommitted_enroll_parks_its_slot_while_others_proceed() {
-        let handle = spawn(reactor_config());
+        let handle = spawn(ServerConfig::fast_for_tests());
         {
             let mut client = AuthClient::connect(handle.addr()).unwrap();
             client.enroll("carol", &clicks()).unwrap();
@@ -1189,7 +1167,7 @@ mod tests {
 
     #[test]
     fn batch_occupancy_grows_under_concurrent_pipelined_load() {
-        let handle = spawn(reactor_config());
+        let handle = spawn(ServerConfig::fast_for_tests());
         for i in 0..32 {
             let mut client = AuthClient::connect(handle.addr()).unwrap();
             client.enroll(&format!("user{i}"), &clicks()).unwrap();
@@ -1248,12 +1226,48 @@ mod tests {
     }
 
     #[test]
+    fn stats_list_the_event_loop_then_one_entry_per_compute_thread() {
+        let config = ServerConfig {
+            workers: 3,
+            ..ServerConfig::fast_for_tests()
+        };
+        let handle = spawn(config.clone());
+        let mut client = AuthClient::connect(handle.addr()).unwrap();
+        client.enroll("frank", &clicks()).unwrap();
+        let mut burst: Vec<ClientMessage> = (0..6)
+            .map(|_| ClientMessage::Login {
+                username: "frank".into(),
+                clicks: clicks(),
+            })
+            .collect();
+        burst.push(ClientMessage::GetConfig);
+        assert_eq!(client.request_pipelined(&burst).unwrap().len(), 7);
+        client.get_config().unwrap();
+        client.quit().unwrap();
+        let sent = 1 + 7 + 1 + 1;
+
+        let stats = handle.stats();
+        assert_eq!(stats.workers.len(), config.workers + 1);
+        for (index, worker) in stats.workers.iter().enumerate() {
+            assert_eq!(worker.worker, index);
+        }
+        assert_eq!(stats.workers[0].connections, 1, "the event loop accepts");
+        assert_eq!(
+            stats.workers.iter().map(|w| w.requests).sum::<u64>(),
+            sent,
+            "every answered request is counted exactly once: {:?}",
+            stats.workers
+        );
+        handle.shutdown();
+    }
+
+    #[test]
     fn hundreds_of_idle_connections_do_not_block_serving() {
-        // The pool would need one thread per connection to survive this;
-        // the reactor holds them all with workers=2 (3 threads total).
+        // Thread-per-connection serving would need 128 threads here; the
+        // reactor holds them all with workers=2 (3 threads total).
         let config = ServerConfig {
             workers: 2,
-            ..reactor_config()
+            ..ServerConfig::fast_for_tests()
         };
         let handle = spawn(config);
         let idle: Vec<std::net::TcpStream> = (0..128)
@@ -1275,7 +1289,7 @@ mod tests {
     fn idle_connections_are_swept_after_the_timeout() {
         let config = ServerConfig {
             idle_timeout: Duration::from_millis(150),
-            ..reactor_config()
+            ..ServerConfig::fast_for_tests()
         };
         let handle = spawn(config);
         let mut idle = std::net::TcpStream::connect(handle.addr()).unwrap();
@@ -1290,7 +1304,7 @@ mod tests {
     fn max_connections_cap_refuses_by_immediate_close() {
         let config = ServerConfig {
             max_connections: 2,
-            ..reactor_config()
+            ..ServerConfig::fast_for_tests()
         };
         let handle = spawn(config);
         let _a = std::net::TcpStream::connect(handle.addr()).unwrap();
@@ -1340,7 +1354,7 @@ mod tests {
         // `max_connections` slot forever.
         let config = ServerConfig {
             write_timeout: Duration::from_millis(300),
-            ..reactor_config()
+            ..ServerConfig::fast_for_tests()
         };
         let handle = spawn(config);
         let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
@@ -1398,7 +1412,7 @@ mod tests {
         // 300 ms, then drained: forces the cap, EPOLLOUT partial writes
         // and the read-pause/resume cycle — and every response must still
         // come back in order (the index-tagged username proves it).
-        let handle = spawn(reactor_config());
+        let handle = spawn(ServerConfig::fast_for_tests());
         let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(10)))

@@ -13,7 +13,7 @@
 
 use gp_geometry::Point;
 use gp_netauth::{
-    AuthClient, AuthServer, DurabilityConfig, FsyncPolicy, LoginDecision, ServerConfig, ServingMode,
+    AuthClient, AuthServer, DurabilityConfig, FsyncPolicy, LoginDecision, ServerConfig,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -40,19 +40,14 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn durable_config(dir: &Path, serving: ServingMode) -> ServerConfig {
+fn durable_config(dir: &Path) -> ServerConfig {
     ServerConfig {
-        serving,
         durability: Some(DurabilityConfig {
             fsync: FsyncPolicy::Always,
             ..DurabilityConfig::at(dir)
         }),
         ..ServerConfig::fast_for_tests()
     }
-}
-
-fn default_mode() -> ServingMode {
-    ServingMode::platform_default()
 }
 
 /// The acceptance scenario: enroll over TCP with `fsync: Always`, crash
@@ -63,7 +58,7 @@ fn acked_enrollments_survive_a_crash_and_log_in_after_recovery() {
     let dir = temp_dir("abort");
     let users = 24usize;
     {
-        let handle = AuthServer::open(durable_config(&dir, default_mode()))
+        let handle = AuthServer::open(durable_config(&dir))
             .expect("open durable server")
             .spawn()
             .expect("spawn");
@@ -80,7 +75,7 @@ fn acked_enrollments_survive_a_crash_and_log_in_after_recovery() {
         handle.abort();
     }
     // Recovery: a fresh process-equivalent opens the same directory.
-    let handle = AuthServer::open(durable_config(&dir, default_mode()))
+    let handle = AuthServer::open(durable_config(&dir))
         .expect("recover durable server")
         .spawn()
         .expect("respawn");
@@ -115,7 +110,7 @@ fn acked_enrollments_survive_a_crash_and_log_in_after_recovery() {
 fn disk_state_captured_mid_stream_recovers_every_previously_acked_account() {
     let dir = temp_dir("mid-stream");
     let copy = temp_dir("mid-stream-copy");
-    let handle = AuthServer::open(durable_config(&dir, default_mode()))
+    let handle = AuthServer::open(durable_config(&dir))
         .expect("open durable server")
         .spawn()
         .expect("spawn");
@@ -152,8 +147,7 @@ fn disk_state_captured_mid_stream_recovers_every_previously_acked_account() {
     handle.abort();
 
     // Recover from the mid-stream photograph.
-    let recovered = AuthServer::open(durable_config(&copy, default_mode()))
-        .expect("recover from mid-stream copy");
+    let recovered = AuthServer::open(durable_config(&copy)).expect("recover from mid-stream copy");
     let store = recovered.store();
     assert!(
         store.len() >= acked_before_copy,
@@ -229,48 +223,13 @@ fn background_snapshots_compact_under_load_without_losing_accounts() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Durability holds in worker-pool mode too (the non-Linux serving path):
-/// the WAL append happens in `settle_responses` before the worker writes
-/// the response frame, whichever thread runs it.
-#[test]
-fn worker_pool_mode_is_equally_crash_safe() {
-    let dir = temp_dir("pool");
-    let users = 8usize;
-    {
-        let handle = AuthServer::open(durable_config(&dir, ServingMode::WorkerPool))
-            .expect("open")
-            .spawn()
-            .expect("spawn");
-        let mut client = AuthClient::connect(handle.addr()).expect("connect");
-        for user in 0..users {
-            client
-                .enroll(&format!("user{user}"), &clicks(user))
-                .unwrap();
-        }
-        client.quit().unwrap();
-        handle.abort();
-    }
-    let handle = AuthServer::open(durable_config(&dir, ServingMode::WorkerPool))
-        .expect("recover")
-        .spawn()
-        .expect("respawn");
-    let mut client = AuthClient::connect(handle.addr()).expect("connect");
-    for user in 0..users {
-        let (decision, _) = client.login(&format!("user{user}"), &clicks(user)).unwrap();
-        assert_eq!(decision, LoginDecision::Accepted, "user{user}");
-    }
-    client.quit().unwrap();
-    handle.shutdown();
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
 /// A graceful shutdown compacts everything into snapshots; the next open
 /// replays nothing and still serves every account.
 #[test]
 fn graceful_shutdown_compacts_so_recovery_replays_nothing() {
     let dir = temp_dir("graceful");
     {
-        let handle = AuthServer::open(durable_config(&dir, default_mode()))
+        let handle = AuthServer::open(durable_config(&dir))
             .expect("open")
             .spawn()
             .expect("spawn");
@@ -283,7 +242,7 @@ fn graceful_shutdown_compacts_so_recovery_replays_nothing() {
         client.quit().unwrap();
         handle.shutdown(); // graceful: final snapshot_all
     }
-    let recovered = AuthServer::open(durable_config(&dir, default_mode())).expect("reopen");
+    let recovered = AuthServer::open(durable_config(&dir)).expect("reopen");
     let stats = recovered.store().durability_stats().unwrap();
     assert_eq!(stats.replayed_records, 0, "shutdown left empty WALs");
     assert_eq!(recovered.store().len(), 6);

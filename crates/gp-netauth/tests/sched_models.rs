@@ -2,66 +2,24 @@
 //! kernels, driven by the gp-sched deterministic scheduler.
 //!
 //! Only compiled under `RUSTFLAGS="--cfg gp_sched"` — that flag switches
-//! `gp_sched::sync` (which `PendingAccounts`, `AckState`, and
-//! `BatchVerifier` are built against) from std primitives to the
-//! instrumented shims, so every lock, wait, and notify below is a
+//! `gp_sched::sync` (which `PendingAccounts` and `AckState` are built
+//! against) from std primitives to the instrumented shims, so every
+//! lock, wait, and notify below is a
 //! scheduling choice point the explorer enumerates. See CONCURRENCY.md
 //! for the protocol inventory and README.md for how to replay a failing
 //! schedule trace.
 #![cfg(gp_sched)]
 
-use gp_crypto::{iterated_hash, SaltedHasher};
 use gp_netauth::acks::AckState;
-use gp_netauth::batch::{BatchVerifier, HashJob};
 use gp_netauth::pending::PendingAccounts;
-use gp_sched::{shim, thread, Explorer};
-use std::sync::atomic::Ordering;
+use gp_sched::{thread, Explorer};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// PendingAccounts: a login parked on its own account's enrollment barrier
-/// must always unpark — either the barrier was already down, or the
-/// enroll-commit's `end` wakes it. Two racing enrollments of the same name
-/// exercise the refcount; the explorer proves no schedule loses the wakeup
-/// (an untimed hang would be reported as deadlock, and `wait_clear`'s
-/// timeout only fires at quiescence, i.e. if the commits could never run).
-#[test]
-fn pending_accounts_login_always_unparks() {
-    let exploration = Explorer::new().explore(|| {
-        let pending = Arc::new(PendingAccounts::new());
-        let committed = Arc::new(shim::AtomicBool::new(false));
-        pending.begin("alice");
-
-        let (p2, c2) = (Arc::clone(&pending), Arc::clone(&committed));
-        let login = thread::spawn(move || {
-            p2.wait_clear("alice", Duration::from_millis(5));
-            // `committed` is set only after `end` completes, and this model
-            // has exactly one enrollment: once the login observes the
-            // commit, the barrier must be down.
-            if c2.load(Ordering::SeqCst) {
-                assert!(!p2.is_pending("alice"), "barrier still up after its commit");
-            }
-        });
-
-        pending.end("alice");
-        committed.store(true, Ordering::SeqCst);
-        login.join();
-        assert!(!pending.is_pending("alice"));
-    });
-    assert!(
-        exploration.schedules > 5,
-        "the race must branch the schedule"
-    );
-    assert_eq!(
-        exploration.pruned, 0,
-        "exploration must be exhaustive, not truncated"
-    );
-}
-
 /// PendingAccounts refcounting: with two racing enrollments of one name,
-/// the barrier stays up until *both* commit (each holds a reference), and
-/// a parked login can never observe a half-released barrier as clear
-/// while the second enrollment still holds it.
+/// the barrier stays up until *both* commit (each holds a reference): a
+/// login checking the table can never see a half-released barrier as
+/// clear while the second enrollment still holds it.
 #[test]
 fn pending_accounts_refcount_requires_all_commits() {
     let exploration = Explorer::new().explore(|| {
@@ -80,14 +38,8 @@ fn pending_accounts_refcount_requires_all_commits() {
             p2.end("alice");
         });
 
-        let p3 = Arc::clone(&pending);
-        let login = thread::spawn(move || {
-            p3.wait_clear("alice", Duration::from_millis(5));
-        });
-
         pending.end("alice");
         second_enroll.join();
-        login.join();
         assert!(
             !pending.is_pending("alice"),
             "all enrollments ended, table must be clear"
@@ -155,35 +107,4 @@ fn ack_waiter_times_out_at_quiescence() {
             "unexpected error: {err}"
         );
     });
-}
-
-/// BatchVerifier leader election: two concurrent submissions, every
-/// schedule must complete both with correct digests — whichever thread
-/// wins leadership hashes the coalesced batch, the follower's short timed
-/// wait re-checks, and nobody hangs on the `leader_active` handoff.
-#[test]
-fn batch_verifier_all_submissions_complete() {
-    let exploration = Explorer::new().max_schedules(500_000).explore(|| {
-        let verifier = Arc::new(BatchVerifier::new(2, Duration::ZERO));
-        let v2 = Arc::clone(&verifier);
-        let other = thread::spawn(move || {
-            v2.submit(vec![HashJob {
-                hasher: SaltedHasher::new(b"salt-b"),
-                pre_image: b"attempt-b".to_vec(),
-                iterations: 1,
-            }])
-        });
-        let mine = verifier.submit(vec![HashJob {
-            hasher: SaltedHasher::new(b"salt-a"),
-            pre_image: b"attempt-a".to_vec(),
-            iterations: 1,
-        }]);
-        let theirs = other.join();
-        assert_eq!(mine, vec![iterated_hash(b"salt-a", b"attempt-a", 1)]);
-        assert_eq!(theirs, vec![iterated_hash(b"salt-b", b"attempt-b", 1)]);
-    });
-    assert!(
-        exploration.schedules > 10,
-        "leader/follower handoff must branch the schedule"
-    );
 }

@@ -3,7 +3,7 @@
 //! push a pipelined login burst through the batch verifier, demonstrate
 //! the online-attack lockout, *crash* the server and recover every
 //! acknowledged account from the write-ahead logs, and print the shard /
-//! worker-pool / batching / durability statistics.
+//! serving-thread / batching / durability statistics.
 //!
 //! Run with: `cargo run --example auth_server_demo`
 
@@ -28,7 +28,7 @@ fn main() {
         ..ServerConfig::study_default()
     };
     println!(
-        "deployment: {} shards, {} workers, batches of ≤{} logins per hash run",
+        "deployment: {} shards, {} hash-compute threads, batches of ≤{} logins per hash run",
         config.shards, config.workers, config.batch_max
     );
     println!(
@@ -91,8 +91,10 @@ fn main() {
 
     client.quit().expect("quit");
 
-    // The serving-layer statistics: shard occupancy, worker counters and
-    // how well the batch verifier coalesced the pipelined logins.
+    // The serving-layer statistics: shard occupancy, per-thread counters
+    // (entry 0 is the reactor's event loop, then one per hash-compute
+    // thread) and how well the batch verifier coalesced the pipelined
+    // logins.
     let stats = handle.stats();
     println!("--- serving stats ---");
     for shard in &stats.shards {
@@ -103,7 +105,7 @@ fn main() {
     }
     for worker in &stats.workers {
         println!(
-            "worker {}: {} connections, {} requests ({} logins)",
+            "thread {}: {} connections, {} requests ({} logins)",
             worker.worker, worker.connections, worker.requests, worker.logins
         );
     }

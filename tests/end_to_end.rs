@@ -143,9 +143,9 @@ fn experiment_registry_runs_every_experiment() {
 /// The sharded, pipelined serving layer under real concurrency: enroll a
 /// population, then drive concurrent logins from ≥8 client threads against
 /// one server — correct passwords are accepted from every thread, requests
-/// spread across shards and the worker pool, and the per-account lockout
-/// still triggers exactly at the threshold while an innocent account on
-/// the same server stays usable.
+/// spread across shards and the reactor's threads, and the per-account
+/// lockout still triggers exactly at the threshold while an innocent
+/// account on the same server stays usable.
 #[test]
 fn concurrent_clients_against_sharded_server_preserve_lockout() {
     let server = AuthServer::new(ServerConfig::fast_for_tests());
@@ -241,7 +241,7 @@ fn concurrent_clients_against_sharded_server_preserve_lockout() {
     assert_eq!(
         stats.workers.iter().map(|w| w.connections).sum::<u64>(),
         11,
-        "10 load connections + 1 verdict connection through the pool"
+        "10 load connections + 1 verdict connection through the reactor"
     );
     assert!(
         stats.workers.iter().map(|w| w.logins).sum::<u64>() >= 142,
