@@ -1347,11 +1347,13 @@ mod tests {
 
     #[test]
     fn peer_that_stops_reading_is_swept_after_the_write_timeout() {
-        // ~6 MiB of responses for a peer that reads nothing: the server's
-        // write buffer must stall at the backpressure cap, and a stall
-        // that makes no progress for `write_timeout` must close the
+        // A peer that sends requests but reads no responses: once its
+        // kernel receive buffer (whatever size the host grants) and the
+        // server's backpressure cap fill, the server's writes make no
+        // progress, and a stall of `write_timeout` must close the
         // connection — otherwise the peer pins its buffers and a
-        // `max_connections` slot forever.
+        // `max_connections` slot forever.  The client keeps writing until
+        // a write fails, so the test cannot pass before the sweep ran.
         let config = ServerConfig {
             write_timeout: Duration::from_millis(300),
             ..ServerConfig::fast_for_tests()
@@ -1359,44 +1361,51 @@ mod tests {
         let handle = spawn(config);
         let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
         stream
+            .set_write_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        let requests = bulky_request_bytes(100);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut at = 0;
+        loop {
+            assert!(
+                Instant::now() < deadline,
+                "stalled connection was never swept"
+            );
+            match stream.write(&requests[at..]) {
+                Ok(n) => at = (at + n) % requests.len(),
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock
+                            | std::io::ErrorKind::TimedOut
+                            | std::io::ErrorKind::Interrupted
+                    ) => {}
+                // Reset or broken pipe: the server closed the connection.
+                Err(_) => break,
+            }
+        }
+        // The read side ends too: whatever the kernel buffered drains,
+        // then EOF or a reset — never a receive timeout.
+        stream
             .set_read_timeout(Some(Duration::from_secs(2)))
             .unwrap();
-        let bytes = bulky_request_bytes(6000);
-        let mut write_half = stream.try_clone().unwrap();
-        let writer_thread = std::thread::spawn(move || {
-            // Stalls once the server pauses reading at its cap; errors
-            // out when the sweep resets the connection.  Either way it
-            // must not outlive the sweep window by much.
-            let _ = write_half.write_all(&bytes);
-        });
-        // Accept nothing for well past the write timeout.
-        std::thread::sleep(Duration::from_millis(1200));
-        // The sweep must have closed the connection: reads drain whatever
-        // the kernel already buffered and then hit EOF or a reset —
-        // never a receive timeout.
-        let deadline = Instant::now() + Duration::from_secs(8);
         let mut sink = [0u8; 65536];
         loop {
             match stream.read(&mut sink) {
                 Ok(0) => break,
+                Ok(_) => {}
                 Err(e)
                     if matches!(
                         e.kind(),
                         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                     ) =>
                 {
-                    panic!("read timed out: stalled connection was never swept");
+                    panic!("read timed out: the swept connection is still open");
                 }
-                // Reset: the server dropped us with data in flight.
                 Err(_) => break,
-                Ok(_) => {}
             }
-            assert!(
-                Instant::now() < deadline,
-                "stalled connection was never swept"
-            );
+            assert!(Instant::now() < deadline, "the read side never ended");
         }
-        writer_thread.join().unwrap();
         // The slot is free again: a well-behaved client is served.
         let mut client = AuthClient::connect(handle.addr()).expect("connect");
         client.enroll("dave", &clicks()).unwrap();

@@ -438,20 +438,16 @@ pub enum ReplicationMode {
 /// Something a server can hand each locally-durable enrollment to for
 /// replication before acknowledging the client.
 pub trait ReplicationSink: Send + Sync + std::fmt::Debug {
-    /// Replicate `entry`; in synchronous mode, returns only once a backup
-    /// has acknowledged durability (or no live backup exists).
-    fn replicate(&self, entry: &WalEntry) -> Result<(), NetAuthError>;
+    /// Replicate a whole group-commit batch; in synchronous mode, returns
+    /// only once every entry's backup has acknowledged durability (or no
+    /// live backup exists).  [`Replicator`] pipelines each backup's
+    /// records and waits on a single ack high-water mark, so sync-mode
+    /// backup acks join the group barrier instead of queueing behind it.
+    fn replicate_group(&self, entries: &[WalEntry]) -> Result<(), NetAuthError>;
 
-    /// Replicate a whole group-commit batch.  The default serializes one
-    /// `replicate` round-trip per entry; [`Replicator`] overrides it to
-    /// pipeline each backup's records and wait on a single ack high-water
-    /// mark, so sync-mode backup acks join the group barrier instead of
-    /// queueing behind it.
-    fn replicate_group(&self, entries: &[WalEntry]) -> Result<(), NetAuthError> {
-        for entry in entries {
-            self.replicate(entry)?;
-        }
-        Ok(())
+    /// Replicate one entry: a group of one.
+    fn replicate(&self, entry: &WalEntry) -> Result<(), NetAuthError> {
+        self.replicate_group(std::slice::from_ref(entry))
     }
 
     /// Replication and repair counters, if this sink tracks them.  The
@@ -1006,12 +1002,6 @@ impl Replicator {
         Ok(conn)
     }
 
-    /// One send attempt: write the record on `peer`'s connection (opening
-    /// it if needed) and, in sync mode, wait for the ack.
-    fn send_once(&self, peer: &PeerState, payload: &[u8]) -> Result<(), NetAuthError> {
-        self.send_group_once(peer, &[payload])
-    }
-
     /// One grouped send attempt: pipeline every payload onto `peer`'s
     /// connection (opening it if needed) back-to-back, then — in sync mode
     /// — wait once for the *last* record's ack.  The listener acks in
@@ -1536,59 +1526,18 @@ pub fn spawn_anti_entropy(
 }
 
 impl ReplicationSink for Replicator {
-    /// Stream `entry` to its backup, walking the successor list on
-    /// failure.  With no live peer left the entry is accepted locally
-    /// (single-survivor operation) — the alternative is refusing all
-    /// writes, which the crash-only design rejects.
-    fn replicate(&self, entry: &WalEntry) -> Result<(), NetAuthError> {
-        let payload = entry.to_payload();
-        let key = entry.username();
-        loop {
-            let target = {
-                let ring = self.ring.lock();
-                let n = ring.node_count();
-                ring.successors(key, n)
-                    .into_iter()
-                    .find(|node| *node != self.node_id)
-                    .map(String::from)
-            };
-            let Some(target) = target else {
-                return Ok(());
-            };
-            let Some(peer) = self.peers.get(&target) else {
-                // A ring member without a peer entry can only come from a
-                // stale ring view; evict it and re-route to the next
-                // successor rather than bringing the commit path down.
-                self.ring.lock().leave(&target);
-                continue;
-            };
-            if self.send_once(peer, &payload).is_ok() {
-                return Ok(());
-            }
-            // Retry once on a fresh connection: a listener restart or a
-            // dropped socket looks identical to a dead peer on the first
-            // failed write.
-            *peer.conn.lock() = None;
-            if self.send_once(peer, &payload).is_ok() {
-                return Ok(());
-            }
-            // Two straight failures: declare the peer dead and let the
-            // ring promote the next successor for all its keys.
-            self.ring.lock().leave(&target);
-        }
-    }
-
-    /// Group-commit path: route every entry to its backup, pipeline each
-    /// backup's records on one connection, and (in sync mode) wait for one
-    /// ack high-water mark per backup instead of one round-trip per entry.
-    /// Failure handling matches [`Replicator::replicate`]: a target that
-    /// fails a grouped send twice is evicted, and its entries are re-routed
-    /// to the next successor on the following pass (or accepted locally
-    /// once no live peer remains).
+    /// Route every entry to its backup (the first ring successor that is
+    /// not this node), pipeline each backup's records on one connection,
+    /// and (in sync mode) wait for one ack high-water mark per backup
+    /// instead of one round-trip per entry.  A failed send is retried once
+    /// on a fresh connection — a listener restart or a dropped socket looks
+    /// identical to a dead peer on the first failed write.  A target that
+    /// fails twice is evicted from the ring, and its entries are re-routed
+    /// to the next successor on the following pass.  With no live peer
+    /// left an entry is accepted locally (single-survivor operation) — the
+    /// alternative is refusing all writes, which the crash-only design
+    /// rejects.
     fn replicate_group(&self, entries: &[WalEntry]) -> Result<(), NetAuthError> {
-        if entries.len() == 1 {
-            return self.replicate(&entries[0]);
-        }
         let payloads: Vec<Vec<u8>> = entries.iter().map(WalEntry::to_payload).collect();
         let mut pending: Vec<usize> = (0..entries.len()).collect();
         while !pending.is_empty() {
@@ -1617,8 +1566,10 @@ impl ReplicationSink for Replicator {
             let mut still_pending = Vec::new();
             for (target, indices) in groups {
                 let Some(peer) = self.peers.get(&target) else {
-                    // Same stale-ring defense as `replicate`: evict and
-                    // re-route these entries on the next pass.
+                    // A ring member without a peer entry can only come
+                    // from a stale ring view: evict it and re-route these
+                    // entries on the next pass rather than bringing the
+                    // commit path down.
                     self.ring.lock().leave(&target);
                     still_pending.extend(indices);
                     continue;
@@ -1627,7 +1578,6 @@ impl ReplicationSink for Replicator {
                 if self.send_group_once(peer, &batch).is_ok() {
                     continue;
                 }
-                // Retry once on a fresh connection, as in `replicate`.
                 *peer.conn.lock() = None;
                 if self.send_group_once(peer, &batch).is_ok() {
                     continue;
@@ -1847,7 +1797,9 @@ mod tests {
         let peer_store = Arc::new(ShardedPasswordStore::new(2));
         for i in 0..32u32 {
             let record = sys.enroll(&format!("user{i}"), &clicks(i)).unwrap();
-            peer_store.insert(record).unwrap();
+            peer_store
+                .apply_replicated(&WalEntry::Update(record))
+                .unwrap();
         }
         let mut listener = spawn_replication_listener("node-a", Arc::clone(&peer_store)).unwrap();
 
@@ -1884,7 +1836,9 @@ mod tests {
         let peer_store = Arc::new(ShardedPasswordStore::new(2));
         for i in 0..16u32 {
             let record = sys.enroll(&format!("user{i}"), &clicks(i)).unwrap();
-            peer_store.insert(record).unwrap();
+            peer_store
+                .apply_replicated(&WalEntry::Update(record))
+                .unwrap();
         }
         let mut listener = spawn_replication_listener("node-a", Arc::clone(&peer_store)).unwrap();
         let peers = BTreeMap::from([("node-a".to_string(), listener.addr())]);
@@ -1960,8 +1914,12 @@ mod tests {
         // Shared base: both sides hold it.
         for (i, name) in mine.iter().take(12).enumerate() {
             let record = sys.enroll(name, &clicks(i as u32)).unwrap();
-            primary_store.insert(record.clone()).unwrap();
-            backup_store.insert(record).unwrap();
+            primary_store
+                .apply_replicated(&WalEntry::Update(record.clone()))
+                .unwrap();
+            backup_store
+                .apply_replicated(&WalEntry::Update(record))
+                .unwrap();
         }
         // Divergence: the backup lost one record, and holds one record
         // the primary never saw (written while the primary was away).
@@ -1969,7 +1927,9 @@ mod tests {
         let late = &mine[12];
         assert!(backup_store.remove(lost).unwrap(), "record was present");
         let unseen = sys.enroll(late, &clicks(77)).unwrap();
-        backup_store.insert(unseen).unwrap();
+        backup_store
+            .apply_replicated(&WalEntry::Update(unseen))
+            .unwrap();
 
         let mut listener = spawn_replication_listener("backup", Arc::clone(&backup_store)).unwrap();
         let peers = BTreeMap::from([("backup".to_string(), listener.addr())]);

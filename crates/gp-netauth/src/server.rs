@@ -371,9 +371,10 @@ impl AuthServer {
     }
 
     /// Attach a replication sink: from now on an enrollment is only
-    /// acknowledged after `sink.replicate(..)` returns (which, for a
-    /// synchronous [`crate::replication::Replicator`], means the record
-    /// is durable on the account's backup node too).
+    /// acknowledged after the `sink.replicate_group(..)` call covering its
+    /// group commit returns (which, for a synchronous
+    /// [`crate::replication::Replicator`], means the record is durable on
+    /// the account's backup node too).
     pub fn with_replication(mut self, sink: Arc<dyn ReplicationSink>) -> Self {
         self.replication = Some(sink);
         self
@@ -790,13 +791,14 @@ impl AuthServer {
         // Durable stores get a background compaction thread: per-shard
         // WALs past the size threshold are folded into atomic snapshots
         // without blocking verifies (readers never wait on a snapshot).
-        if let Some(durability) = handle.server.config().durability.clone() {
+        if let Some(durability) = &handle.server.config().durability {
+            let interval = durability.snapshot_interval;
             let store = handle.server.store();
             let shutdown = Arc::clone(&handle.shutdown);
             handle.snapshot_join = Some(
                 std::thread::Builder::new()
                     .name("gp-auth-snapshot".into())
-                    .spawn(move || snapshot_loop(&store, &durability, &shutdown))
+                    .spawn(move || snapshot_loop(&store, interval, &shutdown))
                     .map_err(NetAuthError::Io)?,
             );
         }
@@ -823,21 +825,17 @@ fn spawn_reactor(
     Err(NetAuthError::Io(std::io::ErrorKind::Unsupported.into()))
 }
 
-/// Background compaction loop: every `snapshot_interval`, snapshot the
-/// shards whose WAL grew past the threshold.  Errors are dropped — the
+/// Background compaction loop: every `interval`, snapshot the shards
+/// whose WAL grew past the store's threshold.  Errors are dropped — the
 /// next tick retries, and the WAL itself keeps every acked mutation safe
 /// in the meantime.
-fn snapshot_loop(
-    store: &ShardedPasswordStore,
-    durability: &DurabilityConfig,
-    shutdown: &AtomicBool,
-) {
-    let interval = durability.snapshot_interval.max(Duration::from_millis(1));
+fn snapshot_loop(store: &ShardedPasswordStore, interval: Duration, shutdown: &AtomicBool) {
+    let interval = interval.max(Duration::from_millis(1));
     let mut last = Instant::now();
     while !shutdown.load(Ordering::SeqCst) {
         std::thread::sleep(SHUTDOWN_POLL.min(interval));
         if last.elapsed() >= interval {
-            let _ = store.snapshot_if_past(durability.snapshot_threshold_bytes);
+            let _ = store.snapshot_if_due();
             last = Instant::now();
         }
     }

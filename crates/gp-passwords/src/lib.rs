@@ -28,12 +28,11 @@
 //! * [`system::GraphicalPasswordSystem`] — enrollment and verification,
 //!   including a split-phase API (prepare / finish) that lets a serving
 //!   layer batch the expensive iterated hashing across attempts;
-//! * [`store::PasswordStore`] — a concurrent multi-account store with a
-//!   text serialization format;
-//! * [`shard::ShardedPasswordStore`] — the same store partitioned into N
-//!   independently locked shards keyed by account hash, with per-shard
-//!   file persistence and a [`shard::ShardStats`] snapshot API, used by
-//!   the networked server;
+//! * [`shard::ShardedPasswordStore`] — the concurrent multi-account store
+//!   the networked server holds: N independently locked shards keyed by
+//!   account hash (`new(1)` is a single-lock store), a line-oriented text
+//!   file per shard that holds only clear grid identifiers and hashes, and
+//!   a [`shard::ShardStats`] snapshot API;
 //! * [`wal`] — the crash-safe durability layer under the sharded store:
 //!   per-shard append-only write-ahead logs (length-prefixed, checksummed,
 //!   torn-tail-tolerant replay), configurable [`wal::FsyncPolicy`], and
@@ -91,7 +90,6 @@ pub mod policy;
 pub mod ring;
 pub mod schemes;
 pub mod shard;
-pub mod store;
 pub mod stored;
 pub mod system;
 pub mod wal;
@@ -106,10 +104,9 @@ pub use shard::{
     diff_range_entries, record_digest, shard_index, DurabilityOptions, DurabilityStats, RangeDiff,
     RangeDigest, ShardStats, ShardedPasswordStore,
 };
-pub use store::PasswordStore;
 pub use stored::{ClickRecord, StoredPassword};
 pub use system::{GraphicalPasswordSystem, VerifyScratch};
-pub use wal::{FsyncPolicy, ShardWal, WalEntry, WalOp, WalReplay};
+pub use wal::{FsyncPolicy, ShardWal, WalEntry, WalReplay};
 
 /// Convenient glob-import of the most commonly used items.
 pub mod prelude {
@@ -119,7 +116,7 @@ pub mod prelude {
     pub use crate::schemes::cued::CuedClickPoints;
     pub use crate::schemes::passpoints::PassPoints;
     pub use crate::schemes::persuasive::PersuasiveCuedClickPoints;
-    pub use crate::store::PasswordStore;
+    pub use crate::shard::ShardedPasswordStore;
     pub use crate::stored::StoredPassword;
     pub use crate::system::{GraphicalPasswordSystem, VerifyScratch};
 }

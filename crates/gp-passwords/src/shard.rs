@@ -1,22 +1,25 @@
-//! Sharded account store: N independently locked partitions keyed by a
-//! hash of the account name, with optional crash-safe durability.
+//! The account store: N independently locked partitions keyed by a hash
+//! of the account name, with optional crash-safe durability.
 //!
-//! The monolithic [`PasswordStore`] holds one
-//! `RwLock` over every account, which serializes writers and makes the lock
-//! a contention point once a serving layer fans requests out across worker
-//! threads.  `ShardedPasswordStore` partitions the account space into `N`
-//! small, independently locked shards — the cluster-hash-table shape from
-//! the cheap-recovery literature: each shard is a self-contained unit that
-//! can be persisted, reloaded and inspected on its own, so a deployment can
-//! scale lock concurrency and recover (or migrate) one shard without
-//! touching the rest.
+//! [`ShardedPasswordStore`] is what the networked authentication server
+//! holds: a map from account name to [`StoredPassword`].  It never sees
+//! the original click coordinates — only the clear grid identifiers and
+//! one salted, iterated hash per account — so compromising the store (or
+//! the disk under it) yields exactly the information the paper's
+//! offline-attack analysis (§5.1) assumes.  The account space is split into
+//! `N` small, independently locked shards — the cluster-hash-table shape
+//! from the cheap-recovery literature: each shard is a self-contained unit
+//! that can be persisted, reloaded and inspected on its own, so writers on
+//! different shards never contend and one shard can be recovered (or
+//! migrated) without touching the rest.  `ShardedPasswordStore::new(1)`
+//! is the single-lock store.
 //!
 //! Routing is by [`shard_index`], an FNV-1a hash of the account name
 //! reduced modulo the shard count.  The mapping is an implementation detail
-//! of the *in-memory* layout only: the per-shard file format is the same
-//! line-oriented format as the monolithic store, and loading routes every
-//! record through the account hash, so shard files written under one shard
-//! count can be reloaded under any other.
+//! of the *in-memory* layout only: a shard file is a `# gp-passwords store
+//! v1` header plus one [`StoredPassword::to_record`] line per account, and
+//! loading routes every record through the account hash, so shard files
+//! written under one shard count can be reloaded under any other.
 //!
 //! # Durability
 //!
@@ -49,10 +52,9 @@
 
 use crate::error::PasswordError;
 use crate::lockdep::{LockClass, OrderedMutex, OrderedRwLock};
-use crate::store::PasswordStore;
 use crate::stored::StoredPassword;
 use crate::system::GraphicalPasswordSystem;
-use crate::wal::{atomic_write, fnv1a64, sync_dir, FsyncPolicy, ShardWal, WalEntry, WalOp};
+use crate::wal::{atomic_write, fnv1a64, sync_dir, FsyncPolicy, ShardWal, WalEntry};
 use gp_crypto::SaltedHasher;
 use gp_geometry::Point;
 use std::collections::BTreeMap;
@@ -240,7 +242,7 @@ pub struct DurabilityOptions {
     /// When WAL appends are flushed to stable storage (the
     /// acknowledgement-latency vs. crash-loss-window trade).
     pub fsync: FsyncPolicy,
-    /// WAL size (bytes) past which [`ShardedPasswordStore::snapshot_if_past`]
+    /// WAL size (bytes) past which [`ShardedPasswordStore::snapshot_if_due`]
     /// compacts the shard.
     pub snapshot_threshold_bytes: u64,
 }
@@ -308,6 +310,39 @@ fn shard_wal_name(shard: usize) -> String {
     format!("shard-{shard:03}.wal")
 }
 
+/// The `shard-*<suffix>` files under `dir` (e.g. `.pwd`, `.wal`), sorted
+/// by name — i.e. by shard index.
+fn shard_files(dir: &Path, suffix: &str) -> Result<Vec<PathBuf>, PasswordError> {
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
+        .map_err(|e| storage_error(&format!("read {}", dir.display()), e))?
+        .filter_map(|entry| entry.ok().map(|e| e.path()))
+        .filter(|path| {
+            path.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with("shard-") && n.ends_with(suffix))
+        })
+        .collect();
+    paths.sort();
+    Ok(paths)
+}
+
+/// Parse a shard file: the records of its account lines.  Lines starting
+/// with `#` (the `# gp-passwords store v1` header) and blank lines are
+/// skipped; a line that does not parse is reported by its line number.
+fn parse_shard_file(contents: &str) -> Result<Vec<StoredPassword>, PasswordError> {
+    contents
+        .lines()
+        .enumerate()
+        .map(|(index, line)| (index + 1, line.trim()))
+        .filter(|(_, line)| !line.is_empty() && !line.starts_with('#'))
+        .map(|(line_no, line)| {
+            StoredPassword::from_record(line).map_err(|e| PasswordError::CorruptRecord {
+                reason: format!("line {line_no}: {e}"),
+            })
+        })
+        .collect()
+}
+
 /// Parse `shard-NNN.<ext>` (including `.pwd.tmp` leftovers) into the
 /// shard index, for stale-file cleanup.
 fn parse_shard_file_index(name: &str) -> Option<usize> {
@@ -346,11 +381,10 @@ fn remove_stale_shard_files(dir: &Path, shards: usize) -> std::io::Result<()> {
 
 /// A concurrent account store partitioned into independently locked shards.
 ///
-/// The API mirrors [`PasswordStore`] so call sites can switch between the
-/// two; cross-shard read operations (`len`, `usernames`, `records`) take
-/// the shard locks one at a time and are therefore *not* a consistent
-/// global snapshot under concurrent writes — exactly the trade the sharded
-/// design makes.
+/// Cross-shard read operations (`len`, `usernames`, `records`) take the
+/// shard locks one at a time and are therefore *not* a consistent global
+/// snapshot under concurrent writes — exactly the trade the sharded design
+/// makes.
 ///
 /// Stores created with [`ShardedPasswordStore::new`] are purely in-memory
 /// (mutations return `Ok` without touching disk); stores opened with
@@ -401,43 +435,12 @@ impl ShardedPasswordStore {
         let mut store = Self::new(shards);
 
         // 1) Newest intact snapshots.
-        let mut snapshot_paths: Vec<PathBuf> = std::fs::read_dir(dir)
-            .map_err(|e| storage_error(&format!("read {}", dir.display()), e))?
-            .filter_map(|entry| entry.ok().map(|e| e.path()))
-            .filter(|path| {
-                path.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("shard-") && n.ends_with(".pwd"))
-            })
-            .collect();
-        snapshot_paths.sort();
-        for path in snapshot_paths {
-            let contents = std::fs::read_to_string(&path)
-                .map_err(|e| storage_error(&format!("read {}", path.display()), e))?;
-            let parsed = PasswordStore::from_file_contents(&contents).map_err(|e| {
-                PasswordError::CorruptRecord {
-                    reason: format!("{}: {e}", path.display()),
-                }
-            })?;
-            for record in parsed.records() {
-                store.apply_insert(record);
-            }
-        }
+        store.load_snapshots(dir)?;
 
         // 2) WAL tails over the snapshots.
-        let mut wal_paths: Vec<PathBuf> = std::fs::read_dir(dir)
-            .map_err(|e| storage_error(&format!("read {}", dir.display()), e))?
-            .filter_map(|entry| entry.ok().map(|e| e.path()))
-            .filter(|path| {
-                path.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("shard-") && n.ends_with(".wal"))
-            })
-            .collect();
-        wal_paths.sort();
         let mut replayed_records = 0u64;
         let mut torn_tails = 0u64;
-        for path in wal_paths {
+        for path in shard_files(dir, ".wal")? {
             let replay = ShardWal::replay(&path)
                 .map_err(|e| storage_error(&format!("replay {}", path.display()), e))?;
             replayed_records += replay.entries.len() as u64;
@@ -549,24 +552,11 @@ impl ShardedPasswordStore {
     /// [`FsyncPolicy::Always`], its fsync) completes before `Ok` is
     /// returned, so an acked enrollment survives any crash.
     pub fn insert_new(&self, stored: StoredPassword) -> Result<(), PasswordError> {
-        let index = shard_index(&stored.username, self.shards.len());
-        let shard = &self.shards[index];
-        let entry = CachedAccount::new(stored);
-        let mut accounts = shard.accounts.write();
-        if accounts.contains_key(&entry.stored.username) {
-            return Err(PasswordError::DuplicateAccount {
-                username: entry.stored.username.clone(),
-            });
-        }
-        // gp-lint: allow(L8, by-design durability barrier: the accounts lock orders the WAL append ahead of the map mutation)
-        self.wal_append(index, WalOp::Enroll, &entry.stored)?;
-        accounts.insert(entry.stored.username.clone(), entry);
-        shard.enrolls.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        self.insert_enrolled(stored, false).map(drop)
     }
 
     /// The group-commit half of [`ShardedPasswordStore::insert_new`]:
-    /// duplicate check, *deferred* WAL append (no per-record fsync) and
+    /// duplicate check, *staged* WAL append (no per-record fsync) and
     /// in-memory insert under one shard-lock acquisition.  Returns the
     /// owning shard's index — the caller's group-commit set.
     ///
@@ -577,24 +567,27 @@ impl ShardedPasswordStore {
     /// must hold back same-account reads it intends to ack — the serving
     /// layer's per-account pending table) until the barrier returns.
     pub fn insert_new_deferred(&self, stored: StoredPassword) -> Result<usize, PasswordError> {
+        self.insert_enrolled(stored, true)
+    }
+
+    /// The body of [`ShardedPasswordStore::insert_new`] (flushed) and
+    /// [`ShardedPasswordStore::insert_new_deferred`] (`staged`).
+    fn insert_enrolled(
+        &self,
+        stored: StoredPassword,
+        staged: bool,
+    ) -> Result<usize, PasswordError> {
         let index = shard_index(&stored.username, self.shards.len());
-        let shard = &self.shards[index];
-        let entry = CachedAccount::new(stored);
-        let mut accounts = shard.accounts.write();
-        if accounts.contains_key(&entry.stored.username) {
-            return Err(PasswordError::DuplicateAccount {
-                username: entry.stored.username.clone(),
-            });
-        }
-        if let Some(d) = &self.durability {
-            d.wals[index]
-                .lock()
-                // gp-lint: allow(L8, by-design durability barrier: the accounts lock orders the WAL append ahead of the map mutation)
-                .append_record_deferred(WalOp::Enroll, &entry.stored)
-                .map_err(|e| storage_error(&format!("wal append (shard {index})"), e))?;
-        }
-        accounts.insert(entry.stored.username.clone(), entry);
-        shard.enrolls.fetch_add(1, Ordering::Relaxed);
+        let entry = WalEntry::Enroll(stored);
+        self.log_and_apply(index, &entry, staged, |accounts| {
+            if accounts.contains_key(entry.username()) {
+                return Err(PasswordError::DuplicateAccount {
+                    username: entry.username().to_string(),
+                });
+            }
+            Ok(true)
+        })?;
+        self.shards[index].enrolls.fetch_add(1, Ordering::Relaxed);
         Ok(index)
     }
 
@@ -639,20 +632,9 @@ impl ShardedPasswordStore {
         Some((wal.appended_seq(), wal.durable_seq()))
     }
 
-    /// Insert or replace a pre-built record (bulk loading, migration).
-    /// On a durable store the record is logged (as an update) before the
-    /// in-memory apply.
-    pub fn insert(&self, stored: StoredPassword) -> Result<(), PasswordError> {
-        let index = shard_index(&stored.username, self.shards.len());
-        let entry = CachedAccount::new(stored);
-        let mut accounts = self.shards[index].accounts.write();
-        // gp-lint: allow(L8, by-design durability barrier: the accounts lock orders the WAL append ahead of the map mutation)
-        self.wal_append(index, WalOp::Update, &entry.stored)?;
-        accounts.insert(entry.stored.username.clone(), entry);
-        Ok(())
-    }
-
-    /// Durably apply a WAL entry streamed from a replication primary.
+    /// Durably apply a WAL entry: one streamed from a replication
+    /// primary, or a locally built [`WalEntry::Update`] (bulk loading,
+    /// migration).
     ///
     /// The entry is appended to the owning shard's local WAL (flushed per
     /// the fsync policy) *before* the in-memory apply, under one
@@ -664,27 +646,53 @@ impl ShardedPasswordStore {
     /// must be idempotent.
     pub fn apply_replicated(&self, entry: &WalEntry) -> Result<(), PasswordError> {
         let index = shard_index(entry.username(), self.shards.len());
-        match entry {
+        self.log_and_apply(index, entry, false, |_| Ok(true))
+            .map(drop)
+    }
+
+    /// The one write path.  Under shard `index`'s account lock, `admit`
+    /// inspects the map and decides whether the mutation happens at all
+    /// (`Err` refuses it, `Ok(false)` skips it).  An admitted `entry` is
+    /// appended to the shard's WAL — `staged` for the next
+    /// [`ShardedPasswordStore::commit_shards`] barrier, or flushed per the
+    /// fsync policy — and only then applied to the map, so WAL order
+    /// matches apply order and a failed append (rolled back, or the log
+    /// poisoned, by [`ShardWal`]) leaves the map untouched.  Returns
+    /// whether the mutation was applied.
+    fn log_and_apply(
+        &self,
+        index: usize,
+        entry: &WalEntry,
+        staged: bool,
+        admit: impl FnOnce(&BTreeMap<String, CachedAccount>) -> Result<bool, PasswordError>,
+    ) -> Result<bool, PasswordError> {
+        // The salt is absorbed before the lock is taken.
+        let cached = match entry {
             WalEntry::Enroll(record) | WalEntry::Update(record) => {
-                let cached = CachedAccount::new(record.clone());
-                let mut accounts = self.shards[index].accounts.write();
-                // gp-lint: allow(L8, by-design durability barrier: the accounts lock orders the WAL append ahead of the map mutation)
-                self.wal_append(index, entry.op(), record)?;
-                accounts.insert(cached.stored.username.clone(), cached);
+                Some(CachedAccount::new(record.clone()))
             }
-            WalEntry::Remove(username) => {
-                let mut accounts = self.shards[index].accounts.write();
-                if let Some(d) = &self.durability {
-                    d.wals[index]
-                        .lock()
-                        // gp-lint: allow(L8, by-design durability barrier: the accounts lock orders the WAL append ahead of the map mutation)
-                        .append_remove(username)
-                        .map_err(|e| storage_error(&format!("wal append (shard {index})"), e))?;
-                }
-                accounts.remove(username);
-            }
+            WalEntry::Remove(_) => None,
+        };
+        let mut accounts = self.shards[index].accounts.write();
+        if !admit(&accounts)? {
+            return Ok(false);
         }
-        Ok(())
+        if let Some(d) = &self.durability {
+            let mut wal = d.wals[index].lock();
+            let logged = if staged {
+                // gp-lint: allow(L8, by-design durability barrier: the accounts lock orders the WAL append ahead of the map mutation)
+                wal.append_staged(entry).map(drop)
+            } else {
+                // gp-lint: allow(L8, by-design durability barrier: the accounts lock orders the WAL append ahead of the map mutation)
+                wal.append_flushed(entry)
+            };
+            logged.map_err(|e| storage_error(&format!("wal append (shard {index})"), e))?;
+        }
+        match cached {
+            Some(cached) => accounts.insert(cached.stored.username.clone(), cached),
+            None => accounts.remove(entry.username()),
+        };
+        Ok(true)
     }
 
     /// In-memory insert/replace with no logging — recovery replay and
@@ -699,29 +707,8 @@ impl ShardedPasswordStore {
     }
 
     /// In-memory removal with no logging (recovery replay only).
-    fn apply_remove(&self, username: &str) -> bool {
-        self.shard_for(username)
-            .accounts
-            .write()
-            .remove(username)
-            .is_some()
-    }
-
-    /// Append to shard `index`'s WAL, if durable.  Called with the
-    /// shard's account lock held, so WAL order matches apply order.
-    fn wal_append(
-        &self,
-        index: usize,
-        op: WalOp,
-        record: &StoredPassword,
-    ) -> Result<(), PasswordError> {
-        let Some(d) = &self.durability else {
-            return Ok(());
-        };
-        d.wals[index]
-            .lock()
-            .append_record(op, record)
-            .map_err(|e| storage_error(&format!("wal append (shard {index})"), e))
+    fn apply_remove(&self, username: &str) {
+        self.shard_for(username).accounts.write().remove(username);
     }
 
     /// Fetch a copy of an account's stored record.
@@ -753,24 +740,16 @@ impl ShardedPasswordStore {
     /// a recovered store cannot resurrect the account.
     pub fn remove(&self, username: &str) -> Result<bool, PasswordError> {
         let index = shard_index(username, self.shards.len());
-        let mut accounts = self.shards[index].accounts.write();
-        if !accounts.contains_key(username) {
-            return Ok(false);
-        }
-        if let Some(d) = &self.durability {
-            d.wals[index]
-                .lock()
-                // gp-lint: allow(L8, by-design durability barrier: the accounts lock orders the WAL append ahead of the map mutation)
-                .append_remove(username)
-                .map_err(|e| storage_error(&format!("wal append (shard {index})"), e))?;
-        }
-        accounts.remove(username);
-        Ok(true)
+        let entry = WalEntry::Remove(username.to_string());
+        self.log_and_apply(index, &entry, false, |accounts| {
+            Ok(accounts.contains_key(username))
+        })
     }
 
     /// Verify a login attempt for an account (scalar path; the serving
     /// layer's batch verifier uses [`GraphicalPasswordSystem`]'s split-phase
-    /// API with records fetched via [`ShardedPasswordStore::get`]).
+    /// API with records and per-salt state fetched via
+    /// [`ShardedPasswordStore::get_cached`]).
     pub fn verify(
         &self,
         system: &GraphicalPasswordSystem,
@@ -809,19 +788,7 @@ impl ShardedPasswordStore {
 
     /// All stored records across shards, sorted by account name.
     pub fn records(&self) -> Vec<StoredPassword> {
-        let mut records: Vec<StoredPassword> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.accounts
-                    .read()
-                    .values()
-                    .map(|entry| entry.stored.clone())
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        records.sort_by(|a, b| a.username.cmp(&b.username));
-        records
+        self.records_in_range(|_| true)
     }
 
     /// The stored records whose account name satisfies `range`, sorted by
@@ -912,9 +879,8 @@ impl ShardedPasswordStore {
         out
     }
 
-    /// Serialize one shard in the line-oriented password-file format (the
-    /// same format the monolithic store writes, so shard files are also
-    /// valid whole-store files).
+    /// Serialize one shard in the line-oriented password-file format —
+    /// the bytes `save_to_dir` and snapshots publish as `shard-NNN.pwd`.
     pub fn shard_file_contents(&self, shard: usize) -> String {
         Self::render_shard(
             &self.shards[shard].accounts.read(),
@@ -950,35 +916,25 @@ impl ShardedPasswordStore {
     /// [`ShardedPasswordStore::open_durable`].)
     pub fn load_from_dir(dir: &Path, shards: usize) -> Result<Self, PasswordError> {
         let store = Self::new(shards);
-        let mut entries: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
-            .map_err(|e| PasswordError::CorruptRecord {
-                reason: format!("read shard dir {}: {e}", dir.display()),
-            })?
-            .filter_map(|entry| entry.ok().map(|e| e.path()))
-            .filter(|path| {
-                path.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("shard-") && n.ends_with(".pwd"))
-            })
-            .collect();
-        entries.sort();
-        for path in entries {
-            let contents =
-                std::fs::read_to_string(&path).map_err(|e| PasswordError::CorruptRecord {
-                    reason: format!("read {}: {e}", path.display()),
-                })?;
-            // Reuse the monolithic parser (comments, line numbers) and
-            // re-route its records through the hash.
-            let parsed = PasswordStore::from_file_contents(&contents).map_err(|e| {
-                PasswordError::CorruptRecord {
+        store.load_snapshots(dir)?;
+        Ok(store)
+    }
+
+    /// Load every `shard-NNN.pwd` snapshot under `dir` into memory,
+    /// re-routing each record by account hash.
+    fn load_snapshots(&self, dir: &Path) -> Result<(), PasswordError> {
+        for path in shard_files(dir, ".pwd")? {
+            let contents = std::fs::read_to_string(&path)
+                .map_err(|e| storage_error(&format!("read {}", path.display()), e))?;
+            let records =
+                parse_shard_file(&contents).map_err(|e| PasswordError::CorruptRecord {
                     reason: format!("{}: {e}", path.display()),
-                }
-            })?;
-            for record in parsed.records() {
-                store.apply_insert(record);
+                })?;
+            for record in records {
+                self.apply_insert(record);
             }
         }
-        Ok(store)
+        Ok(())
     }
 
     /// Atomically publish shard `index`'s snapshot and truncate its WAL.
@@ -1212,10 +1168,93 @@ mod tests {
                 .unwrap());
         }
 
-        // A single shard file is also a valid monolithic store file.
-        let single = PasswordStore::from_file_contents(&store.shard_file_contents(0)).unwrap();
+        // A shard file parses on its own, header line included.
+        let single = parse_shard_file(&store.shard_file_contents(0)).unwrap();
         assert_eq!(single.len(), store.stats()[0].accounts);
 
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn file_parser_skips_comments_and_reports_line_numbers() {
+        assert!(parse_shard_file("# comment\n\n# another\n")
+            .unwrap()
+            .is_empty());
+        match parse_shard_file("# ok\ngarbage line\n").unwrap_err() {
+            PasswordError::CorruptRecord { reason } => assert!(reason.contains("line 2")),
+            other => panic!("unexpected error {other:?}"),
+        }
+        // Through the loader, the error also names the file.
+        let dir = temp_dir("corrupt-file");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(shard_pwd_name(0)), "# ok\ngarbage line\n").unwrap();
+        match ShardedPasswordStore::load_from_dir(&dir, 1).unwrap_err() {
+            PasswordError::CorruptRecord { reason } => {
+                assert!(reason.contains("shard-000.pwd") && reason.contains("line 2"))
+            }
+            other => panic!("unexpected error {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn compromised_store_reveals_only_clear_identifiers_and_hashes() {
+        // The threat model, checked on the files a stolen disk holds: a
+        // snapshot and a WAL tail carry the clear grid identifiers and one
+        // hash per account, never a raw click coordinate.
+        let sys = system();
+        let dir = temp_dir("threat-model");
+        // Fractional coordinates cannot collide with integer grid fields.
+        let alice: Vec<Point> = clicks(0.0).iter().map(|p| p.offset(0.37, 0.61)).collect();
+        let bob: Vec<Point> = clicks(9.0).iter().map(|p| p.offset(0.19, 0.83)).collect();
+        let store =
+            ShardedPasswordStore::open_durable(&dir, 2, DurabilityOptions::default()).unwrap();
+        store.enroll(&sys, "alice", &alice).unwrap();
+        store.snapshot_all().unwrap(); // alice: snapshot only
+        store.enroll(&sys, "bob", &bob).unwrap(); // bob: WAL only
+        drop(store);
+
+        let read = |name: String| std::fs::read(dir.join(name)).unwrap();
+        let pwd = read(shard_pwd_name(shard_index("alice", 2)));
+        let wal = read(shard_wal_name(shard_index("bob", 2)));
+        assert!(
+            wal.len() > crate::wal::WAL_MAGIC.len(),
+            "bob's record is in the WAL"
+        );
+        let record_line = String::from_utf8(pwd.clone())
+            .unwrap()
+            .lines()
+            .find(|l| l.starts_with("alice\t"))
+            .expect("alice's record line")
+            .to_string();
+        let fields: Vec<&str> = record_line.split('\t').collect();
+        assert_eq!(fields.len(), 6, "record must have exactly 6 fields");
+        // The only per-click data present is the clear grid identifiers
+        // (field 4) and the single hash (field 5); there is no field that
+        // could hold the 10 raw coordinates of the 5 original clicks.
+        assert_eq!(fields[4].split(';').count(), alice.len());
+        assert!(
+            fields[5].starts_with("3$"),
+            "hash field with iteration count"
+        );
+
+        let contains =
+            |haystack: &[u8], needle: &[u8]| haystack.windows(needle.len()).any(|w| w == needle);
+        for (file, points) in [(&pwd, &alice), (&wal, &bob)] {
+            for p in points.iter() {
+                for v in [p.x, p.y] {
+                    for needle in [
+                        format!("{v}").into_bytes(),
+                        v.to_le_bytes().to_vec(),
+                        v.to_be_bytes().to_vec(),
+                        (v as f32).to_le_bytes().to_vec(),
+                        (v as f32).to_be_bytes().to_vec(),
+                    ] {
+                        assert!(!contains(file, &needle), "coordinate {v} leaked");
+                    }
+                }
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1263,7 +1302,7 @@ mod tests {
         }
         let narrow = ShardedPasswordStore::new(2);
         for record in wide.records() {
-            narrow.insert(record).unwrap();
+            narrow.apply_replicated(&WalEntry::Update(record)).unwrap();
         }
         narrow.save_to_dir(&dir).unwrap();
 
@@ -1390,7 +1429,6 @@ mod tests {
 
     #[test]
     fn apply_replicated_is_durable_and_idempotent() {
-        use crate::wal::WalEntry;
         let sys = system();
         let dir = temp_dir("replicated");
         {
@@ -1508,9 +1546,11 @@ mod tests {
                 "cached per-salt state must be bit-identical to a fresh one"
             );
         }
-        // Records loaded through `insert` (bulk load / recovery) cache too.
+        // Records bulk-loaded as updates cache too.
         let reloaded = ShardedPasswordStore::new(2);
-        reloaded.insert(stored.clone()).unwrap();
+        reloaded
+            .apply_replicated(&WalEntry::Update(stored.clone()))
+            .unwrap();
         let (_, cached2) = reloaded.get_cached("alice").expect("inserted");
         assert_eq!(cached2.iterated(b"x", 3), fresh.iterated(b"x", 3));
         assert!(store.get_cached("ghost").is_none());

@@ -87,27 +87,6 @@ pub enum FsyncPolicy {
     Never,
 }
 
-/// One mutation kind recorded in the WAL.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WalOp {
-    /// A new account was enrolled.
-    Enroll,
-    /// An existing account's record was inserted/replaced (bulk load).
-    Update,
-    /// An account was removed.
-    Remove,
-}
-
-impl WalOp {
-    fn tag(self) -> u8 {
-        match self {
-            WalOp::Enroll => 1,
-            WalOp::Update => 2,
-            WalOp::Remove => 3,
-        }
-    }
-}
-
 /// One decoded WAL record.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalEntry {
@@ -120,12 +99,12 @@ pub enum WalEntry {
 }
 
 impl WalEntry {
-    /// The mutation kind this entry records.
-    pub fn op(&self) -> WalOp {
+    /// The payload's `op` byte (see the module-level log format).
+    fn tag(&self) -> u8 {
         match self {
-            WalEntry::Enroll(_) => WalOp::Enroll,
-            WalEntry::Update(_) => WalOp::Update,
-            WalEntry::Remove(_) => WalOp::Remove,
+            WalEntry::Enroll(_) => 1,
+            WalEntry::Update(_) => 2,
+            WalEntry::Remove(_) => 3,
         }
     }
 
@@ -146,7 +125,7 @@ impl WalEntry {
             WalEntry::Remove(username) => username.clone(),
         };
         let mut payload = Vec::with_capacity(1 + data.len());
-        payload.push(self.op().tag());
+        payload.push(self.tag());
         payload.extend_from_slice(data.as_bytes());
         payload
     }
@@ -269,48 +248,28 @@ impl ShardWal {
         self.mark.durable_seq()
     }
 
-    /// Append a stored-password mutation ([`WalOp::Enroll`] or
-    /// [`WalOp::Update`]) and flush per the fsync policy.  When this
+    /// Append `entry` and flush it per the fsync policy.  When this
     /// returns `Ok`, the record is in the log (and on stable storage
     /// under [`FsyncPolicy::Always`]) — only then may the mutation be
     /// acknowledged.
-    pub fn append_record(&mut self, op: WalOp, record: &StoredPassword) -> std::io::Result<()> {
-        debug_assert!(
-            op != WalOp::Remove,
-            "removals carry a username, not a record"
-        );
-        self.append_payload(op, record.to_record().as_bytes(), false)
-            .map(|_| ())
+    pub fn append_flushed(&mut self, entry: &WalEntry) -> std::io::Result<()> {
+        self.write_record(entry, true).map(drop)
     }
 
-    /// Append a stored-password mutation *without* the per-append policy
-    /// flush — the group-commit fast path.  The record is in the log (a
-    /// crash may still lose it until a barrier lands) but **must not be
+    /// Stage `entry` *without* the per-append policy flush — the
+    /// group-commit fast path.  The record is in the log (a crash may
+    /// still lose it until a barrier lands) but **must not be
     /// acknowledged** until [`ShardWal::group_commit`] or
     /// [`ShardWal::sync`] advances the durable watermark past the
     /// returned commit sequence.
-    pub fn append_record_deferred(
-        &mut self,
-        op: WalOp,
-        record: &StoredPassword,
-    ) -> std::io::Result<u64> {
-        debug_assert!(
-            op != WalOp::Remove,
-            "removals carry a username, not a record"
-        );
-        self.append_payload(op, record.to_record().as_bytes(), true)
+    pub fn append_staged(&mut self, entry: &WalEntry) -> std::io::Result<u64> {
+        self.write_record(entry, false)
     }
 
-    /// Append an account removal and flush per the fsync policy.
-    pub fn append_remove(&mut self, username: &str) -> std::io::Result<()> {
-        self.append_payload(WalOp::Remove, username.as_bytes(), false)
-            .map(|_| ())
-    }
-
-    /// The group-commit barrier: flush every deferred append per the
+    /// The group-commit barrier: flush every staged append per the
     /// fsync policy in **one** disk operation, instead of one per
     /// append.  `Always` syncs if anything is outstanding, `Batch(n)`
-    /// syncs once `n` appends (deferred or not) have accumulated,
+    /// syncs once `n` appends (staged or not) have accumulated,
     /// `Never` leaves the flush to the OS as usual.  Returns the durable
     /// commit-sequence watermark after the barrier — under `Always`,
     /// every previously appended record is committed when this returns.
@@ -321,33 +280,32 @@ impl ShardWal {
         Ok(self.mark.durable_seq())
     }
 
-    /// Append a decoded entry (replication apply path: the backup logs
-    /// the streamed record into its own WAL before acknowledging it).
-    pub fn append_entry(&mut self, entry: &WalEntry) -> std::io::Result<()> {
-        match entry {
-            WalEntry::Enroll(record) => self.append_record(WalOp::Enroll, record),
-            WalEntry::Update(record) => self.append_record(WalOp::Update, record),
-            WalEntry::Remove(username) => self.append_remove(username),
-        }
-    }
-
-    fn append_payload(&mut self, op: WalOp, data: &[u8], deferred: bool) -> std::io::Result<u64> {
+    /// Frame `entry` as one record and write it in one call (a crash can
+    /// still tear it mid-record, but replay recovers the full prefix
+    /// regardless of where the tear lands); with `flush`, sync now if the
+    /// policy demands it.
+    fn write_record(&mut self, entry: &WalEntry, flush: bool) -> std::io::Result<u64> {
         if self.poisoned {
             return Err(std::io::Error::other(format!(
                 "{}: WAL poisoned by an earlier unrecoverable append failure",
                 self.path.display()
             )));
         }
-        let mut payload = Vec::with_capacity(1 + data.len());
-        payload.push(op.tag());
-        payload.extend_from_slice(data);
+        let payload = entry.to_payload();
         let mut buf = Vec::with_capacity(RECORD_HEADER + payload.len());
         buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
         buf.extend_from_slice(&fnv1a64(&payload).to_be_bytes());
         buf.extend_from_slice(&payload);
         let start = self.len;
         let seq = self.mark.begin_append();
-        match self.write_and_flush(&buf, deferred) {
+        let written = self.file.write_all(&buf).and_then(|()| {
+            self.mark.note_appended();
+            if flush && self.mark.barrier_needs_sync() {
+                self.sync()?;
+            }
+            Ok(())
+        });
+        match written {
             Ok(()) => {
                 self.len = start + buf.len() as u64;
                 self.appends += 1;
@@ -374,22 +332,6 @@ impl ShardWal {
                 Err(e)
             }
         }
-    }
-
-    /// One write call (a crash can still tear it mid-record, but replay
-    /// recovers the full prefix regardless of where the tear lands).
-    /// Non-deferred appends flush per the fsync policy; deferred ones
-    /// only accumulate toward the next [`ShardWal::group_commit`].
-    fn write_and_flush(&mut self, buf: &[u8], deferred: bool) -> std::io::Result<()> {
-        self.file.write_all(buf)?;
-        if deferred {
-            self.mark.note_deferred();
-            return Ok(());
-        }
-        if self.mark.note_flushed_append() {
-            self.sync()?;
-        }
-        Ok(())
     }
 
     /// Flush appended records to stable storage now, regardless of
@@ -620,6 +562,10 @@ mod tests {
         system.enroll(name, &clicks).unwrap()
     }
 
+    fn enroll(record: &StoredPassword) -> WalEntry {
+        WalEntry::Enroll(record.clone())
+    }
+
     #[test]
     fn append_replay_round_trip_all_ops() {
         let dir = temp_dir("roundtrip");
@@ -627,9 +573,10 @@ mod tests {
         let (a, b) = (sample("alice", 0.0), sample("bob", 3.0));
         {
             let mut wal = ShardWal::open_or_create(&path, FsyncPolicy::Always).unwrap();
-            wal.append_record(WalOp::Enroll, &a).unwrap();
-            wal.append_record(WalOp::Update, &b).unwrap();
-            wal.append_remove("alice").unwrap();
+            wal.append_flushed(&enroll(&a)).unwrap();
+            wal.append_flushed(&WalEntry::Update(b.clone())).unwrap();
+            wal.append_flushed(&WalEntry::Remove("alice".into()))
+                .unwrap();
             assert_eq!(wal.appends(), 3);
             assert!(wal.syncs() >= 3, "Always fsyncs every append");
         }
@@ -653,11 +600,11 @@ mod tests {
         let (a, b) = (sample("alice", 0.0), sample("bob", 3.0));
         {
             let mut wal = ShardWal::open_or_create(&path, FsyncPolicy::Never).unwrap();
-            wal.append_record(WalOp::Enroll, &a).unwrap();
+            wal.append_flushed(&enroll(&a)).unwrap();
         }
         {
             let mut wal = ShardWal::open_or_create(&path, FsyncPolicy::Never).unwrap();
-            wal.append_record(WalOp::Enroll, &b).unwrap();
+            wal.append_flushed(&enroll(&b)).unwrap();
         }
         let replay = ShardWal::replay(&path).unwrap();
         assert_eq!(
@@ -678,7 +625,7 @@ mod tests {
         {
             let mut wal = ShardWal::open_or_create(&path, FsyncPolicy::Never).unwrap();
             for record in &records {
-                wal.append_record(WalOp::Enroll, record).unwrap();
+                wal.append_flushed(&enroll(record)).unwrap();
                 boundaries.push(wal.len_bytes());
             }
         }
@@ -720,9 +667,9 @@ mod tests {
         let first_end;
         {
             let mut wal = ShardWal::open_or_create(&path, FsyncPolicy::Never).unwrap();
-            wal.append_record(WalOp::Enroll, &a).unwrap();
+            wal.append_flushed(&enroll(&a)).unwrap();
             first_end = wal.len_bytes() as usize;
-            wal.append_record(WalOp::Enroll, &b).unwrap();
+            wal.append_flushed(&enroll(&b)).unwrap();
         }
         let mut bytes = std::fs::read(&path).unwrap();
         *bytes.last_mut().unwrap() ^= 0xff;
@@ -768,7 +715,7 @@ mod tests {
         {
             let mut wal = ShardWal::open_or_create(&path, FsyncPolicy::Never).unwrap();
             for record in &records {
-                wal.append_record(WalOp::Enroll, record).unwrap();
+                wal.append_flushed(&enroll(record)).unwrap();
                 boundaries.push(wal.len_bytes() as usize);
             }
         }
@@ -808,7 +755,7 @@ mod tests {
             let payload = entry.to_payload();
             assert_eq!(WalEntry::from_payload(&payload).unwrap(), entry);
             assert_eq!(entry.username(), "alice");
-            assert_eq!(payload[0], entry.op().tag());
+            assert_eq!(payload[0], entry.tag());
         }
         assert!(WalEntry::from_payload(&[]).is_err());
         assert!(WalEntry::from_payload(&[9, b'x']).is_err(), "unknown tag");
@@ -821,7 +768,7 @@ mod tests {
         let mut wal = ShardWal::open_or_create(&path, FsyncPolicy::Batch(3)).unwrap();
         let open_syncs = wal.syncs();
         for i in 0..7 {
-            wal.append_record(WalOp::Enroll, &sample(&format!("u{i}"), i as f64))
+            wal.append_flushed(&enroll(&sample(&format!("u{i}"), i as f64)))
                 .unwrap();
         }
         assert_eq!(
@@ -840,10 +787,10 @@ mod tests {
         let path = dir.join("w.wal");
         let (a, b) = (sample("alice", 0.0), sample("bob", 3.0));
         let mut wal = ShardWal::open_or_create(&path, FsyncPolicy::Always).unwrap();
-        wal.append_record(WalOp::Enroll, &a).unwrap();
+        wal.append_flushed(&enroll(&a)).unwrap();
         wal.reset().unwrap();
         assert_eq!(wal.len_bytes(), WAL_MAGIC.len() as u64);
-        wal.append_record(WalOp::Enroll, &b).unwrap();
+        wal.append_flushed(&enroll(&b)).unwrap();
         drop(wal);
         let replay = ShardWal::replay(&path).unwrap();
         assert_eq!(replay.entries, vec![WalEntry::Enroll(b)]);
@@ -856,19 +803,21 @@ mod tests {
         let path = dir.join("w.wal");
         let (a, b) = (sample("alice", 0.0), sample("bob", 3.0));
         let mut wal = ShardWal::open_or_create(&path, FsyncPolicy::Always).unwrap();
-        wal.append_record(WalOp::Enroll, &a).unwrap();
+        wal.append_flushed(&enroll(&a)).unwrap();
         wal.poison_for_test();
         assert!(wal.is_poisoned());
         // No append may land past a potential tear: it would be dropped
         // by replay while its caller believed it was acknowledged.
-        assert!(wal.append_record(WalOp::Enroll, &b).is_err());
-        assert!(wal.append_remove("alice").is_err());
+        assert!(wal.append_flushed(&enroll(&b)).is_err());
+        assert!(wal
+            .append_flushed(&WalEntry::Remove("alice".into()))
+            .is_err());
         let replay = ShardWal::replay(&path).unwrap();
         assert_eq!(replay.entries, vec![WalEntry::Enroll(a)]);
         // Truncating to the header discards the tear and re-arms the log.
         wal.reset().unwrap();
         assert!(!wal.is_poisoned());
-        wal.append_record(WalOp::Enroll, &b.clone()).unwrap();
+        wal.append_flushed(&enroll(&b)).unwrap();
         drop(wal);
         let replay = ShardWal::replay(&path).unwrap();
         assert_eq!(replay.entries, vec![WalEntry::Enroll(b)]);
@@ -876,7 +825,7 @@ mod tests {
     }
 
     #[test]
-    fn deferred_appends_commit_once_per_group_and_advance_the_watermark() {
+    fn staged_appends_commit_once_per_group_and_advance_the_watermark() {
         let dir = temp_dir("group");
         let path = dir.join("w.wal");
         let mut wal = ShardWal::open_or_create(&path, FsyncPolicy::Always).unwrap();
@@ -884,7 +833,7 @@ mod tests {
         let mut seqs = Vec::new();
         for i in 0..5 {
             let seq = wal
-                .append_record_deferred(WalOp::Enroll, &sample(&format!("u{i}"), i as f64))
+                .append_staged(&enroll(&sample(&format!("u{i}"), i as f64)))
                 .unwrap();
             seqs.push(seq);
         }
@@ -893,7 +842,7 @@ mod tests {
         assert_eq!(
             wal.durable_seq(),
             0,
-            "deferred appends stay below the watermark until the barrier"
+            "staged appends stay below the watermark until the barrier"
         );
         assert_eq!(wal.syncs() - open_syncs, 0, "no per-append fsync");
         let watermark = wal.group_commit().unwrap();
@@ -903,7 +852,7 @@ mod tests {
         // An empty barrier is free.
         assert_eq!(wal.group_commit().unwrap(), 5);
         assert_eq!(wal.syncs() - open_syncs, 1);
-        // Every deferred record replays.
+        // Every staged record replays.
         drop(wal);
         let replay = ShardWal::replay(&path).unwrap();
         assert_eq!(replay.entries.len(), 5);
@@ -918,21 +867,19 @@ mod tests {
         let mut wal = ShardWal::open_or_create(&batch, FsyncPolicy::Batch(4)).unwrap();
         let open_syncs = wal.syncs();
         for i in 0..3 {
-            wal.append_record_deferred(WalOp::Enroll, &sample(&format!("u{i}"), i as f64))
+            wal.append_staged(&enroll(&sample(&format!("u{i}"), i as f64)))
                 .unwrap();
         }
         wal.group_commit().unwrap();
-        assert_eq!(wal.syncs() - open_syncs, 0, "3 deferred < Batch(4)");
-        wal.append_record_deferred(WalOp::Enroll, &sample("u3", 3.0))
-            .unwrap();
+        assert_eq!(wal.syncs() - open_syncs, 0, "3 staged < Batch(4)");
+        wal.append_staged(&enroll(&sample("u3", 3.0))).unwrap();
         wal.group_commit().unwrap();
         assert_eq!(wal.syncs() - open_syncs, 1, "4th append fills the batch");
         assert_eq!(wal.durable_seq(), 4);
 
         let never = dir.join("n.wal");
         let mut wal = ShardWal::open_or_create(&never, FsyncPolicy::Never).unwrap();
-        wal.append_record_deferred(WalOp::Enroll, &sample("alice", 0.0))
-            .unwrap();
+        wal.append_staged(&enroll(&sample("alice", 0.0))).unwrap();
         assert_eq!(wal.group_commit().unwrap(), 0, "Never leaves it to the OS");
         assert_eq!(wal.syncs(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -943,12 +890,10 @@ mod tests {
         let dir = temp_dir("watermark");
         let path = dir.join("w.wal");
         let mut wal = ShardWal::open_or_create(&path, FsyncPolicy::Never).unwrap();
-        wal.append_record_deferred(WalOp::Enroll, &sample("alice", 0.0))
-            .unwrap();
+        wal.append_staged(&enroll(&sample("alice", 0.0))).unwrap();
         wal.sync().unwrap();
         assert_eq!(wal.durable_seq(), 1, "explicit sync commits regardless");
-        wal.append_record_deferred(WalOp::Enroll, &sample("bob", 3.0))
-            .unwrap();
+        wal.append_staged(&enroll(&sample("bob", 3.0))).unwrap();
         wal.reset().unwrap();
         assert_eq!(
             (wal.appended_seq(), wal.durable_seq()),

@@ -68,28 +68,16 @@ impl Watermark {
         self.durable = self.durable.min(self.seq);
     }
 
-    /// A deferred append landed: it only accumulates toward the next
-    /// group-commit barrier, regardless of policy.
-    pub fn note_deferred(&mut self) {
-        self.unsynced += 1;
+    /// An append's bytes landed: it accumulates toward the next sync.
+    pub fn note_appended(&mut self) {
+        self.unsynced = self.unsynced.saturating_add(1);
     }
 
-    /// A non-deferred append landed; returns whether the fsync policy
-    /// demands a sync right now.
-    pub fn note_flushed_append(&mut self) -> bool {
-        match self.policy {
-            FsyncPolicy::Always => true,
-            FsyncPolicy::Batch(every) => {
-                self.unsynced += 1;
-                self.unsynced >= every.max(1)
-            }
-            FsyncPolicy::Never => false,
-        }
-    }
-
-    /// Whether a group-commit barrier must sync now: `Always` whenever
-    /// anything is outstanding, `Batch(n)` once `n` appends accumulated,
-    /// `Never` leaves flushing to the OS.
+    /// Whether the fsync policy demands a sync now — asked by the
+    /// group-commit barrier, and by a flushed append right after its
+    /// [`Watermark::note_appended`]: `Always` whenever anything is
+    /// outstanding, `Batch(n)` once `n` appends accumulated, `Never`
+    /// leaves flushing to the OS.
     pub fn barrier_needs_sync(&self) -> bool {
         match self.policy {
             FsyncPolicy::Always => self.unsynced > 0,
@@ -114,7 +102,8 @@ mod tests {
         let mut w = Watermark::new(FsyncPolicy::Always);
         let seq = w.begin_append();
         assert_eq!(seq, 1);
-        assert!(w.note_flushed_append());
+        w.note_appended();
+        assert!(w.barrier_needs_sync());
         w.note_synced();
         assert_eq!(w.durable_seq(), 1);
         assert_eq!(w.unsynced(), 0);
@@ -125,17 +114,18 @@ mod tests {
         let mut w = Watermark::new(FsyncPolicy::Batch(3));
         for expect in [false, false, true] {
             w.begin_append();
-            assert_eq!(w.note_flushed_append(), expect);
+            w.note_appended();
+            assert_eq!(w.barrier_needs_sync(), expect);
         }
         w.note_synced();
         assert_eq!(w.durable_seq(), 3);
     }
 
     #[test]
-    fn deferred_appends_wait_for_the_barrier() {
+    fn staged_appends_wait_for_the_barrier() {
         let mut w = Watermark::new(FsyncPolicy::Always);
         w.begin_append();
-        w.note_deferred();
+        w.note_appended();
         assert_eq!(w.durable_seq(), 0);
         assert!(w.barrier_needs_sync());
         w.note_synced();
@@ -159,7 +149,7 @@ mod tests {
     fn never_policy_never_demands_sync() {
         let mut w = Watermark::new(FsyncPolicy::Never);
         w.begin_append();
-        assert!(!w.note_flushed_append());
+        w.note_appended();
         assert!(!w.barrier_needs_sync());
         assert_eq!(w.durable_seq(), 0);
     }

@@ -14,7 +14,7 @@
 
 use gp_geometry::Point;
 use gp_passwords::prelude::*;
-use gp_passwords::{DurabilityOptions, FsyncPolicy, ShardedPasswordStore};
+use gp_passwords::{DurabilityOptions, FsyncPolicy, ShardedPasswordStore, WalEntry};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 
@@ -219,8 +219,10 @@ fn apply_op(
         }
         1 => {
             let record = sys.enroll(&name, &clicks(seed)).unwrap();
-            durable.insert(record.clone()).unwrap();
-            mirror.insert(record).unwrap();
+            durable
+                .apply_replicated(&WalEntry::Update(record.clone()))
+                .unwrap();
+            mirror.apply_replicated(&WalEntry::Update(record)).unwrap();
         }
         _ => {
             let a = durable.remove(&name).unwrap();

@@ -60,7 +60,9 @@ fn distinct(names: &[String]) -> Vec<String> {
 fn store_of(records: &[StoredPassword], shards: usize) -> ShardedPasswordStore {
     let store = ShardedPasswordStore::new(shards);
     for r in records {
-        store.insert(r.clone()).expect("insert");
+        store
+            .apply_replicated(&WalEntry::Update(r.clone()))
+            .expect("insert");
     }
     store
 }
@@ -159,14 +161,14 @@ proptest! {
             // 0: both agree, 1: primary-only, 2: backup-only, 3: conflict.
             match placements[i % placements.len()] {
                 0 => {
-                    primary.insert(r.clone()).unwrap();
-                    backup.insert(r).unwrap();
+                    primary.apply_replicated(&WalEntry::Update(r.clone())).unwrap();
+                    backup.apply_replicated(&WalEntry::Update(r)).unwrap();
                 }
-                1 => primary.insert(r).unwrap(),
-                2 => backup.insert(r).unwrap(),
+                1 => primary.apply_replicated(&WalEntry::Update(r)).unwrap(),
+                2 => backup.apply_replicated(&WalEntry::Update(r)).unwrap(),
                 _ => {
-                    primary.insert(r).unwrap();
-                    backup.insert(record(&sys, name, 500 + i as u32)).unwrap();
+                    primary.apply_replicated(&WalEntry::Update(r)).unwrap();
+                    backup.apply_replicated(&WalEntry::Update(record(&sys, name, 500 + i as u32))).unwrap();
                 }
             }
         }

@@ -128,7 +128,7 @@ proptest! {
             DiscretizationConfig::centered(9),
             2,
         );
-        let store = PasswordStore::new();
+        let store = ShardedPasswordStore::new(1);
         store.enroll(&system, "alice", &clicks_a).unwrap();
         store.enroll(&system, "bob", &clicks_b).unwrap();
         prop_assert!(store.verify(&system, "alice", &clicks_a).unwrap());

@@ -51,9 +51,9 @@ fn group_commit_never_acks_above_stable() {
                 let wal = Arc::clone(&wal);
                 thread::spawn(move || {
                     let mut w = wal.lock();
-                    // Group-commit fast path: append deferred, ack later.
+                    // Group-commit fast path: stage the append, ack later.
                     let _seq = w.mark.begin_append();
-                    w.mark.note_deferred();
+                    w.mark.note_appended();
                 })
             })
             .collect();
@@ -125,7 +125,7 @@ fn rollback_keeps_watermark_consistent() {
         {
             let mut w = wal.lock();
             let _seq = w.mark.begin_append();
-            w.mark.note_deferred();
+            w.mark.note_appended();
         }
         failing.join();
         let mut w = wal.lock();

@@ -79,7 +79,7 @@ fn password_file_round_trip_feeds_the_attack_layer() {
         DiscretizationConfig::robust(9.0),
         2,
     );
-    let store = PasswordStore::new();
+    let store = ShardedPasswordStore::new(1);
     let originals: Vec<(String, Vec<Point>)> = (0..10)
         .map(|i| {
             let clicks: Vec<Point> = (0..5)
@@ -97,8 +97,11 @@ fn password_file_round_trip_feeds_the_attack_layer() {
         store.enroll(&system, name, clicks).unwrap();
     }
 
-    // Serialize and reload the password file — the attacker's input.
-    let reloaded = PasswordStore::from_file_contents(&store.to_file_contents()).unwrap();
+    // Save and reload the password file — the attacker's input.
+    let dir = std::env::temp_dir().join(format!("gp-e2e-password-file-{}", std::process::id()));
+    store.save_to_dir(&dir).unwrap();
+    let reloaded = ShardedPasswordStore::load_from_dir(&dir, 1).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
     assert_eq!(reloaded.len(), 10);
 
     // Dictionary containing the first five users' exact points.
