@@ -65,13 +65,22 @@ fn bench_iterated_hash_fast_paths(c: &mut Criterion) {
         b.iter(|| iterated_hash(black_box(salt), black_box(&pre_image), 1000))
     });
 
-    // 64-byte salt: midstate halves the compressions per round.
+    // 64-byte salt: the reference pays two compressions per round, the
+    // midstate path one.  A 128-byte salt (domain + image hash + username
+    // scale) pays three versus one.
     let long_salt = [0x77u8; 64];
     group.bench_function("h1000_64B_salt_reference", |b| {
         b.iter(|| iterated_hash_reference(black_box(&long_salt), black_box(&pre_image), 1000))
     });
     group.bench_function("h1000_64B_salt_midstate", |b| {
         b.iter(|| iterated_hash(black_box(&long_salt), black_box(&pre_image), 1000))
+    });
+    let longer_salt = [0x33u8; 128];
+    group.bench_function("h1000_128B_salt_reference", |b| {
+        b.iter(|| iterated_hash_reference(black_box(&longer_salt), black_box(&pre_image), 1000))
+    });
+    group.bench_function("h1000_128B_salt_midstate", |b| {
+        b.iter(|| iterated_hash(black_box(&longer_salt), black_box(&pre_image), 1000))
     });
     group.finish();
 }

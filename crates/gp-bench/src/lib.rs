@@ -10,8 +10,6 @@
 use gp_study::{Dataset, FieldStudyConfig, LabStudyConfig};
 use std::sync::OnceLock;
 
-pub mod report;
-
 /// Field-study dataset used by the bench harness (reduced scale: same
 /// structure as the 481-password study at ~10% volume).
 pub fn bench_field_dataset() -> &'static Dataset {

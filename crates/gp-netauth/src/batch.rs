@@ -24,7 +24,7 @@ pub struct HashJob {
     pub iterations: u32,
 }
 
-/// Aggregate counters for observability and the `authload` report.
+/// Aggregate hash-run occupancy counters for observability.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStats {
     /// Multi-lane hash runs executed.
@@ -45,15 +45,6 @@ impl BatchStats {
             0.0
         } else {
             self.attempts as f64 / self.runs as f64
-        }
-    }
-
-    /// Fraction of runs that filled every allowed lane.
-    pub fn full_run_fraction(&self) -> f64 {
-        if self.runs == 0 {
-            0.0
-        } else {
-            self.full_runs as f64 / self.runs as f64
         }
     }
 }
@@ -237,7 +228,7 @@ mod tests {
         v.run_direct(&jobs);
         let stats = v.stats();
         assert_eq!(stats.full_runs, 2, "8 jobs at max_batch 4 = 2 full runs");
-        assert_eq!(stats.full_run_fraction(), 1.0);
+        assert_eq!(stats.runs, 2);
     }
 
     #[test]

@@ -116,7 +116,7 @@ impl Cluster {
         for i in 0..nodes {
             let node_id = format!("node-{i}");
             let data_dir = data_root.join(&node_id);
-            let server = cluster.open_node(&node_id, &data_dir)?;
+            let server = cluster.open_node(&data_dir)?;
             let repl = spawn_replication_listener(&node_id, server.store())?;
             cluster.slots.push(NodeSlot {
                 node_id,
@@ -180,13 +180,12 @@ impl Cluster {
         ))
     }
 
-    fn open_node(&self, node_id: &str, data_dir: &Path) -> Result<AuthServer, NetAuthError> {
+    fn open_node(&self, data_dir: &Path) -> Result<AuthServer, NetAuthError> {
         std::fs::create_dir_all(data_dir).map_err(NetAuthError::Io)?;
         let config = ServerConfig {
             durability: Some(DurabilityConfig::at(data_dir)),
             ..self.server_template.clone()
         };
-        let _ = node_id;
         AuthServer::open(config)
     }
 
@@ -291,7 +290,7 @@ impl Cluster {
         );
         let node_id = self.slots[i].node_id.clone();
         let data_dir = self.slots[i].data_dir.clone();
-        let server = self.open_node(&node_id, &data_dir)?;
+        let server = self.open_node(&data_dir)?;
         let store = server.store();
         let repl = spawn_replication_listener(&node_id, Arc::clone(&store))?;
 

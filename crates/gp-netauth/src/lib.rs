@@ -38,7 +38,7 @@
 //! * [`sys`] (Linux) — the minimal `epoll`/`eventfd` FFI the reactor
 //!   stands on (std already links libc; no crates involved).
 //! * [`client`] — a blocking client (with a pipelined burst API) used by
-//!   the examples, integration tests and the `authload` generator; an
+//!   the examples, integration tests and [`cluster::ClusterClient`]; an
 //!   opt-in [`client::RetryPolicy`] absorbs transient connection deaths
 //!   during failovers under capped exponential backoff with jitter.
 //! * [`replication`] — WAL-streaming replication between nodes: each

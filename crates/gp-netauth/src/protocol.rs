@@ -17,8 +17,14 @@ use gp_geometry::Point;
 /// Maximum number of clicks accepted in a single message (defensive bound).
 pub const MAX_CLICKS: usize = 64;
 
-/// Maximum username length in bytes.
+/// Maximum username length in bytes.  The replication codec lists and
+/// pulls accounts under the same bound, so every name a client can enroll
+/// can also be repaired.
 pub const MAX_USERNAME_LEN: usize = 256;
+
+/// Maximum length in bytes of the other strings on the wire (the config
+/// scheme header and error reasons).
+const MAX_STRING_LEN: usize = 1024;
 
 /// Requests sent from client to server.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,7 +112,7 @@ fn get_string(buf: &mut Bytes) -> Result<String, NetAuthError> {
         return Err(malformed("truncated string length"));
     }
     let len = buf.get_u16() as usize;
-    if len > MAX_USERNAME_LEN.max(1024) {
+    if len > MAX_STRING_LEN {
         return Err(malformed("string too long"));
     }
     if buf.remaining() < len {
@@ -114,6 +120,14 @@ fn get_string(buf: &mut Bytes) -> Result<String, NetAuthError> {
     }
     let bytes = buf.copy_to_bytes(len);
     String::from_utf8(bytes.to_vec()).map_err(|_| malformed("invalid utf-8 in string"))
+}
+
+fn get_username(buf: &mut Bytes) -> Result<String, NetAuthError> {
+    let username = get_string(buf)?;
+    if username.len() > MAX_USERNAME_LEN {
+        return Err(malformed("username too long"));
+    }
+    Ok(username)
 }
 
 fn put_clicks(buf: &mut BytesMut, clicks: &[Point]) {
@@ -182,12 +196,12 @@ impl ClientMessage {
         let tag = buf.get_u8();
         let msg = match tag {
             TAG_ENROLL => {
-                let username = get_string(&mut buf)?;
+                let username = get_username(&mut buf)?;
                 let clicks = get_clicks(&mut buf)?;
                 ClientMessage::Enroll { username, clicks }
             }
             TAG_LOGIN => {
-                let username = get_string(&mut buf)?;
+                let username = get_username(&mut buf)?;
                 let clicks = get_clicks(&mut buf)?;
                 ClientMessage::Login { username, clicks }
             }
@@ -306,6 +320,10 @@ mod tests {
                 username: "ユーザー".into(),
                 clicks: vec![],
             },
+            ClientMessage::Enroll {
+                username: "u".repeat(MAX_USERNAME_LEN),
+                clicks: clicks(),
+            },
             ClientMessage::GetConfig,
             ClientMessage::Quit,
         ];
@@ -334,11 +352,35 @@ mod tests {
             ServerMessage::Error {
                 reason: "unknown account".into(),
             },
+            ServerMessage::Error {
+                reason: "r".repeat(MAX_STRING_LEN),
+            },
             ServerMessage::Goodbye,
         ];
         for m in messages {
             let decoded = ServerMessage::decode(m.encode()).unwrap();
             assert_eq!(decoded, m);
+        }
+    }
+
+    #[test]
+    fn usernames_longer_than_the_bound_are_malformed() {
+        let username = "u".repeat(MAX_USERNAME_LEN + 1);
+        for m in [
+            ClientMessage::Enroll {
+                username: username.clone(),
+                clicks: clicks(),
+            },
+            ClientMessage::Login {
+                username,
+                clicks: clicks(),
+            },
+        ] {
+            let decoded = ClientMessage::decode(m.encode());
+            assert!(
+                matches!(decoded, Err(NetAuthError::Malformed { .. })),
+                "{decoded:?}"
+            );
         }
     }
 

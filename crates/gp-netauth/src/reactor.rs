@@ -1321,14 +1321,14 @@ mod tests {
         handle.shutdown();
     }
 
-    /// Encoded request bytes whose responses are each ~1 KiB: logins for
+    /// Encoded request bytes whose responses are each ~300 B: logins for
     /// unknown accounts echo the (maximally long, index-tagged) username
-    /// in the error reason, so a few thousand requests produce megabytes
-    /// of response traffic — more than kernel socket buffers absorb,
-    /// which is what forces the 256 KiB write-backpressure cap and the
-    /// EPOLLOUT partial-write path over real TCP.
+    /// in the error reason, so ten thousand-odd requests produce
+    /// megabytes of response traffic — more than kernel socket buffers
+    /// absorb, which is what forces the 256 KiB write-backpressure cap and
+    /// the EPOLLOUT partial-write path over real TCP.
     fn bulky_request_bytes(count: usize) -> Vec<u8> {
-        let filler = "x".repeat(960);
+        let filler = "x".repeat(crate::protocol::MAX_USERNAME_LEN - "u00000-".len());
         let mut bytes = Vec::new();
         let mut writer = FrameWriter::new(&mut bytes);
         for i in 0..count {
@@ -1417,7 +1417,7 @@ mod tests {
 
     #[test]
     fn write_backpressure_survives_a_slow_reader() {
-        // ~4 MiB of responses bursted while the client reads nothing for
+        // ~4.5 MiB of responses bursted while the client reads nothing for
         // 300 ms, then drained: forces the cap, EPOLLOUT partial writes
         // and the read-pause/resume cycle — and every response must still
         // come back in order (the index-tagged username proves it).
@@ -1426,7 +1426,7 @@ mod tests {
         stream
             .set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
-        let count = 4000;
+        let count = 16_000;
         let bytes = bulky_request_bytes(count);
         let mut write_half = stream.try_clone().unwrap();
         let writer_thread = std::thread::spawn(move || {

@@ -66,6 +66,7 @@
 use crate::acks::AckState;
 use crate::error::NetAuthError;
 use crate::framing::{FrameReader, FrameWriter};
+use crate::protocol::MAX_USERNAME_LEN;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gp_passwords::wal::WalEntry;
 use gp_passwords::{diff_range_entries, HashRing, RangeDigest, ShardedPasswordStore};
@@ -91,9 +92,6 @@ const TAG_DIGEST_REPLY: u8 = 0x48;
 const TAG_RANGE_REQUEST: u8 = 0x49;
 const TAG_RANGE_REPLY: u8 = 0x4a;
 const TAG_PULL_REQUEST: u8 = 0x4b;
-
-/// Maximum node-ID length accepted in a handshake.
-const MAX_NODE_ID_LEN: usize = 256;
 
 /// Maximum entries in one list-carrying sync message (member lists, pull
 /// requests, range-reply chunks).  Senders chunk at [`SYNC_CHUNK`]; the
@@ -205,8 +203,10 @@ fn get_node_id(buf: &mut Bytes) -> Result<String, NetAuthError> {
     if buf.remaining() < 2 {
         return Err(malformed("truncated node id length"));
     }
+    // Node IDs and account names share the client protocol's username
+    // bound, so every account a client can enroll can be listed and pulled.
     let len = buf.get_u16() as usize;
-    if len > MAX_NODE_ID_LEN {
+    if len > MAX_USERNAME_LEN {
         return Err(malformed("node id too long"));
     }
     if buf.remaining() < len {
@@ -1649,6 +1649,14 @@ mod tests {
             },
             ReplicaMessage::PullRequest {
                 usernames: vec!["alice".into(), "bob".into()],
+            },
+            // The longest name a client can enroll must list and pull.
+            ReplicaMessage::RangeReply {
+                done: true,
+                entries: vec![("u".repeat(MAX_USERNAME_LEN), 7)],
+            },
+            ReplicaMessage::PullRequest {
+                usernames: vec!["u".repeat(MAX_USERNAME_LEN)],
             },
         ]
     }

@@ -2,7 +2,7 @@
 //!
 //! Each scenario spawns a real N-node loopback cluster (per-node durable
 //! stores, WAL-streaming sync replication, ring routing) and injects a
-//! fault while authload-style enrollment traffic is running:
+//! fault while multi-threaded enrollment traffic is running:
 //!
 //! * **kill** — [`Cluster::kill`] aborts a primary mid-burst (no flush,
 //!   no farewell: `ServerHandle::abort` plus a dead replication

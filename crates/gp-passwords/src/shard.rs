@@ -219,8 +219,8 @@ impl Default for Shard {
 /// Point-in-time snapshot of one shard's size and traffic counters.
 ///
 /// Returned by [`ShardedPasswordStore::stats`]; the serving layer exposes
-/// these so operators (and the `authload` bench) can see whether accounts
-/// and traffic actually spread across partitions.
+/// these in its server stats so operators can see whether accounts and
+/// traffic actually spread across partitions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardStats {
     /// Index of the shard this snapshot describes.
