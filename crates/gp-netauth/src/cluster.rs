@@ -5,8 +5,9 @@
 //! (under `data_root/node-i/`), its own auth listener, a replication
 //! listener ([`crate::replication`]), and a [`Replicator`] whose ring
 //! spans the full membership.  Every node both serves as primary for its
-//! ring ranges and stores replicas for its neighbours', so any single
-//! kill leaves every account's data on a surviving node.
+//! ring ranges and stores replicas for its neighbours'.  Replication is
+//! synchronous — a node releases `EnrollOk` only after the backup's ack —
+//! so any single kill leaves every acked account on a surviving node.
 //!
 //! Fault-injection hooks are crash-only, matching the recovery story:
 //!

@@ -43,10 +43,12 @@
 //!   during failovers under capped exponential backoff with jitter.
 //! * [`replication`] — WAL-streaming replication between nodes: each
 //!   enrollment's WAL record is streamed to the account's backup node
-//!   (chosen on a consistent-hash ring) and, in sync mode, acknowledged
-//!   to the client only after the backup's durable apply.  Failure
-//!   handling is crash-only: a peer whose stream dies twice is evicted
-//!   from the ring and replicas re-route to the next successor.  Two
+//!   (chosen on a consistent-hash ring) and acknowledged to the client
+//!   only after the backup's durable apply.  Each peer connection is
+//!   request/response on the sending thread: a group is pipelined and
+//!   its acks read back on the same socket.  Failure handling is
+//!   crash-only: a peer whose stream dies twice is evicted from the ring
+//!   and replicas re-route to the next successor.  Two
 //!   back-fill paths keep replicas complete: **catch-up**
 //!   ([`replication::catch_up_from_peers`]) streams a (re)joining node a
 //!   snapshot of every record it backs, and **anti-entropy**
@@ -88,7 +90,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod acks;
 pub mod batch;
 pub mod client;
 pub mod cluster;
@@ -114,8 +115,8 @@ pub use lockout::LockoutTracker;
 pub use protocol::{ClientMessage, LoginDecision, ServerMessage};
 pub use replication::{
     catch_up_from_peers, spawn_anti_entropy, AntiEntropyHandle, AntiEntropyRound, CatchupOptions,
-    CatchupReport, PeerCatchup, ReplicaMessage, ReplicationHandle, ReplicationMode,
-    ReplicationSink, ReplicationStats, Replicator, ReplicatorConfig,
+    CatchupReport, PeerCatchup, ReplicaMessage, ReplicationHandle, ReplicationSink,
+    ReplicationStats, Replicator, ReplicatorConfig,
 };
 pub use server::{
     AuthServer, DurabilityConfig, ServerConfig, ServerHandle, ServerStats, ServingMode,

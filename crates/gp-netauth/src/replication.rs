@@ -7,9 +7,10 @@
 //! key's second ring successor.  The backup appends the record to *its*
 //! durable store (WAL-first, via
 //! [`gp_passwords::ShardedPasswordStore::apply_replicated`]) before
-//! acknowledging, so a synchronous-mode `EnrollOk` means the account is
-//! durable on two nodes.  Applying is insert-or-replace, which makes
-//! redelivery after a reconnect or a primary retry harmless.
+//! acknowledging, and the primary releases `EnrollOk` only after that
+//! ack, so an acked account is durable on two nodes.  Applying is
+//! insert-or-replace, which makes redelivery after a reconnect or a
+//! primary retry harmless.
 //!
 //! Wire format: the same length-prefixed, integrity-checked frames as the
 //! client protocol ([`crate::framing`]), carrying [`ReplicaMessage`]s in
@@ -29,10 +30,12 @@
 //! PullRequest    { usernames }                stream me these records (repair / rejoin pull)
 //! ```
 //!
-//! `seq` is assigned under the per-connection write lock, so records hit
-//! the stream in sequence order and acks (which the listener sends in
-//! processing order) advance a high-water mark: `acked >= seq` proves
-//! *this* record was applied.
+//! Every outbound connection is one request/response `PeerConn` driven
+//! by the calling thread.  `seq` numbers records per connection; the
+//! sender pipelines a group, flushes once, and reads the acks back on
+//! the same socket under the peer lock.  The listener applies and acks
+//! in stream order, so the ack for the group's last `seq` proves the
+//! whole group is durable on the backup.
 //!
 //! Failure handling is crash-only: a send failure is retried once on a
 //! fresh connection (transient drop), after which the peer is declared
@@ -63,23 +66,22 @@
 //!   while it was away.  Repair counters surface in
 //!   [`ReplicationStats`].
 
-use crate::acks::AckState;
 use crate::error::NetAuthError;
 use crate::framing::{FrameReader, FrameWriter};
 use crate::protocol::MAX_USERNAME_LEN;
+use crate::server::{SHUTDOWN_POLL, WRITE_TIMEOUT};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gp_passwords::wal::WalEntry;
-use gp_passwords::{diff_range_entries, HashRing, RangeDigest, ShardedPasswordStore};
+use gp_passwords::{
+    diff_range_entries, HashRing, RangeDigest, ShardedPasswordStore, StoredPassword,
+};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::io::{BufReader, BufWriter};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// How often blocked replication I/O loops wake to poll the shutdown flag.
-const SHUTDOWN_POLL: Duration = Duration::from_millis(50);
 
 const TAG_HELLO: u8 = 0x41;
 const TAG_HELLO_OK: u8 = 0x42;
@@ -421,28 +423,14 @@ impl ReplicaMessage {
     }
 }
 
-/// When an enrollment is acknowledged to the client relative to
-/// replication.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplicationMode {
-    /// Wait for the backup's `Ack` before releasing `EnrollOk` — an acked
-    /// enrollment is durable on two nodes and survives a primary kill.
-    Sync,
-    /// Release `EnrollOk` after the local WAL append; the record streams
-    /// to the backup in the background.  Faster, but an enrollment acked
-    /// in the window before the backup applies it is lost if the primary
-    /// dies.
-    Async,
-}
-
 /// Something a server can hand each locally-durable enrollment to for
 /// replication before acknowledging the client.
 pub trait ReplicationSink: Send + Sync + std::fmt::Debug {
-    /// Replicate a whole group-commit batch; in synchronous mode, returns
-    /// only once every entry's backup has acknowledged durability (or no
-    /// live backup exists).  [`Replicator`] pipelines each backup's
-    /// records and waits on a single ack high-water mark, so sync-mode
-    /// backup acks join the group barrier instead of queueing behind it.
+    /// Replicate a whole group-commit batch; returns only once every
+    /// entry's backup has acknowledged durability (or no live backup
+    /// exists).  [`Replicator`] pipelines each backup's records and reads
+    /// back one ack per record in a single round trip, so backup acks
+    /// join the group barrier instead of queueing behind it.
     fn replicate_group(&self, entries: &[WalEntry]) -> Result<(), NetAuthError>;
 
     /// Replicate one entry: a group of one.
@@ -494,8 +482,10 @@ impl ReplicationHandle {
     }
 
     /// Stop accepting and applying.  Connection threads notice within one
-    /// poll tick; records already applied stay durable (crash-only — there
-    /// is no other stop path for the fault harness to diverge from).
+    /// poll tick, or within the socket write timeout when a peer stopped
+    /// reading a record stream; records already applied stay durable
+    /// (crash-only — there is no other stop path for the fault harness to
+    /// diverge from).
     pub fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(join) = self.accept_join.take() {
@@ -531,10 +521,19 @@ pub fn spawn_replication_listener(
         std::thread::Builder::new()
             .name(format!("repl-accept-{node_id}"))
             .spawn(move || {
-                let mut conn_joins = Vec::new();
+                let mut conn_joins: Vec<std::thread::JoinHandle<()>> = Vec::new();
                 while !shutdown.load(Ordering::SeqCst) {
                     match listener.accept() {
                         Ok((stream, _)) => {
+                            // Reap exited connection threads: an unjoined
+                            // handle keeps its thread's stack mapped.
+                            for join in std::mem::take(&mut conn_joins) {
+                                if join.is_finished() {
+                                    let _ = join.join();
+                                } else {
+                                    conn_joins.push(join);
+                                }
+                            }
                             let store = Arc::clone(&store);
                             let shutdown = Arc::clone(&shutdown);
                             let applied = Arc::clone(&applied);
@@ -543,9 +542,10 @@ pub fn spawn_replication_listener(
                             if let Ok(join) = std::thread::Builder::new()
                                 .name(format!("repl-conn-{node_id}"))
                                 .spawn(move || {
-                                    serve_replica_conn(
+                                    // Any error ends this connection only.
+                                    let _ = serve_replica_conn(
                                         stream, &node_id, &store, &shutdown, &applied, &served,
-                                    )
+                                    );
                                 })
                             {
                                 conn_joins.push(join);
@@ -590,7 +590,7 @@ fn pair_range<'a>(
 
 /// One inbound replication connection: handshake, then apply-and-ack
 /// records (and serve catch-up / anti-entropy requests) until the peer
-/// hangs up or shutdown is requested.
+/// hangs up, breaks the protocol, or shutdown is requested.
 fn serve_replica_conn(
     stream: TcpStream,
     node_id: &str,
@@ -598,13 +598,13 @@ fn serve_replica_conn(
     shutdown: &AtomicBool,
     applied: &AtomicU64,
     served: &AtomicU64,
-) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(SHUTDOWN_POLL));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = FrameReader::new(BufReader::new(read_half));
+) -> Result<(), NetAuthError> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(SHUTDOWN_POLL))?;
+    // A peer that stops reading a record stream must not pin this thread
+    // (and with it `ReplicationHandle::shutdown`) in a blocked write.
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
+    let mut reader = FrameReader::new(BufReader::new(stream.try_clone()?));
     let mut writer = FrameWriter::new(BufWriter::new(stream));
 
     let mut greeted = false;
@@ -619,71 +619,34 @@ fn serve_replica_conn(
             {
                 continue;
             }
-            Err(_) => return,
+            Err(e) => return Err(e),
         };
-        let message = match ReplicaMessage::decode(frame) {
-            Ok(message) => message,
-            Err(_) => return,
-        };
-        match message {
+        match ReplicaMessage::decode(frame)? {
             ReplicaMessage::Hello { .. } if !greeted => {
                 greeted = true;
                 let reply = ReplicaMessage::HelloOk {
                     node_id: node_id.to_string(),
                 };
-                if writer.write_frame(&reply.encode()).is_err() {
-                    return;
-                }
+                writer.write_frame(&reply.encode())?;
             }
             ReplicaMessage::Record { seq, payload } if greeted => {
-                let Ok(entry) = WalEntry::from_payload(&payload) else {
-                    return;
-                };
+                let entry = WalEntry::from_payload(&payload)
+                    .map_err(|_| malformed("bad record payload"))?;
                 // Durable (WAL-first) apply *before* the ack leaves: an
                 // acked record survives this node crashing right after.
-                if store.apply_replicated(&entry).is_err() {
-                    return;
-                }
+                store.apply_replicated(&entry)?;
                 applied.fetch_add(1, Ordering::Relaxed);
-                if writer
-                    .write_frame(&ReplicaMessage::Ack { seq }.encode())
-                    .is_err()
-                {
-                    return;
-                }
+                writer.write_frame(&ReplicaMessage::Ack { seq }.encode())?;
             }
             ReplicaMessage::CatchupRequest {
                 node_id: joiner,
                 members,
             } if greeted => {
-                // Stream a shard-consistent snapshot of every record the
-                // joiner backs under the requested membership.  A shutdown
-                // mid-stream (the fault harness killing this node) drops
-                // the connection with the stream half-sent — the joiner's
-                // idempotent replay makes the retry safe.
+                // A shard-consistent snapshot of every record the joiner
+                // backs under the requested membership.
                 let ring = HashRing::with_nodes(&members);
                 let records = store.records_in_range(|key| ring.holds(key, &joiner));
-                let mut count = 0u64;
-                for record in records {
-                    if shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    count += 1;
-                    let message = ReplicaMessage::Record {
-                        seq: count,
-                        payload: WalEntry::Update(record).to_payload(),
-                    };
-                    if writer.write_frame_buffered(&message.encode()).is_err() {
-                        return;
-                    }
-                }
-                if writer
-                    .write_frame(&ReplicaMessage::CatchupDone { count }.encode())
-                    .is_err()
-                {
-                    return;
-                }
-                served.fetch_add(count, Ordering::Relaxed);
+                stream_records(&mut writer, records, shutdown, served)?;
             }
             ReplicaMessage::DigestRequest {
                 primary,
@@ -697,9 +660,7 @@ fn serve_replica_conn(
                     sum: digest.sum,
                     xor: digest.xor,
                 };
-                if writer.write_frame(&reply.encode()).is_err() {
-                    return;
-                }
+                writer.write_frame(&reply.encode())?;
             }
             ReplicaMessage::RangeRequest {
                 primary,
@@ -713,52 +674,56 @@ fn serve_replica_conn(
                         done: false,
                         entries: chunk.to_vec(),
                     };
-                    if writer.write_frame_buffered(&reply.encode()).is_err() {
-                        return;
-                    }
+                    writer.write_frame_buffered(&reply.encode())?;
                 }
                 let last = ReplicaMessage::RangeReply {
                     done: true,
                     entries: Vec::new(),
                 };
-                if writer.write_frame(&last.encode()).is_err() {
-                    return;
-                }
+                writer.write_frame(&last.encode())?;
             }
             ReplicaMessage::PullRequest { usernames } if greeted => {
-                let mut count = 0u64;
-                for name in &usernames {
-                    if shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    // An absent account is skipped, not an error: the
-                    // requester diffed against a snapshot and the record
-                    // may have been removed since.
-                    let Some(record) = store.get(name) else {
-                        continue;
-                    };
-                    count += 1;
-                    let message = ReplicaMessage::Record {
-                        seq: count,
-                        payload: WalEntry::Update(record).to_payload(),
-                    };
-                    if writer.write_frame_buffered(&message.encode()).is_err() {
-                        return;
-                    }
-                }
-                if writer
-                    .write_frame(&ReplicaMessage::CatchupDone { count }.encode())
-                    .is_err()
-                {
-                    return;
-                }
-                served.fetch_add(count, Ordering::Relaxed);
+                // An absent account is skipped, not an error: the
+                // requester diffed against a snapshot and the record may
+                // have been removed since.
+                let records = usernames.iter().filter_map(|name| store.get(name));
+                stream_records(&mut writer, records, shutdown, served)?;
             }
             // Hello out of order, HelloOk/Ack from a sender, or a record
             // before the handshake: protocol violation, drop the conn.
-            _ => return,
+            _ => return Err(malformed("unexpected replication message")),
         }
     }
+    Ok(())
+}
+
+/// Answer a `CatchupRequest` or `PullRequest`: one `Record` frame per
+/// record, then a `CatchupDone` carrying their count.  A shutdown
+/// mid-stream (the fault harness killing this node) stops with the stream
+/// half-sent and no `CatchupDone` — the requester's idempotent replay
+/// makes its retry safe.
+fn stream_records(
+    writer: &mut FrameWriter<BufWriter<TcpStream>>,
+    records: impl IntoIterator<Item = StoredPassword>,
+    shutdown: &AtomicBool,
+    served: &AtomicU64,
+) -> Result<(), NetAuthError> {
+    let mut count = 0u64;
+    for record in records {
+        if shutdown.load(Ordering::SeqCst) {
+            return Ok(());
+        }
+        count += 1;
+        let message = ReplicaMessage::Record {
+            seq: count,
+            payload: WalEntry::Update(record).to_payload(),
+        };
+        writer.write_frame_buffered(&message.encode())?;
+    }
+    // Counted before the `CatchupDone` leaves, so a requester that has
+    // seen it also sees the count.
+    served.fetch_add(count, Ordering::Relaxed);
+    writer.write_frame(&ReplicaMessage::CatchupDone { count }.encode())
 }
 
 // ---------------------------------------------------------------------------
@@ -768,10 +733,8 @@ fn serve_replica_conn(
 /// Tuning for a [`Replicator`].
 #[derive(Debug, Clone, Copy)]
 pub struct ReplicatorConfig {
-    /// Sync (ack-gated) or async (fire-and-forget) replication.
-    pub mode: ReplicationMode,
-    /// How long a synchronous send waits for the backup's ack before
-    /// treating the attempt as failed.
+    /// How long a send waits for the backup's acks (and an anti-entropy
+    /// exchange for each reply) before treating the attempt as failed.
     pub ack_timeout: Duration,
     /// Per-attempt TCP connect timeout.
     pub connect_timeout: Duration,
@@ -785,7 +748,6 @@ pub struct ReplicatorConfig {
 impl Default for ReplicatorConfig {
     fn default() -> Self {
         Self {
-            mode: ReplicationMode::Sync,
             ack_timeout: Duration::from_secs(2),
             connect_timeout: Duration::from_secs(1),
             anti_entropy_interval: Duration::from_secs(1),
@@ -793,20 +755,131 @@ impl Default for ReplicatorConfig {
     }
 }
 
-/// One live outbound connection to a peer's replication listener.
+/// One outbound request/response connection to a peer's replication
+/// listener, driven entirely by the calling thread: the live record
+/// stream, anti-entropy and catch-up all use it.
 #[derive(Debug)]
 struct PeerConn {
-    /// Kept for [`TcpStream::shutdown`] on teardown (the writer owns a
-    /// buffered clone of the same socket).
-    stream: TcpStream,
+    reader: FrameReader<BufReader<TcpStream>>,
     writer: FrameWriter<BufWriter<TcpStream>>,
-    acks: Arc<AckState>,
+    /// Bound on each reply ([`PeerConn::recv`]) and on a record group's
+    /// acks ([`PeerConn::send_group`]).
+    io_timeout: Duration,
+    /// Seq of the last record sent on this connection.
+    last_seq: u64,
 }
 
-impl Drop for PeerConn {
-    fn drop(&mut self) {
-        // Wake the detached ack-reader thread so it exits promptly.
-        let _ = self.stream.shutdown(Shutdown::Both);
+impl PeerConn {
+    /// Connect, handshake (`Hello` / `HelloOk`), and return the ready
+    /// connection.
+    fn open(
+        self_id: &str,
+        addr: SocketAddr,
+        connect_timeout: Duration,
+        io_timeout: Duration,
+    ) -> Result<Self, NetAuthError> {
+        let stream = TcpStream::connect_timeout(&addr, connect_timeout)?;
+        stream.set_nodelay(true)?;
+        stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
+        let mut conn = Self {
+            reader: FrameReader::new(BufReader::new(stream.try_clone()?)),
+            writer: FrameWriter::new(BufWriter::new(stream)),
+            io_timeout,
+            last_seq: 0,
+        };
+        conn.send(&ReplicaMessage::Hello {
+            node_id: self_id.to_string(),
+        })?;
+        match conn.recv()? {
+            ReplicaMessage::HelloOk { .. } => Ok(conn),
+            _ => Err(malformed("expected replication handshake reply")),
+        }
+    }
+
+    fn send(&mut self, message: &ReplicaMessage) -> Result<(), NetAuthError> {
+        self.writer.write_frame(&message.encode())
+    }
+
+    /// Read the next message, waiting at most `io_timeout`.
+    fn recv(&mut self) -> Result<ReplicaMessage, NetAuthError> {
+        self.recv_by(Instant::now() + self.io_timeout)
+    }
+
+    /// Read the next message, failing with `TimedOut` once `deadline`
+    /// passes.
+    fn recv_by(&mut self, deadline: Instant) -> Result<ReplicaMessage, NetAuthError> {
+        let remaining = deadline.saturating_duration_since(Instant::now());
+        if remaining.is_zero() {
+            return Err(NetAuthError::Io(std::io::Error::new(
+                std::io::ErrorKind::TimedOut,
+                "timed out waiting for a replication reply",
+            )));
+        }
+        self.reader
+            .get_mut()
+            .get_ref()
+            .set_read_timeout(Some(remaining))?;
+        ReplicaMessage::decode(self.reader.read_frame()?)
+    }
+
+    /// Pipeline `payloads` as `Record` frames, flush once, then read acks
+    /// until the last record's is in, all within one `io_timeout`.  The
+    /// listener applies and acks in stream order, so the last ack proves
+    /// the whole group is durable on the peer.
+    fn send_group<P: AsRef<[u8]>>(&mut self, payloads: &[P]) -> Result<(), NetAuthError> {
+        let mut acked = self.last_seq;
+        for payload in payloads {
+            self.last_seq += 1;
+            let message = ReplicaMessage::Record {
+                seq: self.last_seq,
+                payload: payload.as_ref().to_vec(),
+            };
+            self.writer.write_frame_buffered(&message.encode())?;
+        }
+        self.writer.flush()?;
+        let deadline = Instant::now() + self.io_timeout;
+        while acked < self.last_seq {
+            match self.recv_by(deadline)? {
+                ReplicaMessage::Ack { seq } => acked = seq,
+                _ => return Err(malformed("expected record ack")),
+            }
+        }
+        Ok(())
+    }
+
+    /// Apply a `Record` stream (the answer to a `CatchupRequest` or a
+    /// `PullRequest`) durably, up to its `CatchupDone`, whose count must
+    /// match.  Returns the records applied and whether the stream
+    /// completed; `abort_after` stops early (the catch-up fault hook).
+    fn receive_records(
+        &mut self,
+        store: &ShardedPasswordStore,
+        abort_after: Option<u64>,
+    ) -> Result<(u64, bool), NetAuthError> {
+        let mut applied = 0u64;
+        loop {
+            match self.recv()? {
+                ReplicaMessage::Record { payload, .. } => {
+                    let entry = WalEntry::from_payload(&payload)
+                        .map_err(|_| malformed("bad streamed record payload"))?;
+                    // Durable, idempotent apply: a crash (or the abort
+                    // hook) right after leaves a prefix that replays
+                    // harmlessly.
+                    store.apply_replicated(&entry)?;
+                    applied += 1;
+                    if abort_after.is_some_and(|cap| applied >= cap) {
+                        return Ok((applied, false));
+                    }
+                }
+                ReplicaMessage::CatchupDone { count } if count == applied => {
+                    return Ok((applied, true))
+                }
+                ReplicaMessage::CatchupDone { .. } => {
+                    return Err(malformed("record stream count mismatch"))
+                }
+                _ => return Err(malformed("unexpected frame in record stream")),
+            }
+        }
     }
 }
 
@@ -863,7 +936,6 @@ pub struct Replicator {
     config: ReplicatorConfig,
     ring: Mutex<HashRing>,
     peers: BTreeMap<String, PeerState>,
-    next_seq: AtomicU64,
     counters: SyncCounters,
 }
 
@@ -893,7 +965,6 @@ impl Replicator {
                     )
                 })
                 .collect(),
-            next_seq: AtomicU64::new(0),
             counters: SyncCounters::default(),
         }
     }
@@ -914,11 +985,6 @@ impl Replicator {
     /// This node's ID.
     pub fn node_id(&self) -> &str {
         &self.node_id
-    }
-
-    /// The configured replication mode.
-    pub fn mode(&self) -> ReplicationMode {
-        self.config.mode
     }
 
     /// Whether `node` is currently considered live.
@@ -953,120 +1019,32 @@ impl Replicator {
         }
     }
 
-    /// Connect to `peer` and start its detached ack-reader thread.
+    /// Connect and handshake to `peer`'s current address.
     fn connect(&self, peer: &PeerState) -> Result<PeerConn, NetAuthError> {
         let addr = *peer.addr.lock();
-        let stream = TcpStream::connect_timeout(&addr, self.config.connect_timeout)?;
-        stream.set_nodelay(true)?;
-        let read_half = stream.try_clone()?;
-        read_half.set_read_timeout(Some(SHUTDOWN_POLL))?;
-        let acks = Arc::new(AckState::default());
-        let write_half = stream.try_clone()?;
-        let mut conn = PeerConn {
-            stream,
-            writer: FrameWriter::new(BufWriter::new(write_half)),
-            acks: Arc::clone(&acks),
-        };
-        let hello = ReplicaMessage::Hello {
-            node_id: self.node_id.clone(),
-        };
-        conn.writer.write_frame(&hello.encode())?;
-        // The ack reader owns the read half until the socket dies; it is
-        // detached — PeerConn::drop shuts the socket down to unpark it.
-        let _ = std::thread::Builder::new()
-            .name(format!("repl-acks-{}", self.node_id))
-            .spawn(move || {
-                let mut reader = FrameReader::new(BufReader::new(read_half));
-                loop {
-                    match reader.read_frame() {
-                        Ok(frame) => match ReplicaMessage::decode(frame) {
-                            Ok(ReplicaMessage::Ack { seq }) => acks.record(seq),
-                            Ok(ReplicaMessage::HelloOk { .. }) => {}
-                            _ => {
-                                acks.mark_broken();
-                                return;
-                            }
-                        },
-                        Err(NetAuthError::Io(e))
-                            if matches!(
-                                e.kind(),
-                                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                            ) => {}
-                        Err(_) => {
-                            acks.mark_broken();
-                            return;
-                        }
-                    }
-                }
-            });
-        Ok(conn)
+        PeerConn::open(
+            &self.node_id,
+            addr,
+            self.config.connect_timeout,
+            self.config.ack_timeout,
+        )
     }
 
-    /// One grouped send attempt: pipeline every payload onto `peer`'s
-    /// connection (opening it if needed) back-to-back, then — in sync mode
-    /// — wait once for the *last* record's ack.  The listener acks in
-    /// processing order, so `acked >= last seq` proves the whole group was
-    /// applied; one ack-latency covers the batch.
+    /// One grouped send attempt: [`PeerConn::send_group`] on `peer`'s
+    /// connection (opened if needed), under the peer lock, so concurrent
+    /// senders to one peer take turns.  A failed attempt drops the
+    /// connection; the next attempt starts on a fresh one.
     fn send_group_once(&self, peer: &PeerState, payloads: &[&[u8]]) -> Result<(), NetAuthError> {
-        let (last_seq, acks) = {
-            let mut guard = peer.conn.lock();
-            if guard.is_none() {
-                *guard = Some(self.connect(peer)?);
-            }
-            let Some(conn) = guard.as_mut() else {
-                return Err(NetAuthError::Io(std::io::Error::new(
-                    std::io::ErrorKind::NotConnected,
-                    "replication connection missing after connect",
-                )));
-            };
-            // Seqs assigned under the write lock: stream order == seq
-            // order, so `acked >= seq` proves this record was applied.
-            let mut last_seq = 0;
-            let mut failed = None;
-            for payload in payloads {
-                // AcqRel: the issued seq orders the ack protocol (the
-                // waiter compares it against the reader thread's high-water
-                // mark), so the RMW must not be reordered around the
-                // frame write it numbers.
-                let seq = self.next_seq.fetch_add(1, Ordering::AcqRel) + 1;
-                let message = ReplicaMessage::Record {
-                    seq,
-                    payload: payload.to_vec(),
-                };
-                if let Err(e) = conn.writer.write_frame_buffered(&message.encode()) {
-                    failed = Some(e);
-                    break;
-                }
-                last_seq = seq;
-            }
-            if failed.is_none() {
-                if let Err(e) = conn.writer.flush() {
-                    failed = Some(e);
-                }
-            }
-            if let Some(e) = failed {
-                *guard = None;
-                return Err(e);
-            }
-            (last_seq, Arc::clone(&conn.acks))
+        let mut guard = peer.conn.lock();
+        let conn = match &mut *guard {
+            Some(conn) => conn,
+            slot => slot.insert(self.connect(peer)?),
         };
-        let result = match self.config.mode {
-            ReplicationMode::Async => Ok(()),
-            ReplicationMode::Sync => {
-                let waited = acks.wait_for(last_seq, self.config.ack_timeout);
-                if waited.is_err() {
-                    // The connection is suspect; force a fresh one next time.
-                    *peer.conn.lock() = None;
-                }
-                waited
-            }
-        };
-        if result.is_ok() {
-            self.counters
-                .records_replicated
-                .fetch_add(payloads.len() as u64, Ordering::Relaxed);
+        let sent = conn.send_group(payloads);
+        if sent.is_err() {
+            *guard = None;
         }
-        result
+        sent
     }
 
     /// One anti-entropy round: for every live peer, digest-compare the
@@ -1133,13 +1111,9 @@ impl Replicator {
     ) -> Result<Option<(u64, u64)>, NetAuthError> {
         let range = pair_range(ring, &self.node_id, backup);
         let local = store.range_digest(&range);
-        let addr = *self.peers[backup].addr.lock();
-        let mut conn = SyncConn::open(
-            &self.node_id,
-            addr,
-            self.config.connect_timeout,
-            self.config.ack_timeout,
-        )?;
+        // A connection of its own: a repair exchange must not hold up the
+        // live stream's peer lock.
+        let mut conn = self.connect(&self.peers[backup])?;
         conn.send(&ReplicaMessage::DigestRequest {
             primary: self.node_id.clone(),
             backup: backup.to_string(),
@@ -1173,25 +1147,14 @@ impl Replicator {
         }
         let diff = diff_range_entries(&store.range_entries(&range), &remote_entries);
 
-        // Push this side's copies; the listener acks each durable apply in
-        // order, so waiting for the last ack covers the batch.
-        let mut pushed = 0u64;
-        for name in &diff.push {
-            let Some(record) = store.get(name) else {
-                continue;
-            };
-            pushed += 1;
-            conn.send(&ReplicaMessage::Record {
-                seq: pushed,
-                payload: WalEntry::Update(record).to_payload(),
-            })?;
-        }
-        for _ in 0..pushed {
-            match conn.recv()? {
-                ReplicaMessage::Ack { .. } => {}
-                _ => return Err(malformed("expected repair ack")),
-            }
-        }
+        // Push this side's copies the way the live stream sends a group.
+        let payloads: Vec<Vec<u8>> = diff
+            .push
+            .iter()
+            .filter_map(|name| store.get(name))
+            .map(|record| WalEntry::Update(record).to_payload())
+            .collect();
+        conn.send_group(&payloads)?;
 
         // Pull records written while this node was away.
         let mut pulled = 0u64;
@@ -1199,93 +1162,9 @@ impl Replicator {
             conn.send(&ReplicaMessage::PullRequest {
                 usernames: chunk.to_vec(),
             })?;
-            loop {
-                match conn.recv()? {
-                    ReplicaMessage::Record { payload, .. } => {
-                        let entry = WalEntry::from_payload(&payload)
-                            .map_err(|_| malformed("bad repair payload"))?;
-                        store.apply_replicated(&entry).map_err(NetAuthError::from)?;
-                        pulled += 1;
-                    }
-                    ReplicaMessage::CatchupDone { .. } => break,
-                    _ => return Err(malformed("expected pulled record")),
-                }
-            }
+            pulled += conn.receive_records(store, None)?.0;
         }
-        Ok(Some((pushed, pulled)))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Synchronous sync connection (catch-up + anti-entropy client side)
-// ---------------------------------------------------------------------------
-
-/// A dedicated blocking request/response connection to a peer's
-/// replication listener, used by catch-up and anti-entropy (the live
-/// write path keeps its own pipelined [`PeerConn`]s with a detached ack
-/// reader; sync traffic must not interleave with those acks).
-struct SyncConn {
-    reader: FrameReader<BufReader<TcpStream>>,
-    writer: FrameWriter<BufWriter<TcpStream>>,
-    io_timeout: Duration,
-}
-
-impl SyncConn {
-    /// Connect, handshake (`Hello` / `HelloOk`), and return the ready
-    /// connection.
-    fn open(
-        self_id: &str,
-        addr: SocketAddr,
-        connect_timeout: Duration,
-        io_timeout: Duration,
-    ) -> Result<Self, NetAuthError> {
-        let stream = TcpStream::connect_timeout(&addr, connect_timeout)?;
-        stream.set_nodelay(true)?;
-        // Short read timeout + deadline loop in `recv`: blocked reads stay
-        // interruptible without a dedicated reader thread.
-        stream.set_read_timeout(Some(SHUTDOWN_POLL))?;
-        let read_half = stream.try_clone()?;
-        let mut conn = Self {
-            reader: FrameReader::new(BufReader::new(read_half)),
-            writer: FrameWriter::new(BufWriter::new(stream)),
-            io_timeout,
-        };
-        conn.send(&ReplicaMessage::Hello {
-            node_id: self_id.to_string(),
-        })?;
-        match conn.recv()? {
-            ReplicaMessage::HelloOk { .. } => Ok(conn),
-            _ => Err(malformed("expected sync handshake reply")),
-        }
-    }
-
-    fn send(&mut self, message: &ReplicaMessage) -> Result<(), NetAuthError> {
-        self.writer.write_frame(&message.encode())
-    }
-
-    /// Read the next message, polling across read-timeout ticks until
-    /// `io_timeout` elapses.
-    fn recv(&mut self) -> Result<ReplicaMessage, NetAuthError> {
-        let deadline = Instant::now() + self.io_timeout;
-        loop {
-            match self.reader.read_frame() {
-                Ok(frame) => return ReplicaMessage::decode(frame),
-                Err(NetAuthError::Io(e))
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if Instant::now() >= deadline {
-                        return Err(NetAuthError::Io(std::io::Error::new(
-                            std::io::ErrorKind::TimedOut,
-                            "timed out waiting for sync reply",
-                        )));
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        Ok(Some((payloads.len() as u64, pulled)))
     }
 }
 
@@ -1359,45 +1238,17 @@ fn catch_up_from_peer(
     store: &ShardedPasswordStore,
     options: &CatchupOptions,
 ) -> Result<PeerCatchup, NetAuthError> {
-    let mut conn = SyncConn::open(node_id, addr, options.connect_timeout, options.io_timeout)?;
+    let mut conn = PeerConn::open(node_id, addr, options.connect_timeout, options.io_timeout)?;
     conn.send(&ReplicaMessage::CatchupRequest {
         node_id: node_id.to_string(),
         members: members.to_vec(),
     })?;
-    let mut applied = 0u64;
-    loop {
-        match conn.recv()? {
-            ReplicaMessage::Record { payload, .. } => {
-                let entry = WalEntry::from_payload(&payload)
-                    .map_err(|_| malformed("bad catch-up payload"))?;
-                // Durable, idempotent apply: a crash (or the abort hook)
-                // right after leaves a prefix that replays harmlessly.
-                store.apply_replicated(&entry).map_err(NetAuthError::from)?;
-                applied += 1;
-                if options
-                    .abort_after_records
-                    .is_some_and(|cap| applied >= cap)
-                {
-                    return Ok(PeerCatchup {
-                        node_id: peer_id.to_string(),
-                        records: applied,
-                        completed: false,
-                    });
-                }
-            }
-            ReplicaMessage::CatchupDone { count } => {
-                if count != applied {
-                    return Err(malformed("catch-up stream count mismatch"));
-                }
-                return Ok(PeerCatchup {
-                    node_id: peer_id.to_string(),
-                    records: applied,
-                    completed: true,
-                });
-            }
-            _ => return Err(malformed("unexpected frame in catch-up stream")),
-        }
-    }
+    let (records, completed) = conn.receive_records(store, options.abort_after_records)?;
+    Ok(PeerCatchup {
+        node_id: peer_id.to_string(),
+        records,
+        completed,
+    })
 }
 
 /// Catch a (re)joining node up from its live peers.
@@ -1528,8 +1379,8 @@ pub fn spawn_anti_entropy(
 impl ReplicationSink for Replicator {
     /// Route every entry to its backup (the first ring successor that is
     /// not this node), pipeline each backup's records on one connection,
-    /// and (in sync mode) wait for one ack high-water mark per backup
-    /// instead of one round-trip per entry.  A failed send is retried once
+    /// and read their acks back in one round trip per backup instead of
+    /// one per entry.  A failed send is retried once
     /// on a fresh connection — a listener restart or a dropped socket looks
     /// identical to a dead peer on the first failed write.  A target that
     /// fails twice is evicted from the ring, and its entries are re-routed
@@ -1575,11 +1426,12 @@ impl ReplicationSink for Replicator {
                     continue;
                 };
                 let batch: Vec<&[u8]> = indices.iter().map(|&i| payloads[i].as_slice()).collect();
-                if self.send_group_once(peer, &batch).is_ok() {
-                    continue;
-                }
-                *peer.conn.lock() = None;
-                if self.send_group_once(peer, &batch).is_ok() {
+                if self.send_group_once(peer, &batch).is_ok()
+                    || self.send_group_once(peer, &batch).is_ok()
+                {
+                    self.counters
+                        .records_replicated
+                        .fetch_add(batch.len() as u64, Ordering::Relaxed);
                     continue;
                 }
                 self.ring.lock().leave(&target);

@@ -59,8 +59,9 @@ pub(crate) const SHUTDOWN_POLL: Duration = Duration::from_millis(50);
 
 /// Default [`ServerConfig::write_timeout`]: a peer that accepts no
 /// response bytes for this long (it stopped reading) is closed by the
-/// reactor's stall sweep instead of pinning its buffers.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+/// reactor's stall sweep instead of pinning its buffers.  Replication
+/// sockets, on both ends, use it as their socket write timeout.
+pub(crate) const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// How connections are multiplexed onto threads.  The reactor is the only
 /// serving path.
@@ -696,7 +697,7 @@ impl AuthServer {
                 .iter()
                 .flat_map(|turn| turn.enrolls.iter().map(|enroll| enroll.shard)),
         );
-        // Sync-mode backup acks join the same barrier: all of the batch's
+        // Backup acks join the same barrier: all of the batch's
         // entries stream out pipelined and one ack-wait covers them,
         // instead of a send/wait round-trip per enrollment.
         let replicated = match (&committed, &self.replication) {
