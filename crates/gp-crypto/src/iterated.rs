@@ -17,16 +17,26 @@ use crate::ct::ct_eq;
 use crate::sha256::{
     compress, compress_lanes, state_to_digest, Digest, Midstate, Sha256, BLOCK_LEN, DIGEST_LEN,
 };
+#[cfg(target_arch = "x86_64")]
+use crate::sha256::{compress_shani, ShaNi};
 
-/// Number of interleaved hash lanes used by the batched entry points
-/// ([`iterated_hash_many`], [`SaltedHasher::iterated_many`]).
+/// Number of interleaved hash lanes in the portable kernel, and the batch
+/// size the batched entry points ([`iterated_hash_many`],
+/// [`SaltedHasher::iterated_many`]) and the serving layer coalesce to.
 ///
 /// Independent SHA-256 chains interleaved in one compression loop sidestep
 /// the serial round-to-round dependency of a single hash: the lane loop
 /// bodies are element-wise u32 operations over adjacent memory, which LLVM
 /// auto-vectorizes.  16 lanes (one cache line of u32s per schedule round)
-/// is the sweet spot measured by the `micro_primitives` lane-sweep bench —
-/// ~5× the scalar throughput with AVX2, ~11× with AVX-512.
+/// is the sweet spot of the `micro_primitives` lane sweep.  Measured at
+/// h^3000 on a 2-vCPU Xeon with the x86-64-v3 build, a full 16-lane pass
+/// costs 3.6–4.5 ms and one scalar chain 1.0–1.5 ms: 3–5× the scalar
+/// throughput.
+///
+/// On a CPU with SHA-NI every entry point runs the SHA-NI kernel instead,
+/// four chains at a time (~0.18 ms per chain at h^3000 on the
+/// same host, 0.31 ms for a lone chain), and `LANES` is only the batch
+/// size.
 pub const LANES: usize = 16;
 
 /// Apply SHA-256 `iterations` times to `salt || message`:
@@ -95,6 +105,17 @@ pub fn iterated_hash_many_salted_into(
     iterations: u32,
     out: &mut Vec<Digest>,
 ) {
+    many_salted_into(Kernel::detect(), hashers, messages, iterations, out);
+}
+
+/// The body of [`iterated_hash_many_salted_into`] on a given kernel.
+fn many_salted_into(
+    kernel: Kernel,
+    hashers: &[&SaltedHasher],
+    messages: &[&[u8]],
+    iterations: u32,
+    out: &mut Vec<Digest>,
+) {
     assert_eq!(
         hashers.len(),
         messages.len(),
@@ -112,54 +133,175 @@ pub fn iterated_hash_many_salted_into(
         return;
     }
 
-    // Lanes must share the per-round block count, so bucket entry indices
-    // by `blocks_per_round` (1 for salts ≤ 23 bytes mod 64, else 2) and run
-    // the lane kernel bucket by bucket.
+    // Interleaved chains must share the per-round block count, so bucket
+    // entry indices by `blocks_per_round` (1 for salts ≤ 23 bytes mod 64,
+    // else 2) and advance the chains bucket by bucket.
     let mut order: Vec<usize> = (0..hashers.len()).collect();
     order.sort_by_key(|&i| hashers[i].blocks_per_round());
-    let mut start = 0;
-    while start < order.len() {
-        let bpr = hashers[order[start]].blocks_per_round();
-        let len = order[start..]
-            .iter()
-            .take_while(|&&i| hashers[i].blocks_per_round() == bpr)
-            .count();
-        let group = &order[start..start + len];
-        let mut chunks = group.chunks_exact(LANES);
-        for lane_indices in chunks.by_ref() {
-            run_salted_lanes::<LANES>(hashers, lane_indices, bpr, rounds, out);
+    for group in
+        order.chunk_by(|&a, &b| hashers[a].blocks_per_round() == hashers[b].blocks_per_round())
+    {
+        advance_group(kernel, |i| &hashers[i].template, group, rounds, out);
+    }
+}
+
+/// Number of chains one SHA-NI pass interleaves.  Measured at h^3000 on a
+/// 2-vCPU Xeon, 16 login chains took 3.3 ms at 2 chains per pass, 2.8–2.9
+/// ms at 4 and 2.9–3.0 ms at 8 (where the 16 XMM registers spill).
+#[cfg(target_arch = "x86_64")]
+const SHANI_CHAINS: usize = 4;
+
+/// The compression kernel iterated hashing runs on.  Only the CPU picks
+/// it, through [`Kernel::detect`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kernel {
+    /// The x86 SHA extensions, [`SHANI_CHAINS`] chains interleaved.
+    #[cfg(target_arch = "x86_64")]
+    ShaNi(ShaNi),
+    /// The portable auto-vectorized [`LANES`]-lane loop.
+    Lanes,
+}
+
+impl Kernel {
+    /// The fastest kernel this CPU supports.
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(shani) = ShaNi::detect() {
+            return Kernel::ShaNi(shani);
         }
-        // Run the bucket's tail through a *padded* lane pass instead of
-        // falling back to one scalar chain per entry.  This is
-        // load-bearing for serving batches with mixed salt lengths: one
-        // fresh enrollment coalesced with a run of short-salt logins
-        // splits the batch into two buckets, and before this dispatch
-        // *both* sides of the split decayed to scalar remainders (a 1+15
-        // split hashed ~5x slower than a uniform 16-lane run).
-        //
-        // Thresholds are measured, not guessed: a scalar chain costs
-        // ~0.26x of a full-width pass and a 4-lane pass ~0.85x (narrower
-        // kernels barely help — the per-round schedule work doesn't
-        // shrink with lane count, and 8 lanes actively defeats the
-        // autovectorizer), so tails of 1-3 stay scalar, exactly 4 takes
-        // the 4-lane kernel, and anything larger pads to full width.
-        let tail = chunks.remainder();
-        match tail.len() {
-            0 => {}
-            1..=3 => {
-                for &i in tail {
-                    let mut template = hashers[i].template;
-                    let mut digest = out[i];
-                    for _ in 1..rounds {
-                        digest = template.advance(&digest);
-                    }
-                    out[i] = digest;
-                }
+        Kernel::Lanes
+    }
+
+    /// Every kernel this CPU can run — the equivalence tests' sweep.  The
+    /// first call prints which kernels run, so a test log shows whether
+    /// the SHA-NI half was skipped on a CPU without it.
+    #[cfg(test)]
+    fn available() -> Vec<Self> {
+        static NOTICE: std::sync::Once = std::sync::Once::new();
+        let mut kernels = vec![Kernel::Lanes];
+        let detected = Kernel::detect();
+        if detected != Kernel::Lanes {
+            kernels.push(detected);
+        }
+        NOTICE.call_once(|| match detected {
+            Kernel::Lanes => {
+                println!("notice: this CPU lacks SHA-NI; only the portable kernel is tested")
             }
-            4 => run_salted_lanes::<4>(hashers, tail, bpr, rounds, out),
-            _ => run_salted_lanes::<LANES>(hashers, tail, bpr, rounds, out),
+            _ => println!("notice: testing both kernels, SHA-NI and portable"),
+        });
+        kernels
+    }
+}
+
+/// Advance `out[i]` by `rounds - 1` salted rounds under `template(i)` for
+/// every `i` in `group`; every entry of `group` shares `blocks_per_round`.
+/// Every iterated-hash entry point funnels through here.
+#[allow(unsafe_code)]
+fn advance_group<'t>(
+    kernel: Kernel,
+    template: impl Fn(usize) -> &'t RoundTemplate,
+    group: &[usize],
+    rounds: u32,
+    out: &mut [Digest],
+) {
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        Kernel::ShaNi(ShaNi { .. }) => {
+            // SAFETY: a `ShaNi` token exists only if `ShaNi::detect` saw sha,
+            // sse2, ssse3 and sse4.1 on this CPU: the features
+            // `advance_shani` enables.
+            // gp-lint: allow(L3, the one target-feature call; its ShaNi token proves the CPUID check passed)
+            unsafe { advance_shani(&template, group, rounds, out) }
         }
-        start += len;
+        Kernel::Lanes => advance_lanes(&template, group, rounds, out),
+    }
+}
+
+/// The SHA-NI half of [`advance_group`]: chains in interleaved groups of
+/// [`SHANI_CHAINS`], the remainder as one narrower group.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+fn advance_shani<'t>(
+    template: &impl Fn(usize) -> &'t RoundTemplate,
+    group: &[usize],
+    rounds: u32,
+    out: &mut [Digest],
+) {
+    let mut chunks = group.chunks_exact(SHANI_CHAINS);
+    for chains in chunks.by_ref() {
+        shani_chains::<SHANI_CHAINS>(template, chains, rounds, out);
+    }
+    let tail = chunks.remainder();
+    match tail.len() {
+        0 => {}
+        1 => shani_chains::<1>(template, tail, rounds, out),
+        2 => shani_chains::<2>(template, tail, rounds, out),
+        _ => shani_chains::<3>(template, tail, rounds, out),
+    }
+}
+
+/// `N` chains advanced together through [`compress_shani`]; carries the
+/// same target features so the compressor inlines into the round loop.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+fn shani_chains<'t, const N: usize>(
+    template: &impl Fn(usize) -> &'t RoundTemplate,
+    chains: &[usize],
+    rounds: u32,
+    out: &mut [Digest],
+) {
+    debug_assert_eq!(chains.len(), N);
+    let mut templates: [RoundTemplate; N] = core::array::from_fn(|l| *template(chains[l]));
+    let blocks = templates[0].blocks;
+    for _ in 1..rounds {
+        let mut states: [[u32; 8]; N] = core::array::from_fn(|l| templates[l].initial_state);
+        for (t, &i) in templates.iter_mut().zip(chains) {
+            t.set_digest(&out[i]);
+        }
+        for b in 0..blocks {
+            compress_shani(&mut states, core::array::from_fn(|l| templates[l].block(b)));
+        }
+        for (state, &i) in states.iter().zip(chains) {
+            out[i] = state_to_digest(state);
+        }
+    }
+}
+
+/// The portable half of [`advance_group`]: full [`LANES`]-wide passes,
+/// then the remainder.
+fn advance_lanes<'t>(
+    template: &impl Fn(usize) -> &'t RoundTemplate,
+    group: &[usize],
+    rounds: u32,
+    out: &mut [Digest],
+) {
+    let mut chunks = group.chunks_exact(LANES);
+    for lane_indices in chunks.by_ref() {
+        run_salted_lanes::<LANES>(template, lane_indices, rounds, out);
+    }
+    // Run the tail through a *padded* lane pass instead of falling back
+    // to one scalar chain per entry: one fresh enrollment coalesced with
+    // a run of short-salt logins splits a serving batch into two buckets,
+    // and scalar remainders on both sides of the split hashed a 1+15
+    // batch ~5x slower than a uniform 16-lane run.  Measured at h^3000 on
+    // a 2-vCPU Xeon (x86-64-v3 build), a scalar chain costs ~0.3x of a
+    // full-width pass, so tails of 1-3 stay scalar and anything larger
+    // pads to full width.  A narrower 4-lane pass is no cheaper: it
+    // measured 1.3-1.5x of the padded full-width pass.
+    let tail = chunks.remainder();
+    match tail.len() {
+        0 => {}
+        1..=3 => {
+            for &i in tail {
+                let mut round = *template(i);
+                let mut digest = out[i];
+                for _ in 1..rounds {
+                    digest = round.advance(&digest);
+                }
+                out[i] = digest;
+            }
+        }
+        _ => run_salted_lanes::<LANES>(template, tail, rounds, out),
     }
 }
 
@@ -173,10 +315,9 @@ pub fn iterated_hash_many_salted_into(
 /// keeps the pass at one lane-kernel run regardless of fill — the whole
 /// point, since `L` scalar chains cost far more than one mostly-idle
 /// vectorized pass.
-fn run_salted_lanes<const L: usize>(
-    hashers: &[&SaltedHasher],
+fn run_salted_lanes<'t, const L: usize>(
+    template: &impl Fn(usize) -> &'t RoundTemplate,
     lane_indices: &[usize],
-    bpr: usize,
     rounds: u32,
     out: &mut [Digest],
 ) {
@@ -184,20 +325,15 @@ fn run_salted_lanes<const L: usize>(
     // Pad lanes mirror entry 0: they read its digest slot each round
     // (before any lane writes back) and never write their own.
     let entry = |l: usize| lane_indices[if l < lane_indices.len() { l } else { 0 }];
-    let mut templates: [RoundTemplate; L] = core::array::from_fn(|l| hashers[entry(l)].template);
+    let mut templates: [RoundTemplate; L] = core::array::from_fn(|l| *template(entry(l)));
+    let blocks = templates[0].blocks;
     for _ in 1..rounds {
-        for l in 0..L {
-            let t = &mut templates[l];
-            t.buffer[t.digest_offset..t.digest_offset + DIGEST_LEN].copy_from_slice(&out[entry(l)]);
+        for (l, t) in templates.iter_mut().enumerate() {
+            t.set_digest(&out[entry(l)]);
         }
         let mut states: [[u32; 8]; L] = core::array::from_fn(|l| templates[l].initial_state);
-        for b in 0..bpr {
-            let blocks: [&[u8; BLOCK_LEN]; L] = core::array::from_fn(|l| {
-                templates[l].buffer[b * BLOCK_LEN..(b + 1) * BLOCK_LEN]
-                    .try_into()
-                    .expect("exact block")
-            });
-            compress_lanes(&mut states, blocks);
+        for b in 0..blocks {
+            compress_lanes(&mut states, core::array::from_fn(|l| templates[l].block(b)));
         }
         for (l, &i) in lane_indices.iter().enumerate() {
             out[i] = state_to_digest(&states[l]);
@@ -282,13 +418,24 @@ impl RoundTemplate {
         self.blocks
     }
 
+    /// Write the previous round's digest into the digest slot.
+    fn set_digest(&mut self, digest: &Digest) {
+        self.buffer[self.digest_offset..self.digest_offset + DIGEST_LEN].copy_from_slice(digest);
+    }
+
+    /// Padded block `b` of the round message.
+    fn block(&self, b: usize) -> &[u8; BLOCK_LEN] {
+        self.buffer[b * BLOCK_LEN..(b + 1) * BLOCK_LEN]
+            .try_into()
+            .expect("exact block")
+    }
+
     /// One round: `h(salt || digest)`.
     fn advance(&mut self, digest: &Digest) -> Digest {
-        self.buffer[self.digest_offset..self.digest_offset + DIGEST_LEN].copy_from_slice(digest);
+        self.set_digest(digest);
         let mut state = self.initial_state;
-        for chunk in self.buffer[..self.blocks * BLOCK_LEN].chunks_exact(BLOCK_LEN) {
-            let block: &[u8; BLOCK_LEN] = chunk.try_into().expect("exact chunk");
-            compress(&mut state, block);
+        for b in 0..self.blocks {
+            compress(&mut state, self.block(b));
         }
         state_to_digest(&state)
     }
@@ -342,21 +489,23 @@ impl SaltedHasher {
     ///   hash the bare 32-byte digest, which still fits the one-block fast
     ///   path.
     pub fn iterated(&self, message: &[u8], iterations: u32) -> Digest {
-        let rounds = iterations.max(1);
-        let mut digest = self.first.digest_suffix(message);
-        if rounds > 1 {
-            // Stack copy (templates are `Copy`): the loop heap-allocates
-            // nothing, keeping `VerifyScratch`-style callers allocation-free.
-            let mut template = self.template;
-            for _ in 1..rounds {
-                digest = template.advance(&digest);
-            }
-        }
-        digest
+        self.iterated_on(Kernel::detect(), message, iterations)
     }
 
-    /// Batched [`SaltedHasher::iterated`] over independent messages,
-    /// [`LANES`] at a time.
+    /// The body of [`SaltedHasher::iterated`] on a given kernel.
+    fn iterated_on(&self, kernel: Kernel, message: &[u8], iterations: u32) -> Digest {
+        let mut digest = [self.first.digest_suffix(message)];
+        advance_group(
+            kernel,
+            |_| &self.template,
+            &[0],
+            iterations.max(1),
+            &mut digest,
+        );
+        digest[0]
+    }
+
+    /// Batched [`SaltedHasher::iterated`] over independent messages.
     pub fn iterated_many(&self, messages: &[&[u8]], iterations: u32) -> Vec<Digest> {
         let mut out = Vec::new();
         self.iterated_many_into(messages, iterations, &mut out);
@@ -366,12 +515,31 @@ impl SaltedHasher {
     /// [`SaltedHasher::iterated_many`] writing into a caller-provided
     /// buffer, so a steady-state guess loop performs no allocation.
     pub fn iterated_many_into(&self, messages: &[&[u8]], iterations: u32, out: &mut Vec<Digest>) {
-        self.iterated_many_lanes_into::<LANES>(messages, iterations, out);
+        self.iterated_many_into_on(Kernel::detect(), messages, iterations, out);
     }
 
-    /// Lane-count-generic batched hashing; exposed so the benches can sweep
-    /// `L` (2/4/8) — production callers use [`SaltedHasher::iterated_many`]
-    /// with the tuned default.
+    /// The body of [`SaltedHasher::iterated_many_into`] on a given kernel:
+    /// [`LANES`] messages at a time, so the index list lives on the stack.
+    fn iterated_many_into_on(
+        &self,
+        kernel: Kernel,
+        messages: &[&[u8]],
+        iterations: u32,
+        out: &mut Vec<Digest>,
+    ) {
+        let rounds = iterations.max(1);
+        out.clear();
+        out.extend(messages.iter().map(|m| self.first.digest_suffix(m)));
+        let indices: [usize; LANES] = core::array::from_fn(|i| i);
+        for chunk in out.chunks_mut(LANES) {
+            let group = &indices[..chunk.len()];
+            advance_group(kernel, |_| &self.template, group, rounds, chunk);
+        }
+    }
+
+    /// The portable kernel at a chosen lane count `L` — the lane sweep
+    /// the `micro_primitives` bench runs (2/4/8/16).  Production callers
+    /// use [`SaltedHasher::iterated_many`], which picks the kernel by CPU.
     pub fn iterated_many_lanes_into<const L: usize>(
         &self,
         messages: &[&[u8]],
@@ -394,21 +562,14 @@ impl SaltedHasher {
         for lane_digests in chunks.by_ref() {
             for _ in 1..rounds {
                 let mut states = [self.template.initial_state; L];
-                for l in 0..L {
-                    let t = &mut templates[l];
-                    t.buffer[t.digest_offset..t.digest_offset + DIGEST_LEN]
-                        .copy_from_slice(&lane_digests[l]);
+                for (t, digest) in templates.iter_mut().zip(lane_digests.iter()) {
+                    t.set_digest(digest);
                 }
                 for b in 0..blocks_per_round {
-                    let blocks: [&[u8; BLOCK_LEN]; L] = core::array::from_fn(|l| {
-                        templates[l].buffer[b * BLOCK_LEN..(b + 1) * BLOCK_LEN]
-                            .try_into()
-                            .expect("exact block")
-                    });
-                    compress_lanes(&mut states, blocks);
+                    compress_lanes(&mut states, core::array::from_fn(|l| templates[l].block(b)));
                 }
-                for l in 0..L {
-                    lane_digests[l] = state_to_digest(&states[l]);
+                for (digest, state) in lane_digests.iter_mut().zip(&states) {
+                    *digest = state_to_digest(state);
                 }
             }
         }
@@ -627,20 +788,79 @@ mod tests {
         }
     }
 
+    /// Deterministic test bytes (splitmix64).
+    fn noise(seed: u64, len: usize) -> Vec<u8> {
+        let mut x = seed;
+        (0..len)
+            .map(|_| {
+                x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = x;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn kernels_match_scalar_compress_for_1_to_8_chains() {
+        // One round from random states over random blocks is one
+        // compression per block: each kernel must equal `compress`.
+        for kernel in Kernel::available() {
+            for blocks in [1usize, 2] {
+                for n in 1..=8usize {
+                    let seed = (n * 10 + blocks) as u64;
+                    let templates: Vec<RoundTemplate> = (0..n)
+                        .map(|i| {
+                            let bytes = noise(seed * 100 + i as u64, 32 + ROUND_BUF_LEN + 1);
+                            RoundTemplate {
+                                initial_state: core::array::from_fn(|w| {
+                                    u32::from_be_bytes(bytes[4 * w..4 * w + 4].try_into().unwrap())
+                                }),
+                                buffer: bytes[32..32 + ROUND_BUF_LEN].try_into().unwrap(),
+                                blocks,
+                                digest_offset: bytes[32 + ROUND_BUF_LEN] as usize % 33,
+                            }
+                        })
+                        .collect();
+                    let mut digests: Vec<Digest> = (0..n)
+                        .map(|i| {
+                            noise(seed * 1000 + i as u64, DIGEST_LEN)
+                                .try_into()
+                                .unwrap()
+                        })
+                        .collect();
+                    let expected: Vec<Digest> = templates
+                        .iter()
+                        .zip(&digests)
+                        .map(|(t, d)| t.clone().advance(d))
+                        .collect();
+                    let group: Vec<usize> = (0..n).collect();
+                    advance_group(kernel, |i| &templates[i], &group, 2, &mut digests);
+                    assert_eq!(digests, expected, "{kernel:?}, {n} chains, {blocks} blocks");
+                }
+            }
+        }
+    }
+
     #[test]
     fn many_matches_scalar_for_every_batch_size() {
         let salt = b"gp-passwords/v1\x1falice";
-        let messages: Vec<Vec<u8>> = (0..11)
+        let hasher = SaltedHasher::new(salt);
+        let messages: Vec<Vec<u8>> = (0..35)
             .map(|i| (0..40 + i).map(|j| ((i * 91 + j) % 251) as u8).collect())
             .collect();
-        for count in 0..=messages.len() {
-            let refs: Vec<&[u8]> = messages[..count].iter().map(Vec::as_slice).collect();
-            let batched = iterated_hash_many(salt, &refs, 37);
-            let scalar: Vec<_> = refs
-                .iter()
-                .map(|m| iterated_hash_reference(salt, m, 37))
-                .collect();
-            assert_eq!(batched, scalar, "batch of {count}");
+        let mut batched = Vec::new();
+        for kernel in Kernel::available() {
+            for count in 0..=messages.len() {
+                let refs: Vec<&[u8]> = messages[..count].iter().map(Vec::as_slice).collect();
+                hasher.iterated_many_into_on(kernel, &refs, 37, &mut batched);
+                let scalar: Vec<_> = refs
+                    .iter()
+                    .map(|m| iterated_hash_reference(salt, m, 37))
+                    .collect();
+                assert_eq!(batched, scalar, "{kernel:?}, batch of {count}");
+            }
         }
     }
 
@@ -650,8 +870,11 @@ mod tests {
         let messages: Vec<Vec<u8>> = (0..9).map(|i| vec![i as u8; 30]).collect();
         let refs: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
         let hasher = SaltedHasher::new(salt);
-        let expected = hasher.iterated_many(&refs, 25);
-        for_each_lane_count(&hasher, &refs, 25, &expected);
+        for kernel in Kernel::available() {
+            let mut expected = Vec::new();
+            hasher.iterated_many_into_on(kernel, &refs, 25, &mut expected);
+            for_each_lane_count(&hasher, &refs, 25, &expected);
+        }
     }
 
     fn for_each_lane_count(
@@ -673,7 +896,7 @@ mod tests {
     fn many_salted_matches_scalar_across_batch_sizes_and_salt_lengths() {
         // Salt lengths straddle the one-block/two-block boundary (23 bytes)
         // so the bucketing by blocks_per_round is exercised inside a single
-        // batch, and batch sizes straddle the LANES remainder path.
+        // batch, and batch sizes straddle both kernels' group remainders.
         let salts: Vec<Vec<u8>> = (0..40)
             .map(|i| {
                 (0..(i * 5) % 41)
@@ -685,15 +908,83 @@ mod tests {
             .map(|i| (0..30 + i).map(|j| ((i * 17 + j) % 251) as u8).collect())
             .collect();
         let hashers: Vec<SaltedHasher> = salts.iter().map(|s| SaltedHasher::new(s)).collect();
-        for count in [0usize, 1, 2, 15, 16, 17, 33, 40] {
-            let hasher_refs: Vec<&SaltedHasher> = hashers[..count].iter().collect();
-            let msg_refs: Vec<&[u8]> = messages[..count].iter().map(Vec::as_slice).collect();
-            for iterations in [0u32, 1, 2, 29] {
-                let batched = iterated_hash_many_salted(&hasher_refs, &msg_refs, iterations);
-                let scalar: Vec<Digest> = (0..count)
-                    .map(|i| iterated_hash_reference(&salts[i], &messages[i], iterations))
-                    .collect();
-                assert_eq!(batched, scalar, "batch of {count}, {iterations} iterations");
+        let mut batched = Vec::new();
+        for kernel in Kernel::available() {
+            for count in [0usize, 1, 2, 3, 4, 5, 7, 15, 16, 17, 33, 40] {
+                let hasher_refs: Vec<&SaltedHasher> = hashers[..count].iter().collect();
+                let msg_refs: Vec<&[u8]> = messages[..count].iter().map(Vec::as_slice).collect();
+                for iterations in [0u32, 1, 2, 29] {
+                    many_salted_into(kernel, &hasher_refs, &msg_refs, iterations, &mut batched);
+                    let scalar: Vec<Digest> = (0..count)
+                        .map(|i| iterated_hash_reference(&salts[i], &messages[i], iterations))
+                        .collect();
+                    assert_eq!(
+                        batched, scalar,
+                        "{kernel:?}, batch of {count}, {iterations} iterations"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The scalar path on either kernel is bit-identical to the
+        /// reference implementation for arbitrary salt/message/iterations.
+        #[test]
+        fn iterated_hash_equals_reference(
+            salt in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..100),
+            msg in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..300),
+            iterations in 0u32..40,
+        ) {
+            let hasher = SaltedHasher::new(&salt);
+            let expected = iterated_hash_reference(&salt, &msg, iterations);
+            for kernel in Kernel::available() {
+                proptest::prop_assert_eq!(hasher.iterated_on(kernel, &msg, iterations), expected);
+            }
+        }
+
+        /// The batched path on either kernel is bit-identical to the
+        /// reference for arbitrary salts, message batches and iteration
+        /// counts — the equivalence proof for the whole batched guess
+        /// pipeline.
+        #[test]
+        fn iterated_hash_many_equals_scalar(
+            salt in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..80),
+            messages in proptest::collection::vec(
+                proptest::collection::vec(proptest::prelude::any::<u8>(), 0..120), 0..40),
+            iterations in 0u32..24,
+        ) {
+            let refs: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
+            let hasher = SaltedHasher::new(&salt);
+            let scalar: Vec<_> = refs
+                .iter()
+                .map(|m| iterated_hash_reference(&salt, m, iterations))
+                .collect();
+            let mut batched = Vec::new();
+            for kernel in Kernel::available() {
+                hasher.iterated_many_into_on(kernel, &refs, iterations, &mut batched);
+                proptest::prop_assert_eq!(&batched, &scalar);
+            }
+        }
+
+        /// The portable lane-width sweep agrees with both kernels.
+        #[test]
+        fn lane_widths_agree(
+            salt in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..40),
+            messages in proptest::collection::vec(
+                proptest::collection::vec(proptest::prelude::any::<u8>(), 0..64), 1..20),
+            iterations in 1u32..12,
+        ) {
+            let refs: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
+            let hasher = SaltedHasher::new(&salt);
+            let mut out = Vec::new();
+            for kernel in Kernel::available() {
+                let mut expected = Vec::new();
+                hasher.iterated_many_into_on(kernel, &refs, iterations, &mut expected);
+                hasher.iterated_many_lanes_into::<2>(&refs, iterations, &mut out);
+                proptest::prop_assert_eq!(&out, &expected);
+                hasher.iterated_many_lanes_into::<8>(&refs, iterations, &mut out);
+                proptest::prop_assert_eq!(&out, &expected);
             }
         }
     }

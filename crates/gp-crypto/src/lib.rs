@@ -16,11 +16,28 @@
 //! * [`hmac`] — HMAC-SHA-256 (RFC 2104) used for keyed integrity checks in
 //!   the networked authentication substrate.
 //! * [`iterated`] — iterated ("stretched") hashing `h^k`: the scalar
-//!   one-shot/midstate path ([`SaltedHasher`]), the
-//!   multi-lane batched path ([`iterated_hash_many`]) that advances
-//!   [`LANES`] independent guesses per compression loop,
-//!   and a convenience [`PasswordHasher`]
-//!   combining salt, personalization and iteration count.
+//!   one-shot/midstate path ([`SaltedHasher`]), the batched paths
+//!   ([`iterated_hash_many`], [`iterated_hash_many_salted`]) that advance
+//!   independent chains side by side, and a convenience
+//!   [`PasswordHasher`] combining salt, personalization and iteration
+//!   count.
+//!
+//! # Kernels
+//!
+//! Every iterated-hash entry point runs on one of two compression
+//! kernels, chosen once per process by the CPU alone — no option,
+//! environment variable or cargo feature selects it:
+//!
+//! * on x86-64 CPUs with the SHA extensions, a SHA-NI compressor that
+//!   interleaves up to four chains (0.31 ms for one h^3000 chain, ~0.18 ms
+//!   per chain in a batch, on a 2-vCPU Xeon);
+//! * elsewhere, a portable loop over [`LANES`] lanes that LLVM
+//!   auto-vectorizes (1.0–1.5 ms for one chain, ~0.25 ms per chain in a
+//!   full batch, same host, `x86-64-v3` build).
+//!
+//! The one `unsafe` block in the crate is the call into the SHA-NI
+//! kernel's target-feature code, reachable only after the CPUID check
+//! passed; the tests run every path on both kernels where the CPU allows.
 //! * [`hex`] — lower-case hexadecimal encoding/decoding for serialized
 //!   password files.
 //! * [`ct`] — constant-time equality for hash comparison during login.
@@ -37,7 +54,7 @@
 //! );
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ct;

@@ -182,6 +182,112 @@ pub(crate) fn compress_lanes<const L: usize>(
     }
 }
 
+/// Proof that this CPU has the SHA extensions: only [`ShaNi::detect`]
+/// makes one, so holding it licenses a call into [`compress_shani`]'s
+/// target features.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct ShaNi(());
+
+#[cfg(target_arch = "x86_64")]
+impl ShaNi {
+    /// `Some` when the CPU reports every feature [`compress_shani`]
+    /// enables.  std caches the CPUID probe, so this is a load and a test.
+    pub(crate) fn detect() -> Option<Self> {
+        let detected = std::arch::is_x86_feature_detected!("sha")
+            && std::arch::is_x86_feature_detected!("sse2")
+            && std::arch::is_x86_feature_detected!("ssse3")
+            && std::arch::is_x86_feature_detected!("sse4.1");
+        detected.then_some(ShaNi(()))
+    }
+}
+
+/// SHA-NI compression: advance `N` independent hash states over one block
+/// each with the x86 SHA extensions, the round loops interleaved across
+/// chains.
+///
+/// One `sha256rnds2` does two rounds, but its result feeds the next one, so
+/// a single chain leaves the SHA unit idle between issues; `N` independent
+/// chains in one loop body fill those slots.  Registers are built with
+/// `_mm_set_epi32` and read back with `_mm_extract_epi32`, so the body is
+/// free of pointer loads and stores.
+///
+/// Reached only through `iterated`'s kernel dispatch, behind a [`ShaNi`]
+/// token.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+pub(crate) fn compress_shani<const N: usize>(
+    states: &mut [[u32; 8]; N],
+    blocks: [&[u8; BLOCK_LEN]; N],
+) {
+    use core::arch::x86_64::{
+        _mm_add_epi32, _mm_alignr_epi8, _mm_extract_epi32, _mm_set_epi32, _mm_setzero_si128,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+    };
+    // The SHA-NI state layout: lanes (3, 2, 1, 0) hold (a, b, e, f) and
+    // (c, d, g, h); message registers hold four schedule words, lowest
+    // lane first.
+    let mut abef = [_mm_setzero_si128(); N];
+    let mut cdgh = [_mm_setzero_si128(); N];
+    let mut w = [[_mm_setzero_si128(); 4]; N];
+    for l in 0..N {
+        let s = states[l].map(|v| v as i32);
+        abef[l] = _mm_set_epi32(s[0], s[1], s[4], s[5]);
+        cdgh[l] = _mm_set_epi32(s[2], s[3], s[6], s[7]);
+        let mut m = [0i32; 16];
+        for (word, bytes) in m.iter_mut().zip(blocks[l].chunks_exact(4)) {
+            *word = i32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+        }
+        for q in 0..4 {
+            w[l][q] = _mm_set_epi32(m[4 * q + 3], m[4 * q + 2], m[4 * q + 1], m[4 * q]);
+        }
+    }
+    let (abef_in, cdgh_in) = (abef, cdgh);
+
+    for quad in 0..16 {
+        let k = _mm_set_epi32(
+            K[4 * quad + 3] as i32,
+            K[4 * quad + 2] as i32,
+            K[4 * quad + 1] as i32,
+            K[4 * quad] as i32,
+        );
+        let slot = quad % 4;
+        for l in 0..N {
+            if quad >= 4 {
+                // W[t..t+4] from the previous 16 words: the register being
+                // replaced holds W[t-16..t-12], the next three the later
+                // ones.
+                let w0 = w[l][slot];
+                let w1 = w[l][(slot + 1) % 4];
+                let w2 = w[l][(slot + 2) % 4];
+                let w3 = w[l][(slot + 3) % 4];
+                w[l][slot] = _mm_sha256msg2_epu32(
+                    _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8::<4>(w3, w2)),
+                    w3,
+                );
+            }
+            let wk = _mm_add_epi32(w[l][slot], k);
+            cdgh[l] = _mm_sha256rnds2_epu32(cdgh[l], abef[l], wk);
+            abef[l] = _mm_sha256rnds2_epu32(abef[l], cdgh[l], _mm_shuffle_epi32::<0x0E>(wk));
+        }
+    }
+
+    for l in 0..N {
+        let abef = _mm_add_epi32(abef[l], abef_in[l]);
+        let cdgh = _mm_add_epi32(cdgh[l], cdgh_in[l]);
+        states[l] = [
+            _mm_extract_epi32::<3>(abef) as u32,
+            _mm_extract_epi32::<2>(abef) as u32,
+            _mm_extract_epi32::<3>(cdgh) as u32,
+            _mm_extract_epi32::<2>(cdgh) as u32,
+            _mm_extract_epi32::<1>(abef) as u32,
+            _mm_extract_epi32::<0>(abef) as u32,
+            _mm_extract_epi32::<1>(cdgh) as u32,
+            _mm_extract_epi32::<0>(cdgh) as u32,
+        ];
+    }
+}
+
 /// Serialize a chaining state as a big-endian digest.
 pub(crate) fn state_to_digest(state: &[u32; 8]) -> Digest {
     let mut out = [0u8; DIGEST_LEN];

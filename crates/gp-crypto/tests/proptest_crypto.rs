@@ -1,59 +1,12 @@
 //! Property-based tests for the crypto substrate.
+//!
+//! The iterated-hash equivalence properties live beside the code in
+//! `src/iterated.rs`, where they run against both compression kernels.
 
-use gp_crypto::{
-    ct_eq, hex, iterated_hash, iterated_hash_many, iterated_hash_reference, HmacSha256, Midstate,
-    PasswordHasher, SaltedHasher, Sha256,
-};
+use gp_crypto::{ct_eq, hex, iterated_hash, HmacSha256, Midstate, PasswordHasher, Sha256};
 use proptest::prelude::*;
 
 proptest! {
-    /// The optimized one-shot/midstate scalar path is bit-identical to the
-    /// reference implementation for arbitrary salt/message/iterations.
-    #[test]
-    fn iterated_hash_equals_reference(salt in proptest::collection::vec(any::<u8>(), 0..100),
-                                      msg in proptest::collection::vec(any::<u8>(), 0..300),
-                                      iterations in 0u32..40) {
-        prop_assert_eq!(
-            iterated_hash(&salt, &msg, iterations),
-            iterated_hash_reference(&salt, &msg, iterations)
-        );
-    }
-
-    /// The multi-lane batched path is bit-identical to the scalar path for
-    /// arbitrary salts, message batches and iteration counts — the
-    /// equivalence proof for the whole batched guess pipeline.
-    #[test]
-    fn iterated_hash_many_equals_scalar(
-        salt in proptest::collection::vec(any::<u8>(), 0..80),
-        messages in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 0..120), 0..40),
-        iterations in 0u32..24,
-    ) {
-        let refs: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
-        let batched = iterated_hash_many(&salt, &refs, iterations);
-        let scalar: Vec<_> = refs
-            .iter()
-            .map(|m| iterated_hash_reference(&salt, m, iterations))
-            .collect();
-        prop_assert_eq!(batched, scalar);
-    }
-
-    /// Lane-width generic paths all agree with the default.
-    #[test]
-    fn lane_widths_agree(salt in proptest::collection::vec(any::<u8>(), 0..40),
-                         messages in proptest::collection::vec(
-                             proptest::collection::vec(any::<u8>(), 0..64), 1..20),
-                         iterations in 1u32..12) {
-        let refs: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
-        let hasher = SaltedHasher::new(&salt);
-        let expected = hasher.iterated_many(&refs, iterations);
-        let mut out = Vec::new();
-        hasher.iterated_many_lanes_into::<2>(&refs, iterations, &mut out);
-        prop_assert_eq!(&out, &expected);
-        hasher.iterated_many_lanes_into::<8>(&refs, iterations, &mut out);
-        prop_assert_eq!(&out, &expected);
-    }
-
     /// A midstate split at any point of a message reproduces the one-shot
     /// digest.
     #[test]

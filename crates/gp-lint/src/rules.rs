@@ -134,6 +134,7 @@ const HOT_PATH_FILES: &[&str] = &[
     "cluster.rs",
     "wal.rs",
     "shard.rs",
+    "resident.rs",
 ];
 
 /// Function names that form the durability barrier for L1.

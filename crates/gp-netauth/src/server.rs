@@ -484,11 +484,9 @@ impl AuthServer {
     /// provenance, and either settles immediately or appends a [`HashJob`]
     /// to `jobs` for the batch verifier.
     ///
-    /// The job carries the store's *cached* per-salt hashing state
-    /// ([`ShardedPasswordStore::get_cached`]): the salt was absorbed once
-    /// at enrollment and every subsequent attempt clones plain stack data
-    /// instead of re-hashing it (2–3× per round for long salts, per the
-    /// midstate benches).
+    /// The job carries the account's per-salt hashing state
+    /// ([`ShardedPasswordStore::get_cached`]), built from the record on
+    /// lookup; for salts under 64 bytes that is a copy, not a compression.
     fn prepare_login(
         &self,
         username: String,

@@ -87,6 +87,7 @@ pub mod config;
 pub mod error;
 pub mod lockdep;
 pub mod policy;
+mod resident;
 pub mod ring;
 pub mod schemes;
 pub mod shard;

@@ -85,21 +85,35 @@ impl StoredPassword {
     /// Format (tab-separated):
     /// `username  scheme-header  clicks  WxH  grid-id-hex;…  hash-record`
     pub fn to_record(&self) -> String {
-        let grid_ids: Vec<String> = self
-            .clicks
-            .iter()
-            .map(|c| hex::encode(&c.grid_id.to_bytes()))
-            .collect();
-        format!(
-            "{}\t{}\t{}\t{}x{}\t{}\t{}",
+        let mut line = String::new();
+        self.write_record(&mut line);
+        line
+    }
+
+    /// [`StoredPassword::to_record`] appended to `out`, so a caller
+    /// rendering many records (a shard snapshot) reuses one buffer.
+    pub fn write_record(&self, out: &mut String) {
+        use std::fmt::Write;
+        let mut grid_id = Vec::new();
+        let _ = write!(
+            out,
+            "{}\t{}\t{}\t{}x{}\t",
             self.username,
             self.config.to_header(),
             self.policy.clicks,
             self.policy.image.width,
             self.policy.image.height,
-            grid_ids.join(";"),
-            self.hash.to_record()
-        )
+        );
+        for (i, click) in self.clicks.iter().enumerate() {
+            if i > 0 {
+                out.push(';');
+            }
+            grid_id.clear();
+            click.grid_id.write_into(&mut grid_id);
+            out.push_str(&hex::encode(&grid_id));
+        }
+        out.push('\t');
+        out.push_str(&self.hash.to_record());
     }
 
     /// Parse a record produced by [`to_record`](Self::to_record).

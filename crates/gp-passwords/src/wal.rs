@@ -43,7 +43,7 @@
 use crate::stored::StoredPassword;
 use crate::watermark::Watermark;
 use std::fs::{File, OpenOptions};
-use std::io::{Seek, Write};
+use std::io::{BufReader, Read, Seek, Write};
 use std::path::{Path, PathBuf};
 
 /// File magic at the start of every WAL (8 bytes, versioned).
@@ -158,10 +158,10 @@ impl WalEntry {
 }
 
 /// The result of replaying one WAL file.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct WalReplay {
-    /// Decoded records, in append order.
-    pub entries: Vec<WalEntry>,
+    /// Records decoded and handed to the replay closure.
+    pub records: u64,
     /// Bytes dropped at the end of the file (a record torn by a crash
     /// mid-append; zero for a cleanly closed log).
     pub torn_bytes: u64,
@@ -377,115 +377,124 @@ impl ShardWal {
         self.poisoned = true;
     }
 
-    /// Decode every intact record in the WAL at `path`, tolerating a torn
-    /// final record (reported via [`WalReplay::torn_bytes`]).
+    /// Decode every intact record in the WAL at `path`, in append order,
+    /// and hand each to `apply` as soon as it is decoded.  The file is
+    /// read record by record, so recovery holds one record at a time,
+    /// never the whole log.  A torn final record is tolerated and
+    /// reported via [`WalReplay::torn_bytes`].
     ///
     /// A missing file replays as empty (a crash before the first append).
     /// A present file with a wrong magic, an intact (checksummed) record
-    /// that fails to parse, or a checksum failure on an *interior* record
-    /// (intact records follow the damage, so it cannot be a tear) is an
-    /// error — that is corruption, not a crash artifact.
-    pub fn replay(path: &Path) -> std::io::Result<WalReplay> {
-        let bytes = match std::fs::read(path) {
-            Ok(bytes) => bytes,
+    /// that fails to parse, or damage to an *interior* record (an intact
+    /// record follows the damage, so it cannot be a tear) is an error —
+    /// that is corruption, not a crash artifact.  Entries before the error
+    /// have already been applied; callers discard what they built.
+    pub fn replay(path: &Path, mut apply: impl FnMut(WalEntry)) -> std::io::Result<WalReplay> {
+        let mut reader = match File::open(path) {
+            Ok(file) => BufReader::new(file),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 return Ok(WalReplay {
-                    entries: Vec::new(),
+                    records: 0,
                     torn_bytes: 0,
                 })
             }
             Err(e) => return Err(e),
         };
-        if bytes.len() < WAL_MAGIC.len() {
+        // `record` holds the bytes of one record (header, then payload).
+        let mut record = Vec::new();
+        read_up_to(&mut reader, WAL_MAGIC.len(), &mut record)?;
+        if record.len() < WAL_MAGIC.len() {
             // The file's very creation was torn; no record can exist.
             return Ok(WalReplay {
-                entries: Vec::new(),
-                torn_bytes: bytes.len() as u64,
+                records: 0,
+                torn_bytes: record.len() as u64,
             });
         }
-        if &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
+        if record != WAL_MAGIC {
             return Err(corrupt(path, "bad WAL magic"));
         }
-        let mut entries = Vec::new();
+        let mut replayed = 0;
         let mut at = WAL_MAGIC.len();
-        while at < bytes.len() {
-            let rest = &bytes[at..];
-            if rest.len() < RECORD_HEADER {
-                break; // torn mid-header
+        loop {
+            record.clear();
+            read_up_to(&mut reader, RECORD_HEADER, &mut record)?;
+            if record.is_empty() {
+                return Ok(WalReplay {
+                    records: replayed,
+                    torn_bytes: 0,
+                });
             }
-            // gp-lint: allow(L4, fixed-width slice of a len-checked buffer)
-            let len = u32::from_be_bytes(rest[..4].try_into().expect("4 bytes"));
-            if len == 0 || len > MAX_RECORD_LEN {
-                break; // torn mid-header: garbage length
+            if let Some((len, _)) = record_header(&record).filter(|&(len, _)| sane_len(len)) {
+                read_up_to(&mut reader, len as usize, &mut record)?;
             }
-            // gp-lint: allow(L4, fixed-width slice of a len-checked buffer)
-            let check = u64::from_be_bytes(rest[4..RECORD_HEADER].try_into().expect("8 bytes"));
-            let end = RECORD_HEADER + len as usize;
-            if rest.len() < end {
-                break; // torn mid-payload
-            }
-            let payload = &rest[RECORD_HEADER..end];
-            if fnv1a64(payload) != check {
-                // A failed checksum on the *final* record is the torn
-                // tail of a crashed append.  But the log has a single
-                // appender writing strictly forward, so if intact
-                // records follow the damaged one, the damage happened
-                // *after* the record was written — that is mid-file
-                // corruption (bit rot, a misdirected write), and
+            let Some((payload, end)) = intact_record(&record) else {
+                // A damaged record — garbage or past-EOF length, failed
+                // checksum, or a header cut short — is the torn tail of a
+                // crashed append only if nothing intact follows it.  The
+                // log has a single appender writing strictly forward, so
+                // an intact record *after* the damage means the damage
+                // happened later (bit rot, a misdirected write), and
                 // stopping here would silently drop every later acked
-                // record.  Surface it instead.
-                let following = intact_records_at(&bytes[at + end..]);
-                if following > 0 {
+                // record.  A corrupted length gives no record boundary to
+                // resume from, so every later offset is a candidate.
+                reader.read_to_end(&mut record)?;
+                if let Some(next) =
+                    (1..record.len()).find(|&offset| intact_record(&record[offset..]).is_some())
+                {
+                    let next = at + next;
                     return Err(corrupt(
                         path,
                         &format!(
-                            "mid-file corruption: record at byte {at} fails its checksum \
-                             but {following} intact record(s) follow — not a torn tail"
+                            "mid-file corruption: record at byte {at} is damaged but an intact \
+                             record follows at byte {next} — not a torn tail"
                         ),
                     ));
                 }
-                break; // torn mid-overwrite of the final record
-            }
-            entries.push(decode_payload(path, payload)?);
+                return Ok(WalReplay {
+                    records: replayed,
+                    torn_bytes: record.len() as u64,
+                });
+            };
+            apply(decode_payload(path, payload)?);
+            replayed += 1;
             at += end;
         }
-        Ok(WalReplay {
-            entries,
-            torn_bytes: (bytes.len() - at) as u64,
-        })
     }
+}
+
+/// Append up to `n` more bytes from `reader` to `buf` (fewer at EOF).
+fn read_up_to(reader: &mut impl Read, n: usize, buf: &mut Vec<u8>) -> std::io::Result<()> {
+    reader.take(n as u64).read_to_end(buf).map(drop)
 }
 
 fn decode_payload(path: &Path, payload: &[u8]) -> std::io::Result<WalEntry> {
     WalEntry::from_payload(payload).map_err(|e| corrupt(path, &e.to_string()))
 }
 
-/// How many intact (length + checksum) records sit at the *start* of
-/// `bytes`.  Replay's look-ahead: records that parse cleanly after a
-/// damaged one prove the damage is interior corruption, not a torn tail.
-fn intact_records_at(bytes: &[u8]) -> usize {
-    let mut count = 0;
-    let mut at = 0;
-    while bytes.len() - at >= RECORD_HEADER {
-        let rest = &bytes[at..];
-        // gp-lint: allow(L4, fixed-width slice of a len-checked buffer)
-        let len = u32::from_be_bytes(rest[..4].try_into().expect("4 bytes"));
-        if len == 0 || len > MAX_RECORD_LEN {
-            break;
-        }
-        let end = RECORD_HEADER + len as usize;
-        if rest.len() < end {
-            break;
-        }
-        // gp-lint: allow(L4, fixed-width slice of a len-checked buffer)
-        let check = u64::from_be_bytes(rest[4..RECORD_HEADER].try_into().expect("8 bytes"));
-        if fnv1a64(&rest[RECORD_HEADER..end]) != check {
-            break;
-        }
-        count += 1;
-        at += end;
+/// The `(payload length, checksum)` header at the start of `bytes`, if
+/// `bytes` holds a whole one.
+fn record_header(bytes: &[u8]) -> Option<(u32, u64)> {
+    let (len, rest) = bytes.split_first_chunk::<4>()?;
+    let (check, _) = rest.split_first_chunk::<8>()?;
+    Some((u32::from_be_bytes(*len), u64::from_be_bytes(*check)))
+}
+
+/// Whether a declared payload length could be a real record's.
+fn sane_len(len: u32) -> bool {
+    (1..=MAX_RECORD_LEN).contains(&len)
+}
+
+/// The payload of an intact record at the start of `bytes` — a sane
+/// length, the whole payload present, the checksum matching — and the
+/// record's total length.
+fn intact_record(bytes: &[u8]) -> Option<(&[u8], usize)> {
+    let (len, check) = record_header(bytes)?;
+    if !sane_len(len) {
+        return None;
     }
-    count
+    let end = RECORD_HEADER + len as usize;
+    let payload = bytes.get(RECORD_HEADER..end)?;
+    (fnv1a64(payload) == check).then_some((payload, end))
 }
 
 fn corrupt(path: &Path, reason: &str) -> std::io::Error {
@@ -495,11 +504,15 @@ fn corrupt(path: &Path, reason: &str) -> std::io::Error {
     )
 }
 
-/// Atomically publish `contents` at `path`: write `<path>.tmp`, fsync it,
-/// rename over `path`, then fsync the parent directory so the rename
-/// itself is durable.  A reader (or a recovery after a crash at any
-/// point) sees either the complete old file or the complete new one.
-pub fn atomic_write(path: &Path, contents: &[u8]) -> std::io::Result<()> {
+/// Atomically publish a file at `path` whose contents `write` streams:
+/// write `<path>.tmp`, fsync it, rename over `path`, then fsync the parent
+/// directory so the rename itself is durable.  A reader (or a recovery
+/// after a crash at any point) sees either the complete old file or the
+/// complete new one.
+pub fn atomic_write(
+    path: &Path,
+    write: impl FnOnce(&mut File) -> std::io::Result<()>,
+) -> std::io::Result<()> {
     let mut file_name = path
         .file_name()
         .ok_or_else(|| corrupt(path, "atomic_write target has no file name"))?
@@ -508,7 +521,7 @@ pub fn atomic_write(path: &Path, contents: &[u8]) -> std::io::Result<()> {
     let tmp = path.with_file_name(file_name);
     {
         let mut file = File::create(&tmp)?;
-        file.write_all(contents)?;
+        write(&mut file)?;
         file.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;
@@ -562,6 +575,23 @@ mod tests {
         system.enroll(name, &clicks).unwrap()
     }
 
+    /// What one replay decoded, collected for assertions.
+    #[derive(Debug)]
+    struct Replayed {
+        entries: Vec<WalEntry>,
+        torn_bytes: u64,
+    }
+
+    fn replay_all(path: &Path) -> std::io::Result<Replayed> {
+        let mut entries = Vec::new();
+        let summary = ShardWal::replay(path, |entry| entries.push(entry))?;
+        assert_eq!(summary.records, entries.len() as u64);
+        Ok(Replayed {
+            entries,
+            torn_bytes: summary.torn_bytes,
+        })
+    }
+
     fn enroll(record: &StoredPassword) -> WalEntry {
         WalEntry::Enroll(record.clone())
     }
@@ -580,7 +610,7 @@ mod tests {
             assert_eq!(wal.appends(), 3);
             assert!(wal.syncs() >= 3, "Always fsyncs every append");
         }
-        let replay = ShardWal::replay(&path).unwrap();
+        let replay = replay_all(&path).unwrap();
         assert_eq!(replay.torn_bytes, 0);
         assert_eq!(
             replay.entries,
@@ -606,7 +636,7 @@ mod tests {
             let mut wal = ShardWal::open_or_create(&path, FsyncPolicy::Never).unwrap();
             wal.append_flushed(&enroll(&b)).unwrap();
         }
-        let replay = ShardWal::replay(&path).unwrap();
+        let replay = replay_all(&path).unwrap();
         assert_eq!(
             replay.entries,
             vec![WalEntry::Enroll(a), WalEntry::Enroll(b)]
@@ -633,7 +663,7 @@ mod tests {
         let torn = dir.join("torn.wal");
         for cut in 0..=full.len() {
             std::fs::write(&torn, &full[..cut]).unwrap();
-            let replay = ShardWal::replay(&torn).unwrap();
+            let replay = replay_all(&torn).unwrap();
             if cut < WAL_MAGIC.len() {
                 // The file's creation itself was torn: nothing replays.
                 assert!(replay.entries.is_empty(), "cut at byte {cut}");
@@ -674,7 +704,7 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         *bytes.last_mut().unwrap() ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
-        let replay = ShardWal::replay(&path).unwrap();
+        let replay = replay_all(&path).unwrap();
         assert_eq!(replay.entries, vec![WalEntry::Enroll(a)]);
         assert_eq!(replay.torn_bytes, (bytes.len() - first_end) as u64);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -685,7 +715,7 @@ mod tests {
         let dir = temp_dir("corrupt");
         let bad_magic = dir.join("m.wal");
         std::fs::write(&bad_magic, b"NOTAWAL!record-bytes").unwrap();
-        assert!(ShardWal::replay(&bad_magic).is_err());
+        assert!(replay_all(&bad_magic).is_err());
 
         // A checksummed record whose payload is not a parseable account
         // line: corruption, not a crash artifact.
@@ -696,10 +726,10 @@ mod tests {
         bytes.extend_from_slice(&fnv1a64(&payload).to_be_bytes());
         bytes.extend_from_slice(&payload);
         std::fs::write(&bad_payload, &bytes).unwrap();
-        assert!(ShardWal::replay(&bad_payload).is_err());
+        assert!(replay_all(&bad_payload).is_err());
 
         // Missing file: empty replay (crash before the first append).
-        let missing = ShardWal::replay(&dir.join("nope.wal")).unwrap();
+        let missing = replay_all(&dir.join("nope.wal")).unwrap();
         assert!(missing.entries.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -727,7 +757,7 @@ mod tests {
             let mut bytes = pristine.clone();
             bytes[boundaries[interior + 1] - 1] ^= 0xff;
             std::fs::write(&path, &bytes).unwrap();
-            let err = ShardWal::replay(&path).expect_err("interior damage must error");
+            let err = replay_all(&path).expect_err("interior damage must error");
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
             assert!(
                 err.to_string().contains("mid-file corruption"),
@@ -738,9 +768,54 @@ mod tests {
         let mut bytes = pristine.clone();
         *bytes.last_mut().unwrap() ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
-        let replay = ShardWal::replay(&path).unwrap();
+        let replay = replay_all(&path).unwrap();
         assert_eq!(replay.entries.len(), 2);
         assert!(replay.torn_bytes > 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn interior_length_corruption_is_an_error_not_a_silent_truncation() {
+        let dir = temp_dir("interior-len");
+        let path = dir.join("w.wal");
+        let records: Vec<StoredPassword> = (0..3)
+            .map(|i| sample(&format!("user{i}"), i as f64))
+            .collect();
+        let mut boundaries = vec![WAL_MAGIC.len()];
+        {
+            let mut wal = ShardWal::open_or_create(&path, FsyncPolicy::Never).unwrap();
+            for record in &records {
+                wal.append_flushed(&enroll(record)).unwrap();
+                boundaries.push(wal.len_bytes() as usize);
+            }
+        }
+        let pristine = std::fs::read(&path).unwrap();
+        // Bit 7 of the length's high byte makes it garbage (past
+        // MAX_RECORD_LEN); of its low byte, a length that is in range but
+        // lands mid-record or past EOF.  Either way the damaged record
+        // gives no boundary to resume from, yet acked records follow it.
+        for record in 0..2 {
+            for byte in [0, 3] {
+                let mut bytes = pristine.clone();
+                bytes[boundaries[record] + byte] ^= 0x80;
+                std::fs::write(&path, &bytes).unwrap();
+                let err = replay_all(&path).expect_err("interior damage must error");
+                assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+                assert!(
+                    err.to_string().contains("mid-file corruption"),
+                    "record {record}, length byte {byte}: got {err}"
+                );
+            }
+        }
+        // The same flips on the *final* record stay a torn tail.
+        for byte in [0, 3] {
+            let mut bytes = pristine.clone();
+            bytes[boundaries[2] + byte] ^= 0x80;
+            std::fs::write(&path, &bytes).unwrap();
+            let replay = replay_all(&path).unwrap();
+            assert_eq!(replay.entries.len(), 2, "length byte {byte}");
+            assert_eq!(replay.torn_bytes, (pristine.len() - boundaries[2]) as u64);
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -792,7 +867,7 @@ mod tests {
         assert_eq!(wal.len_bytes(), WAL_MAGIC.len() as u64);
         wal.append_flushed(&enroll(&b)).unwrap();
         drop(wal);
-        let replay = ShardWal::replay(&path).unwrap();
+        let replay = replay_all(&path).unwrap();
         assert_eq!(replay.entries, vec![WalEntry::Enroll(b)]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -812,14 +887,14 @@ mod tests {
         assert!(wal
             .append_flushed(&WalEntry::Remove("alice".into()))
             .is_err());
-        let replay = ShardWal::replay(&path).unwrap();
+        let replay = replay_all(&path).unwrap();
         assert_eq!(replay.entries, vec![WalEntry::Enroll(a)]);
         // Truncating to the header discards the tear and re-arms the log.
         wal.reset().unwrap();
         assert!(!wal.is_poisoned());
         wal.append_flushed(&enroll(&b)).unwrap();
         drop(wal);
-        let replay = ShardWal::replay(&path).unwrap();
+        let replay = replay_all(&path).unwrap();
         assert_eq!(replay.entries, vec![WalEntry::Enroll(b)]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -854,7 +929,7 @@ mod tests {
         assert_eq!(wal.syncs() - open_syncs, 1);
         // Every staged record replays.
         drop(wal);
-        let replay = ShardWal::replay(&path).unwrap();
+        let replay = replay_all(&path).unwrap();
         assert_eq!(replay.entries.len(), 5);
         assert_eq!(replay.torn_bytes, 0);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -907,9 +982,9 @@ mod tests {
     fn atomic_write_replaces_contents_and_leaves_no_tmp() {
         let dir = temp_dir("atomic");
         let path = dir.join("shard-000.pwd");
-        atomic_write(&path, b"first\n").unwrap();
+        atomic_write(&path, |f| f.write_all(b"first\n")).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"first\n");
-        atomic_write(&path, b"second\n").unwrap();
+        atomic_write(&path, |f| f.write_all(b"second\n")).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"second\n");
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
