@@ -21,6 +21,9 @@
 //!   independent chains side by side, and a convenience
 //!   [`PasswordHasher`] combining salt, personalization and iteration
 //!   count.
+//! * [`hex`] — lower-case hexadecimal encoding/decoding for serialized
+//!   password files.
+//! * [`ct`] — constant-time equality for hash comparison during login.
 //!
 //! # Kernels
 //!
@@ -28,19 +31,21 @@
 //! kernels, chosen once per process by the CPU alone — no option,
 //! environment variable or cargo feature selects it:
 //!
-//! * on x86-64 CPUs with the SHA extensions, a SHA-NI compressor that
-//!   interleaves up to four chains (0.31 ms for one h^3000 chain, ~0.18 ms
-//!   per chain in a batch, on a 2-vCPU Xeon);
+//! * on x86-64 CPUs with the SHA extensions and AVX, one SHA-NI round loop
+//!   that interleaves up to four chains and keeps each chain's state in
+//!   its SHA-NI registers for every round (0.17 ms for one h^3000 chain,
+//!   0.16–0.20 ms per chain in a batch, on a 2-vCPU Xeon).  AVX is needed
+//!   only for the `vzeroupper` that keeps the legacy-SSE `sha256*`
+//!   instructions clear of the ~100× SSE/AVX transition penalty;
 //! * elsewhere, a portable loop over [`LANES`] lanes that LLVM
-//!   auto-vectorizes (1.0–1.5 ms for one chain, ~0.25 ms per chain in a
+//!   auto-vectorizes (1.2–1.3 ms for one chain, ~0.28 ms per chain in a
 //!   full batch, same host, `x86-64-v3` build).
 //!
 //! The one `unsafe` block in the crate is the call into the SHA-NI
 //! kernel's target-feature code, reachable only after the CPUID check
-//! passed; the tests run every path on both kernels where the CPU allows.
-//! * [`hex`] — lower-case hexadecimal encoding/decoding for serialized
-//!   password files.
-//! * [`ct`] — constant-time equality for hash comparison during login.
+//! passed; the tests run every path on both kernels where the CPU allows,
+//! and a release-only test fails if the SHA-NI kernel stops beating the
+//! portable one.
 //!
 //! # Example
 //!

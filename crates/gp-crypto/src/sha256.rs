@@ -18,7 +18,7 @@ pub type Digest = [u8; DIGEST_LEN];
 
 /// SHA-256 round constants: the first 32 bits of the fractional parts of the
 /// cube roots of the first 64 prime numbers (FIPS 180-4 §4.2.2).
-const K: [u32; 64] = [
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -182,109 +182,24 @@ pub(crate) fn compress_lanes<const L: usize>(
     }
 }
 
-/// Proof that this CPU has the SHA extensions: only [`ShaNi::detect`]
-/// makes one, so holding it licenses a call into [`compress_shani`]'s
-/// target features.
+/// Proof that this CPU has the SHA extensions (and AVX, for the
+/// `vzeroupper` that guards them): only [`ShaNi::detect`] makes one, so
+/// holding it licenses a call into the SHA-NI round loop's target features.
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct ShaNi(());
 
 #[cfg(target_arch = "x86_64")]
 impl ShaNi {
-    /// `Some` when the CPU reports every feature [`compress_shani`]
+    /// `Some` when the CPU reports every feature the SHA-NI round loop
     /// enables.  std caches the CPUID probe, so this is a load and a test.
     pub(crate) fn detect() -> Option<Self> {
         let detected = std::arch::is_x86_feature_detected!("sha")
             && std::arch::is_x86_feature_detected!("sse2")
             && std::arch::is_x86_feature_detected!("ssse3")
-            && std::arch::is_x86_feature_detected!("sse4.1");
+            && std::arch::is_x86_feature_detected!("sse4.1")
+            && std::arch::is_x86_feature_detected!("avx");
         detected.then_some(ShaNi(()))
-    }
-}
-
-/// SHA-NI compression: advance `N` independent hash states over one block
-/// each with the x86 SHA extensions, the round loops interleaved across
-/// chains.
-///
-/// One `sha256rnds2` does two rounds, but its result feeds the next one, so
-/// a single chain leaves the SHA unit idle between issues; `N` independent
-/// chains in one loop body fill those slots.  Registers are built with
-/// `_mm_set_epi32` and read back with `_mm_extract_epi32`, so the body is
-/// free of pointer loads and stores.
-///
-/// Reached only through `iterated`'s kernel dispatch, behind a [`ShaNi`]
-/// token.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
-pub(crate) fn compress_shani<const N: usize>(
-    states: &mut [[u32; 8]; N],
-    blocks: [&[u8; BLOCK_LEN]; N],
-) {
-    use core::arch::x86_64::{
-        _mm_add_epi32, _mm_alignr_epi8, _mm_extract_epi32, _mm_set_epi32, _mm_setzero_si128,
-        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
-    };
-    // The SHA-NI state layout: lanes (3, 2, 1, 0) hold (a, b, e, f) and
-    // (c, d, g, h); message registers hold four schedule words, lowest
-    // lane first.
-    let mut abef = [_mm_setzero_si128(); N];
-    let mut cdgh = [_mm_setzero_si128(); N];
-    let mut w = [[_mm_setzero_si128(); 4]; N];
-    for l in 0..N {
-        let s = states[l].map(|v| v as i32);
-        abef[l] = _mm_set_epi32(s[0], s[1], s[4], s[5]);
-        cdgh[l] = _mm_set_epi32(s[2], s[3], s[6], s[7]);
-        let mut m = [0i32; 16];
-        for (word, bytes) in m.iter_mut().zip(blocks[l].chunks_exact(4)) {
-            *word = i32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-        }
-        for q in 0..4 {
-            w[l][q] = _mm_set_epi32(m[4 * q + 3], m[4 * q + 2], m[4 * q + 1], m[4 * q]);
-        }
-    }
-    let (abef_in, cdgh_in) = (abef, cdgh);
-
-    for quad in 0..16 {
-        let k = _mm_set_epi32(
-            K[4 * quad + 3] as i32,
-            K[4 * quad + 2] as i32,
-            K[4 * quad + 1] as i32,
-            K[4 * quad] as i32,
-        );
-        let slot = quad % 4;
-        for l in 0..N {
-            if quad >= 4 {
-                // W[t..t+4] from the previous 16 words: the register being
-                // replaced holds W[t-16..t-12], the next three the later
-                // ones.
-                let w0 = w[l][slot];
-                let w1 = w[l][(slot + 1) % 4];
-                let w2 = w[l][(slot + 2) % 4];
-                let w3 = w[l][(slot + 3) % 4];
-                w[l][slot] = _mm_sha256msg2_epu32(
-                    _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8::<4>(w3, w2)),
-                    w3,
-                );
-            }
-            let wk = _mm_add_epi32(w[l][slot], k);
-            cdgh[l] = _mm_sha256rnds2_epu32(cdgh[l], abef[l], wk);
-            abef[l] = _mm_sha256rnds2_epu32(abef[l], cdgh[l], _mm_shuffle_epi32::<0x0E>(wk));
-        }
-    }
-
-    for l in 0..N {
-        let abef = _mm_add_epi32(abef[l], abef_in[l]);
-        let cdgh = _mm_add_epi32(cdgh[l], cdgh_in[l]);
-        states[l] = [
-            _mm_extract_epi32::<3>(abef) as u32,
-            _mm_extract_epi32::<2>(abef) as u32,
-            _mm_extract_epi32::<3>(cdgh) as u32,
-            _mm_extract_epi32::<2>(cdgh) as u32,
-            _mm_extract_epi32::<1>(abef) as u32,
-            _mm_extract_epi32::<0>(abef) as u32,
-            _mm_extract_epi32::<1>(cdgh) as u32,
-            _mm_extract_epi32::<0>(cdgh) as u32,
-        ];
     }
 }
 
