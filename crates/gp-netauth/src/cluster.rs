@@ -18,19 +18,20 @@
 //!   peers cannot);
 //! * [`Cluster::restart`] — crash-recover the node from its own
 //!   snapshots + WAL tails, re-admit it to every survivor's ring, *catch
-//!   it up* ([`crate::replication::catch_up_from_peers`]) and only then
-//!   start its auth listener (the operator runbook in the README is
-//!   exactly this call, by hand).
+//!   it up* ([`Replicator::catch_up`]) and only then start its auth
+//!   listener (the operator runbook in the README is exactly this call,
+//!   by hand).
 //!
 //! Restart ordering is load-bearing for rejoin completeness: survivors'
 //! rings re-admit the node **before** catch-up starts, so every record
 //! enrolled concurrently either streams live to the joiner or is already
-//! in the snapshot a peer scans — and the auth listener (the only address
-//! clients route to) starts **after** catch-up, so the node takes no
-//! traffic for ranges it does not yet hold.  Each node also runs a
-//! background anti-entropy thread ([`crate::replication::spawn_anti_entropy`])
-//! that digest-compares its primary ranges against their backups and
-//! repairs divergence.
+//! in the range listing a peer sends — and the auth listener (the only
+//! address clients route to) starts **after** catch-up, so the node takes
+//! no traffic for ranges it does not yet hold.  Catch-up is a two-way
+//! anti-entropy round, so it moves only what the node's own WAL missed.
+//! Each node also runs a background anti-entropy thread
+//! ([`crate::replication::spawn_anti_entropy`]) that digest-compares its
+//! primary ranges against their backups and repairs divergence.
 //!
 //! [`ClusterClient`] mirrors the placement logic with its own
 //! [`HashRing`] (deterministic placement needs no coordination): each
@@ -45,9 +46,8 @@ use crate::client::AuthClient;
 use crate::error::NetAuthError;
 use crate::protocol::LoginDecision;
 use crate::replication::{
-    catch_up_from_peers, spawn_anti_entropy, spawn_replication_listener, AntiEntropyHandle,
-    AntiEntropyRound, CatchupOptions, CatchupReport, ReplicationHandle, ReplicationSink,
-    Replicator, ReplicatorConfig,
+    spawn_anti_entropy, spawn_replication_listener, AntiEntropyHandle, AntiEntropyRound,
+    ReplicationHandle, ReplicationSink, Replicator, ReplicatorConfig,
 };
 use crate::server::{AuthServer, DurabilityConfig, ServerConfig, ServerHandle};
 use gp_geometry::Point;
@@ -152,7 +152,7 @@ impl Cluster {
                 auth.addr(),
                 repl.addr()
             ));
-            let anti_entropy = cluster.spawn_node_anti_entropy(&replicator, &store);
+            let anti_entropy = cluster.spawn_node_anti_entropy(&replicator, &store)?;
             cluster.slots[i].running = Some(RunningNode {
                 auth,
                 repl: Some(repl),
@@ -169,16 +169,12 @@ impl Cluster {
         &self,
         replicator: &Arc<Replicator>,
         store: &Arc<ShardedPasswordStore>,
-    ) -> Option<AntiEntropyHandle> {
+    ) -> Result<Option<AntiEntropyHandle>, NetAuthError> {
         let interval = self.repl_config.anti_entropy_interval;
         if interval.is_zero() {
-            return None;
+            return Ok(None);
         }
-        Some(spawn_anti_entropy(
-            Arc::clone(replicator),
-            Arc::clone(store),
-            interval,
-        ))
+        spawn_anti_entropy(Arc::clone(replicator), Arc::clone(store), interval).map(Some)
     }
 
     fn open_node(&self, data_dir: &Path) -> Result<AuthServer, NetAuthError> {
@@ -272,19 +268,7 @@ impl Cluster {
     /// a fresh replication listener, re-admit the node to every
     /// survivor's ring, catch it up from its peers, and only then start
     /// the auth listener.  This is the operator runbook, as a method.
-    pub fn restart(&mut self, i: usize) -> Result<CatchupReport, NetAuthError> {
-        self.restart_with_catchup(i, CatchupOptions::default())
-    }
-
-    /// [`Cluster::restart`] with explicit [`CatchupOptions`] — the fault
-    /// harness sets [`CatchupOptions::abort_after_records`] to interrupt
-    /// the state transfer mid-stream and observe the gated, partially
-    /// caught-up node.
-    pub fn restart_with_catchup(
-        &mut self,
-        i: usize,
-        options: CatchupOptions,
-    ) -> Result<CatchupReport, NetAuthError> {
+    pub fn restart(&mut self, i: usize) -> Result<AntiEntropyRound, NetAuthError> {
         assert!(
             self.slots[i].running.is_none(),
             "restart targets a dead node"
@@ -307,14 +291,14 @@ impl Cluster {
                 Some((slot.node_id.clone(), addr))
             })
             .collect();
-        let replicator = Arc::new(Replicator::new(&node_id, peers.clone(), self.repl_config));
+        let replicator = Arc::new(Replicator::new(&node_id, peers, self.repl_config));
 
         // Re-admit the node to every survivor's ring *before* catch-up:
         // from this instant new writes for its ranges stream to it live,
         // so per peer everything is either in the live stream or in the
-        // snapshot that peer scans next (overlap is harmless — applying
-        // is idempotent).  Clients cannot route here yet: the auth
-        // listener — the traffic gate — is still down.
+        // range listing that peer sends next (overlap is harmless —
+        // applying is idempotent).  Clients cannot route here yet: the
+        // auth listener — the traffic gate — is still down.
         let new_repl_addr = repl.addr();
         for slot in &self.slots {
             if let Some(running) = slot.running.as_ref() {
@@ -322,28 +306,10 @@ impl Cluster {
             }
         }
 
-        self.log_event(&format!("catchup-begin {node_id}"));
-        let members: Vec<String> = self
-            .slots
-            .iter()
-            .filter(|slot| slot.node_id == node_id || slot.running.is_some())
-            .map(|slot| slot.node_id.clone())
-            .collect();
-        let report = catch_up_from_peers(&node_id, &members, &peers, &store, &options);
-        if report.completed() {
-            self.log_event(&format!(
-                "admitted-after-catchup {node_id} records={}",
-                report.records_applied()
-            ));
-        } else {
-            // Availability over completeness: the node serves anyway (its
-            // own recovered WAL plus whatever streamed), anti-entropy and
-            // a manual [`Cluster::catch_up`] close the gap.
-            self.log_event(&format!(
-                "catchup-incomplete {node_id} records={}",
-                report.records_applied()
-            ));
-        }
+        // Availability over completeness: an incomplete catch-up still
+        // admits the node (its own recovered WAL plus whatever moved);
+        // anti-entropy and a manual [`Cluster::catch_up`] close the gap.
+        let report = self.logged_catch_up(&node_id, &replicator, &store);
 
         // Traffic gate: only now does the node take client traffic.
         let sink: Arc<dyn ReplicationSink> = Arc::clone(&replicator) as _;
@@ -353,7 +319,7 @@ impl Cluster {
             auth.addr(),
             repl.addr()
         ));
-        let anti_entropy = self.spawn_node_anti_entropy(&replicator, &store);
+        let anti_entropy = self.spawn_node_anti_entropy(&replicator, &store)?;
         self.slots[i].running = Some(RunningNode {
             auth,
             repl: Some(repl),
@@ -364,44 +330,32 @@ impl Cluster {
     }
 
     /// Re-run catch-up on a *live* node (e.g. after a restart whose
-    /// transfer was interrupted): stream every record the node backs from
-    /// its live peers and apply idempotently.
-    pub fn catch_up(&self, i: usize, options: CatchupOptions) -> CatchupReport {
-        let node_id = self.slots[i].node_id.clone();
-        let store = {
-            let running = self.slots[i]
-                .running
-                .as_ref()
-                // gp-lint: allow(L4, fault-harness precondition; callers restart the node first)
-                .expect("catch_up targets a live node");
-            running.auth.server().store()
-        };
-        let peers: BTreeMap<String, SocketAddr> = self
-            .slots
-            .iter()
-            .filter(|slot| slot.node_id != node_id)
-            .filter_map(|slot| {
-                let running = slot.running.as_ref()?;
-                let addr = running.repl.as_ref()?.addr();
-                Some((slot.node_id.clone(), addr))
-            })
-            .collect();
-        let members: Vec<String> = self
-            .slots
-            .iter()
-            .filter(|slot| slot.node_id == node_id || slot.running.is_some())
-            .map(|slot| slot.node_id.clone())
-            .collect();
+    /// catch-up left failed peers).  `None` on a dead node.
+    pub fn catch_up(&self, i: usize) -> Option<AntiEntropyRound> {
+        let running = self.slots[i].running.as_ref()?;
+        let store = running.auth.server().store();
+        Some(self.logged_catch_up(&self.slots[i].node_id, &running.replicator, &store))
+    }
+
+    /// [`Replicator::catch_up`], bracketed by `catchup-begin` and
+    /// `admitted-after-catchup` / `catchup-incomplete` log events.
+    fn logged_catch_up(
+        &self,
+        node_id: &str,
+        replicator: &Replicator,
+        store: &ShardedPasswordStore,
+    ) -> AntiEntropyRound {
         self.log_event(&format!("catchup-begin {node_id}"));
-        let report = catch_up_from_peers(&node_id, &members, &peers, &store, &options);
+        let report = replicator.catch_up(store);
         self.log_event(&format!(
-            "{} {node_id} records={}",
-            if report.completed() {
+            "{} {node_id} pulled={} pushed={}",
+            if report.failed_peers.is_empty() {
                 "admitted-after-catchup"
             } else {
                 "catchup-incomplete"
             },
-            report.records_applied()
+            report.records_pulled,
+            report.records_pushed
         ));
         report
     }

@@ -48,12 +48,13 @@
 //!   request/response on the sending thread: a group is pipelined and
 //!   its acks read back on the same socket.  Failure handling is
 //!   crash-only: a peer whose stream dies twice is evicted from the ring
-//!   and replicas re-route to the next successor.  Two
-//!   back-fill paths keep replicas complete: **catch-up**
-//!   ([`replication::catch_up_from_peers`]) streams a (re)joining node a
-//!   snapshot of every record it backs, and **anti-entropy**
-//!   ([`replication::spawn_anti_entropy`]) periodically digest-compares
-//!   each primary→backup range and repairs divergence record-by-record.
+//!   and replicas re-route to the next successor.  One back-fill path
+//!   keeps replicas complete: a digest-exchange round that compares
+//!   primary→backup ranges and repairs divergence record-by-record.
+//!   **Anti-entropy** ([`replication::spawn_anti_entropy`]) runs it
+//!   periodically over the ranges a node is primary for, and
+//!   **catch-up** ([`replication::Replicator::catch_up`]) runs it once
+//!   over every range a (re)joining node holds.
 //! * [`cluster`] — a loopback [`cluster::Cluster`] of replicated nodes
 //!   with crash-only fault hooks (kill / sever / restart) and the
 //!   ring-routing [`cluster::ClusterClient`], whose transport-failure
@@ -114,9 +115,8 @@ pub use gp_passwords::FsyncPolicy;
 pub use lockout::LockoutTracker;
 pub use protocol::{ClientMessage, LoginDecision, ServerMessage};
 pub use replication::{
-    catch_up_from_peers, spawn_anti_entropy, AntiEntropyHandle, AntiEntropyRound, CatchupOptions,
-    CatchupReport, PeerCatchup, ReplicaMessage, ReplicationHandle, ReplicationSink,
-    ReplicationStats, Replicator, ReplicatorConfig,
+    spawn_anti_entropy, AntiEntropyHandle, AntiEntropyRound, ReplicaMessage, ReplicationHandle,
+    ReplicationSink, ReplicationStats, Replicator, ReplicatorConfig,
 };
 pub use server::{
     AuthServer, DurabilityConfig, ServerConfig, ServerHandle, ServerStats, ServingMode,

@@ -21,13 +21,12 @@
 //! HelloOk        { node_id }                  listener's reply
 //! Record         { seq, payload }             one WAL entry, payload = WalEntry::to_payload
 //! Ack            { seq }                      the record is durable on the replica
-//! CatchupRequest { node_id, members }         stream me every record I back under `members`
-//! CatchupDone    { count }                    end of a Record stream (catch-up or pull)
+//! CatchupDone    { count }                    end of a pull's Record stream
 //! DigestRequest  { primary, backup, members } anti-entropy: digest your (primary→backup) range
 //! DigestReply    { count, sum, xor }          the flat per-range digest
 //! RangeRequest   { primary, backup, members } divergence found: list the range's records
 //! RangeReply     { done, entries }            (username, record hash) pairs, chunked
-//! PullRequest    { usernames }                stream me these records (repair / rejoin pull)
+//! PullRequest    { usernames }                stream me these records (repair pull)
 //! ```
 //!
 //! Every outbound connection is one request/response `PeerConn` driven
@@ -45,26 +44,29 @@
 //!
 //! # Catch-up and anti-entropy
 //!
-//! Live streaming only covers *new* records, so two back-fill paths keep
-//! replicas complete (see the README's replication section):
+//! Live streaming only covers *new* records, so one back-fill path keeps
+//! replicas complete (see the README's replication section): a
+//! digest-exchange round over `(primary → backup)` ranges.  Placement is
+//! a pure function of membership, so each request carries the member
+//! list and the serving peer reconstructs the same [`HashRing`].  Per
+//! range the sides compare flat digests ([`gp_passwords::RangeDigest`]
+//! over the keys whose replica pair is `(primary, backup)`); on
+//! divergence they exchange sorted `(username, record-hash)` lists and
+//! repair record-by-record, primary wins: records flow primary → backup
+//! where the backup lacks them or holds other bytes, and backup →
+//! primary where only the backup holds them.  Applying reuses
+//! [`ShardedPasswordStore::apply_replicated`] (WAL-first
+//! insert-or-replace), so an interrupted repair replays idempotently.
 //!
-//! * **Catch-up** ([`catch_up_from_peers`]) — a (re)joining node asks
-//!   every live peer for a shard-consistent snapshot of the records it
-//!   now backs.  Placement is a pure function of membership, so the
-//!   request carries the member list and the serving peer reconstructs
-//!   the same [`HashRing`] to filter its records.  Applying reuses
-//!   [`ShardedPasswordStore::apply_replicated`] (WAL-first
-//!   insert-or-replace), so an interrupted transfer replays idempotently
-//!   on retry.
 //! * **Anti-entropy** ([`Replicator::anti_entropy_round`], run
-//!   periodically by [`spawn_anti_entropy`]) — for each live backup, the
-//!   primary compares flat per-range digests
-//!   ([`gp_passwords::RangeDigest`] over the keys whose replica pair is
-//!   `(primary, backup)`); on divergence the sides exchange sorted
-//!   `(username, record-hash)` lists and repair record-by-record: the
-//!   primary pushes records the backup lacks and pulls records written
-//!   while it was away.  Repair counters surface in
-//!   [`ReplicationStats`].
+//!   periodically by [`spawn_anti_entropy`]) checks the `(self → peer)`
+//!   range with every live peer.
+//! * **Catch-up** ([`Replicator::catch_up`]) is the same round run by a
+//!   (re)joining node over both the `(self → peer)` and the
+//!   `(peer → self)` ranges, so it moves only the records its own WAL
+//!   did not recover.
+//!
+//! Repair counters surface in [`ReplicationStats`].
 
 use crate::error::NetAuthError;
 use crate::framing::{FrameReader, FrameWriter};
@@ -87,7 +89,6 @@ const TAG_HELLO: u8 = 0x41;
 const TAG_HELLO_OK: u8 = 0x42;
 const TAG_RECORD: u8 = 0x43;
 const TAG_ACK: u8 = 0x44;
-const TAG_CATCHUP_REQUEST: u8 = 0x45;
 const TAG_CATCHUP_DONE: u8 = 0x46;
 const TAG_DIGEST_REQUEST: u8 = 0x47;
 const TAG_DIGEST_REPLY: u8 = 0x48;
@@ -131,17 +132,8 @@ pub enum ReplicaMessage {
         /// Sequence number being acknowledged.
         seq: u64,
     },
-    /// A (re)joining node asks the listener to stream every record the
-    /// requester backs under the given membership (placement is a pure
-    /// function of the member set, so both sides compute the same ranges).
-    CatchupRequest {
-        /// The joining node (the one that will hold the streamed records).
-        node_id: String,
-        /// Full cluster membership the ranges are computed under.
-        members: Vec<String>,
-    },
-    /// Terminates a `Record` stream started by a `CatchupRequest` or a
-    /// `PullRequest`: exactly `count` records were sent.
+    /// Terminates the `Record` stream that answers a `PullRequest`:
+    /// exactly `count` records were sent.
     CatchupDone {
         /// Records streamed before this marker.
         count: u64,
@@ -286,11 +278,6 @@ impl ReplicaMessage {
                 buf.put_u8(TAG_ACK);
                 buf.put_u64(*seq);
             }
-            ReplicaMessage::CatchupRequest { node_id, members } => {
-                buf.put_u8(TAG_CATCHUP_REQUEST);
-                put_node_id(&mut buf, node_id);
-                put_str_list(&mut buf, members);
-            }
             ReplicaMessage::CatchupDone { count } => {
                 buf.put_u8(TAG_CATCHUP_DONE);
                 buf.put_u64(*count);
@@ -365,10 +352,6 @@ impl ReplicaMessage {
                 }
                 ReplicaMessage::Ack { seq: buf.get_u64() }
             }
-            TAG_CATCHUP_REQUEST => ReplicaMessage::CatchupRequest {
-                node_id: get_node_id(&mut buf)?,
-                members: get_str_list(&mut buf)?,
-            },
             TAG_CATCHUP_DONE => {
                 if buf.remaining() < 8 {
                     return Err(malformed("truncated catch-up done"));
@@ -475,8 +458,8 @@ impl ReplicationHandle {
         self.applied.load(Ordering::Relaxed)
     }
 
-    /// Number of records streamed *out* to catching-up or repairing peers
-    /// (catch-up and pull requests).
+    /// Number of records streamed *out* to repairing or catching-up peers
+    /// (answers to pull requests).
     pub fn served(&self) -> u64 {
         self.served.load(Ordering::Relaxed)
     }
@@ -589,7 +572,7 @@ fn pair_range<'a>(
 }
 
 /// One inbound replication connection: handshake, then apply-and-ack
-/// records (and serve catch-up / anti-entropy requests) until the peer
+/// records (and serve digest, range and pull requests) until the peer
 /// hangs up, breaks the protocol, or shutdown is requested.
 fn serve_replica_conn(
     stream: TcpStream,
@@ -601,7 +584,7 @@ fn serve_replica_conn(
 ) -> Result<(), NetAuthError> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(SHUTDOWN_POLL))?;
-    // A peer that stops reading a record stream must not pin this thread
+    // A peer that stops reading a reply stream must not pin this thread
     // (and with it `ReplicationHandle::shutdown`) in a blocked write.
     stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
     let mut reader = FrameReader::new(BufReader::new(stream.try_clone()?));
@@ -638,16 +621,6 @@ fn serve_replica_conn(
                 applied.fetch_add(1, Ordering::Relaxed);
                 writer.write_frame(&ReplicaMessage::Ack { seq }.encode())?;
             }
-            ReplicaMessage::CatchupRequest {
-                node_id: joiner,
-                members,
-            } if greeted => {
-                // A shard-consistent snapshot of every record the joiner
-                // backs under the requested membership.
-                let ring = HashRing::with_nodes(&members);
-                let records = store.records_in_range(|key| ring.holds(key, &joiner));
-                stream_records(&mut writer, records, shutdown, served)?;
-            }
             ReplicaMessage::DigestRequest {
                 primary,
                 backup,
@@ -670,6 +643,9 @@ fn serve_replica_conn(
                 let ring = HashRing::with_nodes(&members);
                 let entries = store.range_entries(pair_range(&ring, &primary, &backup));
                 for chunk in entries.chunks(SYNC_CHUNK) {
+                    if shutdown.load(Ordering::SeqCst) {
+                        return Ok(());
+                    }
                     let reply = ReplicaMessage::RangeReply {
                         done: false,
                         entries: chunk.to_vec(),
@@ -697,8 +673,8 @@ fn serve_replica_conn(
     Ok(())
 }
 
-/// Answer a `CatchupRequest` or `PullRequest`: one `Record` frame per
-/// record, then a `CatchupDone` carrying their count.  A shutdown
+/// Answer a `PullRequest`: one `Record` frame per record, then a
+/// `CatchupDone` carrying their count.  A shutdown
 /// mid-stream (the fault harness killing this node) stops with the stream
 /// half-sent and no `CatchupDone` — the requester's idempotent replay
 /// makes its retry safe.
@@ -757,7 +733,7 @@ impl Default for ReplicatorConfig {
 
 /// One outbound request/response connection to a peer's replication
 /// listener, driven entirely by the calling thread: the live record
-/// stream, anti-entropy and catch-up all use it.
+/// stream and the repair rounds (anti-entropy and catch-up) both use it.
 #[derive(Debug)]
 struct PeerConn {
     reader: FrameReader<BufReader<TcpStream>>,
@@ -847,33 +823,22 @@ impl PeerConn {
         Ok(())
     }
 
-    /// Apply a `Record` stream (the answer to a `CatchupRequest` or a
-    /// `PullRequest`) durably, up to its `CatchupDone`, whose count must
-    /// match.  Returns the records applied and whether the stream
-    /// completed; `abort_after` stops early (the catch-up fault hook).
-    fn receive_records(
-        &mut self,
-        store: &ShardedPasswordStore,
-        abort_after: Option<u64>,
-    ) -> Result<(u64, bool), NetAuthError> {
+    /// Apply a `Record` stream (the answer to a `PullRequest`) durably,
+    /// up to its `CatchupDone`, whose count must match.  Returns the
+    /// records applied.
+    fn receive_records(&mut self, store: &ShardedPasswordStore) -> Result<u64, NetAuthError> {
         let mut applied = 0u64;
         loop {
             match self.recv()? {
                 ReplicaMessage::Record { payload, .. } => {
                     let entry = WalEntry::from_payload(&payload)
                         .map_err(|_| malformed("bad streamed record payload"))?;
-                    // Durable, idempotent apply: a crash (or the abort
-                    // hook) right after leaves a prefix that replays
-                    // harmlessly.
+                    // Durable, idempotent apply: a crash right after
+                    // leaves a prefix that replays harmlessly.
                     store.apply_replicated(&entry)?;
                     applied += 1;
-                    if abort_after.is_some_and(|cap| applied >= cap) {
-                        return Ok((applied, false));
-                    }
                 }
-                ReplicaMessage::CatchupDone { count } if count == applied => {
-                    return Ok((applied, true))
-                }
+                ReplicaMessage::CatchupDone { count } if count == applied => return Ok(applied),
                 ReplicaMessage::CatchupDone { .. } => {
                     return Err(malformed("record stream count mismatch"))
                 }
@@ -908,15 +873,15 @@ struct SyncCounters {
 pub struct ReplicationStats {
     /// Records streamed to backups on the live (write-path) stream.
     pub records_replicated: u64,
-    /// Completed anti-entropy rounds.
+    /// Completed anti-entropy rounds, catch-up rounds included.
     pub anti_entropy_rounds: u64,
     /// Primary→backup ranges digest-checked across all rounds.
     pub ranges_checked: u64,
     /// Ranges whose digests disagreed (divergence detected).
     pub ranges_divergent: u64,
-    /// Records pushed to backups during repair.
+    /// Records this node sent to peers during repair.
     pub records_pushed: u64,
-    /// Records pulled from backups during repair.
+    /// Records this node received from peers during repair.
     pub records_pulled: u64,
     /// Anti-entropy exchanges that failed on transport errors (the peer
     /// is skipped for the round, never evicted).
@@ -1057,6 +1022,30 @@ impl Replicator {
     /// round — never evicted: anti-entropy is a background repair, and
     /// eviction is the write path's crash-only detector.
     pub fn anti_entropy_round(&self, store: &ShardedPasswordStore) -> AntiEntropyRound {
+        self.sync_round(store, false)
+    }
+
+    /// Catch a (re)joining node up: an anti-entropy round over both the
+    /// `(self → peer)` and the `(peer → self)` range of every live peer in
+    /// this node's ring, so only the records its own WAL did not recover
+    /// move.  A range exchange that fails is retried once on a fresh
+    /// connection, and a peer that fails twice is skipped for the round;
+    /// an empty [`AntiEntropyRound::failed_peers`] means every range this
+    /// node holds was compared and repaired.  The caller
+    /// decides whether to admit the node anyway (availability) or keep
+    /// its traffic gate closed.
+    ///
+    /// Completeness: for a key in a `(self, X)` or `(X, self)` pair, `X`
+    /// was the key's primary while this node was down, so `X`'s listing
+    /// holds it; records written after the listing stream here live, as
+    /// long as the survivors re-admitted this node first.
+    pub fn catch_up(&self, store: &ShardedPasswordStore) -> AntiEntropyRound {
+        self.sync_round(store, true)
+    }
+
+    /// The round behind [`Replicator::anti_entropy_round`] (`two_way`
+    /// false) and [`Replicator::catch_up`] (`two_way` true).
+    fn sync_round(&self, store: &ShardedPasswordStore, two_way: bool) -> AntiEntropyRound {
         let (ring, members): (HashRing, Vec<String>) = {
             let ring = self.ring.lock();
             let members = ring.nodes().map(String::from).collect();
@@ -1067,17 +1056,30 @@ impl Replicator {
             if *peer_id == self.node_id || !self.peers.contains_key(peer_id) {
                 continue;
             }
-            round.ranges_checked += 1;
-            match self.sync_range_with(peer_id, &ring, &members, store) {
-                Ok(None) => {}
-                Ok(Some((pushed, pulled))) => {
-                    round.ranges_divergent += 1;
-                    round.records_pushed += pushed;
-                    round.records_pulled += pulled;
+            let mut ranges = vec![(self.node_id.as_str(), peer_id.as_str())];
+            if two_way {
+                ranges.push((peer_id.as_str(), self.node_id.as_str()));
+            }
+            for (primary, backup) in ranges {
+                round.ranges_checked += 1;
+                let mut outcome = self.sync_range_with(primary, backup, &ring, &members, store);
+                if outcome.is_err() && two_way {
+                    // Catch-up retries once on a fresh connection.
+                    outcome = self.sync_range_with(primary, backup, &ring, &members, store);
                 }
-                Err(_) => {
-                    round.failed_peers.push(peer_id.clone());
-                    self.counters.sync_failures.fetch_add(1, Ordering::Relaxed);
+                match outcome {
+                    Ok(None) => {}
+                    Ok(Some((pushed, pulled))) => {
+                        round.ranges_divergent += 1;
+                        round.records_pushed += pushed;
+                        round.records_pulled += pulled;
+                    }
+                    Err(_) => {
+                        // The peer's other range would fail the same way.
+                        round.failed_peers.push(peer_id.clone());
+                        self.counters.sync_failures.fetch_add(1, Ordering::Relaxed);
+                        break;
+                    }
                 }
             }
         }
@@ -1099,23 +1101,29 @@ impl Replicator {
         round
     }
 
-    /// Digest-compare the `(self → backup)` range with `backup` and repair
-    /// a mismatch.  Returns `None` when the digests already agree, or the
-    /// `(pushed, pulled)` record counts of the repair.
+    /// Digest-compare the `(primary → backup)` range with whichever of the
+    /// two is not this node, and repair a mismatch primary-wins: records
+    /// flow primary → backup where the backup lacks them or holds other
+    /// bytes, backup → primary where only the backup holds them.  Returns
+    /// `None` when the digests already agree, or the `(pushed, pulled)`
+    /// record counts this node sent and received.
     fn sync_range_with(
         &self,
+        primary: &str,
         backup: &str,
         ring: &HashRing,
         members: &[String],
         store: &ShardedPasswordStore,
     ) -> Result<Option<(u64, u64)>, NetAuthError> {
-        let range = pair_range(ring, &self.node_id, backup);
+        let self_is_primary = primary == self.node_id;
+        let peer = if self_is_primary { backup } else { primary };
+        let range = pair_range(ring, primary, backup);
         let local = store.range_digest(&range);
         // A connection of its own: a repair exchange must not hold up the
         // live stream's peer lock.
-        let mut conn = self.connect(&self.peers[backup])?;
+        let mut conn = self.connect(&self.peers[peer])?;
         conn.send(&ReplicaMessage::DigestRequest {
-            primary: self.node_id.clone(),
+            primary: primary.to_string(),
             backup: backup.to_string(),
             members: members.to_vec(),
         })?;
@@ -1127,9 +1135,9 @@ impl Replicator {
             return Ok(None);
         }
 
-        // Divergence: fetch the backup's record-level listing and diff.
+        // Divergence: fetch the peer's record-level listing and diff.
         conn.send(&ReplicaMessage::RangeRequest {
-            primary: self.node_id.clone(),
+            primary: primary.to_string(),
             backup: backup.to_string(),
             members: members.to_vec(),
         })?;
@@ -1145,182 +1153,53 @@ impl Replicator {
                 _ => return Err(malformed("expected range reply")),
             }
         }
-        let diff = diff_range_entries(&store.range_entries(&range), &remote_entries);
+        let local_entries = store.range_entries(&range);
+        let (send, fetch) = if self_is_primary {
+            let diff = diff_range_entries(&local_entries, &remote_entries);
+            (diff.push, diff.pull)
+        } else {
+            let diff = diff_range_entries(&remote_entries, &local_entries);
+            (diff.pull, diff.push)
+        };
 
-        // Push this side's copies the way the live stream sends a group.
-        let payloads: Vec<Vec<u8>> = diff
-            .push
+        // Send this side's copies the way the live stream sends a group.
+        let payloads: Vec<Vec<u8>> = send
             .iter()
             .filter_map(|name| store.get(name))
             .map(|record| WalEntry::Update(record).to_payload())
             .collect();
         conn.send_group(&payloads)?;
 
-        // Pull records written while this node was away.
+        // Fetch the peer's copies.
         let mut pulled = 0u64;
-        for chunk in diff.pull.chunks(SYNC_CHUNK) {
+        for chunk in fetch.chunks(SYNC_CHUNK) {
             conn.send(&ReplicaMessage::PullRequest {
                 usernames: chunk.to_vec(),
             })?;
-            pulled += conn.receive_records(store, None)?.0;
+            pulled += conn.receive_records(store)?;
         }
         Ok(Some((payloads.len() as u64, pulled)))
     }
 }
 
 // ---------------------------------------------------------------------------
-// Catch-up (joiner side)
-// ---------------------------------------------------------------------------
-
-/// Tuning (and fault hooks) for [`catch_up_from_peers`].
-#[derive(Debug, Clone, Copy)]
-pub struct CatchupOptions {
-    /// Per-peer TCP connect timeout.
-    pub connect_timeout: Duration,
-    /// How long to wait for each streamed frame before giving up on the
-    /// peer.
-    pub io_timeout: Duration,
-    /// Fault-injection hook: abort the whole catch-up (dropping the
-    /// connection, no retry) after applying this many records, simulating
-    /// the joiner crashing mid-transfer.  `None` in production.
-    pub abort_after_records: Option<u64>,
-}
-
-impl Default for CatchupOptions {
-    fn default() -> Self {
-        Self {
-            connect_timeout: Duration::from_secs(1),
-            io_timeout: Duration::from_secs(5),
-            abort_after_records: None,
-        }
-    }
-}
-
-/// Outcome of catching up from one peer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PeerCatchup {
-    /// The serving peer.
-    pub node_id: String,
-    /// Records applied from this peer's stream (counts partial streams).
-    pub records: u64,
-    /// Whether the peer's `CatchupDone` arrived and matched — only then
-    /// is the range this peer covers considered caught-up.
-    pub completed: bool,
-}
-
-/// Outcome of a full catch-up pass ([`catch_up_from_peers`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CatchupReport {
-    /// Per-peer outcomes, in peer order.
-    pub peers: Vec<PeerCatchup>,
-}
-
-impl CatchupReport {
-    /// Whether every peer's stream completed — the joiner's backed ranges
-    /// are provably complete up to the snapshot points.
-    pub fn completed(&self) -> bool {
-        self.peers.iter().all(|p| p.completed)
-    }
-
-    /// Total records applied across all peers (including partial streams).
-    pub fn records_applied(&self) -> u64 {
-        self.peers.iter().map(|p| p.records).sum()
-    }
-}
-
-/// One catch-up attempt against one peer: request the stream, apply every
-/// record durably, verify the final count.
-fn catch_up_from_peer(
-    node_id: &str,
-    members: &[String],
-    peer_id: &str,
-    addr: SocketAddr,
-    store: &ShardedPasswordStore,
-    options: &CatchupOptions,
-) -> Result<PeerCatchup, NetAuthError> {
-    let mut conn = PeerConn::open(node_id, addr, options.connect_timeout, options.io_timeout)?;
-    conn.send(&ReplicaMessage::CatchupRequest {
-        node_id: node_id.to_string(),
-        members: members.to_vec(),
-    })?;
-    let (records, completed) = conn.receive_records(store, options.abort_after_records)?;
-    Ok(PeerCatchup {
-        node_id: peer_id.to_string(),
-        records,
-        completed,
-    })
-}
-
-/// Catch a (re)joining node up from its live peers.
-///
-/// For every peer in `peers`, request a snapshot stream of the records
-/// `node_id` backs under `members` and apply each durably via
-/// [`ShardedPasswordStore::apply_replicated`].  Streams overlap (several
-/// peers hold copies of the same range) and redelivery is insert-or-
-/// replace, so double-applies are harmless.  A peer that fails is retried
-/// once on a fresh connection; a second failure marks that peer's
-/// [`PeerCatchup::completed`] `false` — the caller decides whether to
-/// admit anyway (availability) or keep the traffic gate closed.
-///
-/// When [`CatchupOptions::abort_after_records`] is set the abort is
-/// honored on the first attempt with no retry, so the fault harness can
-/// observe the interrupted state deterministically.
-pub fn catch_up_from_peers(
-    node_id: &str,
-    members: &[String],
-    peers: &BTreeMap<String, SocketAddr>,
-    store: &ShardedPasswordStore,
-    options: &CatchupOptions,
-) -> CatchupReport {
-    let mut report = CatchupReport::default();
-    for (peer_id, addr) in peers {
-        if peer_id == node_id {
-            continue;
-        }
-        let attempts = if options.abort_after_records.is_some() {
-            1
-        } else {
-            2
-        };
-        let mut outcome = PeerCatchup {
-            node_id: peer_id.clone(),
-            records: 0,
-            completed: false,
-        };
-        for _ in 0..attempts {
-            match catch_up_from_peer(node_id, members, peer_id, *addr, store, options) {
-                Ok(peer_outcome) => {
-                    outcome.records += peer_outcome.records;
-                    outcome.completed = peer_outcome.completed;
-                    break;
-                }
-                Err(_) => {
-                    // Partial stream already applied durably; the retry
-                    // replays it idempotently from the top.
-                }
-            }
-        }
-        report.peers.push(outcome);
-    }
-    report
-}
-
-// ---------------------------------------------------------------------------
 // Anti-entropy (background repair)
 // ---------------------------------------------------------------------------
 
-/// Outcome of one [`Replicator::anti_entropy_round`].
+/// Outcome of one [`Replicator::anti_entropy_round`] or
+/// [`Replicator::catch_up`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AntiEntropyRound {
     /// Primary→backup ranges digest-checked this round.
     pub ranges_checked: u64,
     /// Ranges whose digests disagreed.
     pub ranges_divergent: u64,
-    /// Records pushed to backups during repair.
+    /// Records this node sent to peers during repair.
     pub records_pushed: u64,
-    /// Records pulled from backups during repair.
+    /// Records this node received from peers during repair.
     pub records_pulled: u64,
-    /// Peers skipped on transport errors (not evicted).
+    /// Peers whose exchange failed on a transport error (not evicted).
+    /// Empty means every range the round covers was compared.
     pub failed_peers: Vec<String>,
 }
 
@@ -1354,26 +1233,26 @@ pub fn spawn_anti_entropy(
     replicator: Arc<Replicator>,
     store: Arc<ShardedPasswordStore>,
     interval: Duration,
-) -> AntiEntropyHandle {
+) -> Result<AntiEntropyHandle, NetAuthError> {
     let shutdown = Arc::new(AtomicBool::new(false));
     let join = {
         let shutdown = Arc::clone(&shutdown);
         let name = format!("anti-entropy-{}", replicator.node_id());
-        std::thread::Builder::new()
-            .name(name)
-            .spawn(move || {
-                let mut next = Instant::now() + interval;
-                while !shutdown.load(Ordering::SeqCst) {
-                    if Instant::now() >= next {
-                        let _ = replicator.anti_entropy_round(&store);
-                        next = Instant::now() + interval;
-                    }
-                    std::thread::sleep(SHUTDOWN_POLL.min(interval));
+        std::thread::Builder::new().name(name).spawn(move || {
+            let mut next = Instant::now() + interval;
+            while !shutdown.load(Ordering::SeqCst) {
+                if Instant::now() >= next {
+                    let _ = replicator.anti_entropy_round(&store);
+                    next = Instant::now() + interval;
                 }
-            })
-            .ok()
+                std::thread::sleep(SHUTDOWN_POLL.min(interval));
+            }
+        })?
     };
-    AntiEntropyHandle { shutdown, join }
+    Ok(AntiEntropyHandle {
+        shutdown,
+        join: Some(join),
+    })
 }
 
 impl ReplicationSink for Replicator {
@@ -1471,10 +1350,6 @@ mod tests {
                 payload: vec![],
             },
             ReplicaMessage::Ack { seq: 7 },
-            ReplicaMessage::CatchupRequest {
-                node_id: "node-2".into(),
-                members: vec!["node-0".into(), "node-1".into(), "node-2".into()],
-            },
             ReplicaMessage::CatchupDone { count: 99 },
             ReplicaMessage::DigestRequest {
                 primary: "node-0".into(),
@@ -1648,35 +1523,36 @@ mod tests {
         listener.shutdown();
     }
 
-    /// Catch-up streams exactly the records the joiner backs under the
-    /// requested membership, and completes with a verified count.
+    /// A peer store holding `user0..user{n}`, and the two-member ring
+    /// `{node-a, node-b}` under which node-b holds every key.
+    fn peer_store(sys: &GraphicalPasswordSystem, n: u32) -> Arc<ShardedPasswordStore> {
+        let store = Arc::new(ShardedPasswordStore::new(2));
+        for i in 0..n {
+            let record = sys.enroll(&format!("user{i}"), &clicks(i)).unwrap();
+            store.apply_replicated(&WalEntry::Update(record)).unwrap();
+        }
+        store
+    }
+
+    /// Catch-up back-fills exactly the records the joiner holds under its
+    /// ring, and reports every range compared.
     #[test]
     fn catch_up_streams_the_joiners_ranges() {
         let sys = system();
-        let members: Vec<String> = vec!["node-a".into(), "node-b".into()];
-        let peer_store = Arc::new(ShardedPasswordStore::new(2));
-        for i in 0..32u32 {
-            let record = sys.enroll(&format!("user{i}"), &clicks(i)).unwrap();
-            peer_store
-                .apply_replicated(&WalEntry::Update(record))
-                .unwrap();
-        }
+        let peer_store = peer_store(&sys, 32);
         let mut listener = spawn_replication_listener("node-a", Arc::clone(&peer_store)).unwrap();
 
         let joiner_store = ShardedPasswordStore::new(2);
         let peers = BTreeMap::from([("node-a".to_string(), listener.addr())]);
-        let report = catch_up_from_peers(
-            "node-b",
-            &members,
-            &peers,
-            &joiner_store,
-            &CatchupOptions::default(),
-        );
-        assert!(report.completed());
+        let joiner = Replicator::new("node-b", peers, ReplicatorConfig::default());
+        let report = joiner.catch_up(&joiner_store);
+        assert!(report.failed_peers.is_empty(), "{report:?}");
+        assert_eq!(report.ranges_checked, 2, "(node-b → node-a) and back");
 
         // With two members every key's replica pair is (owner, other), so
-        // node-b backs everything: the full store must have streamed over.
-        assert_eq!(report.records_applied(), 32);
+        // node-b holds everything: the full store must have streamed over.
+        assert_eq!(report.records_pulled, 32);
+        assert_eq!(report.records_pushed, 0);
         assert_eq!(joiner_store.len(), 32);
         assert_eq!(listener.served(), 32);
         for i in 0..32u32 {
@@ -1684,49 +1560,106 @@ mod tests {
                 .verify(&sys, &format!("user{i}"), &clicks(i))
                 .unwrap());
         }
+        assert_eq!(joiner.replication_stats().records_pulled, 32);
         listener.shutdown();
     }
 
-    /// The abort hook leaves a consistent prefix; the retry replays the
-    /// stream idempotently and completes.
+    /// A joiner whose own WAL recovered 28 of its 32 records moves only
+    /// the 4 it lacks — from both ranges, whichever side is primary.
     #[test]
-    fn interrupted_catch_up_replays_idempotently() {
+    fn catch_up_pulls_only_what_the_joiner_lacks() {
         let sys = system();
-        let members: Vec<String> = vec!["node-a".into(), "node-b".into()];
-        let peer_store = Arc::new(ShardedPasswordStore::new(2));
-        for i in 0..16u32 {
-            let record = sys.enroll(&format!("user{i}"), &clicks(i)).unwrap();
-            peer_store
+        let peer_store = peer_store(&sys, 32);
+        let ring = HashRing::with_nodes(["node-a", "node-b"]);
+        let owned_by = |node: &str| -> Vec<String> {
+            (0..32u32)
+                .map(|i| format!("user{i}"))
+                .filter(|name| ring.owner(name) == Some(node))
+                .take(2)
+                .collect()
+        };
+        let missing: Vec<String> = [owned_by("node-a"), owned_by("node-b")].concat();
+        assert_eq!(missing.len(), 4, "32 names must give 2 owned by each node");
+
+        let joiner_store = ShardedPasswordStore::new(2);
+        for record in peer_store.records() {
+            if !missing.contains(&record.username) {
+                joiner_store
+                    .apply_replicated(&WalEntry::Update(record))
+                    .unwrap();
+            }
+        }
+        assert_eq!(joiner_store.len(), 28);
+
+        let mut listener = spawn_replication_listener("node-a", Arc::clone(&peer_store)).unwrap();
+        let peers = BTreeMap::from([("node-a".to_string(), listener.addr())]);
+        let joiner = Replicator::new("node-b", peers, ReplicatorConfig::default());
+        let report = joiner.catch_up(&joiner_store);
+        assert!(report.failed_peers.is_empty(), "{report:?}");
+        assert_eq!(report.ranges_divergent, 2, "{report:?}");
+        assert_eq!(report.records_pulled, 4, "{report:?}");
+        assert_eq!(report.records_pushed, 0, "{report:?}");
+        assert_eq!(listener.served(), 4, "only the missing records stream");
+        assert_eq!(
+            joiner_store.range_digest(|_| true),
+            peer_store.range_digest(|_| true)
+        );
+        listener.shutdown();
+    }
+
+    /// An interrupted transfer leaves a durable prefix; the next catch-up
+    /// moves only the rest, and a repeat finds nothing left to move.
+    #[test]
+    fn interrupted_catch_up_resumes_with_only_the_rest() {
+        let sys = system();
+        let peer_store = peer_store(&sys, 16);
+        let joiner_store = ShardedPasswordStore::new(2);
+        for record in peer_store.records().into_iter().take(5) {
+            joiner_store
                 .apply_replicated(&WalEntry::Update(record))
                 .unwrap();
         }
         let mut listener = spawn_replication_listener("node-a", Arc::clone(&peer_store)).unwrap();
         let peers = BTreeMap::from([("node-a".to_string(), listener.addr())]);
+        let joiner = Replicator::new("node-b", peers, ReplicatorConfig::default());
+
+        let resumed = joiner.catch_up(&joiner_store);
+        assert!(resumed.failed_peers.is_empty(), "{resumed:?}");
+        assert_eq!(resumed.records_pulled, 11);
+        assert_eq!(joiner_store.len(), 16, "resume converges to the full set");
+
+        let repeat = joiner.catch_up(&joiner_store);
+        assert!(repeat.failed_peers.is_empty(), "{repeat:?}");
+        assert_eq!(repeat.ranges_divergent, 0, "{repeat:?}");
+        assert_eq!(listener.served(), 11);
+        listener.shutdown();
+    }
+
+    /// As the backup of a range, the joiner sends the primary the records
+    /// only the joiner holds (primary-wins, driven from the backup side).
+    #[test]
+    fn catch_up_as_backup_sends_what_only_it_holds() {
+        let sys = system();
+        let ring = HashRing::with_nodes(["node-a", "node-b"]);
+        let name = (0..64u32)
+            .map(|i| format!("user{i}"))
+            .find(|name| ring.owner(name) == Some("node-a"))
+            .unwrap();
         let joiner_store = ShardedPasswordStore::new(2);
+        let record = sys.enroll(&name, &clicks(3)).unwrap();
+        joiner_store
+            .apply_replicated(&WalEntry::Update(record))
+            .unwrap();
 
-        let aborted = catch_up_from_peers(
-            "node-b",
-            &members,
-            &peers,
-            &joiner_store,
-            &CatchupOptions {
-                abort_after_records: Some(5),
-                ..CatchupOptions::default()
-            },
-        );
-        assert!(!aborted.completed(), "an aborted stream is not caught-up");
-        assert_eq!(aborted.records_applied(), 5);
-        assert_eq!(joiner_store.len(), 5, "prefix applied, nothing torn");
-
-        let retried = catch_up_from_peers(
-            "node-b",
-            &members,
-            &peers,
-            &joiner_store,
-            &CatchupOptions::default(),
-        );
-        assert!(retried.completed());
-        assert_eq!(joiner_store.len(), 16, "replay converges to the full set");
+        let peer_store = Arc::new(ShardedPasswordStore::new(2));
+        let mut listener = spawn_replication_listener("node-a", Arc::clone(&peer_store)).unwrap();
+        let peers = BTreeMap::from([("node-a".to_string(), listener.addr())]);
+        let joiner = Replicator::new("node-b", peers, ReplicatorConfig::default());
+        let report = joiner.catch_up(&joiner_store);
+        assert!(report.failed_peers.is_empty(), "{report:?}");
+        assert_eq!(report.records_pushed, 1, "{report:?}");
+        assert_eq!(report.records_pulled, 0, "{report:?}");
+        assert!(peer_store.verify(&sys, &name, &clicks(3)).unwrap());
         listener.shutdown();
     }
 
@@ -1738,19 +1671,15 @@ mod tests {
             .unwrap()
             .local_addr()
             .unwrap();
-        let members: Vec<String> = vec!["node-a".into(), "node-b".into()];
         let peers = BTreeMap::from([("node-a".to_string(), dead_addr)]);
+        let joiner = Replicator::new("node-b", peers, ReplicatorConfig::default());
         let store = ShardedPasswordStore::new(2);
-        let report = catch_up_from_peers(
-            "node-b",
-            &members,
-            &peers,
-            &store,
-            &CatchupOptions::default(),
-        );
-        assert!(!report.completed());
-        assert_eq!(report.records_applied(), 0);
-        assert_eq!(report.peers.len(), 1);
+        let report = joiner.catch_up(&store);
+        assert_eq!(report.failed_peers, vec!["node-a".to_string()]);
+        assert_eq!(report.records_pulled, 0);
+        assert_eq!(report.ranges_divergent, 0);
+        assert_eq!(joiner.replication_stats().sync_failures, 1);
+        assert!(joiner.is_live("node-a"), "catch-up must never evict");
     }
 
     /// One anti-entropy round repairs divergence in both directions: the
@@ -1857,7 +1786,8 @@ mod tests {
             Arc::clone(&replicator),
             Arc::clone(&primary_store),
             Duration::from_millis(20),
-        );
+        )
+        .unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
         while replicator.replication_stats().anti_entropy_rounds < 2 {
             assert!(Instant::now() < deadline, "rounds never ran");

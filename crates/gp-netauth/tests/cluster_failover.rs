@@ -22,8 +22,9 @@
 //!   leg) — the stronger, *local* invariant: after a kill + rejoin under
 //!   load, the restarted node's own store holds **every** acked record
 //!   it backs under the full-membership ring (not merely "some replica
-//!   answers").  Variants interrupt the catch-up transfer mid-stream and
-//!   inject record-level divergence for anti-entropy to repair.
+//!   answers").  Variants delete records from a rejoined node for a
+//!   repeated catch-up to restore exactly, and inject record-level
+//!   divergence for anti-entropy to repair.
 //!
 //! Set `GP_CLUSTER_LOG_DIR` to keep per-node stores and the cluster
 //! event log under that directory for post-mortem (CI uploads it as an
@@ -31,7 +32,7 @@
 
 use gp_geometry::Point;
 use gp_netauth::cluster::{Cluster, ClusterClient};
-use gp_netauth::replication::{CatchupOptions, ReplicatorConfig};
+use gp_netauth::replication::ReplicatorConfig;
 use gp_netauth::server::ServerConfig;
 use gp_netauth::LoginDecision;
 use gp_passwords::HashRing;
@@ -351,7 +352,7 @@ fn rejoin_completeness_after_catchup_under_load() {
     wait_for_acks(&acked, at_kill + 40);
     let report = cluster.restart(1).expect("restart from own durable dir");
     assert!(
-        report.completed(),
+        report.failed_peers.is_empty(),
         "catch-up must complete against both live peers: {report:?}"
     );
     let at_restart = acked_count(&acked);
@@ -368,18 +369,25 @@ fn rejoin_completeness_after_catchup_under_load() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
-/// An interrupted state transfer (the stream aborted mid-catch-up) leaves
-/// the joiner consistent: the applied prefix is durable, the range is
-/// *not* counted caught-up, and a retried catch-up replays idempotently
-/// to full completeness.
+/// A rejoined node that lost records it holds (an interrupted transfer,
+/// a damaged WAL tail) gets exactly those back from a repeated catch-up:
+/// the round compares every range the node holds and moves only the
+/// difference.
 #[test]
-fn rejoin_interrupted_catchup_retries_idempotently() {
-    let (mut cluster, root) = cluster_of(3, "rejoin-interrupt");
-    let members = cluster.members();
+fn rejoin_catch_up_restores_exactly_the_missing_records() {
+    let root = data_root("rejoin-missing");
+    // Manual rounds only: no background round may repair the deletions
+    // before the catch-up under test counts them.
+    let repl_config = ReplicatorConfig {
+        anti_entropy_interval: Duration::ZERO,
+        ..ReplicatorConfig::default()
+    };
+    let mut cluster = Cluster::spawn(3, ServerConfig::fast_for_tests(), repl_config, &root)
+        .expect("spawn cluster");
 
     // A settled population, no concurrent load: the record counts below
     // must be exact.
-    let mut client = ClusterClient::new(&members);
+    let mut client = ClusterClient::new(&cluster.members());
     let mut names = Vec::new();
     for i in 0..40u32 {
         let name = format!("steady-user{i}");
@@ -394,26 +402,44 @@ fn rejoin_interrupted_catchup_retries_idempotently() {
         client.enroll(&name, &clicks_for(&name)).unwrap();
         names.push(name);
     }
-
-    // Interrupt the transfer after 3 records: the node comes up gated on
-    // an incomplete report, with exactly the applied prefix extra.
-    let aborted = cluster
-        .restart_with_catchup(
-            2,
-            CatchupOptions {
-                abort_after_records: Some(3),
-                ..CatchupOptions::default()
-            },
-        )
-        .expect("restart itself must succeed");
+    let report = cluster.restart(2).expect("restart from own durable dir");
+    assert!(report.failed_peers.is_empty(), "{report:?}");
     assert!(
-        !aborted.completed(),
-        "an aborted stream must not count as caught-up: {aborted:?}"
+        report.records_pulled > 0,
+        "the while-dead records: {report:?}"
     );
 
-    // Retry on the live node: idempotent replay converges to complete.
-    let retried = cluster.catch_up(2, CatchupOptions::default());
-    assert!(retried.completed(), "retried catch-up: {retried:?}");
+    // Take k records node-2 holds out of its own store.
+    let ids: Vec<String> = (0..cluster.len())
+        .map(|j| cluster.node_id(j).to_string())
+        .collect();
+    let ring = HashRing::with_nodes(&ids);
+    let store = cluster.store(2).expect("node-2 is live");
+    let removed: Vec<&String> = names
+        .iter()
+        .filter(|name| ring.holds(name, "node-2"))
+        .step_by(3)
+        .collect();
+    assert!(
+        removed.len() >= 4,
+        "80 accounts must put at least 4 removals in node-2's ranges"
+    );
+    for name in &removed {
+        assert!(store.remove(name).expect("remove on node-2"));
+    }
+    cluster.log_event(&format!(
+        "harness: removed {} records node-2 holds",
+        removed.len()
+    ));
+
+    let retried = cluster.catch_up(2).expect("node-2 is live");
+    assert!(retried.failed_peers.is_empty(), "{retried:?}");
+    assert_eq!(
+        retried.records_pulled,
+        removed.len() as u64,
+        "catch-up must move exactly the missing records: {retried:?}"
+    );
+    assert_eq!(retried.records_pushed, 0, "{retried:?}");
 
     verify_every_acked_account(&cluster, &Arc::new(Mutex::new(names.clone())));
     assert_local_replica_complete(&cluster, 2, &names);

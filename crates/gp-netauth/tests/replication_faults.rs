@@ -1,6 +1,6 @@
-//! Replication peers that misbehave at the socket level: a joiner that
-//! stops reading its catch-up stream, a backup that accepts but never
-//! acks, and a listener serving many short-lived connections.
+//! Replication peers that misbehave at the socket level: a peer that
+//! stops reading the range listings it asked for, a backup that accepts
+//! but never acks, and a listener serving many short-lived connections.
 
 use gp_geometry::Point;
 use gp_netauth::replication::spawn_replication_listener;
@@ -52,25 +52,29 @@ fn queued_bytes(stream: &TcpStream) -> u64 {
         .sum()
 }
 
-/// Block until the listener's writes have stalled: bytes sit queued on
-/// the connection and the total stops growing.
+/// Block until the listener's writes have stalled: over a megabyte sits
+/// queued on the connection and the total has not moved for 2 s.  A
+/// pause while the listener builds its next listing is far shorter, so
+/// it does not pass for a stall.
 #[cfg(target_os = "linux")]
 fn wait_until_stalled(stream: &TcpStream) {
     let mut last = 0;
+    let mut since = Instant::now();
     loop {
         std::thread::sleep(Duration::from_millis(200));
         let queued = queued_bytes(stream);
-        if queued > 0 && queued == last {
+        if queued != last {
+            (last, since) = (queued, Instant::now());
+        } else if queued > 1 << 20 && since.elapsed() >= Duration::from_secs(2) {
             return;
         }
-        last = queued;
     }
 }
 
-/// A joiner that sends `CatchupRequest` and then never reads must not
-/// wedge `ReplicationHandle::shutdown`: the record stream (~10 MB, far
-/// more than the socket buffers hold) blocks the serving thread in a
-/// write, and only the listener's 5 s socket write timeout frees it.
+/// A peer that pipelines `RangeRequest`s and then never reads must not
+/// wedge `ReplicationHandle::shutdown`: the listings (~12 MB, far more
+/// than the socket buffers hold) block the serving thread in a write,
+/// and only the listener's 5 s socket write timeout frees it.
 #[cfg(target_os = "linux")]
 #[test]
 fn shutdown_is_not_wedged_by_a_joiner_that_stops_reading() {
@@ -89,12 +93,19 @@ fn shutdown_is_not_wedged_by_a_joiner_that_stops_reading() {
         node_id: "joiner".into(),
     };
     writer.write_frame(&hello.encode()).unwrap();
-    // With two members the joiner backs every record.
-    let request = ReplicaMessage::CatchupRequest {
-        node_id: "joiner".into(),
-        members: vec!["node-a".into(), "joiner".into()],
-    };
-    writer.write_frame(&request.encode()).unwrap();
+    // With two members each range lists about half of the records, some
+    // 3 MB of 200-byte names: ask for both ranges, twice.
+    let members: Vec<String> = vec!["node-a".into(), "joiner".into()];
+    for _ in 0..2 {
+        for (primary, backup) in [("node-a", "joiner"), ("joiner", "node-a")] {
+            let request = ReplicaMessage::RangeRequest {
+                primary: primary.into(),
+                backup: backup.into(),
+                members: members.clone(),
+            };
+            writer.write_frame(&request.encode()).unwrap();
+        }
+    }
     wait_until_stalled(&stream);
 
     let (done_tx, done_rx) = mpsc::channel();
