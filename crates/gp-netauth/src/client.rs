@@ -8,53 +8,6 @@ use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-/// Retry behavior for transient transport failures (connection refused,
-/// reset, or closed mid-request — the signatures of a server restarting
-/// or a cluster failing over).  **Off by default**: a plain
-/// [`AuthClient::connect`] surfaces every error immediately; opt in with
-/// [`AuthClient::with_retry`] or [`AuthClient::connect_with_retry`].
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Total attempts, the initial one included (values below 1 behave
-    /// as 1: no retries).
-    pub max_attempts: u32,
-    /// Delay before the first retry; doubles per subsequent retry.
-    pub base_delay: Duration,
-    /// Ceiling on the (pre-jitter) backoff delay.
-    pub max_delay: Duration,
-}
-
-impl RetryPolicy {
-    /// A policy sized for cluster failover: six attempts backing off from
-    /// 25 ms and capped at 800 ms — over two seconds of patience, which
-    /// covers a backup's promotion window.
-    pub fn failover_default() -> Self {
-        Self {
-            max_attempts: 6,
-            base_delay: Duration::from_millis(25),
-            max_delay: Duration::from_millis(800),
-        }
-    }
-
-    /// Backoff before retry number `retry` (1-based): capped exponential
-    /// plus up to +50% jitter, so a thundering herd of clients retrying
-    /// the same dead primary decorrelates.
-    fn delay_before(&self, retry: u32) -> Duration {
-        let doublings = (retry - 1).min(16);
-        let capped = self
-            .base_delay
-            .saturating_mul(1u32 << doublings)
-            .min(self.max_delay);
-        // No rand in the dependency budget: hash the clock's nanoseconds.
-        let nanos = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap_or_default()
-            .subsec_nanos();
-        let jitter = gp_passwords::wal::fnv1a64(&nanos.to_be_bytes()) % 1000;
-        capped + capped.mul_f64(jitter as f64 / 2000.0)
-    }
-}
-
 /// A connected client session.
 ///
 /// I/O is buffered on both directions, so a pipelined request burst
@@ -62,123 +15,31 @@ impl RetryPolicy {
 /// whole burst.
 #[derive(Debug)]
 pub struct AuthClient {
-    addr: SocketAddr,
     reader: FrameReader<BufReader<TcpStream>>,
     writer: FrameWriter<BufWriter<TcpStream>>,
-    retry: Option<RetryPolicy>,
 }
-
-/// The buffered frame reader/writer pair over one connection.
-type ClientTransport = (
-    FrameReader<BufReader<TcpStream>>,
-    FrameWriter<BufWriter<TcpStream>>,
-);
 
 impl AuthClient {
     /// Connect to a server.
     pub fn connect(addr: SocketAddr) -> Result<Self, NetAuthError> {
-        let (reader, writer) = Self::open_stream(addr)?;
-        Ok(Self {
-            addr,
-            reader,
-            writer,
-            retry: None,
-        })
-    }
-
-    /// Connect, retrying transient failures (e.g. `ECONNREFUSED` from a
-    /// node still restarting) per `policy`; the policy stays attached to
-    /// the session for request retries.
-    pub fn connect_with_retry(addr: SocketAddr, policy: RetryPolicy) -> Result<Self, NetAuthError> {
-        let mut last;
-        match Self::connect(addr) {
-            Ok(client) => return Ok(client.with_retry(policy)),
-            Err(e) if Self::is_transient(&e) => last = e,
-            Err(e) => return Err(e),
-        }
-        for retry in 1..policy.max_attempts {
-            std::thread::sleep(policy.delay_before(retry));
-            match Self::connect(addr) {
-                Ok(client) => return Ok(client.with_retry(policy)),
-                Err(e) if Self::is_transient(&e) => last = e,
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last)
-    }
-
-    /// Opt this session into transparent reconnect-and-resend of requests
-    /// that fail with a transient transport error.
-    pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
-        self
-    }
-
-    fn open_stream(addr: SocketAddr) -> Result<ClientTransport, NetAuthError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(Duration::from_secs(10)))?;
         stream.set_write_timeout(Some(Duration::from_secs(10)))?;
         let reader_stream = stream.try_clone()?;
-        Ok((
-            FrameReader::new(BufReader::new(reader_stream)),
-            FrameWriter::new(BufWriter::new(stream)),
-        ))
+        Ok(Self {
+            reader: FrameReader::new(BufReader::new(reader_stream)),
+            writer: FrameWriter::new(BufWriter::new(stream)),
+        })
     }
 
-    /// Errors worth a reconnect: the connection died or was never
-    /// established.  Deliberately excludes read timeouts — the request
-    /// may still be executing, and resending could double-apply it.
-    fn is_transient(err: &NetAuthError) -> bool {
-        match err {
-            NetAuthError::UnexpectedEof => true,
-            NetAuthError::Io(e) => matches!(
-                e.kind(),
-                std::io::ErrorKind::ConnectionRefused
-                    | std::io::ErrorKind::ConnectionReset
-                    | std::io::ErrorKind::ConnectionAborted
-                    | std::io::ErrorKind::BrokenPipe
-                    | std::io::ErrorKind::NotConnected
-            ),
-            _ => false,
-        }
-    }
-
-    fn request_once(&mut self, message: &ClientMessage) -> Result<ServerMessage, NetAuthError> {
+    /// Send one request and read one response.  A transport failure is
+    /// returned as is, never resent: the server may already have applied
+    /// the request.
+    pub fn request(&mut self, message: &ClientMessage) -> Result<ServerMessage, NetAuthError> {
         self.writer.write_frame(&message.encode())?;
         let frame = self.reader.read_frame()?;
         ServerMessage::decode(frame)
-    }
-
-    /// Send one request and read one response.  With a [`RetryPolicy`]
-    /// attached, a transient transport failure reconnects (fresh socket to
-    /// the same address) and resends after a capped, jittered backoff.
-    pub fn request(&mut self, message: &ClientMessage) -> Result<ServerMessage, NetAuthError> {
-        let mut last = match self.request_once(message) {
-            Err(e) if self.retry.is_some() && Self::is_transient(&e) => e,
-            other => return other,
-        };
-        let policy = self.retry.expect("retry checked above");
-        for retry in 1..policy.max_attempts {
-            std::thread::sleep(policy.delay_before(retry));
-            match Self::open_stream(self.addr) {
-                Ok((reader, writer)) => {
-                    self.reader = reader;
-                    self.writer = writer;
-                }
-                Err(e) if Self::is_transient(&e) => {
-                    last = e;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            }
-            match self.request_once(message) {
-                Ok(response) => return Ok(response),
-                Err(e) if Self::is_transient(&e) => last = e,
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last)
     }
 
     /// Send every request in one pipelined burst, then read the matching
@@ -396,103 +257,22 @@ mod tests {
         handle.shutdown();
     }
 
-    use crate::framing::{FrameReader, FrameWriter};
-    use std::io::{BufReader, BufWriter};
-    use std::net::TcpListener;
-
-    /// A hand-rolled single-threaded server that *drops* its first
-    /// accepted connection unserved (the client sees a reset/EOF — the
-    /// failover signature), then serves subsequent connections normally
-    /// through [`AuthServer::handle_message`].
-    fn flaky_server() -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
-        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    #[test]
+    fn a_dropped_connection_is_an_error_not_a_resend() {
+        // A bare listener that accepts and drops the connection unserved:
+        // the client sees a reset or EOF, which `ClusterClient` treats as
+        // a transport error and fails over on.
+        let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let addr = listener.local_addr().unwrap();
-        let join = std::thread::spawn(move || {
-            let server = AuthServer::new(ServerConfig::fast_for_tests());
-            let (first, _) = listener.accept().unwrap();
-            drop(first); // simulated mid-failover connection loss
-            let (stream, _) = listener.accept().unwrap();
-            let mut reader = FrameReader::new(BufReader::new(stream.try_clone().unwrap()));
-            let mut writer = FrameWriter::new(BufWriter::new(stream));
-            while let Ok(frame) = reader.read_frame() {
-                let Ok(message) = ClientMessage::decode(frame) else {
-                    break;
-                };
-                let quitting = matches!(message, ClientMessage::Quit);
-                let response = server.handle_message(message);
-                if writer.write_frame(&response.encode()).is_err() || quitting {
-                    break;
-                }
-            }
-        });
-        (addr, join)
-    }
-
-    #[test]
-    fn retry_reconnects_and_resends_after_a_dropped_connection() {
-        let (addr, join) = flaky_server();
-        let mut client = AuthClient::connect(addr)
-            .unwrap()
-            .with_retry(RetryPolicy::failover_default());
-        // The first request lands on the doomed connection; the policy
-        // reconnects and resends transparently.
-        client.enroll("erin", &clicks()).unwrap();
-        let (decision, _) = client.login("erin", &clicks()).unwrap();
-        assert_eq!(decision, LoginDecision::Accepted);
-        client.quit().unwrap();
-        join.join().unwrap();
-    }
-
-    #[test]
-    fn without_a_policy_the_dropped_connection_is_a_hard_error() {
-        let (addr, join) = flaky_server();
+        let dropper = std::thread::spawn(move || drop(listener.accept().unwrap()));
         let mut client = AuthClient::connect(addr).unwrap();
+        dropper.join().unwrap();
         let err = client
             .enroll("erin", &clicks())
-            .expect_err("no retry opt-in");
+            .expect_err("nothing served the request");
         assert!(
-            AuthClient::is_transient(&err),
-            "the failure mode is the transient one retry would have hidden: {err}"
+            matches!(err, NetAuthError::UnexpectedEof | NetAuthError::Io(_)),
+            "a dropped connection surfaces as a transport error: {err}"
         );
-        // Unblock the server thread's second accept and serve it out.
-        let mut second = AuthClient::connect(addr).unwrap();
-        second.enroll("erin", &clicks()).unwrap();
-        second.quit().unwrap();
-        join.join().unwrap();
-    }
-
-    #[test]
-    fn connect_with_retry_gives_up_after_max_attempts() {
-        // Bind-then-drop: the port is (almost certainly) refusing.
-        let dead = TcpListener::bind(("127.0.0.1", 0))
-            .unwrap()
-            .local_addr()
-            .unwrap();
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            base_delay: Duration::from_millis(5),
-            max_delay: Duration::from_millis(10),
-        };
-        let started = std::time::Instant::now();
-        let err = AuthClient::connect_with_retry(dead, policy).expect_err("nothing listening");
-        assert!(AuthClient::is_transient(&err), "{err}");
-        // Two retries: at least base + 2*base of (pre-jitter) backoff.
-        assert!(started.elapsed() >= Duration::from_millis(15));
-    }
-
-    #[test]
-    fn backoff_is_capped_and_jitter_bounded() {
-        let policy = RetryPolicy {
-            max_attempts: 10,
-            base_delay: Duration::from_millis(10),
-            max_delay: Duration::from_millis(80),
-        };
-        for retry in 1..policy.max_attempts {
-            let delay = policy.delay_before(retry);
-            let cap = Duration::from_millis(80);
-            assert!(delay <= cap + cap.mul_f64(0.5), "retry {retry}: {delay:?}");
-            let floor = Duration::from_millis(10 << (retry - 1).min(3));
-            assert!(delay >= floor.min(cap), "retry {retry}: {delay:?}");
-        }
     }
 }

@@ -16,16 +16,15 @@
 //! * [`lockout`] — per-account consecutive-failure tracking implementing
 //!   the online-attack countermeasure, sharded by account hash and bounded
 //!   in memory against username-spraying attacks.
-//! * [`batch`] — the [`batch::BatchVerifier`], which hashes the login and
-//!   enrollment attempts the reactor coalesced across connections as
-//!   single multi-lane [`gp_crypto::iterated_hash_many_salted`] runs.
 //! * [`server`] — the serving layer over a
 //!   [`GraphicalPasswordSystem`](gp_passwords::GraphicalPasswordSystem)
 //!   and a [`ShardedPasswordStore`](gp_passwords::ShardedPasswordStore):
 //!   protocol logic served through the reactor, with graceful shutdown
-//!   and per-thread metrics.  With [`server::DurabilityConfig`] set, the store is
-//!   crash-safe: every enrollment is written (and, per the configured
-//!   [`gp_passwords::FsyncPolicy`], fsynced) to a per-shard write-ahead
+//!   and per-thread metrics.  Its hash step runs each batch the reactor
+//!   coalesced across connections as one multi-lane
+//!   [`gp_crypto::iterated_hash_many_salted_into`] call.  With
+//!   [`server::DurabilityConfig`] set, the store is crash-safe: every
+//!   enrollment is written and fsynced to a per-shard write-ahead
 //!   log *before* the `Enroll` frame is acknowledged, a background
 //!   thread compacts logs into atomic snapshots, and a restart recovers
 //!   snapshots + WAL tails — no acked account is ever lost.
@@ -38,9 +37,9 @@
 //! * [`sys`] (Linux) — the minimal `epoll`/`eventfd` FFI the reactor
 //!   stands on (std already links libc; no crates involved).
 //! * [`client`] — a blocking client (with a pipelined burst API) used by
-//!   the examples, integration tests and [`cluster::ClusterClient`]; an
-//!   opt-in [`client::RetryPolicy`] absorbs transient connection deaths
-//!   during failovers under capped exponential backoff with jitter.
+//!   the examples, integration tests and [`cluster::ClusterClient`].  It
+//!   never resends: a dropped connection surfaces as an error, and
+//!   [`cluster::ClusterClient`] decides where to fail over.
 //! * [`replication`] — WAL-streaming replication between nodes: each
 //!   enrollment's WAL record is streamed to the account's backup node
 //!   (chosen on a consistent-hash ring) and acknowledged to the client
@@ -68,16 +67,16 @@
 //!
 //! ```text
 //! epoll: accept ─ read-ready ─ write-ready ─ completions   (1 thread)
-//!    │ drain ≤ pipeline_max frames per ready connection
+//!    │ drain ≤ 32 frames per ready connection
 //!    ▼
 //! prepare: shard lookup ─ discretize ─ provenance          (reactor thread)
 //!    │ turns with hash jobs                 │ turns with none
 //!    ▼                                      ▼ settle inline
 //! turn queue ──► hash-compute pool (M threads)
-//!                    │ coalesce turns, ≤ batch_max jobs
+//!                    │ coalesce turns until ≥ LANES jobs
 //!                    ▼
-//!            BatchVerifier (multi-lane iterated_hash_many_salted)
-//!                    │ digests ─ settle ─ encode
+//!            hash step (one iterated_hash_many_salted_into call)
+//!                    │ digests ─ settle ─ group commit ─ encode
 //!                    ▼
 //!            completion queue ─ eventfd ──► reactor writes responses
 //! ```
@@ -91,7 +90,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod client;
 pub mod cluster;
 pub mod error;
@@ -106,12 +104,10 @@ pub mod server;
 #[cfg(target_os = "linux")]
 pub mod sys;
 
-pub use batch::{BatchStats, BatchVerifier, HashJob};
-pub use client::{AuthClient, RetryPolicy};
+pub use client::AuthClient;
 pub use cluster::{Cluster, ClusterClient};
 pub use error::NetAuthError;
 pub use framing::{FrameReader, FrameWriter, WriteBuffer, MAX_FRAME_LEN};
-pub use gp_passwords::FsyncPolicy;
 pub use lockout::LockoutTracker;
 pub use protocol::{ClientMessage, LoginDecision, ServerMessage};
 pub use replication::{
@@ -119,6 +115,6 @@ pub use replication::{
     ReplicationSink, ReplicationStats, Replicator, ReplicatorConfig,
 };
 pub use server::{
-    AuthServer, DurabilityConfig, ServerConfig, ServerHandle, ServerStats, ServingMode,
+    AuthServer, BatchStats, DurabilityConfig, ServerConfig, ServerHandle, ServerStats, ServingMode,
     WorkerMetrics, WorkerStatsSnapshot,
 };

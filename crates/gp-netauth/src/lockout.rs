@@ -27,7 +27,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 
 /// Default cap on tracked accounts (across all shards, per generation).
-const DEFAULT_CAPACITY: usize = 65_536;
+pub(crate) const DEFAULT_CAPACITY: usize = 65_536;
 
 /// Default shard count for the failure map.
 const DEFAULT_SHARDS: usize = 8;

@@ -14,10 +14,11 @@
 //!   buffers — thousands of connections are cheap.
 //! * **A small hash-compute pool** (`ServerConfig::workers` threads)
 //!   drains a queue of prepared turns, merges jobs *across connections*
-//!   up to `batch_max`, and hashes them through the shared
-//!   [`crate::batch::BatchVerifier`] — so lane occupancy rises with
-//!   offered load, not with thread count.  Completions flow back through
-//!   an [`crate::sys::EventFd`] the reactor has registered.
+//!   until they fill [`gp_crypto::LANES`] lanes, and hashes each merged
+//!   batch in one call (`AuthServer::hash_batch`) — so lane occupancy
+//!   rises with offered load, not with thread count.  The turn queue is
+//!   the only place batches form.  Completions flow back through an
+//!   [`crate::sys::EventFd`] the reactor has registered.
 //!
 //! Per-connection state machine:
 //!
@@ -60,11 +61,10 @@
 //!   freely.  Parked slots are re-driven after completions are applied,
 //!   so the wait is one barrier, not a poll interval.
 
-use crate::batch::HashJob;
 use crate::error::NetAuthError;
 use crate::framing::{FrameReader, FrameWriter, WriteBuffer};
 use crate::server::{
-    AuthServer, Planned, ReactorParts, WorkerMetrics, MAX_CONSECUTIVE_PROTOCOL_ERRORS,
+    AuthServer, HashJob, Planned, ReactorParts, WorkerMetrics, MAX_CONSECUTIVE_PROTOCOL_ERRORS,
     SHUTDOWN_POLL,
 };
 use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
@@ -83,6 +83,9 @@ const LISTENER_TOKEN: u64 = 0;
 const WAKER_TOKEN: u64 = 1;
 /// Connection slot `s` registers with token `s + TOKEN_BASE`.
 const TOKEN_BASE: u64 = 2;
+
+/// Maximum request frames drained from one connection per turn.
+const PIPELINE_MAX: usize = 32;
 
 /// Pending response bytes above which a connection stops reading new
 /// requests (resumed once the peer drains its responses).
@@ -119,8 +122,8 @@ struct Completion {
 ///
 /// `pop_coalesced` is where cross-connection batching happens: a compute
 /// worker takes one turn (blocking) and then opportunistically drains more
-/// until it holds at least `max_jobs` hash jobs, so a deep queue turns
-/// into full 16-lane hash runs instead of sixteen 1-lane ones.
+/// until it holds at least [`gp_crypto::LANES`] hash jobs, so a deep queue
+/// turns into full 16-lane hash runs instead of sixteen 1-lane ones.
 struct TurnQueue {
     state: Mutex<TurnQueueState>,
     available: Condvar,
@@ -172,7 +175,7 @@ impl TurnQueue {
         self.available.notify_all();
     }
 
-    fn pop_coalesced(&self, max_jobs: usize, timeout: std::time::Duration) -> Popped {
+    fn pop_coalesced(&self, timeout: std::time::Duration) -> Popped {
         let mut state = self
             .state
             .lock()
@@ -197,7 +200,7 @@ impl TurnQueue {
         }
         let mut turns = Vec::new();
         let mut jobs = 0usize;
-        while jobs < max_jobs.max(1) {
+        while jobs < gp_crypto::LANES {
             let Some(turn) = state.turns.pop_front() else {
                 break;
             };
@@ -384,8 +387,8 @@ pub(crate) fn spawn_reactor(
     })
 }
 
-/// Hash-compute worker: coalesce queued turns, hash through the shared
-/// [`crate::batch::BatchVerifier`], settle in order, post completions.
+/// Hash-compute worker: coalesce queued turns, hash the merged batch in
+/// one call, settle in order, post completions.
 fn compute_loop(
     server: &AuthServer,
     turns: &TurnQueue,
@@ -394,10 +397,8 @@ fn compute_loop(
     shutdown: &AtomicBool,
     metrics: &WorkerMetrics,
 ) {
-    let verifier = server.verifier();
-    let max_jobs = server.config().batch_max.max(1);
     loop {
-        let batch = match turns.pop_coalesced(max_jobs, SHUTDOWN_POLL) {
+        let batch = match turns.pop_coalesced(SHUTDOWN_POLL) {
             Popped::Turns(batch) => batch,
             Popped::TimedOut => {
                 if shutdown.load(Ordering::SeqCst) {
@@ -418,7 +419,7 @@ fn compute_loop(
             job_counts.push(turn.jobs.len());
             all_jobs.append(&mut turn.jobs);
         }
-        let digests = verifier.run_direct(&all_jobs);
+        let digests = server.hash_batch(&all_jobs);
 
         let mut offset = 0;
         let mut settled_turns = Vec::with_capacity(merged.len());
@@ -600,7 +601,7 @@ impl Reactor {
 
     /// Drain and process ready frames until the connection has nothing
     /// more to give right now.  The inner pass caps a turn at
-    /// `pipeline_max` frames; complete frames may remain in the read
+    /// [`PIPELINE_MAX`] frames; complete frames may remain in the read
     /// buffer after an inline-settled turn, invisible to epoll, so loop
     /// while the reader still holds one and the connection can take more.
     fn drive_read(&mut self, slot: usize) {
@@ -610,7 +611,6 @@ impl Reactor {
     /// One read turn.  Returns whether another queued or buffered frame is
     /// ready to process immediately.
     fn drive_read_once(&mut self, slot: usize) -> bool {
-        let pipeline_max = self.server.config().pipeline_max.max(1);
         let outcome = {
             let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
                 return false;
@@ -620,7 +620,7 @@ impl Reactor {
             // socket already ended).
             let had_pending = !conn.pending.is_empty();
             if !had_pending && !conn.read_eof {
-                while conn.pending.len() < pipeline_max {
+                while conn.pending.len() < PIPELINE_MAX {
                     match conn.reader.read_frame() {
                         Ok(frame) => conn.pending.push_back(Some(frame)),
                         Err(NetAuthError::IntegrityFailure) => conn.pending.push_back(None),
@@ -1173,7 +1173,7 @@ mod tests {
             client.enroll(&format!("user{i}"), &clicks()).unwrap();
             client.quit().unwrap();
         }
-        // Enrollment hashing also routes through the verifier; measure the
+        // Enrollment hashing also routes through the hash step; measure the
         // login load against a post-enrollment baseline.
         let enrolled_attempts = handle.stats().batch.attempts;
         let addr = handle.addr();

@@ -10,35 +10,32 @@
 //!    the `epoll` reactor ([`crate::reactor`]), which decouples
 //!    connections from threads.  It is the only serving path; off Linux,
 //!    where there is no epoll, `spawn` returns
-//!    [`std::io::ErrorKind::Unsupported`].  A serving turn drains every
-//!    request frame already buffered on a connection (up to
-//!    [`ServerConfig::pipeline_max`]) and answers in order, so a client
-//!    may keep many requests in flight and per-request syscall cost
-//!    amortizes across the pipeline.
-//! 3. **Cross-connection batch verification** — the reactor's turn queue
-//!    coalesces the expensive iterated hashes of up to
-//!    [`ServerConfig::batch_max`] attempts (from one pipeline or from
-//!    many connections), and the shared [`BatchVerifier`] runs them as a
-//!    single multi-lane [`gp_crypto::iterated_hash_many_salted`] call —
-//!    the PR 1 fast path.
+//!    [`std::io::ErrorKind::Unsupported`].  A serving turn drains the
+//!    request frames already buffered on a connection (up to 32) and
+//!    answers in order, so a client may keep many requests in flight and
+//!    per-request syscall cost amortizes across the pipeline.
+//! 3. **Cross-connection batch hashing** — the reactor's turn queue
+//!    coalesces turns until their expensive iterated hashes fill the
+//!    [`gp_crypto::LANES`] lanes (from one pipeline or from many
+//!    connections), and the server's hash step runs the whole coalesced
+//!    batch as one [`gp_crypto::iterated_hash_many_salted_into`] call.
 //!
 //! Request handling stays a pure function ([`AuthServer::handle_message`])
 //! so the protocol logic is unit-testable without sockets; the turn
 //! phases (prepare / batch hash / settle) it runs are the ones the
 //! reactor's state machines drive.
 
-use crate::batch::{BatchStats, BatchVerifier, HashJob};
 use crate::error::NetAuthError;
-use crate::lockout::LockoutTracker;
+use crate::lockout::{self, LockoutTracker};
 use crate::pending::PendingAccounts;
 use crate::protocol::{ClientMessage, LoginDecision, ServerMessage};
 use crate::replication::ReplicationSink;
 use bytes::Bytes;
-use gp_crypto::Digest;
+use gp_crypto::{iterated_hash_many_salted_into, Digest, SaltedHasher};
 use gp_geometry::{ImageDims, Point};
 use gp_passwords::{
-    DiscretizationConfig, DurabilityOptions, FsyncPolicy, GraphicalPasswordSystem, PasswordPolicy,
-    ShardStats, ShardedPasswordStore, StoredPassword, VerifyScratch, WalEntry,
+    DiscretizationConfig, DurabilityOptions, GraphicalPasswordSystem, PasswordPolicy, ShardStats,
+    ShardedPasswordStore, StoredPassword, VerifyScratch, WalEntry,
 };
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -78,9 +75,8 @@ pub enum ServingMode {
 ///
 /// When set on [`ServerConfig::durability`], the store is opened with
 /// [`ShardedPasswordStore::open_durable`]: every enrollment is appended to
-/// the owning shard's write-ahead log — and, under
-/// [`FsyncPolicy::Always`], fsynced — *before* the `Enroll` frame is
-/// acknowledged, a background thread compacts per-shard logs past
+/// the owning shard's write-ahead log and fsynced *before* the `Enroll`
+/// frame is acknowledged, a background thread compacts per-shard logs past
 /// `snapshot_threshold_bytes` without blocking verifies, and a restart
 /// recovers the newest intact snapshots plus each WAL's intact tail.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,9 +84,6 @@ pub struct DurabilityConfig {
     /// Directory holding the per-shard snapshots (`shard-NNN.pwd`) and
     /// write-ahead logs (`shard-NNN.wal`).
     pub dir: PathBuf,
-    /// When WAL appends reach stable storage (acknowledgement latency vs.
-    /// crash loss window).
-    pub fsync: FsyncPolicy,
     /// Per-shard WAL size (bytes) past which the background snapshot
     /// thread compacts the shard.
     pub snapshot_threshold_bytes: u64,
@@ -99,12 +92,11 @@ pub struct DurabilityConfig {
 }
 
 impl DurabilityConfig {
-    /// Strictest defaults at `dir`: fsync on every enrollment, compact a
-    /// shard once its log passes 1 MiB, check every 200 ms.
+    /// Defaults at `dir`: compact a shard once its log passes 1 MiB, check
+    /// every 200 ms.
     pub fn at(dir: impl Into<PathBuf>) -> Self {
         Self {
             dir: dir.into(),
-            fsync: FsyncPolicy::Always,
             snapshot_threshold_bytes: 1024 * 1024,
             snapshot_interval: Duration::from_millis(200),
         }
@@ -112,7 +104,6 @@ impl DurabilityConfig {
 
     fn options(&self) -> DurabilityOptions {
         DurabilityOptions {
-            fsync: self.fsync,
             snapshot_threshold_bytes: self.snapshot_threshold_bytes,
         }
     }
@@ -142,13 +133,6 @@ pub struct ServerConfig {
     /// Maximum simultaneously open connections (further accepts are
     /// immediately closed).
     pub max_connections: usize,
-    /// Maximum login attempts coalesced into one multi-lane hash run
-    /// (1 = scalar verification, the pre-batching baseline).
-    pub batch_max: usize,
-    /// Maximum request frames drained from one connection per turn.
-    pub pipeline_max: usize,
-    /// Maximum accounts tracked by the lockout sweep (per generation).
-    pub lockout_capacity: usize,
     /// How long a connection may go without sending a complete request
     /// frame before the reactor's idle sweep drops it, so idle or
     /// byte-trickling peers cannot hold connection slots forever.
@@ -168,7 +152,7 @@ pub struct ServerConfig {
 impl ServerConfig {
     /// A PassPoints-style deployment with Centered Discretization (r = 9)
     /// on the study image, three-strikes lockout, four shards and four
-    /// hash-compute threads with 16-way batch verification.
+    /// hash-compute threads.
     pub fn study_default() -> Self {
         Self {
             image: ImageDims::STUDY,
@@ -180,9 +164,6 @@ impl ServerConfig {
             workers: 4,
             serving: ServingMode::Reactor,
             max_connections: 4096,
-            batch_max: gp_crypto::LANES,
-            pipeline_max: 32,
-            lockout_capacity: 65_536,
             idle_timeout: Duration::from_secs(10),
             write_timeout: WRITE_TIMEOUT,
             durability: None,
@@ -248,11 +229,64 @@ pub struct ServerStats {
     pub workers: Vec<WorkerStatsSnapshot>,
     /// Account-store shard sizes and traffic.
     pub shards: Vec<ShardStats>,
-    /// Batch-verifier coalescing counters.
+    /// Hash-step coalescing counters.
     pub batch: BatchStats,
     /// Replication and anti-entropy repair counters, when a sink that
     /// tracks them (a [`crate::replication::Replicator`]) is attached.
     pub replication: Option<crate::replication::ReplicationStats>,
+}
+
+/// Hash-run occupancy counters for observability.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BatchStats {
+    /// Hash calls run, one per coalesced batch.
+    pub runs: u64,
+    /// Individual attempts hashed through those runs.
+    pub attempts: u64,
+    /// Largest single run.
+    pub max_run: u64,
+    /// Runs of at least [`gp_crypto::LANES`] attempts: every lane of the
+    /// portable kernel filled.
+    pub full_runs: u64,
+}
+
+impl BatchStats {
+    /// Mean attempts coalesced per hash run (1.0 = no coalescing happened).
+    pub fn mean_batch(&self) -> f64 {
+        if self.runs == 0 {
+            0.0
+        } else {
+            self.attempts as f64 / self.runs as f64
+        }
+    }
+}
+
+/// The live counters behind [`BatchStats`].
+#[derive(Debug, Default)]
+struct BatchCounters {
+    runs: AtomicU64,
+    attempts: AtomicU64,
+    max_run: AtomicU64,
+    full_runs: AtomicU64,
+}
+
+impl BatchCounters {
+    fn stats(&self) -> BatchStats {
+        BatchStats {
+            runs: self.runs.load(Ordering::Relaxed),
+            attempts: self.attempts.load(Ordering::Relaxed),
+            max_run: self.max_run.load(Ordering::Relaxed),
+            full_runs: self.full_runs.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// One hash job: iterate `salt || pre_image` under the account's salt.
+pub(crate) struct HashJob {
+    /// Precomputed per-salt hashing state for the account under attempt.
+    hasher: SaltedHasher,
+    /// The encoded attempt (output of `prepare_verify` / `prepare_enroll`).
+    pre_image: Vec<u8>,
 }
 
 /// What phase 1 of request processing decided for one pipelined request.
@@ -263,8 +297,7 @@ pub(crate) enum Planned {
     /// A login that cannot match (structural failure, foreign provenance,
     /// or already locked): settle against the lockout in order, no hash.
     LoginNoHash { username: String },
-    /// A login whose hash job `job_index` is in flight with the batch
-    /// verifier.
+    /// A login whose hash job `job_index` is in flight with the hash step.
     LoginHashed {
         username: String,
         stored: Box<StoredPassword>,
@@ -320,7 +353,8 @@ pub struct AuthServer {
     system: GraphicalPasswordSystem,
     store: Arc<ShardedPasswordStore>,
     lockout: Arc<LockoutTracker>,
-    verifier: Arc<BatchVerifier>,
+    /// Counters of the hash step ([`AuthServer::hash_batch`]).
+    batch: BatchCounters,
     /// Accounts whose enrollment is accepted but not yet group-committed
     /// (the per-account write barrier).
     pending: PendingAccounts,
@@ -356,16 +390,15 @@ impl AuthServer {
         });
         let lockout = Arc::new(LockoutTracker::with_limits(
             config.max_failures,
-            config.lockout_capacity,
+            lockout::DEFAULT_CAPACITY,
             config.shards.max(1),
         ));
-        let verifier = Arc::new(BatchVerifier::new(config.batch_max));
         Ok(Self {
             config,
             system,
             store,
             lockout,
-            verifier,
+            batch: BatchCounters::default(),
             pending: PendingAccounts::new(),
             replication: None,
         })
@@ -397,11 +430,6 @@ impl AuthServer {
         Arc::clone(&self.lockout)
     }
 
-    /// The batch verifier (exposed for stats).
-    pub fn verifier(&self) -> Arc<BatchVerifier> {
-        Arc::clone(&self.verifier)
-    }
-
     /// The underlying password system.
     pub fn system(&self) -> &GraphicalPasswordSystem {
         &self.system
@@ -416,7 +444,7 @@ impl AuthServer {
     ///
     /// Logins and enrollments run the same split-phase prepare / hash /
     /// settle path the reactor drives, hashing on the calling thread
-    /// through [`BatchVerifier::run_direct`].
+    /// through the same hash step.
     pub fn handle_message(&self, message: ClientMessage) -> ServerMessage {
         let mut jobs = Vec::new();
         let planned = match message {
@@ -429,12 +457,43 @@ impl AuthServer {
                 self.prepare_login(username, &clicks, &mut VerifyScratch::new(), &mut jobs)
             }
         };
-        let digests = self.verifier.run_direct(&jobs);
+        let digests = self.hash_batch(&jobs);
         self.settle_responses(vec![planned], &digests)
             .pop()
             .unwrap_or_else(|| ServerMessage::Error {
                 reason: "internal: settle produced no response".to_string(),
             })
+    }
+
+    /// Phase 2, the hash step: hash a whole coalesced batch on the calling
+    /// thread in one [`iterated_hash_many_salted_into`] call, which splits
+    /// it into kernel-sized groups itself.  Every job iterates
+    /// [`GraphicalPasswordSystem::iterations`]: an enrollment's record is
+    /// built under it, and a login whose record was stored under another
+    /// count fails `prepare_verify`'s provenance check before any job
+    /// exists.  Returns one digest per job, in input order.
+    pub(crate) fn hash_batch(&self, jobs: &[HashJob]) -> Vec<Digest> {
+        if jobs.is_empty() {
+            return Vec::new();
+        }
+        let mut digests = Vec::with_capacity(jobs.len());
+        let hashers: Vec<&SaltedHasher> = jobs.iter().map(|job| &job.hasher).collect();
+        let pre_images: Vec<&[u8]> = jobs.iter().map(|job| job.pre_image.as_slice()).collect();
+        iterated_hash_many_salted_into(
+            &hashers,
+            &pre_images,
+            self.system.iterations(),
+            &mut digests,
+        );
+        let len = jobs.len() as u64;
+        let counters = &self.batch;
+        counters.runs.fetch_add(1, Ordering::Relaxed);
+        counters.attempts.fetch_add(len, Ordering::Relaxed);
+        counters.max_run.fetch_max(len, Ordering::Relaxed);
+        if jobs.len() >= gp_crypto::LANES {
+            counters.full_runs.fetch_add(1, Ordering::Relaxed);
+        }
+        digests
     }
 
     /// The `GetConfig` answer: the deployment's scheme and click count.
@@ -467,9 +526,8 @@ impl AuthServer {
                 self.pending.begin(&record.username);
                 let job_index = jobs.len();
                 jobs.push(HashJob {
-                    hasher: gp_crypto::SaltedHasher::new(&record.hash.salt),
+                    hasher: SaltedHasher::new(&record.hash.salt),
                     pre_image,
-                    iterations: record.hash.iterations,
                 });
                 Planned::EnrollHashed {
                     record: Box::new(record),
@@ -482,7 +540,7 @@ impl AuthServer {
     /// Phase 1 of login handling: everything cheap.  Looks the account up
     /// in its shard, discretizes and encodes the attempt, checks
     /// provenance, and either settles immediately or appends a [`HashJob`]
-    /// to `jobs` for the batch verifier.
+    /// to `jobs` for the hash step.
     ///
     /// The job carries the account's per-salt hashing state
     /// ([`ShardedPasswordStore::get_cached`]), built from the record on
@@ -511,11 +569,7 @@ impl AuthServer {
             Err(_) | Ok(None) => Planned::LoginNoHash { username },
             Ok(Some(pre_image)) => {
                 let job_index = jobs.len();
-                jobs.push(HashJob {
-                    hasher,
-                    pre_image,
-                    iterations: stored.hash.iterations,
-                });
+                jobs.push(HashJob { hasher, pre_image });
                 Planned::LoginHashed {
                     username,
                     stored: Box::new(stored),
@@ -868,7 +922,7 @@ impl ServerHandle {
     }
 
     /// Aggregate serving statistics: per-thread counters, per-shard store
-    /// snapshots and batch-verifier coalescing counters.
+    /// snapshots and hash-step coalescing counters.
     pub fn stats(&self) -> ServerStats {
         let server = &self.server;
         ServerStats {
@@ -879,7 +933,7 @@ impl ServerHandle {
                 .map(|(i, m)| m.snapshot(i))
                 .collect(),
             shards: server.store.stats(),
-            batch: server.verifier.stats(),
+            batch: server.batch.stats(),
             replication: server.replication.as_ref().and_then(|sink| sink.stats()),
         }
     }
@@ -917,12 +971,8 @@ impl ServerHandle {
             let _ = join.join();
         }
         if self.graceful {
-            // Serving threads are joined: no writer races the final flush.
-            // Force any unsynced Batch(n) WAL tail to stable storage
-            // *first*, so the last sub-batch survives even if the
-            // compaction below fails partway; then compact. In-memory
-            // stores no-op both.
-            let _ = self.server.store.sync_wals();
+            // Serving threads are joined: no writer races the final
+            // compaction. In-memory stores no-op it.
             let _ = self.server.store.snapshot_all();
         }
     }
@@ -1119,7 +1169,7 @@ mod tests {
                 !turn.planned.is_empty(),
                 "turn parked on a barrier nothing lifts"
             );
-            let digests = server.verifier.run_direct(&turn.jobs);
+            let digests = server.hash_batch(&turn.jobs);
             responses.extend(server.settle_responses(turn.planned, &digests));
             if turn.quitting {
                 break;
@@ -1361,7 +1411,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_pipeline_hashes_through_the_batch_verifier() {
+    fn batched_pipeline_hashes_through_the_hash_step() {
         let server = server();
         for i in 0..8 {
             server.handle_message(ClientMessage::Enroll {
@@ -1369,7 +1419,7 @@ mod tests {
                 clicks: clicks(),
             });
         }
-        let baseline_attempts = server.verifier().stats().attempts;
+        let baseline = server.batch.stats();
         let requests: Vec<ClientMessage> = (0..8)
             .map(|i| ClientMessage::Login {
                 username: format!("user{i}"),
@@ -1379,11 +1429,77 @@ mod tests {
         let input = pipeline_bytes(&requests);
         let responses = serve_pipeline(&server, &input, &WorkerMetrics::default());
         assert_eq!(responses.len(), 8);
-        let stats = server.verifier().stats();
-        assert_eq!(stats.attempts - baseline_attempts, 8);
-        assert!(
-            stats.max_run >= 8,
-            "one turn's logins coalesce into one run: {stats:?}"
+        let stats = server.batch.stats();
+        assert_eq!(stats.attempts - baseline.attempts, 8);
+        assert_eq!(
+            stats.runs - baseline.runs,
+            1,
+            "one turn's logins hash in one run: {stats:?}"
+        );
+        assert_eq!(stats.max_run, 8);
+    }
+
+    #[test]
+    fn a_full_turn_of_mixed_salts_hashes_in_one_run_with_unchanged_answers() {
+        // 20 logins (every third a wrong guess) for enrolled accounts, plus
+        // one enroll whose long name gives it a two-block salt while the
+        // logins' salts take one block per round.
+        let long_name = "a-name-long-enough-for-two-blocks";
+        let wrong: Vec<Point> = clicks().iter().map(|p| p.offset(-30.0, -30.0)).collect();
+        let requests: Vec<ClientMessage> = (0..20)
+            .map(|i| ClientMessage::Login {
+                username: format!("user{i}"),
+                clicks: if i % 3 == 0 { wrong.clone() } else { clicks() },
+            })
+            .chain(std::iter::once(ClientMessage::Enroll {
+                username: long_name.into(),
+                clicks: clicks(),
+            }))
+            .collect();
+        let enrolled = || {
+            let server = server();
+            for i in 0..20 {
+                server.handle_message(ClientMessage::Enroll {
+                    username: format!("user{i}"),
+                    clicks: clicks(),
+                });
+            }
+            server
+        };
+
+        // Reference: the same requests, one per turn.
+        let single = enrolled();
+        let expected: Vec<ServerMessage> = requests
+            .iter()
+            .map(|request| single.handle_message(request.clone()))
+            .collect();
+        assert!(expected.contains(&ServerMessage::LoginResult {
+            decision: LoginDecision::Rejected,
+            failures: 1
+        }));
+        assert_eq!(expected[20], ServerMessage::EnrollOk);
+
+        let server = enrolled();
+        let baseline = server.batch.stats();
+        let responses = serve_pipeline(
+            &server,
+            &pipeline_bytes(&requests),
+            &WorkerMetrics::default(),
+        );
+        assert_eq!(responses, expected);
+        let stats = server.batch.stats();
+        assert_eq!(stats.runs - baseline.runs, 1, "{stats:?}");
+        assert_eq!(stats.attempts - baseline.attempts, 21, "{stats:?}");
+        assert_eq!(stats.full_runs - baseline.full_runs, 1, "{stats:?}");
+
+        let blocks = |name: &str| {
+            let record = server.store().get(name).expect("enrolled");
+            SaltedHasher::new(&record.hash.salt).blocks_per_round()
+        };
+        assert_ne!(
+            blocks("user0"),
+            blocks(long_name),
+            "the batch mixes blocks_per_round buckets"
         );
     }
 }

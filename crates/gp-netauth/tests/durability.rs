@@ -12,9 +12,7 @@
 //!   must hold every account acked before the copy began.
 
 use gp_geometry::Point;
-use gp_netauth::{
-    AuthClient, AuthServer, DurabilityConfig, FsyncPolicy, LoginDecision, ServerConfig,
-};
+use gp_netauth::{AuthClient, AuthServer, DurabilityConfig, LoginDecision, ServerConfig};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -42,17 +40,14 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 fn durable_config(dir: &Path) -> ServerConfig {
     ServerConfig {
-        durability: Some(DurabilityConfig {
-            fsync: FsyncPolicy::Always,
-            ..DurabilityConfig::at(dir)
-        }),
+        durability: Some(DurabilityConfig::at(dir)),
         ..ServerConfig::fast_for_tests()
     }
 }
 
-/// The acceptance scenario: enroll over TCP with `fsync: Always`, crash
-/// the store (no orderly save), reload from disk, and log in as every
-/// acknowledged account.
+/// The acceptance scenario: enroll over TCP (every ack follows an
+/// fsync), crash the store (no orderly save), reload from disk, and log
+/// in as every acknowledged account.
 #[test]
 fn acked_enrollments_survive_a_crash_and_log_in_after_recovery() {
     let dir = temp_dir("abort");
@@ -176,7 +171,6 @@ fn background_snapshots_compact_under_load_without_losing_accounts() {
     let users = 32usize;
     let config = ServerConfig {
         durability: Some(DurabilityConfig {
-            fsync: FsyncPolicy::Always,
             // Tiny threshold + fast cadence: compaction must trigger
             // repeatedly during the enrollment stream.
             snapshot_threshold_bytes: 256,
@@ -246,62 +240,5 @@ fn graceful_shutdown_compacts_so_recovery_replays_nothing() {
     let stats = recovered.store().durability_stats().unwrap();
     assert_eq!(stats.replayed_records, 0, "shutdown left empty WALs");
     assert_eq!(recovered.store().len(), 6);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// Regression test for the `FsyncPolicy::Batch(n)` shutdown edge: with an
-/// enrollment count that is *not* a multiple of `n`, the final sub-batch
-/// sits in the page cache un-fsynced when the last ack leaves.  A graceful
-/// shutdown must force that tail to stable storage (`sync_wals`) before
-/// the final compaction, so a clean stop replays nothing and loses
-/// nothing — whichever of the two flush steps the machine dies after.
-#[test]
-fn batched_fsync_tail_is_flushed_on_graceful_shutdown() {
-    let dir = temp_dir("batch-tail");
-    // 4-record fsync batches, 6 enrollments: records 5 and 6 are an
-    // unsynced tail at shutdown time.
-    let users = 6usize;
-    let config = ServerConfig {
-        durability: Some(DurabilityConfig {
-            fsync: FsyncPolicy::Batch(4),
-            ..DurabilityConfig::at(&dir)
-        }),
-        ..ServerConfig::fast_for_tests()
-    };
-    {
-        let handle = AuthServer::open(config.clone())
-            .expect("open")
-            .spawn()
-            .expect("spawn");
-        let mut client = AuthClient::connect(handle.addr()).expect("connect");
-        for user in 0..users {
-            client
-                .enroll(&format!("user{user}"), &clicks(user))
-                .unwrap();
-        }
-        client.quit().unwrap();
-        handle.shutdown(); // graceful: sync_wals + snapshot_all
-    }
-    let handle = AuthServer::open(config)
-        .expect("reopen")
-        .spawn()
-        .expect("respawn");
-    let stats = handle.server().store().durability_stats().unwrap();
-    assert_eq!(
-        stats.replayed_records, 0,
-        "a cleanly stopped batch-mode server replays nothing"
-    );
-    assert_eq!(handle.server().store().len(), users);
-    let mut client = AuthClient::connect(handle.addr()).expect("connect");
-    for user in 0..users {
-        let (decision, _) = client.login(&format!("user{user}"), &clicks(user)).unwrap();
-        assert_eq!(
-            decision,
-            LoginDecision::Accepted,
-            "user{user} sat in the unsynced tail and must survive a clean stop"
-        );
-    }
-    client.quit().unwrap();
-    handle.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -35,9 +35,9 @@
 //!   a [`shard::ShardStats`] snapshot API;
 //! * [`wal`] — the crash-safe durability layer under the sharded store:
 //!   per-shard append-only write-ahead logs (length-prefixed, checksummed,
-//!   torn-tail-tolerant replay), configurable [`wal::FsyncPolicy`], and
-//!   atomic snapshot publication ([`wal::atomic_write`]).  A store opened
-//!   with [`shard::ShardedPasswordStore::open_durable`] logs every
+//!   torn-tail-tolerant replay) and atomic snapshot publication
+//!   ([`wal::atomic_write`]).  A store opened with
+//!   [`shard::ShardedPasswordStore::open_durable`] logs and fsyncs every
 //!   mutation before acknowledging it and recovers crash-only: newest
 //!   intact snapshots + replayed WAL tails;
 //! * [`ring::HashRing`] — consistent-hash placement of accounts onto a
@@ -107,7 +107,7 @@ pub use shard::{
 };
 pub use stored::{ClickRecord, StoredPassword};
 pub use system::{GraphicalPasswordSystem, VerifyScratch};
-pub use wal::{FsyncPolicy, ShardWal, WalEntry, WalReplay};
+pub use wal::{ShardWal, WalEntry, WalReplay};
 
 /// Convenient glob-import of the most commonly used items.
 pub mod prelude {

@@ -24,8 +24,8 @@
 //! # Durability
 //!
 //! A store opened with [`ShardedPasswordStore::open_durable`] pairs every
-//! shard with an append-only [`ShardWal`]: each mutation is logged (and
-//! fsynced per the configured [`FsyncPolicy`]) *before* it is applied in
+//! shard with an append-only [`ShardWal`]: each mutation is logged and
+//! fsynced *before* it is applied in
 //! memory and acknowledged, so a crash at any instant loses no
 //! acknowledged mutation.  Snapshots ([`ShardedPasswordStore::snapshot_shard`])
 //! compact a shard's log: the shard file is atomically published
@@ -55,7 +55,7 @@ use crate::lockdep::{LockClass, OrderedMutex, OrderedRwLock};
 use crate::resident::PackedAccount;
 use crate::stored::StoredPassword;
 use crate::system::GraphicalPasswordSystem;
-use crate::wal::{atomic_write, fnv1a64, sync_dir, FsyncPolicy, ShardWal, WalEntry};
+use crate::wal::{atomic_write, fnv1a64, sync_dir, ShardWal, WalEntry};
 use gp_crypto::SaltedHasher;
 use gp_geometry::Point;
 use std::collections::BTreeSet;
@@ -231,13 +231,10 @@ pub struct ShardStats {
     pub lookups: u64,
 }
 
-/// Tuning for a durable store: when appends hit stable storage and when
-/// per-shard logs are compacted into snapshots.
+/// Tuning for a durable store: when per-shard logs are compacted into
+/// snapshots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DurabilityOptions {
-    /// When WAL appends are flushed to stable storage (the
-    /// acknowledgement-latency vs. crash-loss-window trade).
-    pub fsync: FsyncPolicy,
     /// WAL size (bytes) past which [`ShardedPasswordStore::snapshot_if_due`]
     /// compacts the shard.
     pub snapshot_threshold_bytes: u64,
@@ -246,7 +243,6 @@ pub struct DurabilityOptions {
 impl Default for DurabilityOptions {
     fn default() -> Self {
         Self {
-            fsync: FsyncPolicy::Always,
             snapshot_threshold_bytes: 1024 * 1024,
         }
     }
@@ -434,7 +430,7 @@ impl ShardedPasswordStore {
     ///    re-routed into the surviving shards by step 3).
     ///
     /// After recovery, every mutation appends to the owning shard's WAL
-    /// (flushed per `options.fsync`) before it is acknowledged.
+    /// (and fsyncs it) before it is acknowledged.
     pub fn open_durable(
         dir: &Path,
         shards: usize,
@@ -466,7 +462,7 @@ impl ShardedPasswordStore {
         let mut wals = Vec::with_capacity(shards);
         for shard in 0..shards {
             let path = dir.join(shard_wal_name(shard));
-            let wal = ShardWal::open_or_create(&path, options.fsync)
+            let wal = ShardWal::open_or_create(&path)
                 .map_err(|e| storage_error(&format!("open {}", path.display()), e))?;
             wals.push(OrderedMutex::new(LockClass::WAL, wal));
         }
@@ -552,9 +548,8 @@ impl ShardedPasswordStore {
     /// shard-lock acquisition, so concurrent enrollments of the same name
     /// cannot both succeed.  The serving layer's split-phase enrollment
     /// settles through this (the hash was computed before the lock is
-    /// taken); on a durable store the WAL append (and, under
-    /// [`FsyncPolicy::Always`], its fsync) completes before `Ok` is
-    /// returned, so an acked enrollment survives any crash.
+    /// taken); on a durable store the WAL append and its fsync complete
+    /// before `Ok` is returned, so an acked enrollment survives any crash.
     pub fn insert_new(&self, stored: StoredPassword) -> Result<(), PasswordError> {
         self.insert_enrolled(stored, false).map(drop)
     }
@@ -595,9 +590,9 @@ impl ShardedPasswordStore {
         Ok(index)
     }
 
-    /// The group-commit barrier: flush every deferred append in the named
-    /// shards per the fsync policy — at most **one** fsync per distinct
-    /// shard, however many records each accumulated.  Only after this
+    /// The group-commit barrier: fsync every deferred append in the named
+    /// shards — at most **one** fsync per distinct shard, however many
+    /// records each accumulated.  Only after this
     /// returns `Ok` may the mutations inserted via
     /// [`ShardedPasswordStore::insert_new_deferred`] be acknowledged.
     /// Duplicate shard indices are welcome (the per-shard flush is
@@ -640,8 +635,8 @@ impl ShardedPasswordStore {
     /// primary, or a locally built [`WalEntry::Update`] (bulk loading,
     /// migration).
     ///
-    /// The entry is appended to the owning shard's local WAL (flushed per
-    /// the fsync policy) *before* the in-memory apply, under one
+    /// The entry is appended to the owning shard's local WAL and fsynced
+    /// *before* the in-memory apply, under one
     /// shard-lock acquisition — so when this returns `Ok`, acknowledging
     /// the replication message gives the primary the same durability
     /// guarantee a local ack carries.  Inserts apply as insert-or-replace
@@ -658,8 +653,8 @@ impl ShardedPasswordStore {
     /// inspects the map and decides whether the mutation happens at all
     /// (`Err` refuses it, `Ok(false)` skips it).  An admitted `entry` is
     /// appended to the shard's WAL — `staged` for the next
-    /// [`ShardedPasswordStore::commit_shards`] barrier, or flushed per the
-    /// fsync policy — and only then applied to the map, so WAL order
+    /// [`ShardedPasswordStore::commit_shards`] barrier, or fsynced at
+    /// once — and only then applied to the map, so WAL order
     /// matches apply order and a failed append (rolled back, or the log
     /// poisoned, by [`ShardWal`]) leaves the map untouched.  Returns
     /// whether the mutation was applied.
@@ -749,8 +744,8 @@ impl ShardedPasswordStore {
     }
 
     /// Verify a login attempt for an account (scalar path; the serving
-    /// layer's batch verifier uses [`GraphicalPasswordSystem`]'s split-phase
-    /// API with records and per-salt state fetched via
+    /// layer's batched hash step uses [`GraphicalPasswordSystem`]'s
+    /// split-phase API with records and per-salt state fetched via
     /// [`ShardedPasswordStore::get_cached`]).
     pub fn verify(
         &self,
@@ -1050,21 +1045,6 @@ impl ShardedPasswordStore {
             Some(d) => self.snapshot_if_past(d.options.snapshot_threshold_bytes),
             None => Ok(0),
         }
-    }
-
-    /// Force every WAL to stable storage now, regardless of the fsync
-    /// policy (graceful shutdown under [`FsyncPolicy::Batch`] /
-    /// [`FsyncPolicy::Never`]).
-    pub fn sync_wals(&self) -> Result<(), PasswordError> {
-        let Some(d) = &self.durability else {
-            return Ok(());
-        };
-        for (index, wal) in d.wals.iter().enumerate() {
-            wal.lock()
-                .sync()
-                .map_err(|e| storage_error(&format!("wal sync (shard {index})"), e))?;
-        }
-        Ok(())
     }
 }
 
@@ -1370,7 +1350,7 @@ mod tests {
             assert!(store.remove("user9").unwrap());
             let stats = store.durability_stats().unwrap();
             assert_eq!(stats.wal_appends, 11, "10 enrolls + 1 remove");
-            assert!(stats.wal_syncs >= 11, "Always fsyncs every append");
+            assert!(stats.wal_syncs >= 11, "every flushed append fsyncs");
             // No graceful save: the store is simply dropped, as in a
             // crash after the last ack.
         }
@@ -1638,15 +1618,7 @@ mod tests {
             })
             .collect();
         let store = std::sync::Arc::new(
-            ShardedPasswordStore::open_durable(
-                &dir,
-                1,
-                DurabilityOptions {
-                    fsync: FsyncPolicy::Never,
-                    ..DurabilityOptions::default()
-                },
-            )
-            .unwrap(),
+            ShardedPasswordStore::open_durable(&dir, 1, DurabilityOptions::default()).unwrap(),
         );
         let writer = {
             let store = std::sync::Arc::clone(&store);
@@ -1682,15 +1654,7 @@ mod tests {
         use std::sync::Arc;
         let dir = temp_dir("durable-concurrent");
         let store = Arc::new(
-            ShardedPasswordStore::open_durable(
-                &dir,
-                4,
-                DurabilityOptions {
-                    fsync: FsyncPolicy::Never,
-                    ..DurabilityOptions::default()
-                },
-            )
-            .unwrap(),
+            ShardedPasswordStore::open_durable(&dir, 4, DurabilityOptions::default()).unwrap(),
         );
         let sys = system();
         let mut handles = Vec::new();

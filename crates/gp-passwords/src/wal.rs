@@ -9,9 +9,8 @@
 //!
 //! * [`ShardWal`] — an append-only, length-prefixed, checksummed log of
 //!   mutations (enroll / update / remove).  A mutation is acknowledged
-//!   only after its record is appended (and, under
-//!   [`FsyncPolicy::Always`], fsynced), so recovery can replay everything
-//!   the server ever acked.  [`ShardWal::replay`] tolerates a *torn tail*
+//!   only after its record is appended and fsynced, so recovery can
+//!   replay everything the server ever acked.  [`ShardWal::replay`] tolerates a *torn tail*
 //!   — a final record cut at any byte by a crash — and recovers exactly
 //!   the preceding prefix.
 //! * [`atomic_write`] — snapshot publication as `write tmp → fsync →
@@ -67,24 +66,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
-}
-
-/// When appended WAL records are flushed to stable storage.
-///
-/// The trade is acknowledgement latency against the crash loss window:
-/// see the README's durability section for measured numbers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FsyncPolicy {
-    /// `fsync` after every append: an acknowledged mutation survives any
-    /// crash.  One disk flush per enrollment.
-    Always,
-    /// `fsync` every N appends: a crash loses at most the last N−1
-    /// acknowledged mutations.  `Batch(1)` behaves like `Always`.
-    Batch(u32),
-    /// Never `fsync` from the store; the OS flushes on its own schedule.
-    /// A crash loses whatever the page cache held (typically up to tens
-    /// of seconds).  Process-exit-safe, power-loss-unsafe.
-    Never,
 }
 
 /// One decoded WAL record.
@@ -173,8 +154,8 @@ pub struct WalReplay {
 pub struct ShardWal {
     file: File,
     path: PathBuf,
-    /// Commit sequencing and fsync-policy decisions (pure state machine,
-    /// model tested under gp-sched — see [`crate::watermark::Watermark`]).
+    /// Commit sequencing (pure state machine, model tested under
+    /// gp-sched — see [`crate::watermark::Watermark`]).
     mark: Watermark,
     /// Current file length in bytes (header included).
     len: u64,
@@ -191,7 +172,7 @@ impl ShardWal {
     /// Open `path` for appending, creating it (with the magic header) if
     /// absent or empty.  Existing contents are preserved — replay them
     /// with [`ShardWal::replay`] *before* opening for append.
-    pub fn open_or_create(path: &Path, policy: FsyncPolicy) -> std::io::Result<Self> {
+    pub fn open_or_create(path: &Path) -> std::io::Result<Self> {
         let mut file = OpenOptions::new().create(true).append(true).open(path)?;
         let mut len = file.metadata()?.len();
         if len < WAL_MAGIC.len() as u64 {
@@ -205,7 +186,7 @@ impl ShardWal {
         Ok(Self {
             file,
             path: path.to_path_buf(),
-            mark: Watermark::new(policy),
+            mark: Watermark::new(),
             len,
             appends: 0,
             syncs: 0,
@@ -229,7 +210,7 @@ impl ShardWal {
         self.appends
     }
 
-    /// Fsyncs issued by this handle (policy-driven and explicit).
+    /// Fsyncs issued by this handle.
     pub fn syncs(&self) -> u64 {
         self.syncs
     }
@@ -242,21 +223,18 @@ impl ShardWal {
     /// The commit-sequence watermark: the highest appended sequence known
     /// to be on stable storage.  `durable_seq() == appended_seq()` means
     /// every append is committed; anything above the watermark is still
-    /// awaiting its group-commit barrier (or rides the OS page cache
-    /// under [`FsyncPolicy::Never`]).
+    /// awaiting its group-commit barrier.
     pub fn durable_seq(&self) -> u64 {
         self.mark.durable_seq()
     }
 
-    /// Append `entry` and flush it per the fsync policy.  When this
-    /// returns `Ok`, the record is in the log (and on stable storage
-    /// under [`FsyncPolicy::Always`]) — only then may the mutation be
-    /// acknowledged.
+    /// Append `entry` and fsync it.  When this returns `Ok`, the record
+    /// is on stable storage — only then may the mutation be acknowledged.
     pub fn append_flushed(&mut self, entry: &WalEntry) -> std::io::Result<()> {
         self.write_record(entry, true).map(drop)
     }
 
-    /// Stage `entry` *without* the per-append policy flush — the
+    /// Stage `entry` *without* the per-append fsync — the
     /// group-commit fast path.  The record is in the log (a crash may
     /// still lose it until a barrier lands) but **must not be
     /// acknowledged** until [`ShardWal::group_commit`] or
@@ -266,13 +244,11 @@ impl ShardWal {
         self.write_record(entry, false)
     }
 
-    /// The group-commit barrier: flush every staged append per the
-    /// fsync policy in **one** disk operation, instead of one per
-    /// append.  `Always` syncs if anything is outstanding, `Batch(n)`
-    /// syncs once `n` appends (staged or not) have accumulated,
-    /// `Never` leaves the flush to the OS as usual.  Returns the durable
-    /// commit-sequence watermark after the barrier — under `Always`,
-    /// every previously appended record is committed when this returns.
+    /// The group-commit barrier: fsync every staged append in **one**
+    /// disk operation, instead of one per append, if anything is
+    /// outstanding.  Returns the durable commit-sequence watermark after
+    /// the barrier: every previously appended record is committed when
+    /// this returns.
     pub fn group_commit(&mut self) -> std::io::Result<u64> {
         if self.mark.barrier_needs_sync() {
             self.sync()?;
@@ -282,8 +258,7 @@ impl ShardWal {
 
     /// Frame `entry` as one record and write it in one call (a crash can
     /// still tear it mid-record, but replay recovers the full prefix
-    /// regardless of where the tear lands); with `flush`, sync now if the
-    /// policy demands it.
+    /// regardless of where the tear lands); with `flush`, fsync it now.
     fn write_record(&mut self, entry: &WalEntry, flush: bool) -> std::io::Result<u64> {
         if self.poisoned {
             return Err(std::io::Error::other(format!(
@@ -300,7 +275,7 @@ impl ShardWal {
         let seq = self.mark.begin_append();
         let written = self.file.write_all(&buf).and_then(|()| {
             self.mark.note_appended();
-            if flush && self.mark.barrier_needs_sync() {
+            if flush {
                 self.sync()?;
             }
             Ok(())
@@ -334,8 +309,8 @@ impl ShardWal {
         }
     }
 
-    /// Flush appended records to stable storage now, regardless of
-    /// policy, advancing the durable commit-sequence watermark.
+    /// Flush appended records to stable storage now, advancing the
+    /// durable commit-sequence watermark.
     pub fn sync(&mut self) -> std::io::Result<()> {
         self.file.sync_all()?;
         self.syncs += 1;
@@ -602,13 +577,13 @@ mod tests {
         let path = dir.join("shard-000.wal");
         let (a, b) = (sample("alice", 0.0), sample("bob", 3.0));
         {
-            let mut wal = ShardWal::open_or_create(&path, FsyncPolicy::Always).unwrap();
+            let mut wal = ShardWal::open_or_create(&path).unwrap();
             wal.append_flushed(&enroll(&a)).unwrap();
             wal.append_flushed(&WalEntry::Update(b.clone())).unwrap();
             wal.append_flushed(&WalEntry::Remove("alice".into()))
                 .unwrap();
             assert_eq!(wal.appends(), 3);
-            assert!(wal.syncs() >= 3, "Always fsyncs every append");
+            assert!(wal.syncs() >= 3, "every flushed append fsyncs");
         }
         let replay = replay_all(&path).unwrap();
         assert_eq!(replay.torn_bytes, 0);
@@ -629,11 +604,11 @@ mod tests {
         let path = dir.join("w.wal");
         let (a, b) = (sample("alice", 0.0), sample("bob", 3.0));
         {
-            let mut wal = ShardWal::open_or_create(&path, FsyncPolicy::Never).unwrap();
+            let mut wal = ShardWal::open_or_create(&path).unwrap();
             wal.append_flushed(&enroll(&a)).unwrap();
         }
         {
-            let mut wal = ShardWal::open_or_create(&path, FsyncPolicy::Never).unwrap();
+            let mut wal = ShardWal::open_or_create(&path).unwrap();
             wal.append_flushed(&enroll(&b)).unwrap();
         }
         let replay = replay_all(&path).unwrap();
@@ -653,7 +628,7 @@ mod tests {
             .collect();
         let mut boundaries = vec![WAL_MAGIC.len() as u64];
         {
-            let mut wal = ShardWal::open_or_create(&path, FsyncPolicy::Never).unwrap();
+            let mut wal = ShardWal::open_or_create(&path).unwrap();
             for record in &records {
                 wal.append_flushed(&enroll(record)).unwrap();
                 boundaries.push(wal.len_bytes());
@@ -696,7 +671,7 @@ mod tests {
         let (a, b) = (sample("alice", 0.0), sample("bob", 3.0));
         let first_end;
         {
-            let mut wal = ShardWal::open_or_create(&path, FsyncPolicy::Never).unwrap();
+            let mut wal = ShardWal::open_or_create(&path).unwrap();
             wal.append_flushed(&enroll(&a)).unwrap();
             first_end = wal.len_bytes() as usize;
             wal.append_flushed(&enroll(&b)).unwrap();
@@ -743,7 +718,7 @@ mod tests {
             .collect();
         let mut boundaries = vec![WAL_MAGIC.len()];
         {
-            let mut wal = ShardWal::open_or_create(&path, FsyncPolicy::Never).unwrap();
+            let mut wal = ShardWal::open_or_create(&path).unwrap();
             for record in &records {
                 wal.append_flushed(&enroll(record)).unwrap();
                 boundaries.push(wal.len_bytes() as usize);
@@ -783,7 +758,7 @@ mod tests {
             .collect();
         let mut boundaries = vec![WAL_MAGIC.len()];
         {
-            let mut wal = ShardWal::open_or_create(&path, FsyncPolicy::Never).unwrap();
+            let mut wal = ShardWal::open_or_create(&path).unwrap();
             for record in &records {
                 wal.append_flushed(&enroll(record)).unwrap();
                 boundaries.push(wal.len_bytes() as usize);
@@ -837,31 +812,11 @@ mod tests {
     }
 
     #[test]
-    fn batch_policy_syncs_every_n_appends() {
-        let dir = temp_dir("batch");
-        let path = dir.join("w.wal");
-        let mut wal = ShardWal::open_or_create(&path, FsyncPolicy::Batch(3)).unwrap();
-        let open_syncs = wal.syncs();
-        for i in 0..7 {
-            wal.append_flushed(&enroll(&sample(&format!("u{i}"), i as f64)))
-                .unwrap();
-        }
-        assert_eq!(
-            wal.syncs() - open_syncs,
-            2,
-            "7 appends at Batch(3) = 2 syncs"
-        );
-        wal.sync().unwrap();
-        assert_eq!(wal.syncs() - open_syncs, 3);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn reset_truncates_to_header_and_new_appends_replay_alone() {
         let dir = temp_dir("reset");
         let path = dir.join("w.wal");
         let (a, b) = (sample("alice", 0.0), sample("bob", 3.0));
-        let mut wal = ShardWal::open_or_create(&path, FsyncPolicy::Always).unwrap();
+        let mut wal = ShardWal::open_or_create(&path).unwrap();
         wal.append_flushed(&enroll(&a)).unwrap();
         wal.reset().unwrap();
         assert_eq!(wal.len_bytes(), WAL_MAGIC.len() as u64);
@@ -877,7 +832,7 @@ mod tests {
         let dir = temp_dir("poison");
         let path = dir.join("w.wal");
         let (a, b) = (sample("alice", 0.0), sample("bob", 3.0));
-        let mut wal = ShardWal::open_or_create(&path, FsyncPolicy::Always).unwrap();
+        let mut wal = ShardWal::open_or_create(&path).unwrap();
         wal.append_flushed(&enroll(&a)).unwrap();
         wal.poison_for_test();
         assert!(wal.is_poisoned());
@@ -903,7 +858,7 @@ mod tests {
     fn staged_appends_commit_once_per_group_and_advance_the_watermark() {
         let dir = temp_dir("group");
         let path = dir.join("w.wal");
-        let mut wal = ShardWal::open_or_create(&path, FsyncPolicy::Always).unwrap();
+        let mut wal = ShardWal::open_or_create(&path).unwrap();
         let open_syncs = wal.syncs();
         let mut seqs = Vec::new();
         for i in 0..5 {
@@ -936,38 +891,17 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_respects_batch_and_never_policies() {
-        let dir = temp_dir("group-policy");
-        let batch = dir.join("b.wal");
-        let mut wal = ShardWal::open_or_create(&batch, FsyncPolicy::Batch(4)).unwrap();
-        let open_syncs = wal.syncs();
-        for i in 0..3 {
-            wal.append_staged(&enroll(&sample(&format!("u{i}"), i as f64)))
-                .unwrap();
-        }
-        wal.group_commit().unwrap();
-        assert_eq!(wal.syncs() - open_syncs, 0, "3 staged < Batch(4)");
-        wal.append_staged(&enroll(&sample("u3", 3.0))).unwrap();
-        wal.group_commit().unwrap();
-        assert_eq!(wal.syncs() - open_syncs, 1, "4th append fills the batch");
-        assert_eq!(wal.durable_seq(), 4);
-
-        let never = dir.join("n.wal");
-        let mut wal = ShardWal::open_or_create(&never, FsyncPolicy::Never).unwrap();
-        wal.append_staged(&enroll(&sample("alice", 0.0))).unwrap();
-        assert_eq!(wal.group_commit().unwrap(), 0, "Never leaves it to the OS");
-        assert_eq!(wal.syncs(), 0);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn sync_and_reset_catch_the_watermark_up() {
         let dir = temp_dir("watermark");
         let path = dir.join("w.wal");
-        let mut wal = ShardWal::open_or_create(&path, FsyncPolicy::Never).unwrap();
+        let mut wal = ShardWal::open_or_create(&path).unwrap();
         wal.append_staged(&enroll(&sample("alice", 0.0))).unwrap();
         wal.sync().unwrap();
-        assert_eq!(wal.durable_seq(), 1, "explicit sync commits regardless");
+        assert_eq!(
+            wal.durable_seq(),
+            1,
+            "an explicit sync commits the staged append"
+        );
         wal.append_staged(&enroll(&sample("bob", 3.0))).unwrap();
         wal.reset().unwrap();
         assert_eq!(

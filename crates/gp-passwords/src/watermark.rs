@@ -2,20 +2,17 @@
 //!
 //! [`Watermark`] is the state machine behind [`crate::wal::ShardWal`]'s
 //! commit sequencing: which sequence numbers have been appended, which are
-//! on stable storage, and when the fsync policy demands a sync. It touches
-//! no I/O, so the gp-sched model tests (`tests/sched_watermark.rs`) can
-//! drive it under a deterministic scheduler with a simulated disk and
-//! exhaustively check the invariant the whole durability story rests on:
-//! **no acknowledged sequence may exceed the durable watermark**.
+//! on stable storage, and when a sync is owed. It touches no I/O, so the
+//! gp-sched model tests (`tests/sched_watermark.rs`) can drive it under a
+//! deterministic scheduler with a simulated disk and exhaustively check
+//! the invariant the whole durability story rests on: **no acknowledged
+//! sequence may exceed the durable watermark**.
 
-use crate::wal::FsyncPolicy;
-
-/// Append/durable sequence bookkeeping for one WAL, plus the fsync-policy
-/// decision logic. The owner performs the actual disk writes and reports
-/// outcomes back ([`Watermark::note_synced`], [`Watermark::rollback_append`]).
-#[derive(Debug, Clone, Copy)]
+/// Append/durable sequence bookkeeping for one WAL. The owner performs
+/// the actual disk writes and reports outcomes back
+/// ([`Watermark::note_synced`], [`Watermark::rollback_append`]).
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Watermark {
-    policy: FsyncPolicy,
     /// Commit sequence: incremented per appended record.  Monotonic for
     /// the life of the handle (a snapshot reset does not rewind it).
     seq: u64,
@@ -24,19 +21,14 @@ pub struct Watermark {
     /// yet committed — they must not be acknowledged until a sync carries
     /// the watermark past them.
     durable: u64,
-    /// Appends since the last fsync (drives [`FsyncPolicy::Batch`]).
+    /// Appends since the last fsync.
     unsynced: u32,
 }
 
 impl Watermark {
     /// A fresh watermark at sequence zero.
-    pub fn new(policy: FsyncPolicy) -> Self {
-        Watermark {
-            policy,
-            seq: 0,
-            durable: 0,
-            unsynced: 0,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Commit sequence of the last appended record (0 before any append).
@@ -73,17 +65,10 @@ impl Watermark {
         self.unsynced = self.unsynced.saturating_add(1);
     }
 
-    /// Whether the fsync policy demands a sync now — asked by the
-    /// group-commit barrier, and by a flushed append right after its
-    /// [`Watermark::note_appended`]: `Always` whenever anything is
-    /// outstanding, `Batch(n)` once `n` appends accumulated, `Never`
-    /// leaves flushing to the OS.
+    /// Whether the group-commit barrier owes a sync: anything appended
+    /// since the last one.
     pub fn barrier_needs_sync(&self) -> bool {
-        match self.policy {
-            FsyncPolicy::Always => self.unsynced > 0,
-            FsyncPolicy::Batch(every) => self.unsynced >= every.max(1),
-            FsyncPolicy::Never => false,
-        }
+        self.unsynced > 0
     }
 
     /// An fsync completed: every appended record is now on stable storage.
@@ -98,44 +83,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn always_policy_syncs_every_flushed_append() {
-        let mut w = Watermark::new(FsyncPolicy::Always);
-        let seq = w.begin_append();
-        assert_eq!(seq, 1);
-        w.note_appended();
-        assert!(w.barrier_needs_sync());
-        w.note_synced();
-        assert_eq!(w.durable_seq(), 1);
-        assert_eq!(w.unsynced(), 0);
-    }
-
-    #[test]
-    fn batch_policy_syncs_at_threshold() {
-        let mut w = Watermark::new(FsyncPolicy::Batch(3));
-        for expect in [false, false, true] {
-            w.begin_append();
-            w.note_appended();
-            assert_eq!(w.barrier_needs_sync(), expect);
-        }
-        w.note_synced();
-        assert_eq!(w.durable_seq(), 3);
-    }
-
-    #[test]
     fn staged_appends_wait_for_the_barrier() {
-        let mut w = Watermark::new(FsyncPolicy::Always);
-        w.begin_append();
+        let mut w = Watermark::new();
+        assert_eq!(w.begin_append(), 1);
         w.note_appended();
         assert_eq!(w.durable_seq(), 0);
         assert!(w.barrier_needs_sync());
         w.note_synced();
         assert_eq!(w.durable_seq(), 1);
+        assert_eq!(w.unsynced(), 0);
         assert!(!w.barrier_needs_sync());
     }
 
     #[test]
     fn rollback_retires_the_seq_and_clamps_durable() {
-        let mut w = Watermark::new(FsyncPolicy::Never);
+        let mut w = Watermark::new();
         w.begin_append();
         w.note_synced();
         let seq = w.begin_append();
@@ -143,14 +105,5 @@ mod tests {
         w.rollback_append();
         assert_eq!(w.appended_seq(), 1);
         assert_eq!(w.durable_seq(), 1);
-    }
-
-    #[test]
-    fn never_policy_never_demands_sync() {
-        let mut w = Watermark::new(FsyncPolicy::Never);
-        w.begin_append();
-        w.note_appended();
-        assert!(!w.barrier_needs_sync());
-        assert_eq!(w.durable_seq(), 0);
     }
 }

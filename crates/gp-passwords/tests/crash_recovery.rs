@@ -14,7 +14,7 @@
 
 use gp_geometry::Point;
 use gp_passwords::prelude::*;
-use gp_passwords::{DurabilityOptions, FsyncPolicy, ShardedPasswordStore, WalEntry};
+use gp_passwords::{DurabilityOptions, ShardedPasswordStore, WalEntry};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 
@@ -66,7 +66,8 @@ fn wal_truncated_at_every_byte_recovers_the_exact_prefix() {
     let wal_path = dir.join("shard-000.wal");
     let users = 4usize;
     // `boundaries[i]` = WAL length right after user `i`'s enrollment was
-    // acknowledged (fsync: Always ⇒ the on-disk length is current).
+    // acknowledged (every ack follows an fsync, so the on-disk length is
+    // current).
     let mut boundaries = Vec::new();
     {
         let store =
@@ -153,15 +154,8 @@ fn interior_wal_corruption_fails_recovery_distinctly_from_a_torn_tail() {
     let sys = system();
     let dir = temp_dir("mid-file");
     {
-        let store = ShardedPasswordStore::open_durable(
-            &dir,
-            1,
-            DurabilityOptions {
-                fsync: FsyncPolicy::Always,
-                ..DurabilityOptions::default()
-            },
-        )
-        .unwrap();
+        let store =
+            ShardedPasswordStore::open_durable(&dir, 1, DurabilityOptions::default()).unwrap();
         for i in 0..4 {
             store.enroll(&sys, &format!("user{i}"), &clicks(i)).unwrap();
         }
@@ -245,18 +239,10 @@ proptest! {
         shards_before in 1usize..6usize,
         shards_after in 1usize..6usize,
         snapshot_at in 0usize..32usize,
-        batched_fsync in 0u8..2u8,
     ) {
         let sys = system();
         let dir = temp_dir("prop");
-        let fsync = if batched_fsync == 0 {
-            FsyncPolicy::Always
-        } else {
-            // Batch(2) exercises the non-per-append sync path; page-cache
-            // visibility keeps in-process recovery lossless either way.
-            FsyncPolicy::Batch(2)
-        };
-        let options = DurabilityOptions { fsync, ..DurabilityOptions::default() };
+        let options = DurabilityOptions::default();
         let mirror = ShardedPasswordStore::new(shards_before);
         {
             let durable =

@@ -8,7 +8,6 @@
 //! test suite too: the shims are instrumented whenever an explorer
 //! execution is active, no cfg switch needed.
 
-use gp_passwords::wal::FsyncPolicy;
 use gp_passwords::watermark::Watermark;
 use gp_sched::{shim, thread, Explorer};
 use std::sync::atomic::Ordering;
@@ -22,7 +21,7 @@ struct SimWal {
 }
 
 impl SimWal {
-    /// The group-commit barrier: fsync if the policy demands it, then
+    /// The group-commit barrier: fsync if anything is outstanding, then
     /// advance the durable watermark — exactly `ShardWal::group_commit`'s
     /// ordering (sync_all first, bookkeeping after).
     fn group_commit(&mut self) -> u64 {
@@ -41,7 +40,7 @@ impl SimWal {
 fn group_commit_never_acks_above_stable() {
     let exploration = Explorer::new().explore(|| {
         let wal = Arc::new(shim::Mutex::new(SimWal {
-            mark: Watermark::new(FsyncPolicy::Always),
+            mark: Watermark::new(),
             stable: 0,
         }));
         let acked = Arc::new(shim::AtomicU64::new(0));
@@ -112,7 +111,7 @@ fn group_commit_never_acks_above_stable() {
 fn rollback_keeps_watermark_consistent() {
     let exploration = Explorer::new().explore(|| {
         let wal = Arc::new(shim::Mutex::new(SimWal {
-            mark: Watermark::new(FsyncPolicy::Batch(2)),
+            mark: Watermark::new(),
             stable: 0,
         }));
         let wal2 = Arc::clone(&wal);

@@ -1,6 +1,6 @@
 //! End-to-end networked deployment: spawn the sharded, pipelined TCP
 //! authentication server with the crash-safe durable store, enroll users,
-//! push a pipelined login burst through the batch verifier, demonstrate
+//! push a pipelined login burst through the batched hash step, demonstrate
 //! the online-attack lockout, *crash* the server and recover every
 //! acknowledged account from the write-ahead logs, and print the shard /
 //! serving-thread / batching / durability statistics.
@@ -9,8 +9,7 @@
 
 use graphical_passwords::geometry::Point;
 use graphical_passwords::netauth::{
-    AuthClient, AuthServer, ClientMessage, DurabilityConfig, FsyncPolicy, LoginDecision,
-    ServerConfig,
+    AuthClient, AuthServer, ClientMessage, DurabilityConfig, LoginDecision, ServerConfig,
 };
 
 fn main() {
@@ -21,15 +20,15 @@ fn main() {
     let _ = std::fs::remove_dir_all(&state_dir);
     let config = ServerConfig {
         hash_iterations: 1000,
-        durability: Some(DurabilityConfig {
-            fsync: FsyncPolicy::Always,
-            ..DurabilityConfig::at(&state_dir)
-        }),
+        durability: Some(DurabilityConfig::at(&state_dir)),
         ..ServerConfig::study_default()
     };
     println!(
-        "deployment: {} shards, {} hash-compute threads, batches of ≤{} logins per hash run",
-        config.shards, config.workers, config.batch_max
+        "deployment: {} shards, {} hash-compute threads, queued turns coalesced until \
+         their hash jobs fill {} lanes",
+        config.shards,
+        config.workers,
+        graphical_passwords::crypto::LANES
     );
     println!(
         "durability: WAL per shard under {}, fsync on every enrollment",
@@ -93,8 +92,7 @@ fn main() {
 
     // The serving-layer statistics: shard occupancy, per-thread counters
     // (entry 0 is the reactor's event loop, then one per hash-compute
-    // thread) and how well the batch verifier coalesced the pipelined
-    // logins.
+    // thread) and how well the turn queue coalesced the pipelined logins.
     let stats = handle.stats();
     println!("--- serving stats ---");
     for shard in &stats.shards {
@@ -110,7 +108,7 @@ fn main() {
         );
     }
     println!(
-        "batch verifier: {} hash runs for {} attempts (mean batch {:.1}, largest {})",
+        "hash step: {} hash runs for {} attempts (mean batch {:.1}, largest {})",
         stats.batch.runs,
         stats.batch.attempts,
         stats.batch.mean_batch(),
