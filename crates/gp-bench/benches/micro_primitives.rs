@@ -4,7 +4,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use gp_bench::example_clicks;
-use gp_crypto::{iterated_hash, iterated_hash_reference, SaltedHasher, Sha256};
+use gp_crypto::iterated::Kernel;
+use gp_crypto::{iterated_hash, iterated_hash_reference, SaltedHasher, Sha256, LANES};
 use gp_discretization::prelude::*;
 use gp_geometry::{ImageDims, Point};
 use gp_passwords::prelude::*;
@@ -82,6 +83,34 @@ fn bench_iterated_hash_fast_paths(c: &mut Criterion) {
     group.bench_function("h1000_128B_salt_midstate", |b| {
         b.iter(|| iterated_hash(black_box(&longer_salt), black_box(&pre_image), 1000))
     });
+
+    // One full serving batch (16 accounts, one salt each) at h^3000 on
+    // every kernel this CPU runs: the kernel ratio behind gpbench's
+    // `crypto.hash16_ms`.  Under `gp-passwords/v1`, user names of up to 7
+    // bytes give one-block salts and longer ones two-block salts.
+    for (blocks, name_len) in [(1, 5), (2, 12)] {
+        let hashers: Vec<SaltedHasher> = (0..LANES)
+            .map(|i| {
+                let mut salt = b"gp-passwords/v1\x1f".to_vec();
+                salt.extend((0..name_len).map(|j| b'a' + ((i + j) % 26) as u8));
+                SaltedHasher::new(&salt)
+            })
+            .collect();
+        assert!(hashers.iter().all(|h| h.blocks_per_round() == blocks));
+        let hasher_refs: Vec<&SaltedHasher> = hashers.iter().collect();
+        let messages: Vec<Vec<u8>> = (0..LANES).map(|i| vec![i as u8; 40]).collect();
+        let msg_refs: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
+        let mut out = Vec::new();
+        for kernel in Kernel::available() {
+            let case = format!("h3000_16_chains_{blocks}_block_{}", kernel.name());
+            group.bench_function(case, |b| {
+                b.iter(|| {
+                    kernel.many_salted_into(black_box(&hasher_refs), &msg_refs, 3000, &mut out);
+                    black_box(&out);
+                })
+            });
+        }
+    }
     group.finish();
 }
 

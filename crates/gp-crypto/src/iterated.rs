@@ -18,27 +18,29 @@ use crate::sha256::{
     compress, compress_lanes, state_to_digest, Digest, Midstate, Sha256, BLOCK_LEN, DIGEST_LEN,
 };
 #[cfg(target_arch = "x86_64")]
-use crate::sha256::{ShaNi, K};
+use crate::sha256::{Avx512, ShaNi, K};
 #[cfg(target_arch = "x86_64")]
 use core::arch::x86_64::__m128i;
 
-/// Number of interleaved hash lanes in the portable kernel, and the batch
-/// size the batched entry points ([`iterated_hash_many`],
+/// Number of interleaved hash lanes in the lane kernel, and the batch size
+/// the batched entry points ([`iterated_hash_many`],
 /// [`SaltedHasher::iterated_many`]) and the serving layer coalesce to.
 ///
 /// Independent SHA-256 chains interleaved in one compression loop sidestep
 /// the serial round-to-round dependency of a single hash: the lane loop
 /// bodies are element-wise u32 operations over adjacent memory, which LLVM
-/// auto-vectorizes.  16 lanes (one cache line of u32s per schedule round)
-/// is the sweet spot of the `micro_primitives` lane sweep.  Measured at
-/// h^3000 on a 2-vCPU Xeon with the x86-64-v3 build, a full 16-lane pass
-/// costs 4.3–4.9 ms and one scalar chain 1.2–1.3 ms: about 4× the scalar
-/// throughput.
+/// auto-vectorizes.  16 lanes (one cache line of u32s per schedule round,
+/// one zmm register per state word) is the sweet spot of the
+/// `micro_primitives` lane sweep.  Measured at h^3000 on a 2-vCPU Xeon with
+/// the x86-64-v3 build, a full 16-lane pass costs 4.3–4.9 ms and one scalar
+/// chain 1.2–1.3 ms: about 4× the scalar throughput.
 ///
-/// On a CPU with SHA-NI every entry point runs the SHA-NI kernel instead,
-/// up to four chains at a time (0.16–0.20 ms per chain at h^3000 on the
-/// same host, 0.17 ms for a lone chain), and `LANES` is only the batch
-/// size.
+/// Which kernel runs is [`Kernel`]'s rule, by CPUID and group size: every
+/// full group of `LANES` same-block-count chains runs the lane loop's
+/// AVX-512 build where the CPU has it (1.7–2.3 ms for 16 one-block chains
+/// at h^3000 on a 2-vCPU Sapphire Rapids Xeon), and the rest runs on
+/// SHA-NI where the CPU has that (0.17 ms for a lone chain, 2.8–3.1 ms for
+/// 16).
 pub const LANES: usize = 16;
 
 /// Apply SHA-256 `iterations` times to `salt || message`:
@@ -107,44 +109,7 @@ pub fn iterated_hash_many_salted_into(
     iterations: u32,
     out: &mut Vec<Digest>,
 ) {
-    many_salted_into(Kernel::detect(), hashers, messages, iterations, out);
-}
-
-/// The body of [`iterated_hash_many_salted_into`] on a given kernel.
-fn many_salted_into(
-    kernel: Kernel,
-    hashers: &[&SaltedHasher],
-    messages: &[&[u8]],
-    iterations: u32,
-    out: &mut Vec<Digest>,
-) {
-    assert_eq!(
-        hashers.len(),
-        messages.len(),
-        "one salted hasher per message"
-    );
-    let rounds = iterations.max(1);
-    out.clear();
-    out.extend(
-        hashers
-            .iter()
-            .zip(messages)
-            .map(|(h, m)| h.first.digest_suffix(m)),
-    );
-    if rounds == 1 {
-        return;
-    }
-
-    // Interleaved chains must share the per-round block count, so bucket
-    // entry indices by `blocks_per_round` (1 for salts ≤ 23 bytes mod 64,
-    // else 2) and advance the chains bucket by bucket.
-    let mut order: Vec<usize> = (0..hashers.len()).collect();
-    order.sort_by_key(|&i| hashers[i].blocks_per_round());
-    for group in
-        order.chunk_by(|&a, &b| hashers[a].blocks_per_round() == hashers[b].blocks_per_round())
-    {
-        advance_group(kernel, |i| &hashers[i].template, group, rounds, out);
-    }
+    Kernel::detect().many_salted_into(hashers, messages, iterations, out);
 }
 
 /// Number of chains one SHA-NI pass interleaves.  A lone chain leaves the
@@ -152,55 +117,137 @@ fn many_salted_into(
 /// chains fill those slots until the 16 XMM registers spill.  Measured at
 /// h^3000 on a 2-vCPU Xeon (medians of 7 alternating runs), 16 one-block
 /// login chains took 2.3 ms at 2 chains per pass, 2.2 ms at 4 and 2.5 ms at
-/// 8; 16 two-block chains 4.5, 4.3 and 4.8 ms.
+/// 8; 16 two-block chains 4.5, 4.3 and 4.8 ms.  On a CPU with AVX-512 the
+/// SHA-NI kernel sees only what is left of a group after its full
+/// [`LANES`]-wide passes, so at most 15 chains: 0 to 3 passes of four and
+/// one narrower pass.
 #[cfg(target_arch = "x86_64")]
 const SHANI_CHAINS: usize = 4;
 
-/// The compression kernel iterated hashing runs on.  Only the CPU picks
-/// it, through [`Kernel::detect`].
+/// The compression kernels iterated hashing runs on: which of the CPU's
+/// `Avx512` and `ShaNi` detection tokens it holds.  Production entry
+/// points hold every token the CPU grants, so only the CPU picks; the
+/// other kernels in [`Kernel::available`] exist for the equivalence tests
+/// and the `micro_primitives` per-kernel rows.
+///
+/// The rule, by CPUID and group size only: every full [`LANES`]-wide group
+/// of same-`blocks_per_round` chains runs the lane loop's AVX-512 build
+/// when the CPU has AVX-512F and AVX-512VL; the rest of the group runs on
+/// SHA-NI, four chains at a time, when the CPU has it, and otherwise on
+/// the portable loop (padded to full width, or scalar for 1–3 chains).
+/// Measured at h^3000 on a 2-vCPU Sapphire Rapids Xeon (medians of three
+/// `micro_primitives` runs), 16 one-block chains take 1.7–2.3 ms on
+/// AVX-512 against 2.8–3.1 ms on SHA-NI, and 16 two-block chains 3.5–4.2
+/// against 5.1–6.2 ms; a lone chain stays on SHA-NI (0.17 ms).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Kernel {
-    /// The x86 SHA extensions, [`SHANI_CHAINS`] chains interleaved.
+pub struct Kernel {
+    /// Run full `LANES`-wide groups through `run_salted_lanes_avx512`.
     #[cfg(target_arch = "x86_64")]
-    ShaNi(ShaNi),
-    /// The portable auto-vectorized [`LANES`]-lane loop.
-    Lanes,
+    avx512: Option<Avx512>,
+    /// Run the rest through `advance_shani` instead of `advance_lanes`.
+    #[cfg(target_arch = "x86_64")]
+    shani: Option<ShaNi>,
 }
 
 impl Kernel {
-    /// The fastest kernel this CPU supports.
+    /// The fastest kernel this CPU supports: every token it grants.
     fn detect() -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(shani) = ShaNi::detect() {
-            return Kernel::ShaNi(shani);
+        Kernel {
+            #[cfg(target_arch = "x86_64")]
+            avx512: Avx512::detect(),
+            #[cfg(target_arch = "x86_64")]
+            shani: ShaNi::detect(),
         }
-        Kernel::Lanes
     }
 
-    /// Every kernel this CPU can run — the equivalence tests' sweep.  The
-    /// first call prints which kernels run, so a test log shows whether
-    /// the SHA-NI half was skipped on a CPU without it.
-    #[cfg(test)]
-    fn available() -> Vec<Self> {
-        static NOTICE: std::sync::Once = std::sync::Once::new();
-        let mut kernels = vec![Kernel::Lanes];
+    /// Every kernel this CPU can run, portable first and the one
+    /// production uses last: each subset of the granted tokens.  In
+    /// test builds the first call prints which kernels run, so a test log
+    /// shows what a CPU without SHA-NI or AVX-512 skipped.
+    pub fn available() -> Vec<Self> {
         let detected = Kernel::detect();
-        if detected != Kernel::Lanes {
-            kernels.push(detected);
-        }
-        NOTICE.call_once(|| match detected {
-            Kernel::Lanes => {
-                println!("notice: this CPU lacks SHA-NI; only the portable kernel is tested")
+        let mut kernels = Vec::new();
+        #[cfg(not(target_arch = "x86_64"))]
+        kernels.push(detected);
+        #[cfg(target_arch = "x86_64")]
+        for shani in [None, detected.shani] {
+            for avx512 in [None, detected.avx512] {
+                let kernel = Kernel { avx512, shani };
+                if !kernels.contains(&kernel) {
+                    kernels.push(kernel);
+                }
             }
-            _ => println!("notice: testing both kernels, SHA-NI and portable"),
-        });
+        }
+        #[cfg(test)]
+        {
+            static NOTICE: std::sync::Once = std::sync::Once::new();
+            NOTICE.call_once(|| {
+                let names: Vec<&str> = kernels.iter().map(Kernel::name).collect();
+                println!(
+                    "notice: testing kernels {}; detected {}",
+                    names.join(", "),
+                    detected.name()
+                );
+            });
+        }
         kernels
+    }
+
+    /// `portable`, `avx512`, `sha-ni` or `sha-ni+avx512`.
+    pub fn name(&self) -> &'static str {
+        #[cfg(target_arch = "x86_64")]
+        match (self.shani.is_some(), self.avx512.is_some()) {
+            (false, false) => "portable",
+            (false, true) => "avx512",
+            (true, false) => "sha-ni",
+            (true, true) => "sha-ni+avx512",
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        "portable"
+    }
+
+    /// [`iterated_hash_many_salted_into`] on this kernel.
+    pub fn many_salted_into(
+        self,
+        hashers: &[&SaltedHasher],
+        messages: &[&[u8]],
+        iterations: u32,
+        out: &mut Vec<Digest>,
+    ) {
+        assert_eq!(
+            hashers.len(),
+            messages.len(),
+            "one salted hasher per message"
+        );
+        let rounds = iterations.max(1);
+        out.clear();
+        out.extend(
+            hashers
+                .iter()
+                .zip(messages)
+                .map(|(h, m)| h.first.digest_suffix(m)),
+        );
+        if rounds == 1 {
+            return;
+        }
+
+        // Interleaved chains must share the per-round block count, so
+        // bucket entry indices by `blocks_per_round` (1 for salts ≤ 23
+        // bytes mod 64, else 2) and advance the chains bucket by bucket.
+        let mut order: Vec<usize> = (0..hashers.len()).collect();
+        order.sort_by_key(|&i| hashers[i].blocks_per_round());
+        for group in
+            order.chunk_by(|&a, &b| hashers[a].blocks_per_round() == hashers[b].blocks_per_round())
+        {
+            advance_group(self, |i| &hashers[i].template, group, rounds, out);
+        }
     }
 }
 
 /// Advance `out[i]` by `rounds - 1` salted rounds under `template(i)` for
 /// every `i` in `group`; every entry of `group` shares `blocks_per_round`.
-/// Every iterated-hash entry point funnels through here.
+/// Every iterated-hash entry point funnels through here, and here alone
+/// [`Kernel`]'s dispatch rule is applied.
 #[allow(unsafe_code)]
 fn advance_group<'t>(
     kernel: Kernel,
@@ -209,16 +256,32 @@ fn advance_group<'t>(
     rounds: u32,
     out: &mut [Digest],
 ) {
-    match kernel {
-        #[cfg(target_arch = "x86_64")]
-        Kernel::ShaNi(ShaNi { .. }) => {
-            // SAFETY: a `ShaNi` token exists only if `ShaNi::detect` saw sha,
-            // sse2, ssse3, sse4.1 and avx on this CPU: the features
-            // `advance_shani` enables.
-            // gp-lint: allow(L3, the one target-feature call; its ShaNi token proves the CPUID check passed)
-            unsafe { advance_shani(&template, group, rounds, out) }
+    #[cfg(target_arch = "x86_64")]
+    {
+        let (full, rest) = match kernel.avx512 {
+            Some(Avx512 { .. }) => group.split_at(group.len() / LANES * LANES),
+            None => group.split_at(0),
+        };
+        // SAFETY: `full` is non-empty only under an `Avx512` token, which
+        // exists only if `Avx512::detect` saw avx512f and avx512vl, and
+        // `advance_shani` runs only under a `ShaNi` token, which exists only
+        // if `ShaNi::detect` saw sha, sse2, ssse3, sse4.1 and avx: the
+        // features the two callees enable.
+        // gp-lint: allow(L3, the target-feature calls; their Avx512 and ShaNi tokens prove the CPUID checks passed)
+        unsafe {
+            for lanes in full.chunks_exact(LANES) {
+                run_salted_lanes_avx512(&template, lanes, rounds, out);
+            }
+            match kernel.shani {
+                Some(ShaNi { .. }) => advance_shani(&template, rest, rounds, out),
+                None => advance_lanes(&template, rest, rounds, out),
+            }
         }
-        Kernel::Lanes => advance_lanes(&template, group, rounds, out),
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let Kernel {} = kernel;
+        advance_lanes(&template, group, rounds, out);
     }
 }
 
@@ -449,8 +512,11 @@ fn shani_rounds<'t, const N: usize>(
     }
 }
 
-/// The portable half of [`advance_group`]: full [`LANES`]-wide passes,
-/// then the remainder.
+/// The portable half of [`advance_group`], for CPUs without SHA-NI: full
+/// [`LANES`]-wide passes of the lane loop as the build compiled it (none
+/// are left when the CPU has AVX-512: [`advance_group`] has already run
+/// them through [`run_salted_lanes_avx512`]), then the remainder, padded
+/// to full width or scalar.
 fn advance_lanes<'t>(
     template: &impl Fn(usize) -> &'t RoundTemplate,
     group: &[usize],
@@ -487,6 +553,24 @@ fn advance_lanes<'t>(
     }
 }
 
+/// [`run_salted_lanes`] over one full [`LANES`]-wide group, compiled for
+/// AVX-512: the inlined lane loop's rotates become `vprold` and its
+/// three-input logic `vpternlogd`, one zmm register per state word.  The
+/// compiler ends the function with a `vzeroupper`, and the SHA-NI loop
+/// that may run next issues its own before its rounds; the release-only
+/// cliff test times a SHA-NI chain right after this pass, so upper
+/// register state that slipped past both would show.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vl")]
+fn run_salted_lanes_avx512<'t>(
+    template: &impl Fn(usize) -> &'t RoundTemplate,
+    lane_indices: &[usize],
+    rounds: u32,
+    out: &mut [Digest],
+) {
+    run_salted_lanes::<LANES>(template, lane_indices, rounds, out);
+}
+
 /// One interleaved pass of up to `L` same-`blocks_per_round` entries
 /// through the lane compressor.  Unlike the shared-salt kernel, each lane
 /// carries its own salt tail, digest offset and initial state.
@@ -496,7 +580,9 @@ fn advance_lanes<'t>(
 /// redundantly recompute entry 0 and their results are discarded.  Padding
 /// keeps the pass at one lane-kernel run regardless of fill — the whole
 /// point, since `L` scalar chains cost far more than one mostly-idle
-/// vectorized pass.
+/// vectorized pass.  Always inlined, like the lane loop inside it, so
+/// [`run_salted_lanes_avx512`]'s target features reach both.
+#[inline(always)]
 fn run_salted_lanes<'t, const L: usize>(
     template: &impl Fn(usize) -> &'t RoundTemplate,
     lane_indices: &[usize],
@@ -985,18 +1071,19 @@ mod tests {
     }
 
     #[test]
-    fn kernels_match_scalar_round_for_1_to_8_chains_at_every_offset() {
+    fn kernels_match_scalar_round_at_every_width_and_offset() {
         // One round from random states over random round messages, the
         // digest slot at every offset that fits one or two blocks: each
         // kernel must equal the scalar `RoundTemplate::advance`.  Groups of
         // 1-8 chains reach every SHA-NI width the build instantiates (1-4)
-        // with mixed offsets, and the random bytes under the digest slot
-        // must not leak into the round.
+        // with mixed offsets; 16 and 17 chains put a full AVX-512 lane pass
+        // (plus a one-chain remainder) over offsets 0-63.  The random bytes
+        // under the digest slot must not leak into the round.
         for kernel in Kernel::available() {
             for blocks in [1usize, 2] {
                 let offsets = (blocks * BLOCK_LEN - DIGEST_LEN).min(BLOCK_LEN - 1) + 1;
                 for first in 0..offsets {
-                    for n in 1..=8usize {
+                    for n in (1..=8usize).chain([LANES, LANES + 1]) {
                         let seed = (first * 100 + n * 10 + blocks) as u64;
                         let templates: Vec<RoundTemplate> = (0..n)
                             .map(|i| {
@@ -1115,7 +1202,7 @@ mod tests {
             let hasher_refs: Vec<&SaltedHasher> = batch.iter().map(|&i| &hashers[i]).collect();
             let msg_refs: Vec<&[u8]> = batch.iter().map(|&i| messages[i].as_slice()).collect();
             let n = all_iterations[iterations];
-            many_salted_into(kernel, &hasher_refs, &msg_refs, n, &mut batched);
+            kernel.many_salted_into(&hasher_refs, &msg_refs, n, &mut batched);
             let scalar: Vec<Digest> = batch.iter().map(|&i| expected[i][iterations]).collect();
             assert_eq!(
                 batched, scalar,
@@ -1138,7 +1225,67 @@ mod tests {
                     check(kernel, &batch, iterations);
                 }
             }
+            // Batches of one block count only, sized around one and two
+            // full lane groups, then 16 one-block + 16 two-block + 5 more
+            // one-block entries interleaved: full AVX-512 groups with and
+            // without a remainder on either side of the split.
+            let (one_block, two_block): (Vec<usize>, Vec<usize>) =
+                (0..salts.len()).partition(|&i| hashers[i].blocks_per_round() == 1);
+            for same in [&one_block, &two_block] {
+                for count in [15usize, 16, 17, 31, 32] {
+                    let batch: Vec<usize> = (0..count).map(|i| same[i * 7 % same.len()]).collect();
+                    check(kernel, &batch, 2);
+                    check(kernel, &batch, 3);
+                }
+            }
+            let mixed: Vec<usize> = (0..16)
+                .flat_map(|i| [one_block[i], two_block[i]])
+                .chain(one_block[16..21].iter().copied())
+                .collect();
+            check(kernel, &mixed, 2);
+            check(kernel, &mixed, 3);
         }
+    }
+
+    /// The portable lane loop alone, as the build compiled it.
+    #[cfg(all(not(debug_assertions), target_arch = "x86_64"))]
+    const PORTABLE: Kernel = Kernel {
+        avx512: None,
+        shani: None,
+    };
+
+    /// Deterministic chains for the timing guards: `count` salts of
+    /// `salt_len` bytes and 40-byte messages.
+    #[cfg(all(not(debug_assertions), target_arch = "x86_64"))]
+    fn timing_chains(count: usize, salt_len: usize) -> (Vec<SaltedHasher>, Vec<Vec<u8>>) {
+        let hashers = (0..count)
+            .map(|i| SaltedHasher::new(&vec![i as u8 + 1; salt_len]))
+            .collect();
+        let messages = (0..count).map(|i| vec![i as u8; 40]).collect();
+        (hashers, messages)
+    }
+
+    /// The fastest of five timed h^3000 runs of `kernel` over `hashers`
+    /// and `messages`, each run preceded by `before`.
+    #[cfg(all(not(debug_assertions), target_arch = "x86_64"))]
+    fn fastest_h3000(
+        kernel: Kernel,
+        hashers: &[SaltedHasher],
+        messages: &[Vec<u8>],
+        mut before: impl FnMut(),
+    ) -> std::time::Duration {
+        let hasher_refs: Vec<&SaltedHasher> = hashers.iter().collect();
+        let msg_refs: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
+        let mut out = Vec::new();
+        (0..5)
+            .map(|_| {
+                before();
+                let start = std::time::Instant::now();
+                kernel.many_salted_into(&hasher_refs, &msg_refs, 3000, &mut out);
+                start.elapsed()
+            })
+            .min()
+            .unwrap()
     }
 
     /// A lone chain on the SHA-NI kernel must beat one on the portable
@@ -1147,40 +1294,22 @@ mod tests {
     /// a 256-bit op left live into their loop makes it ~100x slower with
     /// the digests still right, which no equivalence test can see.  Timing
     /// a debug build says nothing, so this runs in release builds only.
-    #[cfg(not(debug_assertions))]
+    #[cfg(all(not(debug_assertions), target_arch = "x86_64"))]
     #[test]
     fn shani_chains_beat_the_portable_kernel() {
-        let shani = Kernel::detect();
-        if shani == Kernel::Lanes {
+        let Some(shani) = ShaNi::detect() else {
             println!("notice: this CPU lacks SHA-NI; the SHA-NI timing guard is skipped");
             return;
-        }
-        let messages: Vec<Vec<u8>> = (0..4).map(|i| vec![i as u8; 40]).collect();
-        let msg_refs: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
-        let mut out = Vec::new();
+        };
+        let shani = Kernel {
+            avx512: None,
+            shani: Some(shani),
+        };
         for salt_len in [20usize, 40] {
-            let hashers: Vec<SaltedHasher> = (0..4)
-                .map(|i| SaltedHasher::new(&vec![i as u8 + 1; salt_len]))
-                .collect();
-            let hasher_refs: Vec<&SaltedHasher> = hashers.iter().collect();
             for width in [1usize, 4] {
-                let mut fastest = |kernel: Kernel| {
-                    (0..5)
-                        .map(|_| {
-                            let start = std::time::Instant::now();
-                            many_salted_into(
-                                kernel,
-                                &hasher_refs[..width],
-                                &msg_refs[..width],
-                                3000,
-                                &mut out,
-                            );
-                            start.elapsed()
-                        })
-                        .min()
-                        .unwrap()
-                };
-                let (shani_time, portable_time) = (fastest(shani), fastest(Kernel::Lanes));
+                let (hashers, messages) = timing_chains(width, salt_len);
+                let shani_time = fastest_h3000(shani, &hashers, &messages, || {});
+                let portable_time = fastest_h3000(PORTABLE, &hashers, &messages, || {});
                 println!(
                     "SHA-NI {shani_time:?} vs portable {portable_time:?}: \
                      {width} chain(s), {salt_len}-byte salt, h^3000"
@@ -1194,8 +1323,61 @@ mod tests {
         }
     }
 
+    /// The cliff guard for the AVX-512 lane pass: run right after a full
+    /// 16-chain AVX-512 pass on the same thread, a lone SHA-NI chain must
+    /// still beat a lone portable chain.  The pass must leave no dirty
+    /// upper register state behind, or the legacy-SSE sha256* loop after
+    /// it runs ~100x slower with every digest still right.  The log also
+    /// gets the 16-chain AVX-512 against SHA-NI times, unasserted: their
+    /// ratio is a property of the CPU, not of the code.
+    #[cfg(all(not(debug_assertions), target_arch = "x86_64"))]
+    #[test]
+    fn shani_chain_after_an_avx512_pass_beats_the_portable_kernel() {
+        let (Some(avx512), Some(shani)) = (Avx512::detect(), ShaNi::detect()) else {
+            println!(
+                "notice: this CPU lacks AVX-512 or SHA-NI; the AVX-512 cliff guard is skipped"
+            );
+            return;
+        };
+        let avx512 = Kernel {
+            avx512: Some(avx512),
+            shani: None,
+        };
+        let shani = Kernel {
+            avx512: None,
+            shani: Some(shani),
+        };
+        for salt_len in [20usize, 40] {
+            let (wide, wide_messages) = timing_chains(LANES, salt_len);
+            let (lone, lone_messages) = timing_chains(1, salt_len);
+            let mut wide_out = Vec::new();
+            let avx512_pass = || {
+                let hasher_refs: Vec<&SaltedHasher> = wide.iter().collect();
+                let msg_refs: Vec<&[u8]> = wide_messages.iter().map(Vec::as_slice).collect();
+                avx512.many_salted_into(&hasher_refs, &msg_refs, 3000, &mut wide_out);
+            };
+            let shani_time = fastest_h3000(shani, &lone, &lone_messages, avx512_pass);
+            let portable_time = fastest_h3000(PORTABLE, &lone, &lone_messages, || {});
+            println!(
+                "SHA-NI after an AVX-512 pass {shani_time:?} vs portable {portable_time:?}: \
+                 1 chain, {salt_len}-byte salt, h^3000"
+            );
+            assert!(
+                shani_time < portable_time,
+                "after an AVX-512 pass, SHA-NI took {shani_time:?} against the portable \
+                 kernel's {portable_time:?} for 1 chain with {salt_len}-byte salts"
+            );
+            let avx512_time = fastest_h3000(avx512, &wide, &wide_messages, || {});
+            let shani_wide_time = fastest_h3000(shani, &wide, &wide_messages, || {});
+            println!(
+                "AVX-512 {avx512_time:?} vs SHA-NI {shani_wide_time:?}: \
+                 {LANES} chains, {salt_len}-byte salt, h^3000"
+            );
+        }
+    }
+
     proptest::proptest! {
-        /// The scalar path on either kernel is bit-identical to the
+        /// The scalar path on every kernel is bit-identical to the
         /// reference implementation for arbitrary salt/message/iterations.
         #[test]
         fn iterated_hash_equals_reference(
@@ -1210,7 +1392,7 @@ mod tests {
             }
         }
 
-        /// The batched path on either kernel is bit-identical to the
+        /// The batched path on every kernel is bit-identical to the
         /// reference for arbitrary salts, message batches and iteration
         /// counts — the equivalence proof for the whole batched guess
         /// pipeline.
@@ -1234,7 +1416,7 @@ mod tests {
             }
         }
 
-        /// The portable lane-width sweep agrees with both kernels.
+        /// The portable lane-width sweep agrees with every kernel.
         #[test]
         fn lane_widths_agree(
             salt in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..40),

@@ -27,25 +27,29 @@
 //!
 //! # Kernels
 //!
-//! Every iterated-hash entry point runs on one of two compression
-//! kernels, chosen once per process by the CPU alone — no option,
-//! environment variable or cargo feature selects it:
+//! Every iterated-hash entry point runs on the compression kernels the
+//! CPU has, chosen by CPUID and group size alone — no option, environment
+//! variable or cargo feature selects them ([`iterated::Kernel`]):
 //!
-//! * on x86-64 CPUs with the SHA extensions and AVX, one SHA-NI round loop
-//!   that interleaves up to four chains and keeps each chain's state in
-//!   its SHA-NI registers for every round (0.17 ms for one h^3000 chain,
-//!   0.16–0.20 ms per chain in a batch, on a 2-vCPU Xeon).  AVX is needed
-//!   only for the `vzeroupper` that keeps the legacy-SSE `sha256*`
+//! * every full group of [`LANES`] chains with the same block count runs
+//!   the portable lane loop compiled once more for AVX-512F/VL, on CPUs
+//!   that have it (1.7–2.3 ms for 16 one-block h^3000 chains on a 2-vCPU
+//!   Sapphire Rapids Xeon);
+//! * the rest of the group runs on x86-64 CPUs with the SHA extensions and
+//!   AVX through one SHA-NI round loop that interleaves up to four chains
+//!   and keeps each chain's state in its SHA-NI registers for every round
+//!   (0.17 ms for one h^3000 chain, 2.8–3.1 ms for 16, same host).  AVX is
+//!   needed only for the `vzeroupper` that keeps the legacy-SSE `sha256*`
 //!   instructions clear of the ~100× SSE/AVX transition penalty;
-//! * elsewhere, a portable loop over [`LANES`] lanes that LLVM
+//! * elsewhere, the portable loop over [`LANES`] lanes that LLVM
 //!   auto-vectorizes (1.2–1.3 ms for one chain, ~0.28 ms per chain in a
 //!   full batch, same host, `x86-64-v3` build).
 //!
-//! The one `unsafe` block in the crate is the call into the SHA-NI
-//! kernel's target-feature code, reachable only after the CPUID check
-//! passed; the tests run every path on both kernels where the CPU allows,
-//! and a release-only test fails if the SHA-NI kernel stops beating the
-//! portable one.
+//! The one `unsafe` block in the crate holds the calls into the AVX-512
+//! and SHA-NI target-feature code, each reachable only under the token
+//! its CPUID check made; the tests run every path on every kernel the CPU
+//! has, and release-only tests fail if the SHA-NI kernel stops beating
+//! the portable one, alone or right after an AVX-512 pass.
 //!
 //! # Example
 //!

@@ -98,10 +98,15 @@ pub(crate) fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
 /// interleaved in one loop body give the scheduler `L` dependency chains to
 /// overlap (the hashcat approach), which is where the multi-lane speedup in
 /// `iterated_hash_many` comes from.
+///
+/// Always inlined, so a caller's `#[target_feature]` reaches the loop body:
+/// the AVX-512 build of the iterated-hash lane pass is this loop compiled
+/// once more inside such a caller.
 // Index-based lane loops are load-bearing here: `w[t][l]` with `l` as the
 // innermost index is the exact adjacent-memory shape LLVM auto-vectorizes;
 // iterator rewrites break the pattern.
 #[allow(clippy::needless_range_loop)]
+#[inline(always)]
 pub(crate) fn compress_lanes<const L: usize>(
     states: &mut [[u32; 8]; L],
     blocks: [&[u8; BLOCK_LEN]; L],
@@ -200,6 +205,25 @@ impl ShaNi {
             && std::arch::is_x86_feature_detected!("sse4.1")
             && std::arch::is_x86_feature_detected!("avx");
         detected.then_some(ShaNi(()))
+    }
+}
+
+/// Proof that this CPU runs AVX-512F and AVX-512VL and that the OS saves
+/// the zmm registers (std's detection checks XSAVE too): only
+/// [`Avx512::detect`] makes one, so holding it licenses a call into the
+/// AVX-512 build of the lane loop.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Avx512(());
+
+#[cfg(target_arch = "x86_64")]
+impl Avx512 {
+    /// `Some` when the CPU reports both features the AVX-512 lane pass
+    /// enables.  std caches the CPUID probe, so this is a load and a test.
+    pub(crate) fn detect() -> Option<Self> {
+        let detected = std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512vl");
+        detected.then_some(Avx512(()))
     }
 }
 

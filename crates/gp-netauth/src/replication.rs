@@ -534,15 +534,11 @@ pub fn spawn_replication_listener(
                                 conn_joins.push(join);
                             }
                         }
-                        Err(e)
-                            if matches!(
-                                e.kind(),
-                                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                            ) =>
-                        {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => break,
+                        // No accept error ends the listener: `WouldBlock`
+                        // is the idle poll, and the rest (`ECONNABORTED`,
+                        // `EMFILE`, `ENFILE`, ...) pass.  Only shutdown
+                        // stops the loop, so peers can always reach us.
+                        Err(_) => std::thread::sleep(Duration::from_millis(5)),
                     }
                 }
                 for join in conn_joins {
