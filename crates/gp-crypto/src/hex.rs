@@ -1,37 +1,7 @@
-//! Minimal lower-case hexadecimal encoding and decoding.
+//! Minimal lower-case hexadecimal encoding.
 //!
-//! Used when serializing password files and protocol messages so that stored
-//! hashes are printable and diff-friendly in test fixtures.
-
-/// Error returned by [`decode`] for malformed hexadecimal input.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HexError {
-    /// The input length is odd, so it cannot encode whole bytes.
-    OddLength {
-        /// Length of the offending input string.
-        len: usize,
-    },
-    /// A character outside `[0-9a-fA-F]` was encountered.
-    InvalidChar {
-        /// The offending character.
-        ch: char,
-        /// Byte index of the offending character.
-        index: usize,
-    },
-}
-
-impl core::fmt::Display for HexError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            HexError::OddLength { len } => write!(f, "hex string has odd length {len}"),
-            HexError::InvalidChar { ch, index } => {
-                write!(f, "invalid hex character {ch:?} at index {index}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for HexError {}
+//! Renders digests and MACs printable, e.g. to compare them against
+//! published test vectors.
 
 const ALPHABET: &[u8; 16] = b"0123456789abcdef";
 
@@ -49,38 +19,6 @@ pub fn encode(bytes: &[u8]) -> String {
     out
 }
 
-/// Decode a hexadecimal string (upper or lower case) into bytes.
-///
-/// ```
-/// assert_eq!(gp_crypto::hex::decode("DEADbeef").unwrap(), vec![0xde, 0xad, 0xbe, 0xef]);
-/// assert!(gp_crypto::hex::decode("abc").is_err());
-/// ```
-pub fn decode(s: &str) -> Result<Vec<u8>, HexError> {
-    if !s.len().is_multiple_of(2) {
-        return Err(HexError::OddLength { len: s.len() });
-    }
-    let mut out = Vec::with_capacity(s.len() / 2);
-    let bytes = s.as_bytes();
-    for i in (0..bytes.len()).step_by(2) {
-        let hi = nibble(bytes[i], i, s)?;
-        let lo = nibble(bytes[i + 1], i + 1, s)?;
-        out.push((hi << 4) | lo);
-    }
-    Ok(out)
-}
-
-fn nibble(b: u8, index: usize, original: &str) -> Result<u8, HexError> {
-    match b {
-        b'0'..=b'9' => Ok(b - b'0'),
-        b'a'..=b'f' => Ok(b - b'a' + 10),
-        b'A'..=b'F' => Ok(b - b'A' + 10),
-        _ => Err(HexError::InvalidChar {
-            ch: original[index..].chars().next().unwrap_or('?'),
-            index,
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,40 +29,9 @@ mod tests {
     }
 
     #[test]
-    fn decode_empty() {
-        assert_eq!(decode("").unwrap(), Vec::<u8>::new());
-    }
-
-    #[test]
-    fn round_trip_all_bytes() {
+    fn encode_every_byte_value() {
         let all: Vec<u8> = (0u16..256).map(|b| b as u8).collect();
-        assert_eq!(decode(&encode(&all)).unwrap(), all);
-    }
-
-    #[test]
-    fn decode_mixed_case() {
-        assert_eq!(decode("0aF3").unwrap(), vec![0x0a, 0xf3]);
-    }
-
-    #[test]
-    fn odd_length_rejected() {
-        assert_eq!(decode("abc").unwrap_err(), HexError::OddLength { len: 3 });
-    }
-
-    #[test]
-    fn invalid_char_rejected_with_index() {
-        match decode("ag").unwrap_err() {
-            HexError::InvalidChar { ch, index } => {
-                assert_eq!(ch, 'g');
-                assert_eq!(index, 1);
-            }
-            other => panic!("unexpected error {other:?}"),
-        }
-    }
-
-    #[test]
-    fn error_display_is_informative() {
-        let e = decode("zz").unwrap_err();
-        assert!(e.to_string().contains("invalid hex character"));
+        let expected: String = all.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(encode(&all), expected);
     }
 }

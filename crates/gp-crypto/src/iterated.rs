@@ -872,34 +872,6 @@ impl PasswordHash {
         let candidate = iterated_hash(&self.salt, message, self.iterations);
         ct_eq(&candidate, &self.digest)
     }
-
-    /// Serialize as `iterations$salt_hex$digest_hex` for the password file.
-    pub fn to_record(&self) -> String {
-        format!(
-            "{}${}${}",
-            self.iterations,
-            crate::hex::encode(&self.salt),
-            crate::hex::encode(&self.digest)
-        )
-    }
-
-    /// Parse a record produced by [`PasswordHash::to_record`].
-    pub fn from_record(record: &str) -> Option<Self> {
-        let mut parts = record.splitn(3, '$');
-        let iterations: u32 = parts.next()?.parse().ok()?;
-        let salt = crate::hex::decode(parts.next()?).ok()?;
-        let digest_bytes = crate::hex::decode(parts.next()?).ok()?;
-        if digest_bytes.len() != DIGEST_LEN {
-            return None;
-        }
-        let mut digest = [0u8; DIGEST_LEN];
-        digest.copy_from_slice(&digest_bytes);
-        Some(Self {
-            salt,
-            iterations,
-            digest,
-        })
-    }
 }
 
 /// Policy object describing how passwords are hashed: domain label, salt
@@ -1554,25 +1526,6 @@ mod tests {
         let other = PasswordHasher::new("test", 51);
         let stored = hasher.hash(b"u", b"m");
         assert!(!stored.verify_with(&other, b"u", b"m"));
-    }
-
-    #[test]
-    fn record_round_trip() {
-        let hasher = PasswordHasher::with_default_iterations("passpoints");
-        let stored = hasher.hash(b"alice", b"secret");
-        let record = stored.to_record();
-        let parsed = PasswordHash::from_record(&record).expect("parse");
-        assert_eq!(parsed, stored);
-        assert!(parsed.verify(b"secret"));
-    }
-
-    #[test]
-    fn record_parse_rejects_garbage() {
-        assert!(PasswordHash::from_record("").is_none());
-        assert!(PasswordHash::from_record("abc").is_none());
-        assert!(PasswordHash::from_record("10$zz$aabb").is_none());
-        assert!(PasswordHash::from_record("10$aa$deadbeef").is_none()); // digest too short
-        assert!(PasswordHash::from_record("notanumber$aa$bb").is_none());
     }
 
     #[test]

@@ -21,8 +21,7 @@
 //!   independent chains side by side, and a convenience
 //!   [`PasswordHasher`] combining salt, personalization and iteration
 //!   count.
-//! * [`hex`] — lower-case hexadecimal encoding/decoding for serialized
-//!   password files.
+//! * [`hex`] — lower-case hexadecimal encoding for printing digests.
 //! * [`ct`] — constant-time equality for hash comparison during login.
 //!
 //! # Kernels

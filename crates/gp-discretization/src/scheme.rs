@@ -77,32 +77,6 @@ impl GridId {
             GridId::Static => out.push(0x03),
         }
     }
-
-    /// Decode an identifier previously produced by [`GridId::to_bytes`].
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, DiscretizationError> {
-        match bytes.first() {
-            Some(0x01) if bytes.len() == 17 => {
-                let dx = f64::from_bits(u64::from_be_bytes(bytes[1..9].try_into().unwrap()));
-                let dy = f64::from_bits(u64::from_be_bytes(bytes[9..17].try_into().unwrap()));
-                if !dx.is_finite() || !dy.is_finite() {
-                    return Err(DiscretizationError::CorruptGridId {
-                        reason: "non-finite centered offsets".into(),
-                    });
-                }
-                Ok(GridId::Centered { dx, dy })
-            }
-            Some(0x02) if bytes.len() == 2 => Ok(GridId::Robust {
-                grid_index: bytes[1],
-            }),
-            Some(0x03) if bytes.len() == 1 => Ok(GridId::Static),
-            _ => Err(DiscretizationError::CorruptGridId {
-                reason: format!(
-                    "unrecognised grid identifier encoding ({} bytes)",
-                    bytes.len()
-                ),
-            }),
-        }
-    }
 }
 
 /// The result of discretizing one original click-point.
@@ -196,34 +170,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn grid_id_round_trip_centered() {
-        let id = GridId::Centered { dx: 7.5, dy: 12.25 };
-        let decoded = GridId::from_bytes(&id.to_bytes()).unwrap();
-        assert_eq!(decoded, id);
-    }
-
-    #[test]
-    fn grid_id_round_trip_robust_and_static() {
+    fn grid_id_encoding_is_a_tag_then_the_identifier() {
+        let centered = GridId::Centered { dx: 7.5, dy: 12.25 };
+        let mut expected = vec![0x01];
+        expected.extend_from_slice(&7.5f64.to_bits().to_be_bytes());
+        expected.extend_from_slice(&12.25f64.to_bits().to_be_bytes());
+        assert_eq!(centered.to_bytes(), expected);
         for idx in 0..3u8 {
-            let id = GridId::Robust { grid_index: idx };
-            assert_eq!(GridId::from_bytes(&id.to_bytes()).unwrap(), id);
+            assert_eq!(
+                GridId::Robust { grid_index: idx }.to_bytes(),
+                vec![0x02, idx]
+            );
         }
-        assert_eq!(
-            GridId::from_bytes(&GridId::Static.to_bytes()).unwrap(),
-            GridId::Static
-        );
-    }
-
-    #[test]
-    fn grid_id_rejects_garbage() {
-        assert!(GridId::from_bytes(&[]).is_err());
-        assert!(GridId::from_bytes(&[0x01, 1, 2]).is_err());
-        assert!(GridId::from_bytes(&[0x09]).is_err());
-        // Non-finite offsets are rejected even with a valid layout.
-        let mut bytes = vec![0x01];
-        bytes.extend_from_slice(&f64::NAN.to_bits().to_be_bytes());
-        bytes.extend_from_slice(&1.0f64.to_bits().to_be_bytes());
-        assert!(GridId::from_bytes(&bytes).is_err());
+        assert_eq!(GridId::Static.to_bytes(), vec![0x03]);
+        for id in [centered, GridId::Robust { grid_index: 1 }, GridId::Static] {
+            assert_eq!(id.to_bytes().len(), id.encoded_len());
+        }
     }
 
     #[test]

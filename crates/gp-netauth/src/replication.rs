@@ -2,15 +2,15 @@
 //!
 //! Each node runs a *replication listener* alongside its auth listener.
 //! When a primary accepts an enrollment it appends the record to its own
-//! WAL as usual, then streams the **same WAL payload bytes** (see
-//! [`gp_passwords::WalEntry::to_payload`]) to the account's backup — the
-//! key's second ring successor.  The backup appends the record to *its*
-//! durable store (WAL-first, via
-//! [`gp_passwords::ShardedPasswordStore::apply_replicated`]) before
-//! acknowledging, and the primary releases `EnrollOk` only after that
-//! ack, so an acked account is durable on two nodes.  Applying is
-//! insert-or-replace, which makes redelivery after a reconnect or a
-//! primary retry harmless.
+//! WAL as usual, then streams the **same WAL payload bytes** (an op byte
+//! and the account's packed record, [`gp_passwords::WalEntry::to_payload`])
+//! to the account's backup — the key's second ring successor.  The backup
+//! decodes them strictly and appends the record to *its* durable store
+//! (WAL-first, via [`gp_passwords::ShardedPasswordStore::apply_replicated`])
+//! before acknowledging, and the primary releases `EnrollOk` only after
+//! that ack, so an acked account is durable on two nodes.  Applying is
+//! insert-or-replace, so redelivery is harmless; the strict decode keeps
+//! one byte form per record on every node, so equal records hash equal.
 //!
 //! Wire format: the same length-prefixed, integrity-checked frames as the
 //! client protocol ([`crate::framing`]), carrying [`ReplicaMessage`]s in

@@ -87,8 +87,9 @@ impl DiscretizationConfig {
         self.build().grid_square_size()
     }
 
-    /// Serialize to a compact string for password-file headers,
-    /// e.g. `centered:9`, `robust:6:most-centered`, `static:13`.
+    /// A compact human-readable label, e.g. `centered:9`,
+    /// `robust:6:most-centered`, `static:13` — the scheme field the
+    /// serving layer's login challenge carries.
     pub fn to_header(&self) -> String {
         match self {
             DiscretizationConfig::Centered { tolerance_px } => format!("centered:{tolerance_px}"),
@@ -100,31 +101,6 @@ impl DiscretizationConfig {
                 format!("robust:{r}:{p}")
             }
             DiscretizationConfig::Static { square_size } => format!("static:{square_size}"),
-        }
-    }
-
-    /// Parse a header produced by [`to_header`](Self::to_header).
-    pub fn from_header(s: &str) -> Option<Self> {
-        let mut parts = s.split(':');
-        match parts.next()? {
-            "centered" => {
-                let t = parts.next()?.parse().ok()?;
-                Some(DiscretizationConfig::Centered { tolerance_px: t })
-            }
-            "robust" => {
-                let r: f64 = parts.next()?.parse().ok()?;
-                let policy = match parts.next()? {
-                    "first-safe" => GridSelectionPolicy::FirstSafe,
-                    "most-centered" => GridSelectionPolicy::MostCentered,
-                    _ => return None,
-                };
-                Some(DiscretizationConfig::Robust { r, policy })
-            }
-            "static" => {
-                let s: f64 = parts.next()?.parse().ok()?;
-                Some(DiscretizationConfig::Static { square_size: s })
-            }
-            _ => None,
         }
     }
 }
@@ -153,34 +129,5 @@ mod tests {
         assert_eq!(r.grid_square_size(), 36.0);
         let s = DiscretizationConfig::static_grid(13.0);
         assert_eq!(s.grid_square_size(), 13.0);
-    }
-
-    #[test]
-    fn header_round_trip() {
-        for cfg in [
-            DiscretizationConfig::centered(9),
-            DiscretizationConfig::robust(6.0),
-            DiscretizationConfig::Robust {
-                r: 2.17,
-                policy: GridSelectionPolicy::FirstSafe,
-            },
-            DiscretizationConfig::static_grid(13.0),
-        ] {
-            let header = cfg.to_header();
-            assert_eq!(
-                DiscretizationConfig::from_header(&header),
-                Some(cfg),
-                "{header}"
-            );
-        }
-    }
-
-    #[test]
-    fn header_parse_rejects_garbage() {
-        assert!(DiscretizationConfig::from_header("").is_none());
-        assert!(DiscretizationConfig::from_header("centered").is_none());
-        assert!(DiscretizationConfig::from_header("centered:x").is_none());
-        assert!(DiscretizationConfig::from_header("robust:6:sideways").is_none());
-        assert!(DiscretizationConfig::from_header("quantum:3").is_none());
     }
 }

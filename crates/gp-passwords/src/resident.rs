@@ -1,13 +1,17 @@
-//! The resident form of an account: one packed allocation per record.
+//! The one serialized form of an account: its packed record bytes.
 //!
 //! [`crate::shard::ShardedPasswordStore`] keeps every account in memory.
 //! A [`StoredPassword`] spreads one record over four heap allocations (the
 //! username, the click list, the salt and the struct around them), each
 //! with its own allocator overhead.  [`PackedAccount`] serializes the
 //! whole record into one boxed byte slice and decodes it again on read,
-//! so a resident account costs its bytes plus one allocation header.  The
-//! packed form is in-memory only: snapshots, WAL records and the wire keep
-//! the [`StoredPassword::to_record`] line format.
+//! so a resident account costs its bytes plus one allocation header.
+//!
+//! The same bytes are the account's only serialized form.  A WAL
+//! `Enroll`/`Update` payload and a snapshot record are an op byte followed
+//! by them ([`crate::wal`]), the replication stream carries those payloads
+//! verbatim, and [`crate::shard::record_digest`] hashes them.  No other
+//! module knows the layout.
 //!
 //! # Layout
 //!
@@ -23,14 +27,25 @@
 //! digest  := 32 bytes
 //! ```
 //!
-//! Varints are LEB128; `f64`s are their little-endian bit patterns, so
-//! every value, including a non-integer Robust `r`, round-trips exactly.
-//! Decoding is total over what [`PackedAccount::pack`] writes: every tag
-//! byte has a catch-all arm instead of a panic.
+//! Varints are minimal LEB128; `f64`s are their little-endian bit
+//! patterns, so every value, including a non-integer Robust `r`,
+//! round-trips exactly.
+//!
+//! # Decoding
+//!
+//! [`PackedAccount::unpack`] trusts its bytes: [`PackedAccount::pack`]
+//! wrote them, or [`PackedAccount::decode`] accepted them.  It still never
+//! panics: a read past the end yields zeros and an unknown tag takes a
+//! catch-all arm.  [`PackedAccount::decode`] takes bytes from outside the
+//! process (disk, peers).  It accepts exactly the bytes `pack` writes for
+//! a valid record: re-packing what it read must reproduce the input, so a
+//! truncated, over-long or non-canonical encoding is refused, and equal
+//! records have equal bytes, and equal digests, on every node.
 
 use crate::config::DiscretizationConfig;
 use crate::policy::PasswordPolicy;
 use crate::stored::{ClickRecord, StoredPassword};
+use crate::wal::fnv1a64;
 use gp_crypto::{Digest, PasswordHash, DIGEST_LEN};
 use gp_discretization::{GridId, GridSelectionPolicy};
 use gp_geometry::ImageDims;
@@ -45,7 +60,14 @@ pub(crate) struct PackedAccount(Box<[u8]>);
 impl PackedAccount {
     /// Serialize `record` into its packed form.
     pub(crate) fn pack(record: &StoredPassword) -> Self {
-        let mut out = Vec::with_capacity(
+        let mut out = Vec::new();
+        Self::pack_into(record, &mut out);
+        Self(out.into_boxed_slice())
+    }
+
+    /// Append `record`'s packed bytes to `out`.
+    pub(crate) fn pack_into(record: &StoredPassword, out: &mut Vec<u8>) {
+        out.reserve(
             64 + record.username.len()
                 + record.hash.salt.len()
                 + record
@@ -54,11 +76,11 @@ impl PackedAccount {
                     .map(|c| c.grid_id.encoded_len())
                     .sum::<usize>(),
         );
-        put_bytes(&mut out, record.username.as_bytes());
+        put_bytes(out, record.username.as_bytes());
         match record.config {
             DiscretizationConfig::Centered { tolerance_px } => {
                 out.push(0);
-                put_varint(&mut out, u64::from(tolerance_px));
+                put_varint(out, u64::from(tolerance_px));
             }
             DiscretizationConfig::Robust { r, policy } => {
                 out.push(1);
@@ -74,9 +96,9 @@ impl PackedAccount {
             }
         }
         let policy = &record.policy;
-        put_varint(&mut out, u64::from(policy.image.width));
-        put_varint(&mut out, u64::from(policy.image.height));
-        put_varint(&mut out, policy.clicks as u64);
+        put_varint(out, u64::from(policy.image.width));
+        put_varint(out, u64::from(policy.image.height));
+        put_varint(out, policy.clicks as u64);
         match policy.min_click_separation {
             None => out.push(0),
             Some(separation) => {
@@ -84,14 +106,24 @@ impl PackedAccount {
                 out.extend_from_slice(&separation.to_bits().to_le_bytes());
             }
         }
-        put_varint(&mut out, record.clicks.len() as u64);
+        put_varint(out, record.clicks.len() as u64);
         for click in &record.clicks {
-            click.grid_id.write_into(&mut out);
+            click.grid_id.write_into(out);
         }
-        put_varint(&mut out, u64::from(record.hash.iterations));
-        put_bytes(&mut out, &record.hash.salt);
+        put_varint(out, u64::from(record.hash.iterations));
+        put_bytes(out, &record.hash.salt);
         out.extend_from_slice(&record.hash.digest);
-        Self(out.into_boxed_slice())
+    }
+
+    /// A resident account holding `bytes`, which
+    /// [`PackedAccount::pack_into`] wrote.
+    pub(crate) fn from_packed(bytes: &[u8]) -> Self {
+        Self(bytes.into())
+    }
+
+    /// The packed bytes.
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        &self.0
     }
 
     /// The account name, read straight from the packed bytes.
@@ -99,57 +131,39 @@ impl PackedAccount {
         Reader(&self.0).str()
     }
 
+    /// The record's content hash: FNV-1a over the packed bytes, finalized
+    /// with the ring's splitmix mixer so it diffuses into all 64 bits.
+    pub(crate) fn digest(&self) -> u64 {
+        crate::ring::mix64(fnv1a64(&self.0))
+    }
+
     /// Decode the full record.
     pub(crate) fn unpack(&self) -> StoredPassword {
-        let mut r = Reader(&self.0);
-        let username = r.str().to_owned();
-        let config = match r.byte() {
-            0 => DiscretizationConfig::Centered {
-                tolerance_px: r.varint() as u32,
-            },
-            1 => DiscretizationConfig::Robust {
-                r: r.f64(),
-                policy: match r.byte() {
-                    0 => GridSelectionPolicy::FirstSafe,
-                    _ => GridSelectionPolicy::MostCentered,
-                },
-            },
-            _ => DiscretizationConfig::Static {
-                square_size: r.f64(),
-            },
+        read(&self.0)
+    }
+
+    /// Decode packed bytes that come from outside the process.  Errors are
+    /// `InvalidData`: bytes that re-pack differently (truncated, trailing
+    /// bytes, an unknown tag, a non-UTF-8 name, a non-minimal varint), or
+    /// a record no enrollment produces (an empty name, a zero image
+    /// dimension or click count, a click list of the wrong length, a
+    /// discretization parameter the scheme would refuse, a non-finite
+    /// Centered offset).
+    pub(crate) fn decode(bytes: &[u8]) -> std::io::Result<StoredPassword> {
+        let record = read(bytes);
+        let mut repacked = Vec::with_capacity(bytes.len());
+        Self::pack_into(&record, &mut repacked);
+        let fault = if repacked != bytes {
+            Some("truncated, trailing bytes or non-canonical encoding".to_string())
+        } else {
+            semantic_fault(&record)
         };
-        let image = ImageDims {
-            width: r.varint() as u32,
-            height: r.varint() as u32,
-        };
-        let policy = PasswordPolicy {
-            image,
-            clicks: r.varint() as usize,
-            min_click_separation: match r.byte() {
-                0 => None,
-                _ => Some(r.f64()),
-            },
-        };
-        let count = r.varint() as usize;
-        let clicks = (0..count)
-            .map(|_| ClickRecord {
-                grid_id: r.grid_id(),
-            })
-            .collect();
-        let iterations = r.varint() as u32;
-        let salt = r.bytes().to_vec();
-        let mut digest: Digest = [0; DIGEST_LEN];
-        digest.copy_from_slice(r.take(DIGEST_LEN));
-        StoredPassword {
-            username,
-            config,
-            policy,
-            clicks,
-            hash: PasswordHash {
-                salt,
-                iterations,
-                digest,
-            },
+        match fault {
+            None => Ok(record),
+            Some(reason) => Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("malformed account record: {reason}"),
+            )),
         }
     }
 
@@ -208,62 +222,152 @@ fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(bytes);
 }
 
-/// Forward cursor over packed bytes written by [`PackedAccount::pack`].
+/// Why a well-formed `record` is still one no enrollment produces, if it
+/// is.
+fn semantic_fault(record: &StoredPassword) -> Option<String> {
+    let policy = &record.policy;
+    let positive = |v: f64| v.is_finite() && v > 0.0;
+    let parameter_ok = match record.config {
+        DiscretizationConfig::Centered { .. } => true,
+        DiscretizationConfig::Robust { r, .. } => positive(r),
+        DiscretizationConfig::Static { square_size } => positive(square_size),
+    };
+    let offsets_finite = record.clicks.iter().all(|c| match c.grid_id {
+        GridId::Centered { dx, dy } => dx.is_finite() && dy.is_finite(),
+        _ => true,
+    });
+    if record.username.is_empty() {
+        Some("empty account name".into())
+    } else if policy.image.width == 0 || policy.image.height == 0 || policy.clicks == 0 {
+        Some("zero image dimension or click count".into())
+    } else if record.clicks.len() != policy.clicks {
+        Some(format!(
+            "click count {} does not match {} stored grid identifiers",
+            policy.clicks,
+            record.clicks.len()
+        ))
+    } else if !parameter_ok {
+        Some("non-positive or non-finite discretization parameter".into())
+    } else if !offsets_finite {
+        Some("non-finite centered offsets".into())
+    } else {
+        None
+    }
+}
+
+/// The record in `bytes`, read field by field.  Exact for what
+/// [`PackedAccount::pack_into`] writes, and total (no panic, work bounded
+/// by `bytes.len()`) over anything else.
+fn read(bytes: &[u8]) -> StoredPassword {
+    let mut r = Reader(bytes);
+    let username = r.str().to_owned();
+    let config = match r.byte() {
+        0 => DiscretizationConfig::Centered {
+            tolerance_px: r.varint() as u32,
+        },
+        1 => DiscretizationConfig::Robust {
+            r: r.f64(),
+            policy: match r.byte() {
+                0 => GridSelectionPolicy::FirstSafe,
+                _ => GridSelectionPolicy::MostCentered,
+            },
+        },
+        _ => DiscretizationConfig::Static {
+            square_size: r.f64(),
+        },
+    };
+    let image = ImageDims {
+        width: r.varint() as u32,
+        height: r.varint() as u32,
+    };
+    let policy = PasswordPolicy {
+        image,
+        clicks: r.varint() as usize,
+        min_click_separation: match r.byte() {
+            0 => None,
+            _ => Some(r.f64()),
+        },
+    };
+    // Every grid identifier takes at least one byte.
+    let count = r.varint().min(r.0.len() as u64);
+    let clicks = (0..count)
+        .map(|_| ClickRecord {
+            grid_id: r.grid_id(),
+        })
+        .collect();
+    let iterations = r.varint() as u32;
+    let salt = r.bytes().to_vec();
+    let mut digest: Digest = [0; DIGEST_LEN];
+    let stored = r.take(DIGEST_LEN);
+    digest[..stored.len()].copy_from_slice(stored);
+    StoredPassword {
+        username,
+        config,
+        policy,
+        clicks,
+        hash: PasswordHash {
+            salt,
+            iterations,
+            digest,
+        },
+    }
+}
+
+/// Forward cursor over packed bytes.  Past the end it yields empty slices
+/// and zero bytes.
 struct Reader<'a>(&'a [u8]);
 
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> &'a [u8] {
-        let (head, rest) = self.0.split_at(n);
+        let (head, rest) = self.0.split_at(n.min(self.0.len()));
         self.0 = rest;
         head
     }
 
     fn byte(&mut self) -> u8 {
-        self.take(1)[0]
+        self.take(1).first().copied().unwrap_or(0)
     }
 
     fn varint(&mut self) -> u64 {
         let mut value = 0u64;
-        let mut shift = 0;
-        loop {
+        for shift in (0..64).step_by(7) {
             let byte = self.byte();
             value |= u64::from(byte & 0x7f) << shift;
             if byte < 0x80 {
-                return value;
+                break;
             }
-            shift += 7;
         }
+        value
     }
 
     fn bytes(&mut self) -> &'a [u8] {
-        let len = self.varint() as usize;
-        self.take(len)
+        let len = self.varint();
+        self.take(usize::try_from(len).unwrap_or(usize::MAX))
     }
 
-    /// A length-prefixed string; packed from a `String`, so the bytes are
-    /// UTF-8.
+    /// A length-prefixed string; empty if the bytes are not UTF-8.
     fn str(&mut self) -> &'a str {
         std::str::from_utf8(self.bytes()).unwrap_or_default()
     }
 
     fn f64(&mut self) -> f64 {
+        self.f64_bits(u64::from_le_bytes)
+    }
+
+    fn f64_bits(&mut self, from_bytes: fn([u8; 8]) -> u64) -> f64 {
         let mut bits = [0; 8];
-        bits.copy_from_slice(self.take(8));
-        f64::from_bits(u64::from_le_bytes(bits))
+        let stored = self.take(8);
+        bits[..stored.len()].copy_from_slice(stored);
+        f64::from_bits(from_bytes(bits))
     }
 
     /// The inverse of [`GridId::write_into`] (tags 0x01/0x02/0x03), exact
     /// for every offset including non-finite ones.
     fn grid_id(&mut self) -> GridId {
-        let be_f64 = |r: &mut Self| {
-            let mut bits = [0; 8];
-            bits.copy_from_slice(r.take(8));
-            f64::from_bits(u64::from_be_bytes(bits))
-        };
         match self.byte() {
             0x01 => GridId::Centered {
-                dx: be_f64(self),
-                dy: be_f64(self),
+                dx: self.f64_bits(u64::from_be_bytes),
+                dy: self.f64_bits(u64::from_be_bytes),
             },
             0x02 => GridId::Robust {
                 grid_index: self.byte(),
@@ -276,6 +380,7 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::WalEntry;
     use gp_crypto::PasswordHasher;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
@@ -346,7 +451,106 @@ mod tests {
         }
     }
 
+    /// A record an enrollment could have produced: a non-empty name,
+    /// positive discretization parameters, a non-zero image and click
+    /// count, and one finite grid identifier per click.
+    fn valid_record() -> impl Strategy<Value = StoredPassword> {
+        (
+            proptest::collection::vec(0usize..64, 1..40),
+            (any::<u8>(), 0.01f64..64.0, any::<bool>(), any::<u32>()),
+            (1u32..5000, 1u32..5000),
+            (any::<bool>(), 0.0f64..50.0),
+            proptest::collection::vec((any::<u8>(), -1e6f64..1e6, -1e6f64..1e6), 1..12),
+            any::<u32>(),
+            proptest::collection::vec(any::<u8>(), 0..=80),
+            proptest::collection::vec(any::<u8>(), 32),
+        )
+            .prop_map(
+                |(
+                    name,
+                    config,
+                    (width, height),
+                    separation,
+                    grid_ids,
+                    iterations,
+                    salt,
+                    digest,
+                )| {
+                    StoredPassword {
+                        username: name_from(&name),
+                        config: config_from(config.0, config.1, config.2, config.3),
+                        policy: PasswordPolicy {
+                            image: ImageDims { width, height },
+                            clicks: grid_ids.len(),
+                            min_click_separation: separation.0.then_some(separation.1),
+                        },
+                        clicks: grid_ids
+                            .iter()
+                            .map(|&(v, dx, dy)| ClickRecord {
+                                grid_id: grid_id_from(v, dx, dy),
+                            })
+                            .collect(),
+                        hash: PasswordHash {
+                            salt,
+                            iterations,
+                            digest: digest.try_into().unwrap(),
+                        },
+                    }
+                },
+            )
+    }
+
     proptest! {
+        /// Every valid enroll/update payload decodes and re-encodes to
+        /// identical bytes, and every strict prefix of it, or it with one
+        /// byte appended, is refused.  (A remove payload is only a name,
+        /// delimited by its record frame, so its prefixes are names too.)
+        #[test]
+        fn checked_decode_accepts_exactly_the_packed_bytes(
+            record in valid_record(),
+            update in any::<bool>(),
+            extra in any::<u8>(),
+        ) {
+            let entry = if update { WalEntry::Update(record) } else { WalEntry::Enroll(record) };
+            let payload = entry.to_payload();
+            let decoded = WalEntry::from_payload(&payload).unwrap();
+            prop_assert_eq!(&decoded, &entry);
+            prop_assert_eq!(decoded.to_payload(), payload.clone());
+            for len in 0..payload.len() {
+                prop_assert!(WalEntry::from_payload(&payload[..len]).is_err(), "prefix of {} bytes", len);
+            }
+            let mut longer = payload;
+            longer.push(extra);
+            prop_assert!(WalEntry::from_payload(&longer).is_err());
+        }
+
+        /// Decoding never panics, on arbitrary bytes or on a valid payload
+        /// with one byte changed, inserted or deleted, and whatever it
+        /// accepts re-encodes to exactly the bytes it was given.
+        #[test]
+        fn checked_decode_is_total_and_canonical(
+            noise in proptest::collection::vec(any::<u8>(), 0..300),
+            tag in 0u8..4,
+            record in valid_record(),
+            edit in (0u8..3, any::<usize>(), any::<u8>()),
+        ) {
+            let tagged = [&[tag][..], &noise].concat();
+            let mut mutated = WalEntry::Update(record).to_payload();
+            let at = edit.1 % mutated.len();
+            match edit.0 {
+                0 => mutated[at] = edit.2,
+                1 => mutated.insert(at, edit.2),
+                _ => {
+                    mutated.remove(at);
+                }
+            }
+            for bytes in [&noise, &tagged, &mutated] {
+                if let Ok(entry) = WalEntry::from_payload(bytes) {
+                    prop_assert_eq!(&entry.to_payload(), bytes);
+                }
+            }
+        }
+
         /// `unpack(pack(r)) == r` exactly, across every configuration
         /// variant, both separation settings, salts of 0–300 bytes and
         /// multi-byte names up to the protocol's length cap.
@@ -411,15 +615,79 @@ mod tests {
     }
 
     #[test]
+    fn checked_decode_rejects_each_invalid_record() {
+        let valid = study_account("alice");
+        let decode =
+            |record: &StoredPassword| PackedAccount::decode(PackedAccount::pack(record).as_bytes());
+        assert_eq!(decode(&valid).unwrap(), valid);
+        type Edit = fn(&mut StoredPassword);
+        let edits: [(&str, Edit); 8] = [
+            ("empty name", |r| r.username.clear()),
+            ("zero width", |r| r.policy.image.width = 0),
+            ("zero height", |r| r.policy.image.height = 0),
+            ("zero click count", |r| r.policy.clicks = 0),
+            ("click-count mismatch", |r| r.policy.clicks = 4),
+            ("non-finite offset", |r| {
+                r.clicks[0].grid_id = GridId::Centered {
+                    dx: f64::NAN,
+                    dy: 1.0,
+                }
+            }),
+            ("negative Robust r", |r| {
+                r.config = DiscretizationConfig::robust(-1.0)
+            }),
+            ("zero static square", |r| {
+                r.config = DiscretizationConfig::static_grid(0.0)
+            }),
+        ];
+        for (what, edit) in edits {
+            let mut record = valid.clone();
+            edit(&mut record);
+            let err = decode(&record).expect_err(what);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
+        }
+
+        // Byte-level damage to the valid record's packed bytes.
+        let bytes = PackedAccount::pack(&valid).as_bytes().to_vec();
+        let config_tag = 1 + "alice".len();
+        assert_eq!(bytes[config_tag..config_tag + 2], [0, 9], "centered, t = 9");
+        let mut unknown_config = bytes.clone();
+        unknown_config[config_tag] = 7;
+        let mut non_utf8 = bytes.clone();
+        non_utf8[1] = 0xff;
+        let mut overlong_varint = bytes.clone();
+        overlong_varint.splice(config_tag + 1..config_tag + 2, [0x89, 0x00]);
+        let truncated = &bytes[..bytes.len() - 1];
+        let trailing = [&bytes[..], &[0]].concat();
+        for (what, damaged) in [
+            ("unknown config tag", &unknown_config[..]),
+            ("non-UTF-8 name", &non_utf8),
+            ("overlong varint", &overlong_varint),
+            ("truncated", truncated),
+            ("trailing byte", &trailing),
+        ] {
+            assert!(PackedAccount::decode(damaged).is_err(), "{what}");
+        }
+
+        // The payload around the record: its op byte and remove names.
+        for (what, payload) in [
+            ("empty payload", &[][..]),
+            ("unknown op", &[9, b'x']),
+            ("empty remove name", &[3]),
+            ("non-UTF-8 remove name", &[3, 0xff]),
+        ] {
+            assert!(WalEntry::from_payload(payload).is_err(), "{what}");
+        }
+    }
+
+    #[test]
     fn study_shaped_account_packs_small() {
         // Five Centered clicks, the study policy, a 21-byte salt and h^3000:
-        // the shape of the serving benchmark's seed accounts.  The line
-        // format spends 314 bytes on it; packed, it is 156 (the 85 bytes of
-        // clear grid identifiers and the 32-byte digest are most of that),
-        // and must stay under 160.
+        // the shape of the serving benchmark's seed accounts.  Packed, it
+        // is 156 bytes (the 85 bytes of clear grid identifiers and the
+        // 32-byte digest are most of that), and must stay under 160.
         let record = study_account("u0042");
         assert_eq!(record.hash.salt.len(), 21);
-        assert_eq!(record.to_record().len(), 314);
         let packed = PackedAccount::pack(&record);
         assert!(
             packed.packed_len() < 160,

@@ -16,10 +16,10 @@
 //!
 //! Routing is by [`shard_index`], an FNV-1a hash of the account name
 //! reduced modulo the shard count.  The mapping is an implementation detail
-//! of the *in-memory* layout only: a shard file is a `# gp-passwords store
-//! v1` header plus one [`StoredPassword::to_record`] line per account, and
-//! loading routes every record through the account hash, so shard files
-//! written under one shard count can be reloaded under any other.
+//! of the *in-memory* layout only: a shard file is a record log in the WAL's
+//! own framing ([`crate::wal`]) holding one `update` record per account,
+//! and loading routes every record through the account hash, so shard
+//! files written under one shard count can be reloaded under any other.
 //!
 //! # Durability
 //!
@@ -55,18 +55,21 @@ use crate::lockdep::{LockClass, OrderedMutex, OrderedRwLock};
 use crate::resident::PackedAccount;
 use crate::stored::StoredPassword;
 use crate::system::GraphicalPasswordSystem;
-use crate::wal::{atomic_write, fnv1a64, sync_dir, ShardWal, WalEntry};
+use crate::wal::{
+    atomic_write, fnv1a64, put_record, sync_dir, ShardWal, WalEntry, WalReplay, OP_UPDATE,
+    WAL_MAGIC,
+};
 use gp_crypto::SaltedHasher;
 use gp_geometry::Point;
 use std::collections::BTreeSet;
-use std::io::{BufRead, Write};
+use std::io::Write;
 use std::ops::Bound;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Accounts a shard write renders per read-lock acquisition: long enough
+/// Accounts a shard write frames per read-lock acquisition: long enough
 /// to amortize the lock, short enough that a waiting writer never notices
-/// and the rendered text stays a few tens of KiB.
+/// and the framed batch stays a few tens of KiB.
 const RENDER_BATCH: usize = 128;
 
 /// Stable routing function: which of `shards` partitions owns `username`.
@@ -81,16 +84,18 @@ pub fn shard_index(username: &str, shards: usize) -> usize {
     (fnv1a64(username.as_bytes()) % shards as u64) as usize
 }
 
-/// Canonical content hash of one stored record: FNV-1a over the record's
-/// line serialization ([`StoredPassword::to_record`], the exact bytes the
-/// WAL and the replication stream carry), finalized with the same
-/// splitmix mixer the ring uses so the value diffuses into all 64 bits.
+/// Canonical content hash of one stored record: FNV-1a over its packed
+/// bytes (the resident form, and the bytes every WAL, snapshot and
+/// replication payload carries after its op byte), finalized with the
+/// same splitmix mixer the ring uses so the value diffuses into all 64
+/// bits.
 ///
-/// Two replicas that applied the same WAL payload hold byte-identical
-/// serializations, so equal records hash equal on every node — this is
-/// the unit the anti-entropy digest and the record-level diff compare.
+/// A record has exactly one packed encoding, and payloads from outside
+/// are accepted only in it, so equal records hash equal on every node —
+/// this is the unit the anti-entropy digest and the record-level diff
+/// compare.  The store's range scans hash the resident bytes in place.
 pub fn record_digest(record: &StoredPassword) -> u64 {
-    crate::ring::mix64(fnv1a64(record.to_record().as_bytes()))
+    PackedAccount::pack(record).digest()
 }
 
 /// Order-independent digest of a *set* of account records.
@@ -112,11 +117,6 @@ pub struct RangeDigest {
 }
 
 impl RangeDigest {
-    /// Fold one record into the digest.
-    pub fn add(&mut self, record: &StoredPassword) {
-        self.add_hash(record_digest(record));
-    }
-
     /// Fold an already-computed [`record_digest`] into the digest.
     pub fn add_hash(&mut self, hash: u64) {
         self.count += 1;
@@ -318,38 +318,6 @@ fn shard_files(dir: &Path, suffix: &str) -> Result<Vec<PathBuf>, PasswordError> 
     Ok(paths)
 }
 
-/// Parse a shard file line by line, handing each account record to
-/// `apply` as soon as it parses, so loading holds one line at a time.
-/// Lines starting with `#` (the `# gp-passwords store v1` header) and
-/// blank lines are skipped; a line that does not parse is reported by its
-/// line number.
-fn read_shard_file(
-    mut reader: impl BufRead,
-    mut apply: impl FnMut(StoredPassword),
-) -> Result<(), PasswordError> {
-    let mut line = String::new();
-    for line_no in 1.. {
-        line.clear();
-        if reader
-            .read_line(&mut line)
-            .map_err(|e| storage_error(&format!("line {line_no}"), e))?
-            == 0
-        {
-            break;
-        }
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let record =
-            StoredPassword::from_record(line).map_err(|e| PasswordError::CorruptRecord {
-                reason: format!("line {line_no}: {e}"),
-            })?;
-        apply(record);
-    }
-    Ok(())
-}
-
 /// Parse `shard-NNN.<ext>` (including `.pwd.tmp` leftovers) into the
 /// shard index, for stale-file cleanup.
 fn parse_shard_file_index(name: &str) -> Option<usize> {
@@ -448,11 +416,7 @@ impl ShardedPasswordStore {
         let mut replayed_records = 0u64;
         let mut torn_tails = 0u64;
         for path in shard_files(dir, ".wal")? {
-            let replay = ShardWal::replay(&path, |entry| match entry {
-                WalEntry::Enroll(record) | WalEntry::Update(record) => store.apply_insert(&record),
-                WalEntry::Remove(username) => store.apply_remove(&username),
-            })
-            .map_err(|e| storage_error(&format!("replay {}", path.display()), e))?;
+            let replay = store.replay_file(&path)?;
             replayed_records += replay.records;
             torn_tails += u64::from(replay.torn_bytes > 0);
         }
@@ -665,10 +629,12 @@ impl ShardedPasswordStore {
         staged: bool,
         admit: impl FnOnce(&BTreeSet<PackedAccount>) -> Result<bool, PasswordError>,
     ) -> Result<bool, PasswordError> {
-        // The record is packed before the lock is taken.
+        // The record is packed once, before the lock is taken: the WAL
+        // payload is its op byte and the packed bytes the map keeps.
+        let payload = entry.to_payload();
         let packed = match entry {
-            WalEntry::Enroll(record) | WalEntry::Update(record) => {
-                Some(PackedAccount::pack(record))
+            WalEntry::Enroll(_) | WalEntry::Update(_) => {
+                Some(PackedAccount::from_packed(&payload[1..]))
             }
             WalEntry::Remove(_) => None,
         };
@@ -680,10 +646,10 @@ impl ShardedPasswordStore {
             let mut wal = d.wals[index].lock();
             let logged = if staged {
                 // gp-lint: allow(L8, by-design durability barrier: the accounts lock orders the WAL append ahead of the map mutation)
-                wal.append_staged(entry).map(drop)
+                wal.append_staged(&payload).map(drop)
             } else {
                 // gp-lint: allow(L8, by-design durability barrier: the accounts lock orders the WAL append ahead of the map mutation)
-                wal.append_flushed(entry)
+                wal.append_flushed(&payload)
             };
             logged.map_err(|e| storage_error(&format!("wal append (shard {index})"), e))?;
         }
@@ -698,17 +664,28 @@ impl ShardedPasswordStore {
         Ok(true)
     }
 
-    /// In-memory insert/replace with no logging — recovery replay and
-    /// snapshot loading only (the data is already on disk).
-    fn apply_insert(&self, stored: &StoredPassword) {
-        let packed = PackedAccount::pack(stored);
-        let shard = self.shard_for(&stored.username);
-        shard.accounts.write().replace(packed);
-    }
-
-    /// In-memory removal with no logging (recovery replay only).
-    fn apply_remove(&self, username: &str) {
-        self.shard_for(username).accounts.write().remove(username);
+    /// Apply every record of the WAL or snapshot at `path` in memory,
+    /// with no logging (the data is already on disk).  Records re-route by
+    /// account hash.
+    fn replay_file(&self, path: &Path) -> Result<WalReplay, PasswordError> {
+        ShardWal::replay(path, |entry| {
+            let shard = self.shard_for(entry.username());
+            match entry {
+                WalEntry::Enroll(record) | WalEntry::Update(record) => {
+                    shard.accounts.write().replace(PackedAccount::pack(&record));
+                }
+                WalEntry::Remove(username) => {
+                    shard.accounts.write().remove(username.as_str());
+                }
+            }
+        })
+        .map_err(|e| match e.kind() {
+            // The message names the file.
+            std::io::ErrorKind::InvalidData => PasswordError::CorruptRecord {
+                reason: e.to_string(),
+            },
+            _ => storage_error(&format!("replay {}", path.display()), e),
+        })
     }
 
     /// Fetch a copy of an account's stored record.
@@ -828,7 +805,7 @@ impl ShardedPasswordStore {
                     .read()
                     .iter()
                     .filter(|account| range(account.name()))
-                    .map(|account| (account.name().to_string(), record_digest(&account.unpack())))
+                    .map(|account| (account.name().to_string(), account.digest()))
                     .collect::<Vec<_>>()
             })
             .collect();
@@ -845,7 +822,7 @@ impl ShardedPasswordStore {
         for shard in &self.shards {
             for account in shard.accounts.read().iter() {
                 if range(account.name()) {
-                    digest.add(&account.unpack());
+                    digest.add_hash(account.digest());
                 }
             }
         }
@@ -867,23 +844,19 @@ impl ShardedPasswordStore {
             .collect()
     }
 
-    /// Stream shard `index` to `out` in the line-oriented password-file
-    /// format, [`RENDER_BATCH`] accounts per read-lock acquisition: the
-    /// lock is never held across a write, and neither the shard's text
-    /// nor a copy of its accounts is ever whole in memory.  Accounts are
-    /// visited once each, in name order; a writer that lands between two
-    /// batches may or may not be reflected (see
+    /// Stream shard `index` to `out` as a snapshot: the WAL magic, then
+    /// one `update` record per account, [`RENDER_BATCH`] accounts per
+    /// read-lock acquisition: the lock is never held across a write, and
+    /// neither the shard's file nor a copy of its accounts is ever whole
+    /// in memory.  Accounts are visited once each, in name order; a writer
+    /// that lands between two batches may or may not be reflected (see
     /// [`ShardedPasswordStore::snapshot_shard`] for why that is safe).
     fn write_shard(&self, index: usize, out: &mut impl Write) -> std::io::Result<()> {
-        writeln!(
-            out,
-            "# gp-passwords store v1 (shard {index}/{})",
-            self.shards.len()
-        )?;
-        let mut lines = String::new();
+        out.write_all(WAL_MAGIC)?;
+        let (mut records, mut payload) = (Vec::new(), Vec::new());
         let mut after: Option<String> = None;
         loop {
-            lines.clear();
+            records.clear();
             {
                 let accounts = self.shards[index].accounts.read();
                 let lower = after.as_deref().map_or(Bound::Unbounded, Bound::Excluded);
@@ -892,26 +865,19 @@ impl ShardedPasswordStore {
                     .range::<str, _>((lower, Bound::Unbounded))
                     .take(RENDER_BATCH)
                 {
-                    account.unpack().write_record(&mut lines);
-                    lines.push('\n');
+                    payload.clear();
+                    payload.push(OP_UPDATE);
+                    payload.extend_from_slice(account.as_bytes());
+                    put_record(&mut records, &payload);
                     last = Some(account);
                 }
                 after = last.map(|account| account.name().to_string());
             }
-            out.write_all(lines.as_bytes())?;
+            out.write_all(&records)?;
             if after.is_none() {
                 return Ok(());
             }
         }
-    }
-
-    /// Serialize one shard in the line-oriented password-file format —
-    /// the bytes `save_to_dir` and snapshots publish as `shard-NNN.pwd`.
-    pub fn shard_file_contents(&self, shard: usize) -> String {
-        let mut out = Vec::new();
-        // Writing to a Vec cannot fail, and every record line is UTF-8.
-        let _ = self.write_shard(shard, &mut out);
-        String::from_utf8_lossy(&out).into_owned()
     }
 
     /// Persist every shard as `shard-NNN.pwd` under `dir` (created if
@@ -949,23 +915,20 @@ impl ShardedPasswordStore {
 
     /// Load every `shard-NNN.pwd` snapshot under `dir` into memory,
     /// streaming: each record is re-routed by account hash and applied as
-    /// its line parses.
+    /// it decodes.  A snapshot is published whole, so a damaged final
+    /// record in one is corruption, not a torn append.
     fn load_snapshots(&self, dir: &Path) -> Result<(), PasswordError> {
         for path in shard_files(dir, ".pwd")? {
-            let file = std::fs::File::open(&path)
-                .map_err(|e| storage_error(&format!("read {}", path.display()), e))?;
-            read_shard_file(std::io::BufReader::new(file), |record| {
-                self.apply_insert(&record)
-            })
-            .map_err(|e| match e {
-                PasswordError::CorruptRecord { reason } => PasswordError::CorruptRecord {
-                    reason: format!("{}: {reason}", path.display()),
-                },
-                PasswordError::Storage { reason } => {
-                    storage_error(&format!("read {}", path.display()), reason)
-                }
-                other => other,
-            })?;
+            let replay = self.replay_file(&path)?;
+            if replay.torn_bytes > 0 {
+                return Err(PasswordError::CorruptRecord {
+                    reason: format!(
+                        "{}: damaged final record ({} bytes) in a snapshot",
+                        path.display(),
+                        replay.torn_bytes
+                    ),
+                });
+            }
         }
         Ok(())
     }
@@ -1185,34 +1148,90 @@ mod tests {
                 .unwrap());
         }
 
-        // A shard file parses on its own, header line included.
+        // A shard file replays on its own: one update record per account.
         let mut single = Vec::new();
-        read_shard_file(store.shard_file_contents(0).as_bytes(), |r| single.push(r)).unwrap();
+        let replay = ShardWal::replay(&dir.join(shard_pwd_name(0)), |e| single.push(e)).unwrap();
+        assert_eq!(replay.torn_bytes, 0);
         assert_eq!(single.len(), store.stats()[0].accounts);
+        assert!(single.iter().all(|e| matches!(e, WalEntry::Update(_))));
 
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn file_parser_skips_comments_and_reports_line_numbers() {
-        let mut parsed = 0;
-        read_shard_file(&b"# comment\n\n# another\n"[..], |_| parsed += 1).unwrap();
-        assert_eq!(parsed, 0);
-        match read_shard_file(&b"# ok\ngarbage line\n"[..], |_| {}).unwrap_err() {
-            PasswordError::CorruptRecord { reason } => assert!(reason.contains("line 2")),
-            other => panic!("unexpected error {other:?}"),
+    fn snapshot_bit_rot_is_refused_naming_the_file() {
+        // One flipped bit in one account's digest inside a published
+        // snapshot must not load as a silently different hash, whether
+        // the account's record is interior to the file or its last.
+        let sys = system();
+        let dir = temp_dir("snapshot-rot");
+        let store =
+            ShardedPasswordStore::open_durable(&dir, 2, DurabilityOptions::default()).unwrap();
+        for i in 0..6 {
+            store
+                .enroll(&sys, &format!("user{i}"), &clicks(i as f64))
+                .unwrap();
         }
-        // Through the loader, the error also names the file.
-        let dir = temp_dir("corrupt-file");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join(shard_pwd_name(0)), "# ok\ngarbage line\n").unwrap();
-        match ShardedPasswordStore::load_from_dir(&dir, 1).unwrap_err() {
-            PasswordError::CorruptRecord { reason } => {
-                assert!(reason.contains("shard-000.pwd") && reason.contains("line 2"))
+        store.snapshot_all().unwrap();
+        let records = store.records();
+        drop(store);
+        for record in &records {
+            let path = dir.join(shard_pwd_name(shard_index(&record.username, 2)));
+            let pristine = std::fs::read(&path).unwrap();
+            let digest = &record.hash.digest;
+            let at = pristine
+                .windows(digest.len())
+                .position(|w| w == digest)
+                .expect("the digest is in its shard's snapshot");
+            let mut rotten = pristine.clone();
+            rotten[at + 7] ^= 0x01;
+            std::fs::write(&path, &rotten).unwrap();
+
+            let name = path.file_name().unwrap().to_str().unwrap();
+            for err in [
+                ShardedPasswordStore::open_durable(&dir, 2, DurabilityOptions::default())
+                    .unwrap_err(),
+                ShardedPasswordStore::load_from_dir(&dir, 2).unwrap_err(),
+            ] {
+                assert!(
+                    err.to_string().contains(name),
+                    "{}: names the file: {err}",
+                    record.username
+                );
             }
-            other => panic!("unexpected error {other:?}"),
+            std::fs::write(&path, &pristine).unwrap();
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn old_format_files_are_refused_by_magic() {
+        // The text snapshot and the GP-WAL1 log that preceded the packed
+        // record format: refused whole, never misparsed.
+        let v1_snapshot = "# gp-passwords store v1 (shard 0/1)\n\
+                           alice\tcentered:9\t5\t451x331\t01;01;01;01;01\t3$00$00\n";
+        let mut v1_wal = b"GP-WAL1\n".to_vec();
+        v1_wal.extend_from_slice(&6u32.to_be_bytes());
+        v1_wal.extend_from_slice(&fnv1a64(b"\x03alice").to_be_bytes());
+        v1_wal.extend_from_slice(b"\x03alice");
+        for (file, bytes) in [
+            (shard_pwd_name(0), v1_snapshot.as_bytes()),
+            (shard_wal_name(0), &v1_wal[..]),
+        ] {
+            let dir = temp_dir("v1-format");
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(dir.join(&file), bytes).unwrap();
+            let err = ShardedPasswordStore::open_durable(&dir, 1, DurabilityOptions::default())
+                .unwrap_err();
+            assert!(
+                err.to_string().contains(&file) && err.to_string().contains("bad magic"),
+                "{file}: {err}"
+            );
+            if file.ends_with(".pwd") {
+                assert!(ShardedPasswordStore::load_from_dir(&dir, 1).is_err());
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]
@@ -1239,22 +1258,24 @@ mod tests {
             wal.len() > crate::wal::WAL_MAGIC.len(),
             "bob's record is in the WAL"
         );
-        let record_line = String::from_utf8(pwd.clone())
-            .unwrap()
-            .lines()
-            .find(|l| l.starts_with("alice\t"))
-            .expect("alice's record line")
-            .to_string();
-        let fields: Vec<&str> = record_line.split('\t').collect();
-        assert_eq!(fields.len(), 6, "record must have exactly 6 fields");
-        // The only per-click data present is the clear grid identifiers
-        // (field 4) and the single hash (field 5); there is no field that
-        // could hold the 10 raw coordinates of the 5 original clicks.
-        assert_eq!(fields[4].split(';').count(), alice.len());
-        assert!(
-            fields[5].starts_with("3$"),
-            "hash field with iteration count"
-        );
+        let mut snapshot = Vec::new();
+        ShardWal::replay(&dir.join(shard_pwd_name(shard_index("alice", 2))), |e| {
+            snapshot.push(e)
+        })
+        .unwrap();
+        let record = snapshot
+            .iter()
+            .find_map(|e| match e {
+                WalEntry::Update(r) if r.username == "alice" => Some(r),
+                _ => None,
+            })
+            .expect("alice's record");
+        // The only per-click data present is one clear grid identifier per
+        // click and the single hash; the record has no field that could
+        // hold the 10 raw coordinates of the 5 original clicks.
+        assert_eq!(record.clicks.len(), alice.len());
+        assert_eq!(record.hash.digest.len(), 32);
+        assert_eq!(record.hash.iterations, 3, "hash with iteration count");
 
         let contains =
             |haystack: &[u8], needle: &[u8]| haystack.windows(needle.len()).any(|w| w == needle);
@@ -1633,12 +1654,13 @@ mod tests {
             store.snapshot_shard(0).unwrap();
         }
         writer.join().unwrap();
-        let contents = store.shard_file_contents(0);
-        let names: Vec<&str> = contents
-            .lines()
-            .skip(1)
-            .map(|line| line.split('\t').next().unwrap())
-            .collect();
+        // The shard is quiet now: its next snapshot is exactly the map.
+        store.snapshot_shard(0).unwrap();
+        let mut names = Vec::new();
+        ShardWal::replay(&dir.join(shard_pwd_name(0)), |e| {
+            names.push(e.username().to_string())
+        })
+        .unwrap();
         let expected: Vec<String> = records.iter().map(|r| r.username.clone()).collect();
         assert_eq!(names, expected);
         drop(store);

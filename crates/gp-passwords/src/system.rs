@@ -343,6 +343,7 @@ fn salt_matches(hasher: &PasswordHasher, user_id: &[u8], salt: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::WalEntry;
     use gp_discretization::GridId;
 
     fn clicks() -> Vec<Point> {
@@ -466,7 +467,12 @@ mod tests {
     fn stored_record_survives_serialization_and_still_verifies() {
         let system = system_centered();
         let stored = system.enroll("alice", &clicks()).unwrap();
-        let parsed = StoredPassword::from_record(&stored.to_record()).unwrap();
+        let payload = WalEntry::Update(stored.clone()).to_payload();
+        let parsed = match WalEntry::from_payload(&payload).unwrap() {
+            WalEntry::Update(parsed) => parsed,
+            other => panic!("decoded {other:?}"),
+        };
+        assert_eq!(parsed, stored);
         assert!(system.verify(&parsed, &clicks()).unwrap());
         let off: Vec<Point> = clicks().iter().map(|p| p.offset(15.0, 0.0)).collect();
         assert!(!system.verify(&parsed, &off).unwrap());

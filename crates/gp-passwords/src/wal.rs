@@ -17,17 +17,25 @@
 //!   rename → fsync dir`, so a snapshot file is either the complete old
 //!   version or the complete new version, never a truncated hybrid.
 //!
-//! # Log format
+//! # Record format
+//!
+//! WALs and shard snapshots share one framing:
 //!
 //! ```text
 //! file   := MAGIC record*
-//! MAGIC  := "GP-WAL1\n"                      (8 bytes)
+//! MAGIC  := "GP-WAL2\n"                      (8 bytes)
 //! record := len:u32be  check:u64be  payload  (len = payload length)
 //! payload:= op:u8  data                      (checksum = FNV-1a 64 of payload)
 //! op     := 1 enroll | 2 update | 3 remove
-//! data   := StoredPassword::to_record() line (enroll/update)
+//! data   := packed account bytes             (enroll/update, see crate::resident)
 //!         | username bytes                   (remove)
 //! ```
+//!
+//! A snapshot is the same file holding one `update` record per account,
+//! in name order, read back through [`ShardWal::replay`].  The replication
+//! stream carries the payloads verbatim.  Files of another format (the
+//! `GP-WAL1` log, the `# gp-passwords store v1` text snapshot) are refused
+//! by their magic.
 //!
 //! The log has a single appender (the owning shard, under its lock)
 //! writing strictly forward, so a checksum/length violation on the
@@ -37,8 +45,11 @@
 //! unfinished record): that is mid-file corruption and replay surfaces
 //! it as an error rather than silently truncating the acked suffix.
 //! Likewise a record whose checksum *passes* but whose payload does not
-//! parse is real corruption (or a software bug) and is an error.
+//! decode is real corruption (or a software bug) and is an error.  A
+//! snapshot is published whole by [`atomic_write`], so its loader treats
+//! even a torn tail as corruption.
 
+use crate::resident::PackedAccount;
 use crate::stored::StoredPassword;
 use crate::watermark::Watermark;
 use std::fs::{File, OpenOptions};
@@ -46,10 +57,14 @@ use std::io::{BufReader, Read, Seek, Write};
 use std::path::{Path, PathBuf};
 
 /// File magic at the start of every WAL (8 bytes, versioned).
-pub const WAL_MAGIC: &[u8; 8] = b"GP-WAL1\n";
+pub const WAL_MAGIC: &[u8; 8] = b"GP-WAL2\n";
 
 /// Per-record header size: `u32` payload length + `u64` checksum.
 const RECORD_HEADER: usize = 4 + 8;
+
+/// The payload `op` of an update record, the one a snapshot holds per
+/// account.
+pub(crate) const OP_UPDATE: u8 = 2;
 
 /// Sanity cap on a single WAL record's payload.  A declared length past
 /// this is treated as a torn/garbage tail, not an allocation request.
@@ -80,11 +95,11 @@ pub enum WalEntry {
 }
 
 impl WalEntry {
-    /// The payload's `op` byte (see the module-level log format).
+    /// The payload's `op` byte (see the module-level record format).
     fn tag(&self) -> u8 {
         match self {
             WalEntry::Enroll(_) => 1,
-            WalEntry::Update(_) => 2,
+            WalEntry::Update(_) => OP_UPDATE,
             WalEntry::Remove(_) => 3,
         }
     }
@@ -97,42 +112,37 @@ impl WalEntry {
         }
     }
 
-    /// Encode as a WAL record payload (`op:u8` + data) — the exact bytes
+    /// Encode as a record payload (`op:u8` + data) — the exact bytes
     /// [`ShardWal`] appends, reused verbatim as the replication stream's
     /// record body so primary and backup log bit-identical records.
     pub fn to_payload(&self) -> Vec<u8> {
-        let data: String = match self {
-            WalEntry::Enroll(record) | WalEntry::Update(record) => record.to_record(),
-            WalEntry::Remove(username) => username.clone(),
-        };
-        let mut payload = Vec::with_capacity(1 + data.len());
-        payload.push(self.tag());
-        payload.extend_from_slice(data.as_bytes());
+        let mut payload = vec![self.tag()];
+        match self {
+            WalEntry::Enroll(record) | WalEntry::Update(record) => {
+                PackedAccount::pack_into(record, &mut payload)
+            }
+            WalEntry::Remove(username) => payload.extend_from_slice(username.as_bytes()),
+        }
         payload
     }
 
-    /// Decode a WAL record payload (the inverse of
-    /// [`WalEntry::to_payload`]).  Errors are `InvalidData`: an intact
-    /// checksum over an unparseable payload is corruption, not a crash
-    /// artifact.
+    /// Decode a record payload (the inverse of [`WalEntry::to_payload`]),
+    /// accepting exactly the bytes `to_payload` writes.  Errors are
+    /// `InvalidData`: an intact checksum over an undecodable payload is
+    /// corruption, not a crash artifact, and a peer's payload is input
+    /// from outside the process.
     pub fn from_payload(payload: &[u8]) -> std::io::Result<Self> {
         let invalid = |reason: String| std::io::Error::new(std::io::ErrorKind::InvalidData, reason);
-        let (tag, data) = payload
+        let (&tag, data) = payload
             .split_first()
             .ok_or_else(|| invalid("empty WAL payload".into()))?;
-        let text =
-            std::str::from_utf8(data).map_err(|_| invalid("non-UTF-8 WAL payload".into()))?;
         match tag {
-            1 | 2 => {
-                let record = StoredPassword::from_record(text)
-                    .map_err(|e| invalid(format!("unparseable WAL record: {e}")))?;
-                Ok(if *tag == 1 {
-                    WalEntry::Enroll(record)
-                } else {
-                    WalEntry::Update(record)
-                })
-            }
-            3 => Ok(WalEntry::Remove(text.to_string())),
+            1 => PackedAccount::decode(data).map(WalEntry::Enroll),
+            OP_UPDATE => PackedAccount::decode(data).map(WalEntry::Update),
+            3 => match std::str::from_utf8(data) {
+                Ok(name) if !name.is_empty() => Ok(WalEntry::Remove(name.to_string())),
+                _ => Err(invalid("empty or non-UTF-8 name in a remove record".into())),
+            },
             other => Err(invalid(format!("unknown WAL op tag {other}"))),
         }
     }
@@ -228,20 +238,21 @@ impl ShardWal {
         self.mark.durable_seq()
     }
 
-    /// Append `entry` and fsync it.  When this returns `Ok`, the record
-    /// is on stable storage — only then may the mutation be acknowledged.
-    pub fn append_flushed(&mut self, entry: &WalEntry) -> std::io::Result<()> {
-        self.write_record(entry, true).map(drop)
+    /// Append one record carrying `payload` ([`WalEntry::to_payload`])
+    /// and fsync it.  When this returns `Ok`, the record is on stable
+    /// storage — only then may the mutation be acknowledged.
+    pub fn append_flushed(&mut self, payload: &[u8]) -> std::io::Result<()> {
+        self.append_record(payload, true).map(drop)
     }
 
-    /// Stage `entry` *without* the per-append fsync — the
-    /// group-commit fast path.  The record is in the log (a crash may
-    /// still lose it until a barrier lands) but **must not be
+    /// Stage a record carrying `payload` *without* the per-append
+    /// fsync — the group-commit fast path.  The record is in the log (a
+    /// crash may still lose it until a barrier lands) but **must not be
     /// acknowledged** until [`ShardWal::group_commit`] or
     /// [`ShardWal::sync`] advances the durable watermark past the
     /// returned commit sequence.
-    pub fn append_staged(&mut self, entry: &WalEntry) -> std::io::Result<u64> {
-        self.write_record(entry, false)
+    pub fn append_staged(&mut self, payload: &[u8]) -> std::io::Result<u64> {
+        self.append_record(payload, false)
     }
 
     /// The group-commit barrier: fsync every staged append in **one**
@@ -256,21 +267,18 @@ impl ShardWal {
         Ok(self.mark.durable_seq())
     }
 
-    /// Frame `entry` as one record and write it in one call (a crash can
+    /// Frame `payload` as one record and write it in one call (a crash can
     /// still tear it mid-record, but replay recovers the full prefix
     /// regardless of where the tear lands); with `flush`, fsync it now.
-    fn write_record(&mut self, entry: &WalEntry, flush: bool) -> std::io::Result<u64> {
+    fn append_record(&mut self, payload: &[u8], flush: bool) -> std::io::Result<u64> {
         if self.poisoned {
             return Err(std::io::Error::other(format!(
                 "{}: WAL poisoned by an earlier unrecoverable append failure",
                 self.path.display()
             )));
         }
-        let payload = entry.to_payload();
-        let mut buf = Vec::with_capacity(RECORD_HEADER + payload.len());
-        buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        buf.extend_from_slice(&fnv1a64(&payload).to_be_bytes());
-        buf.extend_from_slice(&payload);
+        let mut buf = Vec::new();
+        put_record(&mut buf, payload);
         let start = self.len;
         let seq = self.mark.begin_append();
         let written = self.file.write_all(&buf).and_then(|()| {
@@ -352,16 +360,18 @@ impl ShardWal {
         self.poisoned = true;
     }
 
-    /// Decode every intact record in the WAL at `path`, in append order,
+    /// Decode every intact record in the WAL (or snapshot) at `path`, in
+    /// file order,
     /// and hand each to `apply` as soon as it is decoded.  The file is
     /// read record by record, so recovery holds one record at a time,
     /// never the whole log.  A torn final record is tolerated and
     /// reported via [`WalReplay::torn_bytes`].
     ///
     /// A missing file replays as empty (a crash before the first append).
-    /// A present file with a wrong magic, an intact (checksummed) record
-    /// that fails to parse, or damage to an *interior* record (an intact
-    /// record follows the damage, so it cannot be a tear) is an error —
+    /// A present file with a wrong magic (another format, or an older
+    /// version of this one), an intact (checksummed) record that fails to
+    /// decode, or damage to an *interior* record (an intact record
+    /// follows the damage, so it cannot be a tear) is an error —
     /// that is corruption, not a crash artifact.  Entries before the error
     /// have already been applied; callers discard what they built.
     pub fn replay(path: &Path, mut apply: impl FnMut(WalEntry)) -> std::io::Result<WalReplay> {
@@ -386,7 +396,7 @@ impl ShardWal {
             });
         }
         if record != WAL_MAGIC {
-            return Err(corrupt(path, "bad WAL magic"));
+            return Err(corrupt(path, "bad magic: not a GP-WAL2 record file"));
         }
         let mut replayed = 0;
         let mut at = WAL_MAGIC.len();
@@ -435,6 +445,15 @@ impl ShardWal {
             at += end;
         }
     }
+}
+
+/// Append `payload` to `out` as one framed record: length, checksum,
+/// payload.
+pub(crate) fn put_record(out: &mut Vec<u8>, payload: &[u8]) {
+    out.reserve(RECORD_HEADER + payload.len());
+    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    out.extend_from_slice(&fnv1a64(payload).to_be_bytes());
+    out.extend_from_slice(payload);
 }
 
 /// Append up to `n` more bytes from `reader` to `buf` (fewer at EOF).
@@ -578,9 +597,10 @@ mod tests {
         let (a, b) = (sample("alice", 0.0), sample("bob", 3.0));
         {
             let mut wal = ShardWal::open_or_create(&path).unwrap();
-            wal.append_flushed(&enroll(&a)).unwrap();
-            wal.append_flushed(&WalEntry::Update(b.clone())).unwrap();
-            wal.append_flushed(&WalEntry::Remove("alice".into()))
+            wal.append_flushed(&enroll(&a).to_payload()).unwrap();
+            wal.append_flushed(&WalEntry::Update(b.clone()).to_payload())
+                .unwrap();
+            wal.append_flushed(&WalEntry::Remove("alice".into()).to_payload())
                 .unwrap();
             assert_eq!(wal.appends(), 3);
             assert!(wal.syncs() >= 3, "every flushed append fsyncs");
@@ -605,11 +625,11 @@ mod tests {
         let (a, b) = (sample("alice", 0.0), sample("bob", 3.0));
         {
             let mut wal = ShardWal::open_or_create(&path).unwrap();
-            wal.append_flushed(&enroll(&a)).unwrap();
+            wal.append_flushed(&enroll(&a).to_payload()).unwrap();
         }
         {
             let mut wal = ShardWal::open_or_create(&path).unwrap();
-            wal.append_flushed(&enroll(&b)).unwrap();
+            wal.append_flushed(&enroll(&b).to_payload()).unwrap();
         }
         let replay = replay_all(&path).unwrap();
         assert_eq!(
@@ -630,7 +650,7 @@ mod tests {
         {
             let mut wal = ShardWal::open_or_create(&path).unwrap();
             for record in &records {
-                wal.append_flushed(&enroll(record)).unwrap();
+                wal.append_flushed(&enroll(record).to_payload()).unwrap();
                 boundaries.push(wal.len_bytes());
             }
         }
@@ -672,9 +692,9 @@ mod tests {
         let first_end;
         {
             let mut wal = ShardWal::open_or_create(&path).unwrap();
-            wal.append_flushed(&enroll(&a)).unwrap();
+            wal.append_flushed(&enroll(&a).to_payload()).unwrap();
             first_end = wal.len_bytes() as usize;
-            wal.append_flushed(&enroll(&b)).unwrap();
+            wal.append_flushed(&enroll(&b).to_payload()).unwrap();
         }
         let mut bytes = std::fs::read(&path).unwrap();
         *bytes.last_mut().unwrap() ^= 0xff;
@@ -686,20 +706,30 @@ mod tests {
     }
 
     #[test]
-    fn bad_magic_and_unparseable_payloads_are_errors_not_torn_tails() {
+    fn bad_magic_and_undecodable_payloads_are_errors_not_torn_tails() {
         let dir = temp_dir("corrupt");
-        let bad_magic = dir.join("m.wal");
-        std::fs::write(&bad_magic, b"NOTAWAL!record-bytes").unwrap();
-        assert!(replay_all(&bad_magic).is_err());
+        // Another format, and both files of the old text-record format:
+        // refused by their magic, never misparsed.
+        for (name, bytes) in [
+            ("m.wal", &b"NOTAWAL!record-bytes"[..]),
+            ("v1.wal", b"GP-WAL1\n\0\0\0\x05\0\0\0\0\0\0\0\0\x03alice"),
+            (
+                "v1.pwd",
+                b"# gp-passwords store v1 (shard 0/1)\nalice\tcentered:9\n",
+            ),
+        ] {
+            let path = dir.join(name);
+            std::fs::write(&path, bytes).unwrap();
+            let err = replay_all(&path).expect_err(name);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{name}");
+            assert!(err.to_string().contains("bad magic"), "{name}: {err}");
+        }
 
-        // A checksummed record whose payload is not a parseable account
-        // line: corruption, not a crash artifact.
+        // A checksummed record whose payload is not a packed account:
+        // corruption, not a crash artifact.
         let bad_payload = dir.join("p.wal");
-        let payload = [&[1u8][..], b"not a stored password line"].concat();
         let mut bytes = WAL_MAGIC.to_vec();
-        bytes.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        bytes.extend_from_slice(&fnv1a64(&payload).to_be_bytes());
-        bytes.extend_from_slice(&payload);
+        put_record(&mut bytes, &[&[1u8][..], b"not a packed account"].concat());
         std::fs::write(&bad_payload, &bytes).unwrap();
         assert!(replay_all(&bad_payload).is_err());
 
@@ -720,7 +750,7 @@ mod tests {
         {
             let mut wal = ShardWal::open_or_create(&path).unwrap();
             for record in &records {
-                wal.append_flushed(&enroll(record)).unwrap();
+                wal.append_flushed(&enroll(record).to_payload()).unwrap();
                 boundaries.push(wal.len_bytes() as usize);
             }
         }
@@ -760,7 +790,7 @@ mod tests {
         {
             let mut wal = ShardWal::open_or_create(&path).unwrap();
             for record in &records {
-                wal.append_flushed(&enroll(record)).unwrap();
+                wal.append_flushed(&enroll(record).to_payload()).unwrap();
                 boundaries.push(wal.len_bytes() as usize);
             }
         }
@@ -807,8 +837,6 @@ mod tests {
             assert_eq!(entry.username(), "alice");
             assert_eq!(payload[0], entry.tag());
         }
-        assert!(WalEntry::from_payload(&[]).is_err());
-        assert!(WalEntry::from_payload(&[9, b'x']).is_err(), "unknown tag");
     }
 
     #[test]
@@ -817,10 +845,10 @@ mod tests {
         let path = dir.join("w.wal");
         let (a, b) = (sample("alice", 0.0), sample("bob", 3.0));
         let mut wal = ShardWal::open_or_create(&path).unwrap();
-        wal.append_flushed(&enroll(&a)).unwrap();
+        wal.append_flushed(&enroll(&a).to_payload()).unwrap();
         wal.reset().unwrap();
         assert_eq!(wal.len_bytes(), WAL_MAGIC.len() as u64);
-        wal.append_flushed(&enroll(&b)).unwrap();
+        wal.append_flushed(&enroll(&b).to_payload()).unwrap();
         drop(wal);
         let replay = replay_all(&path).unwrap();
         assert_eq!(replay.entries, vec![WalEntry::Enroll(b)]);
@@ -833,21 +861,21 @@ mod tests {
         let path = dir.join("w.wal");
         let (a, b) = (sample("alice", 0.0), sample("bob", 3.0));
         let mut wal = ShardWal::open_or_create(&path).unwrap();
-        wal.append_flushed(&enroll(&a)).unwrap();
+        wal.append_flushed(&enroll(&a).to_payload()).unwrap();
         wal.poison_for_test();
         assert!(wal.is_poisoned());
         // No append may land past a potential tear: it would be dropped
         // by replay while its caller believed it was acknowledged.
-        assert!(wal.append_flushed(&enroll(&b)).is_err());
+        assert!(wal.append_flushed(&enroll(&b).to_payload()).is_err());
         assert!(wal
-            .append_flushed(&WalEntry::Remove("alice".into()))
+            .append_flushed(&WalEntry::Remove("alice".into()).to_payload())
             .is_err());
         let replay = replay_all(&path).unwrap();
         assert_eq!(replay.entries, vec![WalEntry::Enroll(a)]);
         // Truncating to the header discards the tear and re-arms the log.
         wal.reset().unwrap();
         assert!(!wal.is_poisoned());
-        wal.append_flushed(&enroll(&b)).unwrap();
+        wal.append_flushed(&enroll(&b).to_payload()).unwrap();
         drop(wal);
         let replay = replay_all(&path).unwrap();
         assert_eq!(replay.entries, vec![WalEntry::Enroll(b)]);
@@ -863,7 +891,7 @@ mod tests {
         let mut seqs = Vec::new();
         for i in 0..5 {
             let seq = wal
-                .append_staged(&enroll(&sample(&format!("u{i}"), i as f64)))
+                .append_staged(&enroll(&sample(&format!("u{i}"), i as f64)).to_payload())
                 .unwrap();
             seqs.push(seq);
         }
@@ -895,14 +923,16 @@ mod tests {
         let dir = temp_dir("watermark");
         let path = dir.join("w.wal");
         let mut wal = ShardWal::open_or_create(&path).unwrap();
-        wal.append_staged(&enroll(&sample("alice", 0.0))).unwrap();
+        wal.append_staged(&enroll(&sample("alice", 0.0)).to_payload())
+            .unwrap();
         wal.sync().unwrap();
         assert_eq!(
             wal.durable_seq(),
             1,
             "an explicit sync commits the staged append"
         );
-        wal.append_staged(&enroll(&sample("bob", 3.0))).unwrap();
+        wal.append_staged(&enroll(&sample("bob", 3.0)).to_payload())
+            .unwrap();
         wal.reset().unwrap();
         assert_eq!(
             (wal.appended_seq(), wal.durable_seq()),

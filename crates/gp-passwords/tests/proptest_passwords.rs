@@ -2,6 +2,7 @@
 
 use gp_geometry::Point;
 use gp_passwords::prelude::*;
+use gp_passwords::WalEntry;
 use proptest::prelude::*;
 
 /// Five clicks strictly inside the study image with a margin so that small
@@ -86,13 +87,17 @@ proptest! {
         prop_assert!(!system.verify(&stored, &attempt).unwrap());
     }
 
-    /// Stored records survive text serialization and still verify / reject
-    /// identically.
+    /// Stored records survive the record payload round trip and still
+    /// verify / reject identically.
     #[test]
     fn record_serialization_preserves_behaviour(clicks in arb_clicks(), config in arb_config()) {
         let system = GraphicalPasswordSystem::new(PasswordPolicy::study_default(), config, 2);
         let stored = system.enroll("prop-user", &clicks).unwrap();
-        let reloaded = StoredPassword::from_record(&stored.to_record()).unwrap();
+        let payload = WalEntry::Enroll(stored.clone()).to_payload();
+        let reloaded = match WalEntry::from_payload(&payload).unwrap() {
+            WalEntry::Enroll(reloaded) => reloaded,
+            other => panic!("decoded {other:?}"),
+        };
         prop_assert_eq!(&reloaded, &stored);
         prop_assert!(system.verify(&reloaded, &clicks).unwrap());
     }

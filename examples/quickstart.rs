@@ -3,8 +3,32 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+use graphical_passwords::crypto::hex;
+use graphical_passwords::discretization::GridId;
 use graphical_passwords::geometry::{ImageDims, Point};
 use graphical_passwords::passwords::prelude::*;
+
+/// What the server stores for one account (§3.2): the clear grid
+/// identifier of each click, and one salted, iterated hash.
+fn describe(stored: &StoredPassword) -> String {
+    let grid_ids: Vec<String> = stored
+        .clicks
+        .iter()
+        .map(|click| match click.grid_id {
+            GridId::Centered { dx, dy } => format!("(dx {dx}, dy {dy})"),
+            GridId::Robust { grid_index } => format!("grid {grid_index}"),
+            GridId::Static => "static".to_string(),
+        })
+        .collect();
+    format!(
+        "user {:?}, {}\n  grid identifiers: {}\n  hash: h^{} = {}",
+        stored.username,
+        stored.config.to_header(),
+        grid_ids.join(", "),
+        stored.hash.iterations,
+        hex::encode(&stored.hash.digest)
+    )
+}
 
 fn main() {
     let clicks = graphical_passwords::example_clicks();
@@ -27,12 +51,12 @@ fn main() {
     let stored_robust = robust.enroll("alice", &clicks).expect("enroll robust");
 
     println!(
-        "Stored record (Centered Discretization):\n  {}\n",
-        stored_centered.to_record()
+        "What the server stores (Centered Discretization):\n  {}\n",
+        describe(&stored_centered)
     );
     println!(
-        "Stored record (Robust Discretization):\n  {}\n",
-        stored_robust.to_record()
+        "What the server stores (Robust Discretization):\n  {}\n",
+        describe(&stored_robust)
     );
 
     // Replay a few login attempts at increasing distance from the original
