@@ -87,10 +87,24 @@ fn bench_iterated_hash_fast_paths(c: &mut Criterion) {
     // One full serving batch (16 accounts, one salt each) at h^3000 on
     // every kernel this CPU runs: the kernel ratio behind gpbench's
     // `crypto.hash16_ms`.  Under `gp-passwords/v1`, user names of up to 7
-    // bytes give one-block salts and longer ones two-block salts.
-    for (blocks, name_len) in [(1, 5), (2, 12)] {
-        let hashers: Vec<SaltedHasher> = (0..LANES)
-            .map(|i| {
+    // bytes give one-block salts and longer ones two-block salts.  The
+    // uniform rows give every account a name of one length; the `mixed`
+    // rows spread the names over 1-7 and 8-47 bytes, so the digest sits at
+    // a different offset of the round message in different lanes.
+    for (shape, blocks, name_lens) in [
+        ("1_block", 1, vec![5; LANES]),
+        ("2_block", 2, vec![12; LANES]),
+        ("1_block_mixed", 1, (0..LANES).map(|i| 1 + i % 7).collect()),
+        (
+            "2_block_mixed",
+            2,
+            (0..LANES).map(|i| 8 + i * 17 % 40).collect(),
+        ),
+    ] {
+        let hashers: Vec<SaltedHasher> = name_lens
+            .iter()
+            .enumerate()
+            .map(|(i, &name_len)| {
                 let mut salt = b"gp-passwords/v1\x1f".to_vec();
                 salt.extend((0..name_len).map(|j| b'a' + ((i + j) % 26) as u8));
                 SaltedHasher::new(&salt)
@@ -102,7 +116,7 @@ fn bench_iterated_hash_fast_paths(c: &mut Criterion) {
         let msg_refs: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
         let mut out = Vec::new();
         for kernel in Kernel::available() {
-            let case = format!("h3000_16_chains_{blocks}_block_{}", kernel.name());
+            let case = format!("h3000_16_chains_{shape}_{}", kernel.name());
             group.bench_function(case, |b| {
                 b.iter(|| {
                     kernel.many_salted_into(black_box(&hasher_refs), &msg_refs, 3000, &mut out);

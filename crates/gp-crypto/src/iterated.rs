@@ -20,7 +20,12 @@ use crate::sha256::{
 #[cfg(target_arch = "x86_64")]
 use crate::sha256::{Avx512, ShaNi, K};
 #[cfg(target_arch = "x86_64")]
-use core::arch::x86_64::__m128i;
+use core::arch::x86_64::{
+    __m128i, __m512i, __mmask16, _mm512_add_epi32, _mm512_extracti32x4_epi32, _mm512_mask_or_epi32,
+    _mm512_or_si512, _mm512_ror_epi32, _mm512_set1_epi32, _mm512_setr_epi32, _mm512_setzero_si512,
+    _mm512_sllv_epi32, _mm512_srli_epi32, _mm512_srlv_epi32, _mm512_ternarylogic_epi32,
+    _mm_extract_epi32,
+};
 
 /// Number of interleaved hash lanes in the lane kernel, and the batch size
 /// the batched entry points ([`iterated_hash_many`],
@@ -36,11 +41,11 @@ use core::arch::x86_64::__m128i;
 /// chain 1.2–1.3 ms: about 4× the scalar throughput.
 ///
 /// Which kernel runs is [`Kernel`]'s rule, by CPUID and group size: every
-/// full group of `LANES` same-block-count chains runs the lane loop's
-/// AVX-512 build where the CPU has it (1.7–2.3 ms for 16 one-block chains
-/// at h^3000 on a 2-vCPU Sapphire Rapids Xeon), and the rest runs on
-/// SHA-NI where the CPU has that (0.17 ms for a lone chain, 2.8–3.1 ms for
-/// 16).
+/// full group of `LANES` same-block-count chains runs as one hand-written
+/// AVX-512 pass, one chain per 32-bit lane of a zmm register, where the
+/// CPU has it (1.0–1.2 ms for 16 one-block chains at h^3000 on a 2-vCPU
+/// Sapphire Rapids Xeon), and the rest runs on SHA-NI where the CPU has
+/// that (0.17 ms for a lone chain, 2.8–3.1 ms for 16).
 pub const LANES: usize = 16;
 
 /// Apply SHA-256 `iterations` times to `salt || message`:
@@ -131,17 +136,20 @@ const SHANI_CHAINS: usize = 4;
 /// and the `micro_primitives` per-kernel rows.
 ///
 /// The rule, by CPUID and group size only: every full [`LANES`]-wide group
-/// of same-`blocks_per_round` chains runs the lane loop's AVX-512 build
-/// when the CPU has AVX-512F and AVX-512VL; the rest of the group runs on
-/// SHA-NI, four chains at a time, when the CPU has it, and otherwise on
-/// the portable loop (padded to full width, or scalar for 1–3 chains).
-/// Measured at h^3000 on a 2-vCPU Sapphire Rapids Xeon (medians of three
-/// `micro_primitives` runs), 16 one-block chains take 1.7–2.3 ms on
-/// AVX-512 against 2.8–3.1 ms on SHA-NI, and 16 two-block chains 3.5–4.2
-/// against 5.1–6.2 ms; a lone chain stays on SHA-NI (0.17 ms).
+/// of same-`blocks_per_round` chains runs through the register-resident
+/// AVX-512 pass when the CPU has AVX-512F and AVX-512VL; the rest of the
+/// group runs on SHA-NI, four chains at a time, when the CPU has it, and
+/// otherwise on the portable loop (padded to full width, or scalar for 1–3
+/// chains).  Measured at h^3000 on a 2-vCPU Sapphire Rapids Xeon
+/// (`micro_primitives` medians, p25–p75 of ten runs for AVX-512), 16
+/// one-block chains take 1.0–1.2 ms on AVX-512 against 2.8–3.1 ms on
+/// SHA-NI, and 16 two-block chains 2.1–2.3 against 5.1–6.2 ms, whether the
+/// chains share one digest offset or not; a lone chain stays on SHA-NI
+/// (0.17 ms).  A release-only timing guard asserts the 16-chain side of
+/// that.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Kernel {
-    /// Run full `LANES`-wide groups through `run_salted_lanes_avx512`.
+    /// Run full `LANES`-wide groups through `avx512_rounds`.
     #[cfg(target_arch = "x86_64")]
     avx512: Option<Avx512>,
     /// Run the rest through `advance_shani` instead of `advance_lanes`.
@@ -247,7 +255,9 @@ impl Kernel {
 /// Advance `out[i]` by `rounds - 1` salted rounds under `template(i)` for
 /// every `i` in `group`; every entry of `group` shares `blocks_per_round`.
 /// Every iterated-hash entry point funnels through here, and here alone
-/// [`Kernel`]'s dispatch rule is applied.
+/// [`Kernel`]'s dispatch rule is applied: each full [`LANES`]-wide chunk
+/// goes to [`avx512_rounds`] under an `Avx512` token, the rest to
+/// [`advance_shani`] or [`advance_lanes`].
 #[allow(unsafe_code)]
 fn advance_group<'t>(
     kernel: Kernel,
@@ -270,7 +280,7 @@ fn advance_group<'t>(
         // gp-lint: allow(L3, the target-feature calls; their Avx512 and ShaNi tokens prove the CPUID checks passed)
         unsafe {
             for lanes in full.chunks_exact(LANES) {
-                run_salted_lanes_avx512(&template, lanes, rounds, out);
+                avx512_rounds(&template, lanes, rounds, out);
             }
             match kernel.shani {
                 Some(ShaNi { .. }) => advance_shani(&template, rest, rounds, out),
@@ -515,8 +525,8 @@ fn shani_rounds<'t, const N: usize>(
 /// The portable half of [`advance_group`], for CPUs without SHA-NI: full
 /// [`LANES`]-wide passes of the lane loop as the build compiled it (none
 /// are left when the CPU has AVX-512: [`advance_group`] has already run
-/// them through [`run_salted_lanes_avx512`]), then the remainder, padded
-/// to full width or scalar.
+/// them through [`avx512_rounds`]), then the remainder, padded to full
+/// width or scalar.
 fn advance_lanes<'t>(
     template: &impl Fn(usize) -> &'t RoundTemplate,
     group: &[usize],
@@ -553,22 +563,260 @@ fn advance_lanes<'t>(
     }
 }
 
-/// [`run_salted_lanes`] over one full [`LANES`]-wide group, compiled for
-/// AVX-512: the inlined lane loop's rotates become `vprold` and its
-/// three-input logic `vpternlogd`, one zmm register per state word.  The
-/// compiler ends the function with a `vzeroupper`, and the SHA-NI loop
+/// A full [`LANES`]-wide group's [`RoundTemplate`]s recast for
+/// [`avx512_rounds`]: one 32-bit lane per chain, one register per state or
+/// message word.
+#[cfg(target_arch = "x86_64")]
+struct Avx512Round {
+    /// `initial_state`, word by word.
+    state: [__m512i; 8],
+    /// Per block, the salt tail, padding and length words, the digest slot
+    /// zeroed.
+    konst: [[__m512i; 16]; 2],
+    /// Per lane, `8 * (digest_offset % 4)`: how far right a digest word
+    /// shifts into the message word its first byte lands in.
+    right: __m512i,
+    /// Per lane, `32 - right`: how far left it shifts into the next one.
+    left: __m512i,
+    /// Per message word `q`, the lanes whose digest slot starts in it.
+    starts: [__mmask16; 16],
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Avx512Round {
+    #[target_feature(enable = "avx512f")]
+    fn new(templates: [&RoundTemplate; LANES]) -> Self {
+        let word = |t: &RoundTemplate, j: usize| {
+            let slot = t.digest_offset..t.digest_offset + DIGEST_LEN;
+            u32::from_be_bytes(core::array::from_fn(|k| {
+                let p = 4 * j + k;
+                if slot.contains(&p) {
+                    0
+                } else {
+                    t.buffer[p]
+                }
+            }))
+        };
+        let mut starts = [0; 16];
+        for (l, t) in templates.iter().enumerate() {
+            starts[t.digest_offset / 4] |= 1 << l;
+        }
+        let right = templates.map(|t| 8 * (t.digest_offset % 4) as u32);
+        Self {
+            state: core::array::from_fn(|w| lane_vector(templates.map(|t| t.initial_state[w]))),
+            konst: core::array::from_fn(|b| {
+                core::array::from_fn(|j| lane_vector(templates.map(|t| word(t, 16 * b + j))))
+            }),
+            right: lane_vector(right),
+            left: lane_vector(right.map(|r| 32 - r)),
+            starts,
+        }
+    }
+}
+
+/// Sixteen `u32`s as the lanes of one register, lane 0 first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn lane_vector(words: [u32; LANES]) -> __m512i {
+    let [w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, w10, w11, w12, w13, w14, w15] =
+        words.map(|w| w as i32);
+    _mm512_setr_epi32(
+        w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, w10, w11, w12, w13, w14, w15,
+    )
+}
+
+/// The sixteen `u32` lanes of one register, lane 0 first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn vector_lanes(v: __m512i) -> [u32; LANES] {
+    let quarters = [
+        _mm512_extracti32x4_epi32::<0>(v),
+        _mm512_extracti32x4_epi32::<1>(v),
+        _mm512_extracti32x4_epi32::<2>(v),
+        _mm512_extracti32x4_epi32::<3>(v),
+    ];
+    let mut words = [0; LANES];
+    for (four, quarter) in words.chunks_exact_mut(4).zip(quarters) {
+        four[0] = _mm_extract_epi32::<0>(quarter) as u32;
+        four[1] = _mm_extract_epi32::<1>(quarter) as u32;
+        four[2] = _mm_extract_epi32::<2>(quarter) as u32;
+        four[3] = _mm_extract_epi32::<3>(quarter) as u32;
+    }
+    words
+}
+
+/// `$body` once for each `$i` in `0..16`, every copy with its own
+/// constant.  The AVX-512 kernel indexes register arrays by `$i`, and a
+/// loop the compiler left rolled would move those arrays to the stack.
+#[cfg(target_arch = "x86_64")]
+macro_rules! unroll16 {
+    ($i:ident => $body:block) => {
+        unroll16!(@ $i $body [0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15])
+    };
+    (@ $i:ident $body:block [$($n:literal)*]) => {
+        $({
+            let $i: usize = $n;
+            $body
+        })*
+    };
+}
+
+/// One SHA-256 compression of sixteen lanes, feed-forward included:
+/// `$start` is the chaining state and `$w` the block's sixteen message
+/// words, which the schedule then overwrites as a rolling window.  A macro,
+/// not a function: a target-feature function cannot be `#[inline(always)]`,
+/// and the compiler kept a function version out of line, passing state and
+/// words through the stack every block (about 10% slower at h^3000).
+#[cfg(target_arch = "x86_64")]
+macro_rules! compress_avx512 {
+    ($start:expr, $w:expr) => {{
+        let start: [__m512i; 8] = $start;
+        let mut w: [__m512i; 16] = $w;
+        let mut state = start;
+        for i in 0..4 {
+            unroll16!(j => {
+                if i > 0 {
+                    let (w15, w2) = (w[(j + 1) % 16], w[(j + 14) % 16]);
+                    let s0 = _mm512_ternarylogic_epi32::<0x96>(
+                        _mm512_ror_epi32::<7>(w15),
+                        _mm512_ror_epi32::<18>(w15),
+                        _mm512_srli_epi32::<3>(w15),
+                    );
+                    let s1 = _mm512_ternarylogic_epi32::<0x96>(
+                        _mm512_ror_epi32::<17>(w2),
+                        _mm512_ror_epi32::<19>(w2),
+                        _mm512_srli_epi32::<10>(w2),
+                    );
+                    w[j] = _mm512_add_epi32(
+                        _mm512_add_epi32(w[j], s0),
+                        _mm512_add_epi32(w[(j + 9) % 16], s1),
+                    );
+                }
+                let wk = _mm512_add_epi32(w[j], _mm512_set1_epi32(K[16 * i + j] as i32));
+                state = sha256_round(state, wk);
+            });
+        }
+        let out: [__m512i; 8] = core::array::from_fn(|i| _mm512_add_epi32(start[i], state[i]));
+        out
+    }};
+}
+
+/// One full [`LANES`]-wide group advanced `rounds - 1` rounds with
+/// AVX-512, one chain per 32-bit lane; every chain in `lanes` shares
+/// `blocks_per_round`.
+///
+/// The eight chaining-state words of the sixteen chains stay in eight zmm
+/// registers for every round, and a round's message words are built from
+/// them in registers too: a lane whose digest slot starts `s` bytes into
+/// message word `q` gets `digest[m] >> 8s` in word `q + m` and
+/// `digest[m] << (32 - 8s)` in word `q + m + 1`, OR'd into the template's
+/// constant words with one masked OR per word and distinct `q` in the
+/// group (a variable shift by 32 yields zero, so `s = 0` needs no case of
+/// its own).
+/// The rotates are `vprold`, and σ, Σ, Ch and Maj one `vpternlogd` each.
+/// Digests touch memory only on entry and exit, built with
+/// `_mm512_setr_epi32` and read back with extracts.
+///
+/// The compiler ends the function with a `vzeroupper`, and the SHA-NI loop
 /// that may run next issues its own before its rounds; the release-only
 /// cliff test times a SHA-NI chain right after this pass, so upper
 /// register state that slipped past both would show.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vl")]
-fn run_salted_lanes_avx512<'t>(
+fn avx512_rounds<'t>(
     template: &impl Fn(usize) -> &'t RoundTemplate,
-    lane_indices: &[usize],
+    lanes: &[usize],
     rounds: u32,
     out: &mut [Digest],
 ) {
-    run_salted_lanes::<LANES>(template, lane_indices, rounds, out);
+    let lanes: &[usize; LANES] = lanes.try_into().expect("one full lane group");
+    let templates = lanes.map(template);
+    let layout = Avx512Round::new(templates);
+    let digest = core::array::from_fn(|w| {
+        lane_vector(lanes.map(|i| {
+            let d = &out[i];
+            u32::from_be_bytes([d[4 * w], d[4 * w + 1], d[4 * w + 2], d[4 * w + 3]])
+        }))
+    });
+    let digest = match templates[0].blocks {
+        1 => avx512_chain::<1>(&layout, digest, rounds),
+        _ => avx512_chain::<2>(&layout, digest, rounds),
+    };
+    let words = digest.map(|v| vector_lanes(v));
+    for (l, &i) in lanes.iter().enumerate() {
+        out[i] = state_to_digest(&words.map(|w| w[l]));
+    }
+}
+
+/// The round loop of [`avx512_rounds`] for `B` blocks per round.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vl")]
+fn avx512_chain<const B: usize>(
+    layout: &Avx512Round,
+    mut digest: [__m512i; 8],
+    rounds: u32,
+) -> [__m512i; 8] {
+    for _ in 1..rounds {
+        // `pieces[m]`: what word `q + m` gets, the same for every `q`.
+        let pieces: [__m512i; 9] = core::array::from_fn(|m| {
+            let high = match digest.get(m) {
+                Some(&d) => _mm512_srlv_epi32(d, layout.right),
+                None => _mm512_setzero_si512(),
+            };
+            match m.checked_sub(1) {
+                Some(p) => _mm512_or_si512(high, _mm512_sllv_epi32(digest[p], layout.left)),
+                None => high,
+            }
+        });
+        let mut w = layout.konst;
+        unroll16!(q => {
+            let lanes = layout.starts[q];
+            if lanes != 0 {
+                for (m, &piece) in pieces.iter().enumerate() {
+                    let j = q + m;
+                    if j < 16 * B {
+                        let word = &mut w[j / 16][j % 16];
+                        *word = _mm512_mask_or_epi32(*word, lanes, *word, piece);
+                    }
+                }
+            }
+        });
+        // Written out rather than `for b in 0..B`: the compiler keeps that
+        // loop rolled for `B = 2`, which moves the words to the stack.
+        let mut state = compress_avx512!(layout.state, w[0]);
+        if B == 2 {
+            state = compress_avx512!(state, w[1]);
+        }
+        digest = state;
+    }
+    digest
+}
+
+/// One SHA-256 round of sixteen lanes; `wk` is the round's message word
+/// plus its constant.  The `vpternlogd` truth tables: `0x96` is
+/// `a ^ b ^ c` (Σ0, Σ1), `0xCA` is `a ? b : c` (Ch) and `0xE8` the
+/// majority (Maj).
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f,avx512vl")]
+fn sha256_round(state: [__m512i; 8], wk: __m512i) -> [__m512i; 8] {
+    let [a, b, c, d, e, f, g, h] = state;
+    let big_sigma1 = _mm512_ternarylogic_epi32::<0x96>(
+        _mm512_ror_epi32::<6>(e),
+        _mm512_ror_epi32::<11>(e),
+        _mm512_ror_epi32::<25>(e),
+    );
+    let ch = _mm512_ternarylogic_epi32::<0xCA>(e, f, g);
+    let t1 = _mm512_add_epi32(_mm512_add_epi32(h, big_sigma1), _mm512_add_epi32(ch, wk));
+    let big_sigma0 = _mm512_ternarylogic_epi32::<0x96>(
+        _mm512_ror_epi32::<2>(a),
+        _mm512_ror_epi32::<13>(a),
+        _mm512_ror_epi32::<22>(a),
+    );
+    let maj = _mm512_ternarylogic_epi32::<0xE8>(a, b, c);
+    let t2 = _mm512_add_epi32(big_sigma0, maj);
+    let (new_a, new_e) = (_mm512_add_epi32(t1, t2), _mm512_add_epi32(d, t1));
+    [new_a, a, b, c, new_e, e, f, g]
 }
 
 /// One interleaved pass of up to `L` same-`blocks_per_round` entries
@@ -580,8 +828,9 @@ fn run_salted_lanes_avx512<'t>(
 /// redundantly recompute entry 0 and their results are discarded.  Padding
 /// keeps the pass at one lane-kernel run regardless of fill — the whole
 /// point, since `L` scalar chains cost far more than one mostly-idle
-/// vectorized pass.  Always inlined, like the lane loop inside it, so
-/// [`run_salted_lanes_avx512`]'s target features reach both.
+/// vectorized pass.  Always inlined, like the lane loop inside it: left to
+/// the compiler, both stay out of line, and the portable 16-chain rows of
+/// `micro_primitives` at h^3000 ran 5-20% slower (medians of six runs).
 #[inline(always)]
 fn run_salted_lanes<'t, const L: usize>(
     template: &impl Fn(usize) -> &'t RoundTemplate,
@@ -1048,15 +1297,21 @@ mod tests {
         // digest slot at every offset that fits one or two blocks: each
         // kernel must equal the scalar `RoundTemplate::advance`.  Groups of
         // 1-8 chains reach every SHA-NI width the build instantiates (1-4)
-        // with mixed offsets; 16 and 17 chains put a full AVX-512 lane pass
-        // (plus a one-chain remainder) over offsets 0-63.  The random bytes
+        // with mixed offsets.  Full 16-chain groups, one AVX-512 lane pass,
+        // hold every count of distinct offsets from 1 (one shared offset)
+        // to 16, and 17 chains add a one-chain remainder.  The random bytes
         // under the digest slot must not leak into the round.
+        let shapes: Vec<(usize, usize)> = (1..=8)
+            .map(|n| (n, n))
+            .chain((1..=LANES).map(|distinct| (LANES, distinct)))
+            .chain([(LANES + 1, LANES + 1)])
+            .collect();
         for kernel in Kernel::available() {
             for blocks in [1usize, 2] {
                 let offsets = (blocks * BLOCK_LEN - DIGEST_LEN).min(BLOCK_LEN - 1) + 1;
                 for first in 0..offsets {
-                    for n in (1..=8usize).chain([LANES, LANES + 1]) {
-                        let seed = (first * 100 + n * 10 + blocks) as u64;
+                    for &(n, distinct) in &shapes {
+                        let seed = (first * 10_000 + n * 100 + distinct * 3 + blocks) as u64;
                         let templates: Vec<RoundTemplate> = (0..n)
                             .map(|i| {
                                 let bytes = noise(seed * 100 + i as u64, 32 + ROUND_BUF_LEN);
@@ -1068,7 +1323,7 @@ mod tests {
                                     }),
                                     buffer: bytes[32..].try_into().unwrap(),
                                     blocks,
-                                    digest_offset: (first + 7 * i) % offsets,
+                                    digest_offset: (first + 7 * (i % distinct)) % offsets,
                                 }
                             })
                             .collect();
@@ -1088,7 +1343,8 @@ mod tests {
                         advance_group(kernel, |i| &templates[i], &group, 2, &mut digests);
                         assert_eq!(
                             digests, expected,
-                            "{kernel:?}, {n} chains, {blocks} blocks, first offset {first}"
+                            "{kernel:?}, {n} chains, {distinct} distinct offsets, \
+                             {blocks} blocks, first offset {first}"
                         );
                     }
                 }
@@ -1217,6 +1473,61 @@ mod tests {
             check(kernel, &mixed, 2);
             check(kernel, &mixed, 3);
         }
+
+        // Full 16-chain groups, one AVX-512 lane pass each, at every
+        // offset mix it meets, through h^3000: one shared offset (21, the
+        // `gp-passwords/v1` and 5-byte name shape), every count of distinct
+        // one-block offsets from 1 to 16, mixed two-block offsets 24-63,
+        // and salts of 64+ bytes, whose midstate is not H0, in one- and
+        // two-block groups.
+        let groups: Vec<Vec<Vec<u8>>> = core::iter::once(
+            (0..LANES)
+                .map(|i| {
+                    let mut salt = b"gp-passwords/v1\x1f".to_vec();
+                    salt.extend((0..5).map(|j| b'a' + ((i + j) % 26) as u8));
+                    salt
+                })
+                .collect(),
+        )
+        .chain((1..=LANES).map(|distinct| {
+            (0..LANES)
+                .map(|i| noise((distinct * 100 + i) as u64, (21 + 5 * (i % distinct)) % 24))
+                .collect()
+        }))
+        .chain(
+            [(24, 7, 40), (64, 5, 24), (88, 7, 40)].map(|(base, step, span)| {
+                (0..LANES)
+                    .map(|i| noise((base * 100 + i) as u64, base + step * i % span))
+                    .collect()
+            }),
+        )
+        .collect();
+        let deep_iterations = [1u32, 2, 3, 17, 3000];
+        for salts in &groups {
+            assert_eq!(salts.len(), LANES);
+            let hashers: Vec<SaltedHasher> = salts.iter().map(|s| SaltedHasher::new(s)).collect();
+            assert!(hashers
+                .iter()
+                .all(|h| h.blocks_per_round() == hashers[0].blocks_per_round()));
+            let hasher_refs: Vec<&SaltedHasher> = hashers.iter().collect();
+            let messages: Vec<Vec<u8>> = (0..LANES).map(|i| noise(i as u64, 40)).collect();
+            let msg_refs: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
+            let lens: Vec<usize> = salts.iter().map(Vec::len).collect();
+            for n in deep_iterations {
+                let expected: Vec<Digest> = salts
+                    .iter()
+                    .zip(&messages)
+                    .map(|(salt, message)| iterated_hash_reference(salt, message, n))
+                    .collect();
+                for kernel in Kernel::available() {
+                    kernel.many_salted_into(&hasher_refs, &msg_refs, n, &mut batched);
+                    assert_eq!(
+                        batched, expected,
+                        "{kernel:?}, salt lengths {lens:?}, {n} iterations"
+                    );
+                }
+            }
+        }
     }
 
     /// The portable lane loop alone, as the build compiled it.
@@ -1299,9 +1610,10 @@ mod tests {
     /// 16-chain AVX-512 pass on the same thread, a lone SHA-NI chain must
     /// still beat a lone portable chain.  The pass must leave no dirty
     /// upper register state behind, or the legacy-SSE sha256* loop after
-    /// it runs ~100x slower with every digest still right.  The log also
-    /// gets the 16-chain AVX-512 against SHA-NI times, unasserted: their
-    /// ratio is a property of the CPU, not of the code.
+    /// it runs ~100x slower with every digest still right.  It also guards
+    /// [`Kernel`]'s premise: 16 chains must run faster as one AVX-512 pass
+    /// than on SHA-NI (normally 1.0-1.3 vs 2.6-3.1 ms for one-block salts
+    /// at h^3000), or full groups belong on SHA-NI.
     #[cfg(all(not(debug_assertions), target_arch = "x86_64"))]
     #[test]
     fn shani_chain_after_an_avx512_pass_beats_the_portable_kernel() {
@@ -1344,6 +1656,11 @@ mod tests {
             println!(
                 "AVX-512 {avx512_time:?} vs SHA-NI {shani_wide_time:?}: \
                  {LANES} chains, {salt_len}-byte salt, h^3000"
+            );
+            assert!(
+                avx512_time < shani_wide_time,
+                "the AVX-512 pass took {avx512_time:?} against SHA-NI's \
+                 {shani_wide_time:?} for {LANES} chains with {salt_len}-byte salts"
             );
         }
     }

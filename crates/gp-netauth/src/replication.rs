@@ -5,8 +5,9 @@
 //! WAL as usual, then streams the **same WAL payload bytes** (an op byte
 //! and the account's packed record, [`gp_passwords::WalEntry::to_payload`])
 //! to the account's backup — the key's second ring successor.  The backup
-//! decodes them strictly and appends the record to *its* durable store
-//! (WAL-first, via [`gp_passwords::ShardedPasswordStore::apply_replicated`])
+//! decodes them strictly and appends those bytes, unchanged, to *its*
+//! durable store (WAL-first, via
+//! [`gp_passwords::ShardedPasswordStore::apply_replicated`])
 //! before acknowledging, and the primary releases `EnrollOk` only after
 //! that ack, so an acked account is durable on two nodes.  Applying is
 //! insert-or-replace, so redelivery is harmless; the strict decode keeps
@@ -609,11 +610,10 @@ fn serve_replica_conn(
                 writer.write_frame(&reply.encode())?;
             }
             ReplicaMessage::Record { seq, payload } if greeted => {
-                let entry = WalEntry::from_payload(&payload)
-                    .map_err(|_| malformed("bad record payload"))?;
-                // Durable (WAL-first) apply *before* the ack leaves: an
-                // acked record survives this node crashing right after.
-                store.apply_replicated(&entry)?;
+                // Checked decode, then a durable (WAL-first) apply of these
+                // very bytes *before* the ack leaves: an acked record
+                // survives this node crashing right after.
+                store.apply_replicated(&payload)?;
                 applied.fetch_add(1, Ordering::Relaxed);
                 writer.write_frame(&ReplicaMessage::Ack { seq }.encode())?;
             }
@@ -827,11 +827,9 @@ impl PeerConn {
         loop {
             match self.recv()? {
                 ReplicaMessage::Record { payload, .. } => {
-                    let entry = WalEntry::from_payload(&payload)
-                        .map_err(|_| malformed("bad streamed record payload"))?;
-                    // Durable, idempotent apply: a crash right after
-                    // leaves a prefix that replays harmlessly.
-                    store.apply_replicated(&entry)?;
+                    // Checked, durable, idempotent apply: a crash right
+                    // after leaves a prefix that replays harmlessly.
+                    store.apply_replicated(&payload)?;
                     applied += 1;
                 }
                 ReplicaMessage::CatchupDone { count } if count == applied => return Ok(applied),
@@ -1476,6 +1474,36 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A backup logs the payload bytes its primary sent, not a re-encoding:
+    /// after the same enrollments, its one-shard WAL file is byte-identical
+    /// to the primary's.
+    #[test]
+    fn backup_wal_holds_the_primarys_payload_bytes() {
+        let sys = system();
+        let (primary_dir, backup_dir) = (temp_dir("bytes-primary"), temp_dir("bytes-backup"));
+        let open = |dir: &std::path::Path| {
+            ShardedPasswordStore::open_durable(dir, 1, DurabilityOptions::default()).unwrap()
+        };
+        let primary = open(&primary_dir);
+        let backup = Arc::new(open(&backup_dir));
+        let mut listener = spawn_replication_listener("backup", Arc::clone(&backup)).unwrap();
+        let peers = BTreeMap::from([("backup".to_string(), listener.addr())]);
+        let replicator = Replicator::new("primary", peers, ReplicatorConfig::default());
+        for i in 0..8u32 {
+            let record = sys.enroll(&format!("user{i}"), &clicks(i)).unwrap();
+            primary.insert_new(record.clone()).unwrap();
+            replicator.replicate(&WalEntry::Enroll(record)).unwrap();
+        }
+        assert_eq!(listener.applied(), 8);
+        listener.shutdown();
+        let wal = |dir: &std::path::Path| std::fs::read(dir.join("shard-000.wal")).unwrap();
+        let primary_wal = wal(&primary_dir);
+        assert!(primary_wal.len() > 8 * 100, "8 records logged");
+        assert_eq!(wal(&backup_dir), primary_wal);
+        std::fs::remove_dir_all(&primary_dir).unwrap();
+        std::fs::remove_dir_all(&backup_dir).unwrap();
+    }
+
     /// A dead backup (nothing listening) must not wedge the primary: the
     /// peer is declared dead after the retry and the entry is accepted
     /// locally (no other member on the ring).
@@ -1525,7 +1553,9 @@ mod tests {
         let store = Arc::new(ShardedPasswordStore::new(2));
         for i in 0..n {
             let record = sys.enroll(&format!("user{i}"), &clicks(i)).unwrap();
-            store.apply_replicated(&WalEntry::Update(record)).unwrap();
+            store
+                .apply_replicated(&WalEntry::Update(record).to_payload())
+                .unwrap();
         }
         store
     }
@@ -1581,7 +1611,7 @@ mod tests {
         for record in peer_store.records() {
             if !missing.contains(&record.username) {
                 joiner_store
-                    .apply_replicated(&WalEntry::Update(record))
+                    .apply_replicated(&WalEntry::Update(record).to_payload())
                     .unwrap();
             }
         }
@@ -1612,7 +1642,7 @@ mod tests {
         let joiner_store = ShardedPasswordStore::new(2);
         for record in peer_store.records().into_iter().take(5) {
             joiner_store
-                .apply_replicated(&WalEntry::Update(record))
+                .apply_replicated(&WalEntry::Update(record).to_payload())
                 .unwrap();
         }
         let mut listener = spawn_replication_listener("node-a", Arc::clone(&peer_store)).unwrap();
@@ -1644,7 +1674,7 @@ mod tests {
         let joiner_store = ShardedPasswordStore::new(2);
         let record = sys.enroll(&name, &clicks(3)).unwrap();
         joiner_store
-            .apply_replicated(&WalEntry::Update(record))
+            .apply_replicated(&WalEntry::Update(record).to_payload())
             .unwrap();
 
         let peer_store = Arc::new(ShardedPasswordStore::new(2));
@@ -1700,10 +1730,10 @@ mod tests {
         for (i, name) in mine.iter().take(12).enumerate() {
             let record = sys.enroll(name, &clicks(i as u32)).unwrap();
             primary_store
-                .apply_replicated(&WalEntry::Update(record.clone()))
+                .apply_replicated(&WalEntry::Update(record.clone()).to_payload())
                 .unwrap();
             backup_store
-                .apply_replicated(&WalEntry::Update(record))
+                .apply_replicated(&WalEntry::Update(record).to_payload())
                 .unwrap();
         }
         // Divergence: the backup lost one record, and holds one record
@@ -1713,7 +1743,7 @@ mod tests {
         assert!(backup_store.remove(lost).unwrap(), "record was present");
         let unseen = sys.enroll(late, &clicks(77)).unwrap();
         backup_store
-            .apply_replicated(&WalEntry::Update(unseen))
+            .apply_replicated(&WalEntry::Update(unseen).to_payload())
             .unwrap();
 
         let mut listener = spawn_replication_listener("backup", Arc::clone(&backup_store)).unwrap();

@@ -83,7 +83,9 @@ fn shutdown_is_not_wedged_by_a_joiner_that_stops_reading() {
     for i in 0..30_000u32 {
         let name = format!("{i:0>200}");
         let record = sys.enroll(&name, &clicks(i)).unwrap();
-        store.apply_replicated(&WalEntry::Update(record)).unwrap();
+        store
+            .apply_replicated(&WalEntry::Update(record).to_payload())
+            .unwrap();
     }
     let mut listener = spawn_replication_listener("node-a", Arc::clone(&store)).unwrap();
 

@@ -542,7 +542,7 @@ impl ShardedPasswordStore {
     ) -> Result<usize, PasswordError> {
         let index = shard_index(&stored.username, self.shards.len());
         let entry = WalEntry::Enroll(stored);
-        self.log_and_apply(index, &entry, staged, |accounts| {
+        self.log_and_apply(index, &entry, &entry.to_payload(), staged, |accounts| {
             if accounts.contains(entry.username()) {
                 return Err(PasswordError::DuplicateAccount {
                     username: entry.username().to_string(),
@@ -595,27 +595,35 @@ impl ShardedPasswordStore {
         Some((wal.appended_seq(), wal.durable_seq()))
     }
 
-    /// Durably apply a WAL entry: one streamed from a replication
-    /// primary, or a locally built [`WalEntry::Update`] (bulk loading,
-    /// migration).
+    /// Durably apply a record payload ([`WalEntry::to_payload`] bytes):
+    /// one streamed from a replication primary, or a locally built
+    /// [`WalEntry::Update`] (bulk loading, migration).
     ///
-    /// The entry is appended to the owning shard's local WAL and fsynced
-    /// *before* the in-memory apply, under one
-    /// shard-lock acquisition — so when this returns `Ok`, acknowledging
-    /// the replication message gives the primary the same durability
-    /// guarantee a local ack carries.  Inserts apply as insert-or-replace
-    /// (no duplicate check): a primary that retried a send after a
-    /// connection drop may deliver the same record twice, and redelivery
-    /// must be idempotent.
-    pub fn apply_replicated(&self, entry: &WalEntry) -> Result<(), PasswordError> {
+    /// The payload passes [`WalEntry::from_payload`]'s checked decode,
+    /// which admits only the canonical bytes `to_payload` writes, so the
+    /// bytes logged are the bytes received: the backup's WAL holds its
+    /// primary's records bit for bit, and nothing is packed again.  They
+    /// are appended to the owning shard's local WAL and fsynced *before*
+    /// the in-memory apply, under one shard-lock acquisition — so when
+    /// this returns `Ok`, acknowledging the replication message gives the
+    /// primary the same durability guarantee a local ack carries.  Inserts
+    /// apply as insert-or-replace (no duplicate check): a primary that
+    /// retried a send after a connection drop may deliver the same record
+    /// twice, and redelivery must be idempotent.  A payload that does not
+    /// decode is [`PasswordError::CorruptRecord`], and nothing is logged.
+    pub fn apply_replicated(&self, payload: &[u8]) -> Result<(), PasswordError> {
+        let entry = WalEntry::from_payload(payload).map_err(|e| PasswordError::CorruptRecord {
+            reason: e.to_string(),
+        })?;
         let index = shard_index(entry.username(), self.shards.len());
-        self.log_and_apply(index, entry, false, |_| Ok(true))
+        self.log_and_apply(index, &entry, payload, false, |_| Ok(true))
             .map(drop)
     }
 
     /// The one write path.  Under shard `index`'s account lock, `admit`
     /// inspects the map and decides whether the mutation happens at all
-    /// (`Err` refuses it, `Ok(false)` skips it).  An admitted `entry` is
+    /// (`Err` refuses it, `Ok(false)` skips it).  An admitted `entry`'s
+    /// `payload`, which must equal `entry.to_payload()`, is
     /// appended to the shard's WAL — `staged` for the next
     /// [`ShardedPasswordStore::commit_shards`] barrier, or fsynced at
     /// once — and only then applied to the map, so WAL order
@@ -626,12 +634,13 @@ impl ShardedPasswordStore {
         &self,
         index: usize,
         entry: &WalEntry,
+        payload: &[u8],
         staged: bool,
         admit: impl FnOnce(&BTreeSet<PackedAccount>) -> Result<bool, PasswordError>,
     ) -> Result<bool, PasswordError> {
-        // The record is packed once, before the lock is taken: the WAL
-        // payload is its op byte and the packed bytes the map keeps.
-        let payload = entry.to_payload();
+        debug_assert_eq!(payload, entry.to_payload(), "the entry's own bytes");
+        // The WAL payload is the op byte and the packed bytes the map
+        // keeps, copied out before the lock is taken.
         let packed = match entry {
             WalEntry::Enroll(_) | WalEntry::Update(_) => {
                 Some(PackedAccount::from_packed(&payload[1..]))
@@ -646,10 +655,10 @@ impl ShardedPasswordStore {
             let mut wal = d.wals[index].lock();
             let logged = if staged {
                 // gp-lint: allow(L8, by-design durability barrier: the accounts lock orders the WAL append ahead of the map mutation)
-                wal.append_staged(&payload).map(drop)
+                wal.append_staged(payload).map(drop)
             } else {
                 // gp-lint: allow(L8, by-design durability barrier: the accounts lock orders the WAL append ahead of the map mutation)
-                wal.append_flushed(&payload)
+                wal.append_flushed(payload)
             };
             logged.map_err(|e| storage_error(&format!("wal append (shard {index})"), e))?;
         }
@@ -715,7 +724,7 @@ impl ShardedPasswordStore {
     pub fn remove(&self, username: &str) -> Result<bool, PasswordError> {
         let index = shard_index(username, self.shards.len());
         let entry = WalEntry::Remove(username.to_string());
-        self.log_and_apply(index, &entry, false, |accounts| {
+        self.log_and_apply(index, &entry, &entry.to_payload(), false, |accounts| {
             Ok(accounts.contains(username))
         })
     }
@@ -1341,7 +1350,9 @@ mod tests {
         }
         let narrow = ShardedPasswordStore::new(2);
         for record in wide.records() {
-            narrow.apply_replicated(&WalEntry::Update(record)).unwrap();
+            narrow
+                .apply_replicated(&WalEntry::Update(record).to_payload())
+                .unwrap();
         }
         narrow.save_to_dir(&dir).unwrap();
 
@@ -1475,17 +1486,30 @@ mod tests {
                 ShardedPasswordStore::open_durable(&dir, 4, DurabilityOptions::default()).unwrap();
             let record = sys.enroll("alice", &clicks(0.0)).unwrap();
             store
-                .apply_replicated(&WalEntry::Enroll(record.clone()))
+                .apply_replicated(&WalEntry::Enroll(record.clone()).to_payload())
                 .unwrap();
             // Redelivery (a primary retrying after a dropped connection)
             // must not fail on the duplicate.
-            store.apply_replicated(&WalEntry::Enroll(record)).unwrap();
-            let bob = sys.enroll("bob", &clicks(5.0)).unwrap();
-            store.apply_replicated(&WalEntry::Update(bob)).unwrap();
             store
-                .apply_replicated(&WalEntry::Remove("bob".into()))
+                .apply_replicated(&WalEntry::Enroll(record).to_payload())
+                .unwrap();
+            let bob = sys.enroll("bob", &clicks(5.0)).unwrap();
+            store
+                .apply_replicated(&WalEntry::Update(bob).to_payload())
+                .unwrap();
+            store
+                .apply_replicated(&WalEntry::Remove("bob".into()).to_payload())
                 .unwrap();
             assert_eq!(store.len(), 1);
+            // A payload that does not decode canonically is refused and
+            // never logged.
+            let mut trailing =
+                WalEntry::Update(sys.enroll("carol", &clicks(9.0)).unwrap()).to_payload();
+            trailing.push(0);
+            assert!(matches!(
+                store.apply_replicated(&trailing),
+                Err(PasswordError::CorruptRecord { .. })
+            ));
             // No graceful save — the ack's durability must come from the
             // WAL append inside apply_replicated alone.
         }
@@ -1588,7 +1612,7 @@ mod tests {
         // Records bulk-loaded as updates are served the same way.
         let reloaded = ShardedPasswordStore::new(2);
         reloaded
-            .apply_replicated(&WalEntry::Update(stored.clone()))
+            .apply_replicated(&WalEntry::Update(stored.clone()).to_payload())
             .unwrap();
         let (_, cached2) = reloaded.get_cached("alice").expect("inserted");
         assert_eq!(cached2.iterated(b"x", 3), fresh.iterated(b"x", 3));
@@ -1646,7 +1670,9 @@ mod tests {
             let records = records.clone();
             std::thread::spawn(move || {
                 for record in records.into_iter().rev() {
-                    store.apply_replicated(&WalEntry::Update(record)).unwrap();
+                    store
+                        .apply_replicated(&WalEntry::Update(record).to_payload())
+                        .unwrap();
                 }
             })
         };

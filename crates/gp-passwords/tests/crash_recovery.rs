@@ -214,9 +214,11 @@ fn apply_op(
         1 => {
             let record = sys.enroll(&name, &clicks(seed)).unwrap();
             durable
-                .apply_replicated(&WalEntry::Update(record.clone()))
+                .apply_replicated(&WalEntry::Update(record.clone()).to_payload())
                 .unwrap();
-            mirror.apply_replicated(&WalEntry::Update(record)).unwrap();
+            mirror
+                .apply_replicated(&WalEntry::Update(record).to_payload())
+                .unwrap();
         }
         _ => {
             let a = durable.remove(&name).unwrap();

@@ -6,9 +6,14 @@
 //! canonical chain stays silent, and that driving the *real* durable store
 //! only ever records rank-increasing acquisition edges.
 
+#[cfg(debug_assertions)]
 use gp_geometry::Point;
+#[cfg(debug_assertions)]
 use gp_passwords::prelude::*;
-use gp_passwords::{DurabilityOptions, LockClass, OrderedMutex, OrderedRwLock};
+#[cfg(debug_assertions)]
+use gp_passwords::DurabilityOptions;
+use gp_passwords::{LockClass, OrderedMutex, OrderedRwLock};
+#[cfg(debug_assertions)]
 use std::path::PathBuf;
 
 #[cfg(debug_assertions)]
@@ -44,6 +49,7 @@ fn canonical_snap_accounts_wal_chain_is_accepted() {
     assert_eq!(*s + *a + *w, 6);
 }
 
+#[cfg(debug_assertions)]
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
         "gp-lockdep-{tag}-{}-{:?}",

@@ -61,7 +61,7 @@ fn store_of(records: &[StoredPassword], shards: usize) -> ShardedPasswordStore {
     let store = ShardedPasswordStore::new(shards);
     for r in records {
         store
-            .apply_replicated(&WalEntry::Update(r.clone()))
+            .apply_replicated(&WalEntry::Update(r.clone()).to_payload())
             .expect("insert");
     }
     store
@@ -166,14 +166,14 @@ proptest! {
             // 0: both agree, 1: primary-only, 2: backup-only, 3: conflict.
             match placements[i % placements.len()] {
                 0 => {
-                    primary.apply_replicated(&WalEntry::Update(r.clone())).unwrap();
-                    backup.apply_replicated(&WalEntry::Update(r)).unwrap();
+                    primary.apply_replicated(&WalEntry::Update(r.clone()).to_payload()).unwrap();
+                    backup.apply_replicated(&WalEntry::Update(r).to_payload()).unwrap();
                 }
-                1 => primary.apply_replicated(&WalEntry::Update(r)).unwrap(),
-                2 => backup.apply_replicated(&WalEntry::Update(r)).unwrap(),
+                1 => primary.apply_replicated(&WalEntry::Update(r).to_payload()).unwrap(),
+                2 => backup.apply_replicated(&WalEntry::Update(r).to_payload()).unwrap(),
                 _ => {
-                    primary.apply_replicated(&WalEntry::Update(r)).unwrap();
-                    backup.apply_replicated(&WalEntry::Update(record(&sys, name, 500 + i as u32))).unwrap();
+                    primary.apply_replicated(&WalEntry::Update(r).to_payload()).unwrap();
+                    backup.apply_replicated(&WalEntry::Update(record(&sys, name, 500 + i as u32)).to_payload()).unwrap();
                 }
             }
         }
@@ -188,11 +188,11 @@ proptest! {
             );
             for name in &diff.push {
                 let r = primary.get(name).expect("push source present");
-                backup.apply_replicated(&WalEntry::Update(r)).unwrap();
+                backup.apply_replicated(&WalEntry::Update(r).to_payload()).unwrap();
             }
             for name in &diff.pull {
                 let r = backup.get(name).expect("pull source present");
-                primary.apply_replicated(&WalEntry::Update(r)).unwrap();
+                primary.apply_replicated(&WalEntry::Update(r).to_payload()).unwrap();
             }
         }
 
