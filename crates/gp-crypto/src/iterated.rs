@@ -28,8 +28,8 @@ use core::arch::x86_64::{
 };
 
 /// Number of interleaved hash lanes in the lane kernel, and the batch size
-/// the batched entry points ([`iterated_hash_many`],
-/// [`SaltedHasher::iterated_many`]) and the serving layer coalesce to.
+/// the batched entry points ([`iterated_hash_many_salted`],
+/// [`SaltedHasher::iterated_many_into`]) and the serving layer coalesce to.
 ///
 /// Independent SHA-256 chains interleaved in one compression loop sidestep
 /// the serial round-to-round dependency of a single hash: the lane loop
@@ -71,17 +71,6 @@ pub fn iterated_hash(salt: &[u8], message: &[u8], iterations: u32) -> Digest {
     SaltedHasher::new(salt).iterated(message, iterations)
 }
 
-/// Batched [`iterated_hash`]: one digest per message, all under the same
-/// salt, computed [`LANES`] messages at a time through the interleaved
-/// multi-lane compressor.
-///
-/// Bit-identical to mapping [`iterated_hash`] over `messages` (there is a
-/// proptest proving it), but substantially faster for the offline-attack
-/// workload of many candidate pre-images against one salted target.
-pub fn iterated_hash_many(salt: &[u8], messages: &[&[u8]], iterations: u32) -> Vec<Digest> {
-    SaltedHasher::new(salt).iterated_many(messages, iterations)
-}
-
 /// Batched iterated hashing where every message carries its *own* salt —
 /// the authentication-server shape, where concurrent login attempts from
 /// different accounts (hence different per-user salts) are coalesced into
@@ -90,7 +79,7 @@ pub fn iterated_hash_many(salt: &[u8], messages: &[&[u8]], iterations: u32) -> V
 /// Bit-identical to calling [`SaltedHasher::iterated`] per entry (there is
 /// an equivalence test), but the rounds of up to [`LANES`] entries are
 /// interleaved through the same vectorized compressor that powers
-/// [`iterated_hash_many`].  Entries are grouped internally by
+/// [`SaltedHasher::iterated_many_into`].  Entries are grouped internally by
 /// `blocks_per_round` (salts of different lengths may pad to a different
 /// number of compression blocks), so mixed-length salts are handled
 /// correctly at full speed.
@@ -1022,15 +1011,9 @@ impl SaltedHasher {
         digest[0]
     }
 
-    /// Batched [`SaltedHasher::iterated`] over independent messages.
-    pub fn iterated_many(&self, messages: &[&[u8]], iterations: u32) -> Vec<Digest> {
-        let mut out = Vec::new();
-        self.iterated_many_into(messages, iterations, &mut out);
-        out
-    }
-
-    /// [`SaltedHasher::iterated_many`] writing into a caller-provided
-    /// buffer, so a steady-state guess loop performs no allocation.
+    /// Batched [`SaltedHasher::iterated`] over independent messages,
+    /// writing into a caller-provided buffer, so a steady-state guess loop
+    /// performs no allocation.
     pub fn iterated_many_into(&self, messages: &[&[u8]], iterations: u32, out: &mut Vec<Digest>) {
         self.iterated_many_into_on(Kernel::detect(), messages, iterations, out);
     }
@@ -1056,7 +1039,8 @@ impl SaltedHasher {
 
     /// The portable kernel at a chosen lane count `L` — the lane sweep
     /// the `micro_primitives` bench runs (2/4/8/16).  Production callers
-    /// use [`SaltedHasher::iterated_many`], which picks the kernel by CPU.
+    /// use [`SaltedHasher::iterated_many_into`], which picks the kernel by
+    /// CPU.
     pub fn iterated_many_lanes_into<const L: usize>(
         &self,
         messages: &[&[u8]],
@@ -1182,28 +1166,6 @@ impl PasswordHasher {
             digest,
         }
     }
-
-    /// Hash `message` for user `user_id`, returning only the digest.
-    ///
-    /// Useful for attack simulations where millions of candidate digests are
-    /// compared against a known stored digest.
-    pub fn digest_only(&self, user_id: &[u8], message: &[u8]) -> Digest {
-        iterated_hash(&self.salt_for(user_id), message, self.iterations)
-    }
-
-    /// Precompute the per-user [`SaltedHasher`] so repeated hashing for one
-    /// account (login verification, per-target guess loops) pays the salt
-    /// setup once.
-    pub fn salted(&self, user_id: &[u8]) -> SaltedHasher {
-        SaltedHasher::new(&self.salt_for(user_id))
-    }
-
-    /// Batched [`PasswordHasher::digest_only`]: digests of many candidate
-    /// messages for one user, through the multi-lane fast path.
-    pub fn digest_many(&self, user_id: &[u8], messages: &[&[u8]]) -> Vec<Digest> {
-        self.salted(user_id)
-            .iterated_many(messages, self.iterations)
-    }
 }
 
 impl PasswordHash {
@@ -1229,9 +1191,12 @@ mod tests {
             iterated_hash_reference(b"s", b"m", 0),
             iterated_hash(b"s", b"m", 0)
         );
+        let mut out = Vec::new();
+        SaltedHasher::new(b"s").iterated_many_into(&[b"m"], 0, &mut out);
+        assert_eq!(out, vec![iterated_hash(b"s", b"m", 1)]);
         assert_eq!(
-            iterated_hash_many(b"s", &[b"m"], 0),
-            vec![iterated_hash(b"s", b"m", 1)]
+            iterated_hash_many_salted(&[&SaltedHasher::new(b"s")], &[b"m"], 0),
+            out
         );
     }
 
@@ -1769,23 +1734,21 @@ mod tests {
     }
 
     #[test]
-    fn salted_password_hasher_agrees_with_digest_only() {
+    fn password_hasher_agrees_with_its_salted_hasher() {
         let hasher = PasswordHasher::new("test", 40);
-        let salted = hasher.salted(b"carol");
+        let salted = SaltedHasher::new(&hasher.salt_for(b"carol"));
         assert_eq!(
             salted.iterated(b"pre-image", 40),
-            hasher.digest_only(b"carol", b"pre-image")
+            hasher.hash(b"carol", b"pre-image").digest
         );
-        assert_eq!(
-            hasher.digest_many(b"carol", &[b"g1", b"g2", b"g3", b"g4", b"g5"]),
-            vec![
-                hasher.digest_only(b"carol", b"g1"),
-                hasher.digest_only(b"carol", b"g2"),
-                hasher.digest_only(b"carol", b"g3"),
-                hasher.digest_only(b"carol", b"g4"),
-                hasher.digest_only(b"carol", b"g5"),
-            ]
-        );
+        let guesses: [&[u8]; 5] = [b"g1", b"g2", b"g3", b"g4", b"g5"];
+        let mut out = Vec::new();
+        salted.iterated_many_into(&guesses, 40, &mut out);
+        let expected: Vec<Digest> = guesses
+            .iter()
+            .map(|g| hasher.hash(b"carol", g).digest)
+            .collect();
+        assert_eq!(out, expected);
     }
 
     #[test]
@@ -1849,7 +1812,7 @@ mod tests {
     fn domain_separation() {
         let a = PasswordHasher::new("passpoints", 10);
         let b = PasswordHasher::new("netauth", 10);
-        assert_ne!(a.digest_only(b"user", b"m"), b.digest_only(b"user", b"m"));
+        assert_ne!(a.hash(b"user", b"m").digest, b.hash(b"user", b"m").digest);
     }
 
     #[test]

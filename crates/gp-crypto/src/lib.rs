@@ -17,8 +17,8 @@
 //!   the networked authentication substrate.
 //! * [`iterated`] — iterated ("stretched") hashing `h^k`: the scalar
 //!   one-shot/midstate path ([`SaltedHasher`]), the batched paths
-//!   ([`iterated_hash_many`], [`iterated_hash_many_salted`]) that advance
-//!   independent chains side by side, and a convenience
+//!   ([`SaltedHasher::iterated_many_into`], [`iterated_hash_many_salted`])
+//!   that advance independent chains side by side, and a convenience
 //!   [`PasswordHasher`] combining salt, personalization and iteration
 //!   count.
 //! * [`hex`] — lower-case hexadecimal encoding for printing digests.
@@ -76,7 +76,7 @@ pub mod sha256;
 pub use ct::ct_eq;
 pub use hmac::HmacSha256;
 pub use iterated::{
-    iterated_hash, iterated_hash_many, iterated_hash_many_salted, iterated_hash_many_salted_into,
+    iterated_hash, iterated_hash_many_salted, iterated_hash_many_salted_into,
     iterated_hash_reference, PasswordHash, PasswordHasher, SaltedHasher, LANES,
 };
 pub use sha256::{Digest, Midstate, Sha256, DIGEST_LEN};

@@ -97,7 +97,7 @@ pub(crate) fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
 /// superscalar core's parallel ALU ports.  `L` *independent* chains
 /// interleaved in one loop body give the scheduler `L` dependency chains to
 /// overlap (the hashcat approach), which is where the multi-lane speedup in
-/// `iterated_hash_many` comes from.
+/// the batched iterated-hash paths comes from.
 ///
 /// Always inlined: left to the compiler it stays out of line, and the
 /// portable iterated-hash lane pass measured 5-20% slower.

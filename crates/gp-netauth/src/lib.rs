@@ -14,8 +14,9 @@
 //!   and a fault-injecting wrapper used in tests (dropping and corrupting
 //!   frames, in the spirit of smoltcp's fault injection options).
 //! * [`lockout`] — per-account consecutive-failure tracking implementing
-//!   the online-attack countermeasure, sharded by account hash and bounded
-//!   in memory against username-spraying attacks.
+//!   the online-attack countermeasure, sharded by account hash.  Only a
+//!   success or a reset clears a count, and the server lets it hold at
+//!   most one entry per enrolled account.
 //! * [`server`] — the serving layer over a
 //!   [`GraphicalPasswordSystem`](gp_passwords::GraphicalPasswordSystem)
 //!   and a [`ShardedPasswordStore`](gp_passwords::ShardedPasswordStore):

@@ -6,6 +6,9 @@
 //!    [`ShardedPasswordStore`] (which also caches each account's per-salt
 //!    hashing state) and failure counts in a sharded [`LockoutTracker`],
 //!    so serving threads contend only when they touch the same partition.
+//!    A login for an unknown name is refused before the tracker sees it,
+//!    so failure state never outgrows the enrolled accounts.  It lives in
+//!    this process only: a restart resets every count.
 //! 2. **Connection multiplexing** — [`AuthServer::spawn`] serves through
 //!    the `epoll` reactor ([`crate::reactor`]), which decouples
 //!    connections from threads.  It is the only serving path; off Linux,
@@ -26,7 +29,7 @@
 //! reactor's state machines drive.
 
 use crate::error::NetAuthError;
-use crate::lockout::{self, LockoutTracker};
+use crate::lockout::LockoutTracker;
 use crate::pending::PendingAccounts;
 use crate::protocol::{ClientMessage, LoginDecision, ServerMessage};
 use crate::replication::ReplicationSink;
@@ -388,10 +391,12 @@ impl AuthServer {
             )?,
             None => ShardedPasswordStore::new(config.shards),
         });
+        // One failure map shard per store shard; the tracker takes no
+        // capacity, since it only ever holds enrolled accounts.
         let lockout = Arc::new(LockoutTracker::with_limits(
             config.max_failures,
-            lockout::DEFAULT_CAPACITY,
-            config.shards.max(1),
+            0,
+            config.shards,
         ));
         Ok(Self {
             config,
@@ -1096,6 +1101,58 @@ mod tests {
         });
         assert!(matches!(r, ServerMessage::Error { .. }));
         assert!(!server.lockout().is_locked("ghost"));
+        // Spraying unknown names is refused before the tracker sees it,
+        // which is what bounds failure state by the enrolled accounts.
+        for i in 0..1000 {
+            let r = server.handle_message(ClientMessage::Login {
+                username: format!("ghost-{i}"),
+                clicks: clicks(),
+            });
+            assert!(matches!(r, ServerMessage::Error { .. }));
+        }
+        assert_eq!(server.lockout().tracked_accounts(), 0);
+    }
+
+    #[test]
+    fn guesses_spread_over_many_accounts_never_buy_a_fourth_guess() {
+        // A breadth attacker's wrong guesses land on real accounts; none of
+        // them may erase the target's count, so its fourth wrong guess is
+        // locked out, never evaluated.
+        let server = server();
+        let others: Vec<String> = (0..256).map(|i| format!("other-{i}")).collect();
+        for username in others.iter().chain(std::iter::once(&"target".to_string())) {
+            let r = server.handle_message(ClientMessage::Enroll {
+                username: username.clone(),
+                clicks: clicks(),
+            });
+            assert_eq!(r, ServerMessage::EnrollOk);
+        }
+        let wrong: Vec<Point> = clicks().iter().map(|p| p.offset(-30.0, -30.0)).collect();
+        let guess = |username: &str| {
+            server.handle_message(ClientMessage::Login {
+                username: username.into(),
+                clicks: wrong.clone(),
+            })
+        };
+        for round in 1..=6u32 {
+            for username in &others {
+                guess(username);
+            }
+            let decision = if round <= 3 {
+                LoginDecision::Rejected
+            } else {
+                LoginDecision::LockedOut
+            };
+            assert_eq!(
+                guess("target"),
+                ServerMessage::LoginResult {
+                    decision,
+                    failures: round.min(3)
+                },
+                "target's guess {round}"
+            );
+        }
+        assert_eq!(server.lockout().tracked_accounts(), others.len() + 1);
     }
 
     #[test]

@@ -145,7 +145,17 @@ impl HashRing {
     /// The node owning `key`: the first node point at or clockwise-after
     /// the key's hash.  `None` on an empty ring.
     pub fn owner(&self, key: &str) -> Option<&str> {
-        self.successors(key, 1).into_iter().next()
+        self.clockwise(key).next()
+    }
+
+    /// The owners of every node point, clockwise from `key`'s hash and
+    /// wrapping once.
+    fn clockwise(&self, key: &str) -> impl Iterator<Item = &str> {
+        let hash = Self::key_point(key);
+        self.points
+            .range(hash..)
+            .chain(self.points.range(..hash))
+            .map(|(_, node)| node.as_str())
     }
 
     /// The first `n` *distinct* nodes clockwise from `key`'s hash.
@@ -153,14 +163,12 @@ impl HashRing {
     /// fewer than `n` are returned if the ring has fewer members.
     pub fn successors(&self, key: &str, n: usize) -> Vec<&str> {
         let mut out: Vec<&str> = Vec::with_capacity(n.min(self.nodes.len()));
-        if n == 0 || self.points.is_empty() {
+        if n == 0 {
             return out;
         }
-        let hash = Self::key_point(key);
-        // Walk clockwise from the key's hash, wrapping once.
-        for (_, node) in self.points.range(hash..).chain(self.points.range(..hash)) {
-            if !out.iter().any(|seen| seen == node) {
-                out.push(node.as_str());
+        for node in self.clockwise(key) {
+            if !out.contains(&node) {
+                out.push(node);
                 if out.len() == n {
                     break;
                 }
@@ -173,17 +181,19 @@ impl HashRing {
     /// `None` when the ring has fewer than two members (nothing to
     /// replicate to).
     pub fn backup(&self, key: &str) -> Option<&str> {
-        self.successors(key, 2).into_iter().nth(1)
+        self.replica_pair(key)?.1
     }
 
     /// `key`'s replica pair: `(owner, backup)`.  The backup is `None` on
     /// a single-node ring, the whole pair is `None` on an empty one.
     /// This is the unit the anti-entropy digest exchange ranges over: a
     /// *range* is the set of keys sharing one `(owner, backup)` pair.
+    /// Walks the ring in place, with no allocation: a range digest asks
+    /// this of every key it scans.
     pub fn replica_pair(&self, key: &str) -> Option<(&str, Option<&str>)> {
-        let mut succ = self.successors(key, 2).into_iter();
-        let owner = succ.next()?;
-        Some((owner, succ.next()))
+        let mut walk = self.clockwise(key);
+        let owner = walk.next()?;
+        Some((owner, walk.find(|&node| node != owner)))
     }
 
     /// Whether `node` holds a copy of `key` under this membership — i.e.
@@ -191,7 +201,8 @@ impl HashRing {
     /// (re)joining node's catch-up transfer filters by: every peer
     /// streams exactly the records the joiner now backs.
     pub fn holds(&self, key: &str, node: &str) -> bool {
-        self.successors(key, 2).contains(&node)
+        self.replica_pair(key)
+            .is_some_and(|(owner, backup)| owner == node || backup == Some(node))
     }
 }
 

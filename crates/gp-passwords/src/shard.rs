@@ -677,11 +677,13 @@ impl ShardedPasswordStore {
     /// with no logging (the data is already on disk).  Records re-route by
     /// account hash.
     fn replay_file(&self, path: &Path) -> Result<WalReplay, PasswordError> {
-        ShardWal::replay(path, |entry| {
+        ShardWal::replay(path, |entry, payload| {
             let shard = self.shard_for(entry.username());
             match entry {
-                WalEntry::Enroll(record) | WalEntry::Update(record) => {
-                    shard.accounts.write().replace(PackedAccount::pack(&record));
+                // The checked payload is the canonical packing: keep it.
+                WalEntry::Enroll(_) | WalEntry::Update(_) => {
+                    let packed = PackedAccount::from_packed(&payload[1..]);
+                    shard.accounts.write().replace(packed);
                 }
                 WalEntry::Remove(username) => {
                     shard.accounts.write().remove(username.as_str());
@@ -1159,7 +1161,7 @@ mod tests {
 
         // A shard file replays on its own: one update record per account.
         let mut single = Vec::new();
-        let replay = ShardWal::replay(&dir.join(shard_pwd_name(0)), |e| single.push(e)).unwrap();
+        let replay = ShardWal::replay(&dir.join(shard_pwd_name(0)), |e, _| single.push(e)).unwrap();
         assert_eq!(replay.torn_bytes, 0);
         assert_eq!(single.len(), store.stats()[0].accounts);
         assert!(single.iter().all(|e| matches!(e, WalEntry::Update(_))));
@@ -1268,9 +1270,10 @@ mod tests {
             "bob's record is in the WAL"
         );
         let mut snapshot = Vec::new();
-        ShardWal::replay(&dir.join(shard_pwd_name(shard_index("alice", 2))), |e| {
-            snapshot.push(e)
-        })
+        ShardWal::replay(
+            &dir.join(shard_pwd_name(shard_index("alice", 2))),
+            |e, _| snapshot.push(e),
+        )
         .unwrap();
         let record = snapshot
             .iter()
@@ -1683,7 +1686,7 @@ mod tests {
         // The shard is quiet now: its next snapshot is exactly the map.
         store.snapshot_shard(0).unwrap();
         let mut names = Vec::new();
-        ShardWal::replay(&dir.join(shard_pwd_name(0)), |e| {
+        ShardWal::replay(&dir.join(shard_pwd_name(0)), |e, _| {
             names.push(e.username().to_string())
         })
         .unwrap();

@@ -361,11 +361,12 @@ impl ShardWal {
     }
 
     /// Decode every intact record in the WAL (or snapshot) at `path`, in
-    /// file order,
-    /// and hand each to `apply` as soon as it is decoded.  The file is
-    /// read record by record, so recovery holds one record at a time,
-    /// never the whole log.  A torn final record is tolerated and
-    /// reported via [`WalReplay::torn_bytes`].
+    /// file order, and hand each to `apply` as soon as it is decoded,
+    /// together with its checked payload bytes (canonical: exactly what
+    /// [`WalEntry::to_payload`] writes for the entry).  The file is read
+    /// record by record, so recovery holds one record at a time, never the
+    /// whole log.  A torn final record is tolerated and reported via
+    /// [`WalReplay::torn_bytes`].
     ///
     /// A missing file replays as empty (a crash before the first append).
     /// A present file with a wrong magic (another format, or an older
@@ -374,7 +375,10 @@ impl ShardWal {
     /// follows the damage, so it cannot be a tear) is an error —
     /// that is corruption, not a crash artifact.  Entries before the error
     /// have already been applied; callers discard what they built.
-    pub fn replay(path: &Path, mut apply: impl FnMut(WalEntry)) -> std::io::Result<WalReplay> {
+    pub fn replay(
+        path: &Path,
+        mut apply: impl FnMut(WalEntry, &[u8]),
+    ) -> std::io::Result<WalReplay> {
         let mut reader = match File::open(path) {
             Ok(file) => BufReader::new(file),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
@@ -440,7 +444,7 @@ impl ShardWal {
                     torn_bytes: record.len() as u64,
                 });
             };
-            apply(decode_payload(path, payload)?);
+            apply(decode_payload(path, payload)?, payload);
             replayed += 1;
             at += end;
         }
@@ -578,7 +582,7 @@ mod tests {
 
     fn replay_all(path: &Path) -> std::io::Result<Replayed> {
         let mut entries = Vec::new();
-        let summary = ShardWal::replay(path, |entry| entries.push(entry))?;
+        let summary = ShardWal::replay(path, |entry, _| entries.push(entry))?;
         assert_eq!(summary.records, entries.len() as u64);
         Ok(Replayed {
             entries,

@@ -131,9 +131,9 @@ fn main() {
     println!("--- server crashed (no final snapshot) ---");
 
     // Recovery: reopening the same directory replays snapshots + WAL
-    // tails.  Every acknowledged enrollment is back; the lockout table
-    // was deliberately memory-only, so the locked account is usable again
-    // (lockouts throttle online guessing, they are not account state).
+    // tails.  Every acknowledged enrollment is back, but failure counts
+    // are not: the lockout table lives only in the server's memory, so a
+    // restart resets every count and the locked account is usable again.
     let recovered = AuthServer::open(config).expect("recover durable store");
     let durability = recovered.store().durability_stats().expect("durable");
     println!(
