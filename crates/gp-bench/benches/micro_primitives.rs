@@ -5,7 +5,9 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use gp_bench::example_clicks;
 use gp_crypto::iterated::Kernel;
-use gp_crypto::{iterated_hash, iterated_hash_reference, SaltedHasher, Sha256, LANES};
+use gp_crypto::{
+    iterated_hash, iterated_hash_reference, PasswordHasher, SaltedHasher, Sha256, LANES,
+};
 use gp_discretization::prelude::*;
 use gp_geometry::{ImageDims, Point};
 use gp_passwords::prelude::*;
@@ -86,31 +88,34 @@ fn bench_iterated_hash_fast_paths(c: &mut Criterion) {
 
     // One full serving batch (16 accounts, one salt each) at h^3000 on
     // every kernel this CPU runs: the kernel ratio behind gpbench's
-    // `crypto.hash16_ms`.  Under `gp-passwords/v1`, user names of up to 7
-    // bytes give one-block salts and longer ones two-block salts.  The
-    // uniform rows give every account a name of one length; the `mixed`
-    // rows spread the names over 1-7 and 8-47 bytes, so the digest sits at
-    // a different offset of the round message in different lanes.
-    for (shape, blocks, name_lens) in [
-        ("1_block", 1, vec![5; LANES]),
-        ("2_block", 2, vec![12; LANES]),
-        ("1_block_mixed", 1, (0..LANES).map(|i| 1 + i % 7).collect()),
+    // `crypto.hash16_ms`.  Every salt `PasswordHasher` derives is one
+    // 64-byte block, so the `uniform` row (names of 5 bytes) and the
+    // `mixed` row (names of 1-200 bytes) run the one offset-0 layout.  The
+    // `portable` row gives every account a 21-byte salt, which the SIMD
+    // kernels do not take: it runs the portable lane loop on every kernel.
+    let password_hasher = PasswordHasher::new(GraphicalPasswordSystem::HASH_DOMAIN, 3000);
+    let name = |i: usize, len: usize| -> Vec<u8> {
+        (0..len).map(|j| b'a' + ((i + j) % 26) as u8).collect()
+    };
+    for (shape, salts) in [
         (
-            "2_block_mixed",
-            2,
-            (0..LANES).map(|i| 8 + i * 17 % 40).collect(),
+            "uniform",
+            (0..LANES)
+                .map(|i| password_hasher.salt_for(&name(i, 5)))
+                .collect::<Vec<_>>(),
+        ),
+        (
+            "mixed",
+            (0..LANES)
+                .map(|i| password_hasher.salt_for(&name(i, 1 + i * 199 / (LANES - 1))))
+                .collect(),
+        ),
+        (
+            "portable_21B_salt",
+            (0..LANES).map(|i| name(i, 21)).collect(),
         ),
     ] {
-        let hashers: Vec<SaltedHasher> = name_lens
-            .iter()
-            .enumerate()
-            .map(|(i, &name_len)| {
-                let mut salt = b"gp-passwords/v1\x1f".to_vec();
-                salt.extend((0..name_len).map(|j| b'a' + ((i + j) % 26) as u8));
-                SaltedHasher::new(&salt)
-            })
-            .collect();
-        assert!(hashers.iter().all(|h| h.blocks_per_round() == blocks));
+        let hashers: Vec<SaltedHasher> = salts.iter().map(|s| SaltedHasher::new(s)).collect();
         let hasher_refs: Vec<&SaltedHasher> = hashers.iter().collect();
         let messages: Vec<Vec<u8>> = (0..LANES).map(|i| vec![i as u8; 40]).collect();
         let msg_refs: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
@@ -134,7 +139,9 @@ fn bench_iterated_hash_lanes(c: &mut Criterion) {
     group.sample_size(12);
     let messages: Vec<Vec<u8>> = (0..32).map(|i| vec![i as u8; 180]).collect();
     let refs: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
-    let hasher = SaltedHasher::new(b"gp-passwords/v1\x1falice");
+    let hasher = SaltedHasher::new(
+        &PasswordHasher::new(GraphicalPasswordSystem::HASH_DOMAIN, 1000).salt_for(b"alice"),
+    );
     let mut out = Vec::new();
     macro_rules! lanes {
         ($($l:literal),*) => {$(

@@ -21,10 +21,9 @@ use crate::sha256::{
 use crate::sha256::{Avx512, ShaNi, K};
 #[cfg(target_arch = "x86_64")]
 use core::arch::x86_64::{
-    __m128i, __m512i, __mmask16, _mm512_add_epi32, _mm512_extracti32x4_epi32, _mm512_mask_or_epi32,
-    _mm512_or_si512, _mm512_ror_epi32, _mm512_set1_epi32, _mm512_setr_epi32, _mm512_setzero_si512,
-    _mm512_sllv_epi32, _mm512_srli_epi32, _mm512_srlv_epi32, _mm512_ternarylogic_epi32,
-    _mm_extract_epi32,
+    __m128i, __m512i, _mm512_add_epi32, _mm512_extracti32x4_epi32, _mm512_ror_epi32,
+    _mm512_set1_epi32, _mm512_setr_epi32, _mm512_srli_epi32, _mm512_ternarylogic_epi32,
+    _mm_extract_epi32, _mm_set_epi32,
 };
 
 /// Number of interleaved hash lanes in the lane kernel, and the batch size
@@ -36,16 +35,14 @@ use core::arch::x86_64::{
 /// bodies are element-wise u32 operations over adjacent memory, which LLVM
 /// auto-vectorizes.  16 lanes (one cache line of u32s per schedule round,
 /// one zmm register per state word) is the sweet spot of the
-/// `micro_primitives` lane sweep.  Measured at h^3000 on a 2-vCPU Xeon with
-/// the x86-64-v3 build, a full 16-lane pass costs 4.3–4.9 ms and one scalar
-/// chain 1.2–1.3 ms: about 4× the scalar throughput.
+/// `micro_primitives` lane sweep.  The portable 16-lane pass costs about
+/// 4× one scalar chain, so it is worth padding to.
 ///
 /// Which kernel runs is [`Kernel`]'s rule, by CPUID and group size: every
-/// full group of `LANES` same-block-count chains runs as one hand-written
-/// AVX-512 pass, one chain per 32-bit lane of a zmm register, where the
-/// CPU has it (1.0–1.2 ms for 16 one-block chains at h^3000 on a 2-vCPU
-/// Sapphire Rapids Xeon), and the rest runs on SHA-NI where the CPU has
-/// that (0.17 ms for a lone chain, 2.8–3.1 ms for 16).
+/// full group of `LANES` chains whose salt fills whole blocks runs as one
+/// hand-written AVX-512 pass, one chain per 32-bit lane of a zmm register,
+/// where the CPU has it, and the rest runs on SHA-NI where the CPU has
+/// that ([`Kernel`] gives the measured times).
 pub const LANES: usize = 16;
 
 /// Apply SHA-256 `iterations` times to `salt || message`:
@@ -78,11 +75,12 @@ pub fn iterated_hash(salt: &[u8], message: &[u8], iterations: u32) -> Digest {
 ///
 /// Bit-identical to calling [`SaltedHasher::iterated`] per entry (there is
 /// an equivalence test), but the rounds of up to [`LANES`] entries are
-/// interleaved through the same vectorized compressor that powers
-/// [`SaltedHasher::iterated_many_into`].  Entries are grouped internally by
-/// `blocks_per_round` (salts of different lengths may pad to a different
-/// number of compression blocks), so mixed-length salts are handled
-/// correctly at full speed.
+/// interleaved through the same compression kernels that power
+/// [`SaltedHasher::iterated_many_into`].  Every salt [`PasswordHasher`]
+/// derives is one 64-byte block, so a batch of them is one group whatever
+/// its names' lengths: one compression per round per entry, the digest at
+/// offset 0 of the round message.  Entries under any other salt are
+/// correct too, but run the portable lane loop.
 ///
 /// `hashers` and `messages` must have equal length.
 pub fn iterated_hash_many_salted(
@@ -111,10 +109,9 @@ pub fn iterated_hash_many_salted_into(
 /// chains fill those slots until the 16 XMM registers spill.  Measured at
 /// h^3000 on a 2-vCPU Xeon (medians of 7 alternating runs), 16 one-block
 /// login chains took 2.3 ms at 2 chains per pass, 2.2 ms at 4 and 2.5 ms at
-/// 8; 16 two-block chains 4.5, 4.3 and 4.8 ms.  On a CPU with AVX-512 the
-/// SHA-NI kernel sees only what is left of a group after its full
-/// [`LANES`]-wide passes, so at most 15 chains: 0 to 3 passes of four and
-/// one narrower pass.
+/// 8.  On a CPU with AVX-512 the SHA-NI kernel sees only what is left of a
+/// group after its full [`LANES`]-wide passes, so at most 15 chains: 0 to 3
+/// passes of four and one narrower pass.
 #[cfg(target_arch = "x86_64")]
 const SHANI_CHAINS: usize = 4;
 
@@ -124,18 +121,20 @@ const SHANI_CHAINS: usize = 4;
 /// other kernels in [`Kernel::available`] exist for the equivalence tests
 /// and the `micro_primitives` per-kernel rows.
 ///
-/// The rule, by CPUID and group size only: every full [`LANES`]-wide group
-/// of same-`blocks_per_round` chains runs through the register-resident
-/// AVX-512 pass when the CPU has AVX-512F and AVX-512VL; the rest of the
-/// group runs on SHA-NI, four chains at a time, when the CPU has it, and
-/// otherwise on the portable loop (padded to full width, or scalar for 1–3
-/// chains).  Measured at h^3000 on a 2-vCPU Sapphire Rapids Xeon
-/// (`micro_primitives` medians, p25–p75 of ten runs for AVX-512), 16
-/// one-block chains take 1.0–1.2 ms on AVX-512 against 2.8–3.1 ms on
-/// SHA-NI, and 16 two-block chains 2.1–2.3 against 5.1–6.2 ms, whether the
-/// chains share one digest offset or not; a lone chain stays on SHA-NI
-/// (0.17 ms).  A release-only timing guard asserts the 16-chain side of
-/// that.
+/// The SIMD kernels run one layout only: a salt that fills whole 64-byte
+/// blocks (every salt [`PasswordHasher::salt_for`] derives), so that a
+/// round is one compression of `digest || padding` from the salt's
+/// midstate, the digest at offset 0.  The rule, by CPUID and group size
+/// only: every full [`LANES`]-wide group of such chains runs through the
+/// register-resident AVX-512 pass when the CPU has AVX-512F and
+/// AVX-512VL; the rest of the group runs on SHA-NI, four chains at a time,
+/// when the CPU has it, and otherwise on the portable loop (padded to full
+/// width, or scalar for 1–3 chains).  Chains under any other salt run the
+/// portable loop on every kernel.  Measured at h^3000 on a 2-vCPU Sapphire
+/// Rapids Xeon (`micro_primitives` medians), 16 chains take 1.1–1.3 ms on
+/// AVX-512 against 2.5–2.9 ms on SHA-NI, whatever their names' lengths,
+/// and a lone chain stays on SHA-NI (0.17 ms).  A release-only timing
+/// guard asserts the 16-chain side of that.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Kernel {
     /// Run full `LANES`-wide groups through `avx512_rounds`.
@@ -227,26 +226,22 @@ impl Kernel {
         if rounds == 1 {
             return;
         }
-
-        // Interleaved chains must share the per-round block count, so
-        // bucket entry indices by `blocks_per_round` (1 for salts ≤ 23
-        // bytes mod 64, else 2) and advance the chains bucket by bucket.
-        let mut order: Vec<usize> = (0..hashers.len()).collect();
-        order.sort_by_key(|&i| hashers[i].blocks_per_round());
-        for group in
-            order.chunk_by(|&a, &b| hashers[a].blocks_per_round() == hashers[b].blocks_per_round())
-        {
-            advance_group(self, |i| &hashers[i].template, group, rounds, out);
+        let (aligned, other): (Vec<usize>, Vec<usize>) =
+            (0..hashers.len()).partition(|&i| hashers[i].template.aligned());
+        for group in [aligned, other] {
+            advance_group(self, |i| &hashers[i].template, &group, rounds, out);
         }
     }
 }
 
 /// Advance `out[i]` by `rounds - 1` salted rounds under `template(i)` for
-/// every `i` in `group`; every entry of `group` shares `blocks_per_round`.
-/// Every iterated-hash entry point funnels through here, and here alone
-/// [`Kernel`]'s dispatch rule is applied: each full [`LANES`]-wide chunk
-/// goes to [`avx512_rounds`] under an `Avx512` token, the rest to
-/// [`advance_shani`] or [`advance_lanes`].
+/// every `i` in `group`; either every entry of `group` is
+/// [`RoundTemplate::aligned`] or none is.  Every iterated-hash entry point
+/// funnels through here, and here alone [`Kernel`]'s dispatch rule is
+/// applied: an aligned group's full [`LANES`]-wide chunks go to
+/// [`avx512_rounds`] under an `Avx512` token and the rest to
+/// [`advance_shani`] under a `ShaNi` token; everything else goes to
+/// [`advance_lanes`].
 #[allow(unsafe_code)]
 fn advance_group<'t>(
     kernel: Kernel,
@@ -256,7 +251,7 @@ fn advance_group<'t>(
     out: &mut [Digest],
 ) {
     #[cfg(target_arch = "x86_64")]
-    {
+    if group.first().is_some_and(|&i| template(i).aligned()) {
         let (full, rest) = match kernel.avx512 {
             Some(Avx512 { .. }) => group.split_at(group.len() / LANES * LANES),
             None => group.split_at(0),
@@ -276,16 +271,15 @@ fn advance_group<'t>(
                 None => advance_lanes(&template, rest, rounds, out),
             }
         }
+        return;
     }
     #[cfg(not(target_arch = "x86_64"))]
-    {
-        let Kernel {} = kernel;
-        advance_lanes(&template, group, rounds, out);
-    }
+    let Kernel {} = kernel;
+    advance_lanes(&template, group, rounds, out);
 }
 
-/// The SHA-NI half of [`advance_group`]: chains in interleaved groups of
-/// [`SHANI_CHAINS`], the remainder as one narrower group.
+/// The SHA-NI half of [`advance_group`]: aligned chains in interleaved
+/// groups of [`SHANI_CHAINS`], the remainder as one narrower group.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sha,sse2,ssse3,sse4.1,avx")]
 fn advance_shani<'t>(
@@ -325,7 +319,6 @@ const SHANI_LANES: [(usize, usize); 8] = [
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
 fn shani_state(state: &[u32; 8]) -> [__m128i; 2] {
-    use core::arch::x86_64::_mm_set_epi32;
     let mut lanes = [[0i32; 4]; 2];
     for (&word, &(register, lane)) in state.iter().zip(&SHANI_LANES) {
         lanes[register][lane] = word as i32;
@@ -337,7 +330,6 @@ fn shani_state(state: &[u32; 8]) -> [__m128i; 2] {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse4.1")]
 fn shani_words(registers: [__m128i; 2]) -> [u32; 8] {
-    use core::arch::x86_64::_mm_extract_epi32;
     let lanes = registers.map(|r| {
         [
             _mm_extract_epi32::<0>(r),
@@ -349,75 +341,16 @@ fn shani_words(registers: [__m128i; 2]) -> [u32; 8] {
     SHANI_LANES.map(|(register, lane)| lanes[register][lane] as u32)
 }
 
-/// A chain's [`RoundTemplate`] recast for [`shani_rounds`]: per block and
-/// per message register (four schedule words, lowest lane first), the
-/// constant bytes of the round message and two `pshufb` masks that lift
-/// the digest bytes out of the previous round's fed-forward state.
-#[cfg(target_arch = "x86_64")]
-struct ShaNiRound {
-    /// `initial_state` as an (ABEF, CDGH) pair.
-    state: [__m128i; 2],
-    /// Salt tail, padding and length words, the digest slot zeroed.
-    konst: [[__m128i; 4]; 2],
-    /// Masks picking digest bytes out of ABEF (`[0]`) and CDGH (`[1]`);
-    /// a set high bit yields a zero byte.
-    masks: [[[__m128i; 4]; 2]; 2],
-}
-
-#[cfg(target_arch = "x86_64")]
-impl ShaNiRound {
-    #[target_feature(enable = "sse2")]
-    fn new(template: &RoundTemplate) -> Self {
-        use core::arch::x86_64::_mm_set_epi32;
-        let slot = template.digest_offset..template.digest_offset + DIGEST_LEN;
-        let mut konst = [[[0u8; 16]; 4]; 2];
-        let mut masks = [[[[0x80u8; 16]; 4]; 2]; 2];
-        for b in 0..2 {
-            for q in 0..4 {
-                for r in 0..16 {
-                    // Byte `r` of a message register is byte `3 - r % 4`
-                    // of its big-endian word `r / 4`; likewise, digest byte
-                    // `j` is byte `3 - j % 4` of its state word's lane.
-                    let p = BLOCK_LEN * b + 16 * q + 4 * (r / 4) + 3 - r % 4;
-                    if slot.contains(&p) {
-                        let j = p - template.digest_offset;
-                        let (register, lane) = SHANI_LANES[j / 4];
-                        masks[register][b][q][r] = (4 * lane + 3 - j % 4) as u8;
-                    } else {
-                        konst[b][q][r] = template.buffer[p];
-                    }
-                }
-            }
-        }
-        let register = |bytes: &[u8; 16]| {
-            let lane = |i: usize| {
-                i32::from_le_bytes([
-                    bytes[4 * i],
-                    bytes[4 * i + 1],
-                    bytes[4 * i + 2],
-                    bytes[4 * i + 3],
-                ])
-            };
-            _mm_set_epi32(lane(3), lane(2), lane(1), lane(0))
-        };
-        let registers = |blocks: &[[[u8; 16]; 4]; 2]| blocks.map(|b| b.each_ref().map(register));
-        Self {
-            state: shani_state(&template.initial_state),
-            konst: registers(&konst),
-            masks: masks.each_ref().map(registers),
-        }
-    }
-}
-
-/// `N` chains advanced `rounds - 1` rounds together with the x86 SHA
-/// extensions, the round loops interleaved across chains.
+/// `N` aligned chains advanced `rounds - 1` rounds together with the x86
+/// SHA extensions, the round loops interleaved across chains.
 ///
-/// Each chain's state stays in its ABEF/CDGH registers for every round: a
-/// round's message register is `konst | pshufb(abef, mask) | pshufb(cdgh,
-/// mask)` over the previous round's fed-forward state, so digests touch
-/// memory only on entry and exit, built with `_mm_set_epi32` and read back
-/// with `_mm_extract_epi32`.  Every chain in `chains` shares
-/// `blocks_per_round`.
+/// Each chain's state stays in its ABEF/CDGH registers for every round.
+/// A round's message words 0–7 are the previous round's fed-forward state
+/// `a..h`, lifted out of the pair by one fixed permutation
+/// (`pshufd(punpck{h,l}qdq(abef, cdgh))`), and words 8–15 are the chain's
+/// constant padding and length words, so digests touch memory only on
+/// entry and exit, built with `_mm_set_epi32` and read back with
+/// `_mm_extract_epi32`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sha,sse2,ssse3,sse4.1,avx")]
 fn shani_rounds<'t, const N: usize>(
@@ -427,13 +360,21 @@ fn shani_rounds<'t, const N: usize>(
     out: &mut [Digest],
 ) {
     use core::arch::x86_64::{
-        _mm256_zeroupper, _mm_add_epi32, _mm_alignr_epi8, _mm_or_si128, _mm_set_epi32,
-        _mm_setzero_si128, _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32,
-        _mm_shuffle_epi32, _mm_shuffle_epi8,
+        _mm256_zeroupper, _mm_add_epi32, _mm_alignr_epi8, _mm_setzero_si128, _mm_sha256msg1_epu32,
+        _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32, _mm_unpackhi_epi64,
+        _mm_unpacklo_epi64,
     };
     debug_assert_eq!(chains.len(), N);
-    let layouts: [ShaNiRound; N] = core::array::from_fn(|l| ShaNiRound::new(template(chains[l])));
-    let blocks = template(chains[0]).blocks;
+    let midstates: [[__m128i; 2]; N] =
+        core::array::from_fn(|l| shani_state(&template(chains[l]).initial_state));
+    let padding: [[__m128i; 2]; N] = core::array::from_fn(|l| {
+        let [w8, w9, w10, w11, w12, w13, w14, w15] =
+            template(chains[l]).padding_words().map(|w| w as i32);
+        [
+            _mm_set_epi32(w11, w10, w9, w8),
+            _mm_set_epi32(w15, w14, w13, w12),
+        ]
+    });
     let digests: [[__m128i; 2]; N] = core::array::from_fn(|l| {
         let d = &out[chains[l]];
         shani_state(&core::array::from_fn(|w| {
@@ -451,59 +392,53 @@ fn shani_rounds<'t, const N: usize>(
     let mut digests = core::hint::black_box(digests);
     _mm256_zeroupper();
     for _ in 1..rounds {
-        let mut states = [[_mm_setzero_si128(); 2]; N];
+        // Message registers, oldest first: `w[l][0]` feeds the next two
+        // `sha256rnds2`, then the four rotate down by one.  The digest's
+        // words `a, b, c, d` sit in lanes 3, 2 of ABEF and CDGH, and
+        // `e, f, g, h` in lanes 1, 0: the unpacks pair them up and the
+        // shuffle swaps each pair.
+        let mut w = [[_mm_setzero_si128(); 4]; N];
         for l in 0..N {
-            states[l] = layouts[l].state;
+            let [abef, cdgh] = digests[l];
+            w[l] = [
+                _mm_shuffle_epi32::<0xB1>(_mm_unpackhi_epi64(abef, cdgh)),
+                _mm_shuffle_epi32::<0xB1>(_mm_unpacklo_epi64(abef, cdgh)),
+                padding[l][0],
+                padding[l][1],
+            ];
         }
-        for b in 0..blocks {
-            // Message registers, oldest first: `w[l][0]` feeds the next
-            // two `sha256rnds2`, then the four rotate down by one.
-            let mut w = [[_mm_setzero_si128(); 4]; N];
+        let mut states = midstates;
+        for quad in 0..16 {
+            let k = _mm_set_epi32(
+                K[4 * quad + 3] as i32,
+                K[4 * quad + 2] as i32,
+                K[4 * quad + 1] as i32,
+                K[4 * quad] as i32,
+            );
             for l in 0..N {
-                let (layout, [abef, cdgh]) = (&layouts[l], digests[l]);
-                for (q, w) in w[l].iter_mut().enumerate() {
-                    let from_abef = _mm_shuffle_epi8(abef, layout.masks[0][b][q]);
-                    let from_cdgh = _mm_shuffle_epi8(cdgh, layout.masks[1][b][q]);
-                    *w = _mm_or_si128(layout.konst[b][q], _mm_or_si128(from_abef, from_cdgh));
-                }
-            }
-            let start = states;
-            for quad in 0..16 {
-                let k = _mm_set_epi32(
-                    K[4 * quad + 3] as i32,
-                    K[4 * quad + 2] as i32,
-                    K[4 * quad + 1] as i32,
-                    K[4 * quad] as i32,
-                );
-                for l in 0..N {
-                    let [w0, w1, w2, w3] = w[l];
-                    // From quad 4 on, W[t..t+4] replaces W[t-16..t-12].
-                    let next = if quad < 4 {
-                        w0
-                    } else {
-                        _mm_sha256msg2_epu32(
-                            _mm_add_epi32(
-                                _mm_sha256msg1_epu32(w0, w1),
-                                _mm_alignr_epi8::<4>(w3, w2),
-                            ),
-                            w3,
-                        )
-                    };
-                    let wk = _mm_add_epi32(next, k);
-                    let [abef, cdgh] = &mut states[l];
-                    *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
-                    *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32::<0x0E>(wk));
-                    w[l] = [w1, w2, w3, next];
-                }
-            }
-            for l in 0..N {
-                states[l] = [
-                    _mm_add_epi32(states[l][0], start[l][0]),
-                    _mm_add_epi32(states[l][1], start[l][1]),
-                ];
+                let [w0, w1, w2, w3] = w[l];
+                // From quad 4 on, W[t..t+4] replaces W[t-16..t-12].
+                let next = if quad < 4 {
+                    w0
+                } else {
+                    _mm_sha256msg2_epu32(
+                        _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8::<4>(w3, w2)),
+                        w3,
+                    )
+                };
+                let wk = _mm_add_epi32(next, k);
+                let [abef, cdgh] = &mut states[l];
+                *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
+                *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32::<0x0E>(wk));
+                w[l] = [w1, w2, w3, next];
             }
         }
-        digests = states;
+        for l in 0..N {
+            digests[l] = [
+                _mm_add_epi32(states[l][0], midstates[l][0]),
+                _mm_add_epi32(states[l][1], midstates[l][1]),
+            ];
+        }
     }
 
     for (&digest, &i) in digests.iter().zip(chains) {
@@ -511,11 +446,11 @@ fn shani_rounds<'t, const N: usize>(
     }
 }
 
-/// The portable half of [`advance_group`], for CPUs without SHA-NI: full
-/// [`LANES`]-wide passes of the lane loop as the build compiled it (none
-/// are left when the CPU has AVX-512: [`advance_group`] has already run
-/// them through [`avx512_rounds`]), then the remainder, padded to full
-/// width or scalar.
+/// The portable half of [`advance_group`]: full [`LANES`]-wide passes of
+/// the lane loop as the build compiled it, then the remainder, padded to
+/// full width or scalar.  It runs every chain under a salt that does not
+/// fill whole blocks, and the aligned chains a CPU without SHA-NI leaves
+/// after its AVX-512 passes.
 fn advance_lanes<'t>(
     template: &impl Fn(usize) -> &'t RoundTemplate,
     group: &[usize],
@@ -527,14 +462,11 @@ fn advance_lanes<'t>(
         run_salted_lanes::<LANES>(template, lane_indices, rounds, out);
     }
     // Run the tail through a *padded* lane pass instead of falling back
-    // to one scalar chain per entry: one fresh enrollment coalesced with
-    // a run of short-salt logins splits a serving batch into two buckets,
-    // and scalar remainders on both sides of the split hashed a 1+15
-    // batch ~5x slower than a uniform 16-lane run.  Measured at h^3000 on
-    // a 2-vCPU Xeon (x86-64-v3 build), a scalar chain costs ~0.3x of a
-    // full-width pass, so tails of 1-3 stay scalar and anything larger
-    // pads to full width.  A narrower 4-lane pass is no cheaper: it
-    // measured 1.3-1.5x of the padded full-width pass.
+    // to one scalar chain per entry.  Measured at h^3000 on a 2-vCPU Xeon
+    // (x86-64-v3 build), a scalar chain costs ~0.3x of a full-width pass,
+    // so tails of 1-3 stay scalar and anything larger pads to full width.
+    // A narrower 4-lane pass is no cheaper: it measured 1.3-1.5x of the
+    // padded full-width pass.
     let tail = chunks.remainder();
     match tail.len() {
         0 => {}
@@ -549,57 +481,6 @@ fn advance_lanes<'t>(
             }
         }
         _ => run_salted_lanes::<LANES>(template, tail, rounds, out),
-    }
-}
-
-/// A full [`LANES`]-wide group's [`RoundTemplate`]s recast for
-/// [`avx512_rounds`]: one 32-bit lane per chain, one register per state or
-/// message word.
-#[cfg(target_arch = "x86_64")]
-struct Avx512Round {
-    /// `initial_state`, word by word.
-    state: [__m512i; 8],
-    /// Per block, the salt tail, padding and length words, the digest slot
-    /// zeroed.
-    konst: [[__m512i; 16]; 2],
-    /// Per lane, `8 * (digest_offset % 4)`: how far right a digest word
-    /// shifts into the message word its first byte lands in.
-    right: __m512i,
-    /// Per lane, `32 - right`: how far left it shifts into the next one.
-    left: __m512i,
-    /// Per message word `q`, the lanes whose digest slot starts in it.
-    starts: [__mmask16; 16],
-}
-
-#[cfg(target_arch = "x86_64")]
-impl Avx512Round {
-    #[target_feature(enable = "avx512f")]
-    fn new(templates: [&RoundTemplate; LANES]) -> Self {
-        let word = |t: &RoundTemplate, j: usize| {
-            let slot = t.digest_offset..t.digest_offset + DIGEST_LEN;
-            u32::from_be_bytes(core::array::from_fn(|k| {
-                let p = 4 * j + k;
-                if slot.contains(&p) {
-                    0
-                } else {
-                    t.buffer[p]
-                }
-            }))
-        };
-        let mut starts = [0; 16];
-        for (l, t) in templates.iter().enumerate() {
-            starts[t.digest_offset / 4] |= 1 << l;
-        }
-        let right = templates.map(|t| 8 * (t.digest_offset % 4) as u32);
-        Self {
-            state: core::array::from_fn(|w| lane_vector(templates.map(|t| t.initial_state[w]))),
-            konst: core::array::from_fn(|b| {
-                core::array::from_fn(|j| lane_vector(templates.map(|t| word(t, 16 * b + j))))
-            }),
-            right: lane_vector(right),
-            left: lane_vector(right.map(|r| 32 - r)),
-            starts,
-        }
     }
 }
 
@@ -690,21 +571,16 @@ macro_rules! compress_avx512 {
     }};
 }
 
-/// One full [`LANES`]-wide group advanced `rounds - 1` rounds with
-/// AVX-512, one chain per 32-bit lane; every chain in `lanes` shares
-/// `blocks_per_round`.
+/// One full [`LANES`]-wide group of aligned chains advanced `rounds - 1`
+/// rounds with AVX-512, one chain per 32-bit lane.
 ///
 /// The eight chaining-state words of the sixteen chains stay in eight zmm
-/// registers for every round, and a round's message words are built from
-/// them in registers too: a lane whose digest slot starts `s` bytes into
-/// message word `q` gets `digest[m] >> 8s` in word `q + m` and
-/// `digest[m] << (32 - 8s)` in word `q + m + 1`, OR'd into the template's
-/// constant words with one masked OR per word and distinct `q` in the
-/// group (a variable shift by 32 yields zero, so `s = 0` needs no case of
-/// its own).
-/// The rotates are `vprold`, and σ, Σ, Ch and Maj one `vpternlogd` each.
-/// Digests touch memory only on entry and exit, built with
-/// `_mm512_setr_epi32` and read back with extracts.
+/// registers for every round, and they are the round's message words 0–7
+/// as they stand; words 8–15 are the per-lane padding and length words,
+/// and the feed-forward adds the per-lane midstates.  The rotates are
+/// `vprold`, and σ, Σ, Ch and Maj one `vpternlogd` each.  Digests touch
+/// memory only on entry and exit, built with `_mm512_setr_epi32` and read
+/// back with extracts.
 ///
 /// The compiler ends the function with a `vzeroupper`, and the SHA-NI loop
 /// that may run next issues its own before its rounds; the release-only
@@ -720,65 +596,28 @@ fn avx512_rounds<'t>(
 ) {
     let lanes: &[usize; LANES] = lanes.try_into().expect("one full lane group");
     let templates = lanes.map(template);
-    let layout = Avx512Round::new(templates);
-    let digest = core::array::from_fn(|w| {
+    let midstate: [__m512i; 8] =
+        core::array::from_fn(|w| lane_vector(templates.map(|t| t.initial_state[w])));
+    let padding = templates.map(RoundTemplate::padding_words);
+    let [k8, k9, k10, k11, k12, k13, k14, k15] =
+        core::array::from_fn(|j| lane_vector(padding.map(|p| p[j])));
+    let mut digest: [__m512i; 8] = core::array::from_fn(|w| {
         lane_vector(lanes.map(|i| {
             let d = &out[i];
             u32::from_be_bytes([d[4 * w], d[4 * w + 1], d[4 * w + 2], d[4 * w + 3]])
         }))
     });
-    let digest = match templates[0].blocks {
-        1 => avx512_chain::<1>(&layout, digest, rounds),
-        _ => avx512_chain::<2>(&layout, digest, rounds),
-    };
+    for _ in 1..rounds {
+        let [d0, d1, d2, d3, d4, d5, d6, d7] = digest;
+        digest = compress_avx512!(
+            midstate,
+            [d0, d1, d2, d3, d4, d5, d6, d7, k8, k9, k10, k11, k12, k13, k14, k15]
+        );
+    }
     let words = digest.map(|v| vector_lanes(v));
     for (l, &i) in lanes.iter().enumerate() {
         out[i] = state_to_digest(&words.map(|w| w[l]));
     }
-}
-
-/// The round loop of [`avx512_rounds`] for `B` blocks per round.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl")]
-fn avx512_chain<const B: usize>(
-    layout: &Avx512Round,
-    mut digest: [__m512i; 8],
-    rounds: u32,
-) -> [__m512i; 8] {
-    for _ in 1..rounds {
-        // `pieces[m]`: what word `q + m` gets, the same for every `q`.
-        let pieces: [__m512i; 9] = core::array::from_fn(|m| {
-            let high = match digest.get(m) {
-                Some(&d) => _mm512_srlv_epi32(d, layout.right),
-                None => _mm512_setzero_si512(),
-            };
-            match m.checked_sub(1) {
-                Some(p) => _mm512_or_si512(high, _mm512_sllv_epi32(digest[p], layout.left)),
-                None => high,
-            }
-        });
-        let mut w = layout.konst;
-        unroll16!(q => {
-            let lanes = layout.starts[q];
-            if lanes != 0 {
-                for (m, &piece) in pieces.iter().enumerate() {
-                    let j = q + m;
-                    if j < 16 * B {
-                        let word = &mut w[j / 16][j % 16];
-                        *word = _mm512_mask_or_epi32(*word, lanes, *word, piece);
-                    }
-                }
-            }
-        });
-        // Written out rather than `for b in 0..B`: the compiler keeps that
-        // loop rolled for `B = 2`, which moves the words to the stack.
-        let mut state = compress_avx512!(layout.state, w[0]);
-        if B == 2 {
-            state = compress_avx512!(state, w[1]);
-        }
-        digest = state;
-    }
-    digest
 }
 
 /// One SHA-256 round of sixteen lanes; `wk` is the round's message word
@@ -808,9 +647,11 @@ fn sha256_round(state: [__m512i; 8], wk: __m512i) -> [__m512i; 8] {
     [new_a, a, b, c, new_e, e, f, g]
 }
 
-/// One interleaved pass of up to `L` same-`blocks_per_round` entries
-/// through the lane compressor.  Unlike the shared-salt kernel, each lane
-/// carries its own salt tail, digest offset and initial state.
+/// One interleaved pass of up to `L` entries through the lane compressor.
+/// Unlike the shared-salt kernel, each lane carries its own salt tail,
+/// digest offset, initial state and block count: every lane compresses as
+/// many blocks as the longest, and a lane whose round is shorter takes its
+/// digest after its own last block.
 ///
 /// `lane_indices` may hold fewer than `L` entries: spare lanes are padded
 /// with copies of the first entry's template and digest chain, so they
@@ -832,7 +673,7 @@ fn run_salted_lanes<'t, const L: usize>(
     // (before any lane writes back) and never write their own.
     let entry = |l: usize| lane_indices[if l < lane_indices.len() { l } else { 0 }];
     let mut templates: [RoundTemplate; L] = core::array::from_fn(|l| *template(entry(l)));
-    let blocks = templates[0].blocks;
+    let blocks = templates.iter().map(|t| t.blocks).max().unwrap_or(1);
     for _ in 1..rounds {
         for (l, t) in templates.iter_mut().enumerate() {
             t.set_digest(&out[entry(l)]);
@@ -840,9 +681,11 @@ fn run_salted_lanes<'t, const L: usize>(
         let mut states: [[u32; 8]; L] = core::array::from_fn(|l| templates[l].initial_state);
         for b in 0..blocks {
             compress_lanes(&mut states, core::array::from_fn(|l| templates[l].block(b)));
-        }
-        for (l, &i) in lane_indices.iter().enumerate() {
-            out[i] = state_to_digest(&states[l]);
+            for (l, &i) in lane_indices.iter().enumerate() {
+                if templates[l].blocks == b + 1 {
+                    out[i] = state_to_digest(&states[l]);
+                }
+            }
         }
     }
 }
@@ -868,19 +711,20 @@ pub fn iterated_hash_reference(salt: &[u8], message: &[u8], iterations: u32) -> 
     digest
 }
 
+/// Upper bound on a round's padded message: the salt tail is at most 63
+/// bytes, so `tail || digest || 0x80 || zeros || length` is at most
+/// `63 + 32 + 9 = 104` bytes, padded to two blocks.
+const ROUND_BUF_LEN: usize = 2 * BLOCK_LEN;
+
 /// Precomputed per-round layout for iterated hashing under a fixed salt.
 ///
 /// Every round after the first hashes `salt || digest` where only the
 /// 32-byte digest changes, so the whole padded message — salt remainder,
 /// digest slot, 0x80 terminator, zeros, bit length — is laid out once.
 /// Advancing a round is then: overwrite the digest slot, reset the state to
-/// the precomputed midstate, and run one compression per remaining block
-/// (exactly one block for salts up to 23 bytes).
-/// Upper bound on a round's padded message: the salt tail is at most 63
-/// bytes, so `tail || digest || 0x80 || zeros || length` is at most
-/// `63 + 32 + 9 = 104` bytes, padded to two blocks.
-const ROUND_BUF_LEN: usize = 2 * BLOCK_LEN;
-
+/// the precomputed midstate, and run one compression per remaining block:
+/// exactly one for a salt that fills whole blocks (the digest at offset 0)
+/// or whose tail is at most 23 bytes, two otherwise.
 #[derive(Clone, Copy)]
 struct RoundTemplate {
     /// `H0` advanced over the salt's full 64-byte blocks (paid once).
@@ -919,9 +763,20 @@ impl RoundTemplate {
         }
     }
 
-    /// Number of 64-byte blocks compressed per round.
-    fn blocks_per_round(&self) -> usize {
-        self.blocks
+    /// Whether the salt fills whole blocks, so a round is one compression
+    /// of `digest || padding` from the midstate: the one layout the SIMD
+    /// kernels run.
+    fn aligned(&self) -> bool {
+        self.digest_offset == 0
+    }
+
+    /// Message words 8–15 of an aligned round: the 0x80 terminator, zeros
+    /// and the bit length.
+    fn padding_words(&self) -> [u32; 8] {
+        core::array::from_fn(|j| {
+            let at = DIGEST_LEN + 4 * j;
+            u32::from_be_bytes(self.buffer[at..at + 4].try_into().expect("one word"))
+        })
     }
 
     /// Write the previous round's digest into the digest slot.
@@ -977,12 +832,6 @@ impl SaltedHasher {
         let first = Midstate::new(salt);
         let template = RoundTemplate::from_midstate(&first);
         Self { first, template }
-    }
-
-    /// SHA-256 compressions executed per `salt || digest` round (1 for
-    /// salts up to 23 bytes — the one-block fast path).
-    pub fn blocks_per_round(&self) -> usize {
-        self.template.blocks_per_round()
     }
 
     /// Apply SHA-256 `iterations` times to `salt || message`.
@@ -1058,7 +907,6 @@ impl SaltedHasher {
         // Each lane mutates only the digest slot of its own template copy;
         // templates are stack values allocated once for the whole batch.
         let mut templates = [self.template; L];
-        let blocks_per_round = self.template.blocks_per_round();
         let mut chunks = out.chunks_exact_mut(L);
         for lane_digests in chunks.by_ref() {
             for _ in 1..rounds {
@@ -1066,7 +914,7 @@ impl SaltedHasher {
                 for (t, digest) in templates.iter_mut().zip(lane_digests.iter()) {
                     t.set_digest(digest);
                 }
-                for b in 0..blocks_per_round {
+                for b in 0..self.template.blocks {
                     compress_lanes(&mut states, core::array::from_fn(|l| templates[l].block(b)));
                 }
                 for (digest, state) in lane_digests.iter_mut().zip(&states) {
@@ -1146,13 +994,26 @@ impl PasswordHasher {
 
     /// Build the salt for a given user identifier.
     ///
-    /// The salt is `domain || 0x1f || user_id`, stored in the clear alongside
-    /// the hash exactly as the paper describes for the user-identifier salt.
+    /// The salt is one 64-byte block, `SHA-256(domain || 0x1f || user_id)
+    /// || 0^32`: the paper's user-identifier salt, personalized by the
+    /// domain and stored in the clear alongside the hash.  A salt of one
+    /// whole block is absorbed into a midstate once per account, so every
+    /// round after the first hashes `digest || padding` in one compression,
+    /// the digest at offset 0, whatever the length of the name.
     pub fn salt_for(&self, user_id: &[u8]) -> Vec<u8> {
-        let mut salt = Vec::with_capacity(self.domain.len() + 1 + user_id.len());
-        salt.extend_from_slice(self.domain.as_bytes());
-        salt.push(0x1f);
-        salt.extend_from_slice(user_id);
+        Self::salt_in(&self.domain, user_id)
+    }
+
+    /// [`PasswordHasher::salt_for`] under `domain`, for callers that know
+    /// the domain but hold no hasher (a store deriving the salts it does
+    /// not keep).
+    pub fn salt_in(domain: &str, user_id: &[u8]) -> Vec<u8> {
+        let mut h = Sha256::new();
+        h.update(domain.as_bytes());
+        h.update(&[0x1f]);
+        h.update(user_id);
+        let mut salt = vec![0; BLOCK_LEN];
+        salt[..DIGEST_LEN].copy_from_slice(&h.finalize());
         salt
     }
 
@@ -1203,7 +1064,10 @@ mod tests {
     #[test]
     fn empty_salt_takes_the_one_block_path_and_matches_reference() {
         let hasher = SaltedHasher::new(b"");
-        assert_eq!(hasher.blocks_per_round(), 1, "empty salt must be one-shot");
+        assert!(
+            hasher.template.aligned() && hasher.template.blocks == 1,
+            "empty salt must be one-shot"
+        );
         for iterations in [0u32, 1, 2, 7, 100] {
             assert_eq!(
                 hasher.iterated(b"message", iterations),
@@ -1227,11 +1091,7 @@ mod tests {
             let salt: Vec<u8> = (0..salt_len).map(|i| (i * 7 % 251) as u8).collect();
             let hasher = SaltedHasher::new(&salt);
             let expected_blocks = (salt_len % 64 + DIGEST_LEN + 9).div_ceil(64);
-            assert_eq!(
-                hasher.blocks_per_round(),
-                expected_blocks,
-                "salt {salt_len}"
-            );
+            assert_eq!(hasher.template.blocks, expected_blocks, "salt {salt_len}");
             for iterations in [1u32, 2, 3, 50] {
                 assert_eq!(
                     hasher.iterated(message, iterations),
@@ -1257,61 +1117,54 @@ mod tests {
     }
 
     #[test]
-    fn kernels_match_scalar_round_at_every_width_and_offset() {
-        // One round from random states over random round messages, the
-        // digest slot at every offset that fits one or two blocks: each
-        // kernel must equal the scalar `RoundTemplate::advance`.  Groups of
-        // 1-8 chains reach every SHA-NI width the build instantiates (1-4)
-        // with mixed offsets.  Full 16-chain groups, one AVX-512 lane pass,
-        // hold every count of distinct offsets from 1 (one shared offset)
-        // to 16, and 17 chains add a one-chain remainder.  The random bytes
-        // under the digest slot must not leak into the round.
-        let shapes: Vec<(usize, usize)> = (1..=8)
-            .map(|n| (n, n))
-            .chain((1..=LANES).map(|distinct| (LANES, distinct)))
-            .chain([(LANES + 1, LANES + 1)])
-            .collect();
+    fn kernels_match_scalar_round_at_every_width() {
+        // One round from random states over random round messages: each
+        // kernel must equal the scalar `RoundTemplate::advance`.  Aligned
+        // groups of 1-17 chains reach every SHA-NI width the build
+        // instantiates (1-4), one full AVX-512 pass (16) and a pass with a
+        // one-chain remainder (17).  Groups at digest offsets 1-63, one-
+        // and two-block rounds side by side, run the portable lanes on
+        // every kernel.  The random bytes under the digest slot must not
+        // leak into the round.
         for kernel in Kernel::available() {
-            for blocks in [1usize, 2] {
-                let offsets = (blocks * BLOCK_LEN - DIGEST_LEN).min(BLOCK_LEN - 1) + 1;
-                for first in 0..offsets {
-                    for &(n, distinct) in &shapes {
-                        let seed = (first * 10_000 + n * 100 + distinct * 3 + blocks) as u64;
-                        let templates: Vec<RoundTemplate> = (0..n)
-                            .map(|i| {
-                                let bytes = noise(seed * 100 + i as u64, 32 + ROUND_BUF_LEN);
-                                RoundTemplate {
-                                    initial_state: core::array::from_fn(|w| {
-                                        u32::from_be_bytes(
-                                            bytes[4 * w..4 * w + 4].try_into().unwrap(),
-                                        )
-                                    }),
-                                    buffer: bytes[32..].try_into().unwrap(),
-                                    blocks,
-                                    digest_offset: (first + 7 * (i % distinct)) % offsets,
-                                }
-                            })
-                            .collect();
-                        let mut digests: Vec<Digest> = (0..n)
-                            .map(|i| {
-                                noise(seed * 1000 + i as u64, DIGEST_LEN)
-                                    .try_into()
-                                    .unwrap()
-                            })
-                            .collect();
-                        let expected: Vec<Digest> = templates
-                            .iter()
-                            .zip(&digests)
-                            .map(|(t, d)| t.clone().advance(d))
-                            .collect();
-                        let group: Vec<usize> = (0..n).collect();
-                        advance_group(kernel, |i| &templates[i], &group, 2, &mut digests);
-                        assert_eq!(
-                            digests, expected,
-                            "{kernel:?}, {n} chains, {distinct} distinct offsets, \
-                             {blocks} blocks, first offset {first}"
-                        );
-                    }
+            for n in 1..=LANES + 1 {
+                for first in [0usize, 1, 23, 24, 40, 63] {
+                    let seed = (first * 100 + n) as u64;
+                    let templates: Vec<RoundTemplate> = (0..n)
+                        .map(|i| {
+                            let digest_offset = match first {
+                                0 => 0,
+                                _ => (first + 7 * i) % 63 + 1,
+                            };
+                            let bytes = noise(seed * 100 + i as u64, 32 + ROUND_BUF_LEN);
+                            RoundTemplate {
+                                initial_state: core::array::from_fn(|w| {
+                                    u32::from_be_bytes(bytes[4 * w..4 * w + 4].try_into().unwrap())
+                                }),
+                                buffer: bytes[32..].try_into().unwrap(),
+                                blocks: (digest_offset + DIGEST_LEN + 9).div_ceil(BLOCK_LEN),
+                                digest_offset,
+                            }
+                        })
+                        .collect();
+                    let mut digests: Vec<Digest> = (0..n)
+                        .map(|i| {
+                            noise(seed * 1000 + i as u64, DIGEST_LEN)
+                                .try_into()
+                                .unwrap()
+                        })
+                        .collect();
+                    let expected: Vec<Digest> = templates
+                        .iter()
+                        .zip(&digests)
+                        .map(|(t, d)| t.clone().advance(d))
+                        .collect();
+                    let group: Vec<usize> = (0..n).collect();
+                    advance_group(kernel, |i| &templates[i], &group, 2, &mut digests);
+                    assert_eq!(
+                        digests, expected,
+                        "{kernel:?}, {n} chains, first offset {first}"
+                    );
                 }
             }
         }
@@ -1319,7 +1172,7 @@ mod tests {
 
     #[test]
     fn many_matches_scalar_for_every_batch_size() {
-        let salt = b"gp-passwords/v1\x1falice";
+        let salt = &PasswordHasher::new("gp-passwords/v2", 1).salt_for(b"alice");
         let hasher = SaltedHasher::new(salt);
         let messages: Vec<Vec<u8>> = (0..35)
             .map(|i| (0..40 + i).map(|j| ((i * 91 + j) % 251) as u8).collect())
@@ -1371,10 +1224,10 @@ mod tests {
         // Salt lengths 0..=130 put the digest at every offset 0-63 of the
         // round message: inside one block up to 23 bytes, straddling into
         // a second block from 24, and behind a full salt block (midstate
-        // plus tail) from 64.  Windows of 1-5 consecutive lengths give
-        // every SHA-NI group width with mixed offsets, and cross the
-        // `blocks_per_round` split at 23/24 and 87/88 inside one batch;
-        // larger batches straddle both kernels' group remainders.
+        // plus tail) from 64; lengths 0, 64 and 128 are aligned.  Windows
+        // of 1-5 consecutive lengths mix one- and two-block rounds in one
+        // portable pass and cross the aligned/unaligned split; larger
+        // batches straddle both kernels' group remainders.
         let salts: Vec<Vec<u8>> = (0..=130)
             .map(|len| (0..len).map(|j| ((len * 31 + j) % 251) as u8).collect())
             .collect();
@@ -1418,67 +1271,35 @@ mod tests {
                     check(kernel, &batch, iterations);
                 }
             }
-            // Batches of one block count only, sized around one and two
-            // full lane groups, then 16 one-block + 16 two-block + 5 more
-            // one-block entries interleaved: full AVX-512 groups with and
-            // without a remainder on either side of the split.
-            let (one_block, two_block): (Vec<usize>, Vec<usize>) =
-                (0..salts.len()).partition(|&i| hashers[i].blocks_per_round() == 1);
-            for same in [&one_block, &two_block] {
-                for count in [15usize, 16, 17, 31, 32] {
-                    let batch: Vec<usize> = (0..count).map(|i| same[i * 7 % same.len()]).collect();
-                    check(kernel, &batch, 2);
-                    check(kernel, &batch, 3);
-                }
-            }
-            let mixed: Vec<usize> = (0..16)
-                .flat_map(|i| [one_block[i], two_block[i]])
-                .chain(one_block[16..21].iter().copied())
-                .collect();
-            check(kernel, &mixed, 2);
-            check(kernel, &mixed, 3);
         }
 
-        // Full 16-chain groups, one AVX-512 lane pass each, at every
-        // offset mix it meets, through h^3000: one shared offset (21, the
-        // `gp-passwords/v1` and 5-byte name shape), every count of distinct
-        // one-block offsets from 1 to 16, mixed two-block offsets 24-63,
-        // and salts of 64+ bytes, whose midstate is not H0, in one- and
-        // two-block groups.
-        let groups: Vec<Vec<Vec<u8>>> = core::iter::once(
-            (0..LANES)
-                .map(|i| {
-                    let mut salt = b"gp-passwords/v1\x1f".to_vec();
-                    salt.extend((0..5).map(|j| b'a' + ((i + j) % 26) as u8));
-                    salt
+        // Full 16-chain groups of aligned salts, one AVX-512 lane pass
+        // each, through h^3000: the salts `PasswordHasher` derives for
+        // names of 1-196 bytes, and 128-byte salts (two blocks in the
+        // midstate); then 16 + 16 + 5 derived salts interleaved with
+        // unaligned ones, so full groups and remainders fall on both
+        // sides of the split.
+        let derived = |i: usize| {
+            PasswordHasher::new("gp-passwords/v2", 1)
+                .salt_for(&noise(i as u64, 1 + 13 * (i % LANES)))
+        };
+        let groups: Vec<Vec<Vec<u8>>> = vec![
+            (0..LANES).map(derived).collect(),
+            (0..LANES).map(|i| noise(128 + i as u64, 128)).collect(),
+            (0..37)
+                .map(|i| match i < 32 && i % 2 == 1 {
+                    true => noise(i as u64, 20 + i),
+                    false => derived(i),
                 })
                 .collect(),
-        )
-        .chain((1..=LANES).map(|distinct| {
-            (0..LANES)
-                .map(|i| noise((distinct * 100 + i) as u64, (21 + 5 * (i % distinct)) % 24))
-                .collect()
-        }))
-        .chain(
-            [(24, 7, 40), (64, 5, 24), (88, 7, 40)].map(|(base, step, span)| {
-                (0..LANES)
-                    .map(|i| noise((base * 100 + i) as u64, base + step * i % span))
-                    .collect()
-            }),
-        )
-        .collect();
-        let deep_iterations = [1u32, 2, 3, 17, 3000];
+        ];
         for salts in &groups {
-            assert_eq!(salts.len(), LANES);
             let hashers: Vec<SaltedHasher> = salts.iter().map(|s| SaltedHasher::new(s)).collect();
-            assert!(hashers
-                .iter()
-                .all(|h| h.blocks_per_round() == hashers[0].blocks_per_round()));
             let hasher_refs: Vec<&SaltedHasher> = hashers.iter().collect();
-            let messages: Vec<Vec<u8>> = (0..LANES).map(|i| noise(i as u64, 40)).collect();
+            let messages: Vec<Vec<u8>> = (0..salts.len()).map(|i| noise(i as u64, 40)).collect();
             let msg_refs: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
             let lens: Vec<usize> = salts.iter().map(Vec::len).collect();
-            for n in deep_iterations {
+            for n in [1u32, 2, 3, 17, 3000] {
                 let expected: Vec<Digest> = salts
                     .iter()
                     .zip(&messages)
@@ -1495,6 +1316,47 @@ mod tests {
         }
     }
 
+    #[test]
+    fn every_name_length_costs_one_compression_per_round() {
+        // Names on both sides of every block boundary a raw
+        // `domain || 0x1f || name` salt would cross: each derived salt is
+        // one aligned block, so every round is one compression with the
+        // digest at offset 0, and the batch, twice over so that it fills a
+        // full lane group, hashes as the reference does on every kernel.
+        let names: Vec<Vec<u8>> = [1usize, 7, 8, 23, 47, 48, 71, 72, 200]
+            .iter()
+            .map(|&len| noise(len as u64, len))
+            .collect();
+        for domain in ["gp-passwords/v2", "gp-passwords/ccp/v2"] {
+            let salts: Vec<Vec<u8>> = (0..2 * names.len())
+                .map(|i| PasswordHasher::new(domain, 1).salt_for(&names[i % names.len()]))
+                .collect();
+            let hashers: Vec<SaltedHasher> = salts.iter().map(|s| SaltedHasher::new(s)).collect();
+            for (hasher, name) in hashers.iter().zip(&names) {
+                assert!(
+                    hasher.template.aligned() && hasher.template.blocks == 1,
+                    "{domain}, {}-byte name",
+                    name.len()
+                );
+            }
+            let hasher_refs: Vec<&SaltedHasher> = hashers.iter().collect();
+            let messages: Vec<Vec<u8>> = (0..salts.len()).map(|i| noise(i as u64, 85)).collect();
+            let msg_refs: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
+            for n in [2u32, 3000] {
+                let expected: Vec<Digest> = salts
+                    .iter()
+                    .zip(&messages)
+                    .map(|(salt, message)| iterated_hash_reference(salt, message, n))
+                    .collect();
+                let mut batched = Vec::new();
+                for kernel in Kernel::available() {
+                    kernel.many_salted_into(&hasher_refs, &msg_refs, n, &mut batched);
+                    assert_eq!(batched, expected, "{kernel:?}, {domain}, {n} iterations");
+                }
+            }
+        }
+    }
+
     /// The portable lane loop alone, as the build compiled it.
     #[cfg(all(not(debug_assertions), target_arch = "x86_64"))]
     const PORTABLE: Kernel = Kernel {
@@ -1503,7 +1365,8 @@ mod tests {
     };
 
     /// Deterministic chains for the timing guards: `count` salts of
-    /// `salt_len` bytes and 40-byte messages.
+    /// `salt_len` bytes (whole blocks, so the SIMD kernels run them) and
+    /// 40-byte messages.
     #[cfg(all(not(debug_assertions), target_arch = "x86_64"))]
     fn timing_chains(count: usize, salt_len: usize) -> (Vec<SaltedHasher>, Vec<Vec<u8>>) {
         let hashers = (0..count)
@@ -1553,7 +1416,7 @@ mod tests {
             avx512: None,
             shani: Some(shani),
         };
-        for salt_len in [20usize, 40] {
+        for salt_len in [64usize, 128] {
             for width in [1usize, 4] {
                 let (hashers, messages) = timing_chains(width, salt_len);
                 let shani_time = fastest_h3000(shani, &hashers, &messages, || {});
@@ -1577,8 +1440,8 @@ mod tests {
     /// upper register state behind, or the legacy-SSE sha256* loop after
     /// it runs ~100x slower with every digest still right.  It also guards
     /// [`Kernel`]'s premise: 16 chains must run faster as one AVX-512 pass
-    /// than on SHA-NI (normally 1.0-1.3 vs 2.6-3.1 ms for one-block salts
-    /// at h^3000), or full groups belong on SHA-NI.
+    /// than on SHA-NI (normally 1.0-1.3 vs 2.6-3.1 ms at h^3000), or full
+    /// groups belong on SHA-NI.
     #[cfg(all(not(debug_assertions), target_arch = "x86_64"))]
     #[test]
     fn shani_chain_after_an_avx512_pass_beats_the_portable_kernel() {
@@ -1596,7 +1459,7 @@ mod tests {
             avx512: None,
             shani: Some(shani),
         };
-        for salt_len in [20usize, 40] {
+        for salt_len in [64usize, 128] {
             let (wide, wide_messages) = timing_chains(LANES, salt_len);
             let (lone, lone_messages) = timing_chains(1, salt_len);
             let mut wide_out = Vec::new();

@@ -30,20 +30,25 @@
 //! CPU has, chosen by CPUID and group size alone — no option, environment
 //! variable or cargo feature selects them ([`iterated::Kernel`]):
 //!
-//! * every full group of [`LANES`] chains with the same block count runs
-//!   through one hand-written AVX-512F/VL pass, on CPUs that have it: one
-//!   chain per 32-bit lane, the chaining state and each round's message
-//!   words built from it held in zmm registers for every round (1.0–1.2 ms
-//!   for 16 one-block h^3000 chains on a 2-vCPU Sapphire Rapids Xeon);
+//! The SIMD kernels run one layout: a salt of whole 64-byte blocks, which
+//! is every salt [`PasswordHasher::salt_for`] derives, so that every round
+//! is one compression with the digest at offset 0:
+//!
+//! * every full group of [`LANES`] such chains runs through one
+//!   hand-written AVX-512F/VL pass, on CPUs that have it: one chain per
+//!   32-bit lane, the chaining state, which is also each round's first
+//!   eight message words, held in zmm registers for every round (1.1–1.3
+//!   ms for 16 h^3000 chains on a 2-vCPU Sapphire Rapids Xeon);
 //! * the rest of the group runs on x86-64 CPUs with the SHA extensions and
 //!   AVX through one SHA-NI round loop that interleaves up to four chains
 //!   and keeps each chain's state in its SHA-NI registers for every round
-//!   (0.17 ms for one h^3000 chain, 2.8–3.1 ms for 16, same host).  AVX is
+//!   (0.17 ms for one h^3000 chain, 2.5–2.9 ms for 16, same host).  AVX is
 //!   needed only for the `vzeroupper` that keeps the legacy-SSE `sha256*`
 //!   instructions clear of the ~100× SSE/AVX transition penalty;
-//! * elsewhere, the portable loop over [`LANES`] lanes that LLVM
-//!   auto-vectorizes (1.2–1.3 ms for one chain, ~0.28 ms per chain in a
-//!   full batch, same host, `x86-64-v3` build).
+//! * elsewhere, and for salts of any other length on every CPU, the
+//!   portable loop over [`LANES`] lanes that LLVM auto-vectorizes (1.2–1.3
+//!   ms for one chain, ~0.28 ms per chain in a full batch, same host,
+//!   `x86-64-v3` build).
 //!
 //! The one `unsafe` block in the crate holds the calls into the AVX-512
 //! and SHA-NI target-feature code, each reachable only under the token

@@ -5,7 +5,8 @@
 //! username, the click list, the salt and the struct around them), each
 //! with its own allocator overhead.  [`PackedAccount`] serializes the
 //! whole record into one boxed byte slice and decodes it again on read,
-//! so a resident account costs its bytes plus one allocation header.
+//! so a resident account costs its bytes plus one allocation header.  The
+//! salt is not stored but derived from the name again ([`account_salt`]).
 //!
 //! The same bytes are the account's only serialized form.  A WAL
 //! `Enroll`/`Update` payload and a snapshot record are an op byte followed
@@ -16,14 +17,13 @@
 //! # Layout
 //!
 //! ```text
-//! packed  := name config policy clicks iterations salt digest
+//! packed  := name config policy clicks iterations digest
 //! name    := len:varint  utf8-bytes                (first, so ordering reads only it)
 //! config  := 0 tolerance_px:varint
 //!          | 1 r:f64  (0 first-safe | 1 most-centered)
 //!          | 2 square_size:f64
 //! policy  := width:varint height:varint clicks:varint (0 | 1 min_separation:f64)
 //! clicks  := count:varint  GridId::write_into bytes*  (each self-delimiting)
-//! salt    := len:varint bytes
 //! digest  := 32 bytes
 //! ```
 //!
@@ -45,8 +45,9 @@
 use crate::config::DiscretizationConfig;
 use crate::policy::PasswordPolicy;
 use crate::stored::{ClickRecord, StoredPassword};
+use crate::system::GraphicalPasswordSystem;
 use crate::wal::fnv1a64;
-use gp_crypto::{Digest, PasswordHash, DIGEST_LEN};
+use gp_crypto::{Digest, PasswordHash, PasswordHasher, DIGEST_LEN};
 use gp_discretization::{GridId, GridSelectionPolicy};
 use gp_geometry::ImageDims;
 use std::borrow::Borrow;
@@ -69,7 +70,6 @@ impl PackedAccount {
     pub(crate) fn pack_into(record: &StoredPassword, out: &mut Vec<u8>) {
         out.reserve(
             64 + record.username.len()
-                + record.hash.salt.len()
                 + record
                     .clicks
                     .iter()
@@ -111,7 +111,6 @@ impl PackedAccount {
             click.grid_id.write_into(out);
         }
         put_varint(out, u64::from(record.hash.iterations));
-        put_bytes(out, &record.hash.salt);
         out.extend_from_slice(&record.hash.digest);
     }
 
@@ -296,21 +295,25 @@ fn read(bytes: &[u8]) -> StoredPassword {
         })
         .collect();
     let iterations = r.varint() as u32;
-    let salt = r.bytes().to_vec();
     let mut digest: Digest = [0; DIGEST_LEN];
     let stored = r.take(DIGEST_LEN);
     digest[..stored.len()].copy_from_slice(stored);
     StoredPassword {
-        username,
         config,
         policy,
         clicks,
         hash: PasswordHash {
-            salt,
+            salt: account_salt(&username),
             iterations,
             digest,
         },
+        username,
     }
+}
+
+/// The salt of a store account: [`GraphicalPasswordSystem`]'s, by name.
+pub(crate) fn account_salt(username: &str) -> Vec<u8> {
+    PasswordHasher::salt_in(GraphicalPasswordSystem::HASH_DOMAIN, username.as_bytes())
 }
 
 /// Forward cursor over packed bytes.  Past the end it yields empty slices
@@ -462,22 +465,18 @@ mod tests {
             (any::<bool>(), 0.0f64..50.0),
             proptest::collection::vec((any::<u8>(), -1e6f64..1e6, -1e6f64..1e6), 1..12),
             any::<u32>(),
-            proptest::collection::vec(any::<u8>(), 0..=80),
             proptest::collection::vec(any::<u8>(), 32),
         )
             .prop_map(
-                |(
-                    name,
-                    config,
-                    (width, height),
-                    separation,
-                    grid_ids,
-                    iterations,
-                    salt,
-                    digest,
-                )| {
+                |(name, config, (width, height), separation, grid_ids, iterations, digest)| {
+                    let username = name_from(&name);
                     StoredPassword {
-                        username: name_from(&name),
+                        hash: PasswordHash {
+                            salt: account_salt(&username),
+                            iterations,
+                            digest: digest.try_into().unwrap(),
+                        },
+                        username,
                         config: config_from(config.0, config.1, config.2, config.3),
                         policy: PasswordPolicy {
                             image: ImageDims { width, height },
@@ -490,11 +489,6 @@ mod tests {
                                 grid_id: grid_id_from(v, dx, dy),
                             })
                             .collect(),
-                        hash: PasswordHash {
-                            salt,
-                            iterations,
-                            digest: digest.try_into().unwrap(),
-                        },
                     }
                 },
             )
@@ -552,8 +546,8 @@ mod tests {
         }
 
         /// `unpack(pack(r)) == r` exactly, across every configuration
-        /// variant, both separation settings, salts of 0–300 bytes and
-        /// multi-byte names up to the protocol's length cap.
+        /// variant, both separation settings and multi-byte names up to the
+        /// protocol's length cap, the salt derived from the name.
         #[test]
         fn pack_round_trips_exactly(
             name in proptest::collection::vec(0usize..64, 1..300),
@@ -564,11 +558,16 @@ mod tests {
             separation in (any::<bool>(), 0.0f64..50.0),
             grid_ids in proptest::collection::vec((any::<u8>(), any::<f64>(), any::<f64>()), 0..12),
             iterations in any::<u32>(),
-            salt in proptest::collection::vec(any::<u8>(), 0..=300),
             digest in proptest::collection::vec(any::<u8>(), 32),
         ) {
+            let username = name_from(&name);
             let record = StoredPassword {
-                username: name_from(&name),
+                hash: PasswordHash {
+                    salt: account_salt(&username),
+                    iterations,
+                    digest: digest.try_into().unwrap(),
+                },
+                username,
                 config: config_from(config.0, config.1, config.2, config.3),
                 policy: PasswordPolicy {
                     image: ImageDims { width, height },
@@ -579,11 +578,6 @@ mod tests {
                     .iter()
                     .map(|&(v, dx, dy)| ClickRecord { grid_id: grid_id_from(v, dx, dy) })
                     .collect(),
-                hash: PasswordHash {
-                    salt,
-                    iterations,
-                    digest: digest.try_into().unwrap(),
-                },
             };
             let packed = PackedAccount::pack(&record);
             prop_assert_eq!(packed.name(), record.username.as_str());
@@ -682,15 +676,16 @@ mod tests {
 
     #[test]
     fn study_shaped_account_packs_small() {
-        // Five Centered clicks, the study policy, a 21-byte salt and h^3000:
-        // the shape of the serving benchmark's seed accounts.  Packed, it
-        // is 156 bytes (the 85 bytes of clear grid identifiers and the
-        // 32-byte digest are most of that), and must stay under 160.
+        // Five Centered clicks, the study policy and h^3000: the shape of
+        // the serving benchmark's seed accounts.  Packed, it is 134 bytes
+        // (the 85 bytes of clear grid identifiers and the 32-byte digest
+        // are most of that; the 64-byte salt is derived, not stored), and
+        // must stay under 140.
         let record = study_account("u0042");
-        assert_eq!(record.hash.salt.len(), 21);
+        assert_eq!(record.hash.salt.len(), 64);
         let packed = PackedAccount::pack(&record);
         assert!(
-            packed.packed_len() < 160,
+            packed.packed_len() < 140,
             "packed study account is {} bytes",
             packed.packed_len()
         );

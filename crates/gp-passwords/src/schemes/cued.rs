@@ -51,7 +51,7 @@ pub struct CuedClickPoints {
 
 impl CuedClickPoints {
     /// Domain-separation label for CCP hashes.
-    pub const HASH_DOMAIN: &'static str = "gp-passwords/ccp/v1";
+    pub const HASH_DOMAIN: &'static str = "gp-passwords/ccp/v2";
 
     /// Create a CCP system with a portfolio of `portfolio_size` images of
     /// identical dimensions.

@@ -52,7 +52,7 @@
 
 use crate::error::PasswordError;
 use crate::lockdep::{LockClass, OrderedMutex, OrderedRwLock};
-use crate::resident::PackedAccount;
+use crate::resident::{account_salt, PackedAccount};
 use crate::stored::StoredPassword;
 use crate::system::GraphicalPasswordSystem;
 use crate::wal::{
@@ -188,11 +188,10 @@ pub fn diff_range_entries(primary: &[(String, u64)], backup: &[(String, u64)]) -
 ///
 /// Accounts are resident in their packed form ([`PackedAccount`]: one
 /// allocation per record, ordered by name) and decoded on read.  No
-/// per-salt hashing state is cached: [`SaltedHasher::new`] runs zero
-/// compressions for salts under 64 bytes (every salt this crate's
-/// [`GraphicalPasswordSystem`] builds for names under 48 bytes), so
-/// [`ShardedPasswordStore::get_cached`] builds it on demand for the price
-/// of a copy.
+/// per-salt hashing state is cached: decoding derives the one-block salt
+/// from the name and [`SaltedHasher::new`] absorbs it, so
+/// [`ShardedPasswordStore::get_cached`] builds it for about two
+/// compressions.
 #[derive(Debug)]
 struct Shard {
     accounts: OrderedRwLock<BTreeSet<PackedAccount>>,
@@ -534,12 +533,17 @@ impl ShardedPasswordStore {
     }
 
     /// The body of [`ShardedPasswordStore::insert_new`] (flushed) and
-    /// [`ShardedPasswordStore::insert_new_deferred`] (`staged`).
+    /// [`ShardedPasswordStore::insert_new_deferred`] (`staged`).  The packed
+    /// form keeps no salt, so any salt but the name's is corrupt.
     fn insert_enrolled(
         &self,
         stored: StoredPassword,
         staged: bool,
     ) -> Result<usize, PasswordError> {
+        if stored.hash.salt != account_salt(&stored.username) {
+            let reason = format!("{:?}: the salt is not its name's", stored.username);
+            return Err(PasswordError::CorruptRecord { reason });
+        }
         let index = shard_index(&stored.username, self.shards.len());
         let entry = WalEntry::Enroll(stored);
         self.log_and_apply(index, &entry, &entry.to_payload(), staged, |accounts| {
@@ -712,8 +716,8 @@ impl ShardedPasswordStore {
 
     /// Fetch a copy of an account's stored record together with its
     /// per-salt hashing state, ready for the batched verify path.  The
-    /// hasher is built after the shard lock is released; for salts under
-    /// 64 bytes that is a copy, not a compression.
+    /// salt is derived from the name and the hasher built after the shard
+    /// lock is released: about two compressions in all.
     pub fn get_cached(&self, username: &str) -> Option<(StoredPassword, SaltedHasher)> {
         let stored = self.get(username)?;
         let hasher = SaltedHasher::new(&stored.hash.salt);
@@ -1027,6 +1031,7 @@ mod tests {
     use super::*;
     use crate::config::DiscretizationConfig;
     use crate::policy::PasswordPolicy;
+    use gp_crypto::PasswordHasher;
 
     fn system() -> GraphicalPasswordSystem {
         GraphicalPasswordSystem::new(
@@ -1118,6 +1123,43 @@ mod tests {
             store.enroll(&sys, "alice", &clicks(1.0)),
             Err(PasswordError::DuplicateAccount { .. })
         ));
+    }
+
+    #[test]
+    fn insert_with_a_foreign_salt_is_refused_and_not_logged() {
+        // The packed record derives its salt from the name, so a record
+        // under any other salt (another user's, another domain's, the old
+        // raw `domain || 0x1f || name` form) could not round-trip.
+        let dir = temp_dir("foreign-salt");
+        let store =
+            ShardedPasswordStore::open_durable(&dir, 2, DurabilityOptions::default()).unwrap();
+        let sys = system();
+        let alice = sys.enroll("alice", &clicks(0.0)).unwrap();
+        let foreign_salts = [
+            sys.hasher().salt_for(b"bob"),
+            PasswordHasher::new("gp-passwords/ccp/v2", 1).salt_for(b"alice"),
+            b"gp-passwords/v1\x1falice".to_vec(),
+        ];
+        for salt in foreign_salts {
+            let mut grafted = alice.clone();
+            grafted.hash.salt = salt;
+            for deferred in [false, true] {
+                let result = match deferred {
+                    false => store.insert_new(grafted.clone()),
+                    true => store.insert_new_deferred(grafted.clone()).map(drop),
+                };
+                assert!(
+                    matches!(result, Err(PasswordError::CorruptRecord { .. })),
+                    "{result:?}"
+                );
+            }
+        }
+        assert!(store.get("alice").is_none());
+        assert_eq!(store.durability_stats().unwrap().wal_appends, 0);
+        store.insert_new(alice.clone()).unwrap();
+        assert_eq!(store.get("alice"), Some(alice));
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1660,9 +1702,11 @@ mod tests {
         let template = sys.enroll("template", &clicks(0.0)).unwrap();
         let total = 3 * RENDER_BATCH + 7;
         let records: Vec<StoredPassword> = (0..total)
-            .map(|i| StoredPassword {
-                username: format!("user{i:05}"),
-                ..template.clone()
+            .map(|i| {
+                let mut record = template.clone();
+                record.username = format!("user{i:05}");
+                record.hash.salt = sys.hasher().salt_for(record.username.as_bytes());
+                record
             })
             .collect();
         let store = std::sync::Arc::new(

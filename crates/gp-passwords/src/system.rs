@@ -73,7 +73,7 @@ pub struct GraphicalPasswordSystem {
 
 impl GraphicalPasswordSystem {
     /// Domain-separation label mixed into every password hash.
-    pub const HASH_DOMAIN: &'static str = "gp-passwords/v1";
+    pub const HASH_DOMAIN: &'static str = "gp-passwords/v2";
 
     /// Create a system with an explicit policy, discretization configuration
     /// and hash iteration count.
@@ -286,13 +286,13 @@ impl GraphicalPasswordSystem {
     }
 
     /// Whether `stored` was hashed with this system's parameters: same
-    /// iteration count and a salt that is exactly `domain || 0x1f || user`.
-    /// Checked without materializing the expected salt.  A mismatch means
-    /// the record can never verify under this system (`Ok(false)` from the
-    /// verify paths), but is not a structural error.
+    /// iteration count and the salt this system's hasher derives for the
+    /// user.  A mismatch means the record can never verify under this
+    /// system (`Ok(false)` from the verify paths), but is not a structural
+    /// error.
     pub fn provenance_matches(&self, stored: &StoredPassword) -> bool {
         stored.hash.iterations == self.hasher.iterations
-            && salt_matches(&self.hasher, stored.username.as_bytes(), &stored.hash.salt)
+            && stored.hash.salt == self.hasher.salt_for(stored.username.as_bytes())
     }
 
     /// Phase 1 of a split verification: validate and discretize the
@@ -328,16 +328,6 @@ impl GraphicalPasswordSystem {
     pub fn finish_verify(&self, stored: &StoredPassword, candidate: &gp_crypto::Digest) -> bool {
         ct_eq(candidate, &stored.hash.digest)
     }
-}
-
-/// Whether `salt` is exactly `domain || 0x1f || user_id`, checked without
-/// materializing the expected salt.
-fn salt_matches(hasher: &PasswordHasher, user_id: &[u8], salt: &[u8]) -> bool {
-    let domain = hasher.domain.as_bytes();
-    salt.len() == domain.len() + 1 + user_id.len()
-        && salt[..domain.len()] == *domain
-        && salt[domain.len()] == 0x1f
-        && salt[domain.len() + 1..] == *user_id
 }
 
 #[cfg(test)]
@@ -610,21 +600,6 @@ mod tests {
         assert!(system.verify(&finished, &clicks()).unwrap());
         // Policy violations surface at prepare time.
         assert!(system.prepare_enroll("bob", &clicks()[..2]).is_err());
-    }
-
-    #[test]
-    fn salt_matches_agrees_with_materialized_salt() {
-        let hasher = PasswordHasher::new("dom", 3);
-        for user in [&b"alice"[..], b"", b"a\x1fb"] {
-            let salt = hasher.salt_for(user);
-            assert!(salt_matches(&hasher, user, &salt));
-            assert!(!salt_matches(&hasher, b"other", &salt));
-        }
-        assert!(!salt_matches(
-            &PasswordHasher::new("dom2", 3),
-            b"alice",
-            &PasswordHasher::new("dom", 3).salt_for(b"alice")
-        ));
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!
 //! ```text
 //! file   := MAGIC record*
-//! MAGIC  := "GP-WAL2\n"                      (8 bytes)
+//! MAGIC  := "GP-WAL3\n"                      (8 bytes)
 //! record := len:u32be  check:u64be  payload  (len = payload length)
 //! payload:= op:u8  data                      (checksum = FNV-1a 64 of payload)
 //! op     := 1 enroll | 2 update | 3 remove
@@ -34,8 +34,9 @@
 //! A snapshot is the same file holding one `update` record per account,
 //! in name order, read back through [`ShardWal::replay`].  The replication
 //! stream carries the payloads verbatim.  Files of another format (the
-//! `GP-WAL1` log, the `# gp-passwords store v1` text snapshot) are refused
-//! by their magic.
+//! `GP-WAL1` log, the `# gp-passwords store v1` text snapshot, the
+//! `GP-WAL2` log whose packed accounts stored their salt) are refused by
+//! their magic.
 //!
 //! The log has a single appender (the owning shard, under its lock)
 //! writing strictly forward, so a checksum/length violation on the
@@ -57,7 +58,7 @@ use std::io::{BufReader, Read, Seek, Write};
 use std::path::{Path, PathBuf};
 
 /// File magic at the start of every WAL (8 bytes, versioned).
-pub const WAL_MAGIC: &[u8; 8] = b"GP-WAL2\n";
+pub const WAL_MAGIC: &[u8; 8] = b"GP-WAL3\n";
 
 /// Per-record header size: `u32` payload length + `u64` checksum.
 const RECORD_HEADER: usize = 4 + 8;
@@ -400,7 +401,7 @@ impl ShardWal {
             });
         }
         if record != WAL_MAGIC {
-            return Err(corrupt(path, "bad magic: not a GP-WAL2 record file"));
+            return Err(corrupt(path, "bad magic: not a GP-WAL3 record file"));
         }
         let mut replayed = 0;
         let mut at = WAL_MAGIC.len();
@@ -712,11 +713,13 @@ mod tests {
     #[test]
     fn bad_magic_and_undecodable_payloads_are_errors_not_torn_tails() {
         let dir = temp_dir("corrupt");
-        // Another format, and both files of the old text-record format:
-        // refused by their magic, never misparsed.
+        // Another format, both files of the old text-record format and
+        // the salt-storing packed format: refused by their magic, never
+        // misparsed.
         for (name, bytes) in [
             ("m.wal", &b"NOTAWAL!record-bytes"[..]),
             ("v1.wal", b"GP-WAL1\n\0\0\0\x05\0\0\0\0\0\0\0\0\x03alice"),
+            ("v2.wal", b"GP-WAL2\n\0\0\0\x05\0\0\0\0\0\0\0\0\x03alice"),
             (
                 "v1.pwd",
                 b"# gp-passwords store v1 (shard 0/1)\nalice\tcentered:9\n",

@@ -40,9 +40,10 @@ fn clicks(seed: u32) -> Vec<Point> {
         .collect()
 }
 
-/// Enroll a record for `name`.  Each call draws a fresh random salt, so
-/// two records for the same name have different bytes — which is exactly
-/// the "same account, diverged contents" case repair must handle.
+/// Enroll a record for `name`.  The salt is a function of the name, but
+/// the clicks follow `seed`, so two records for the same name under
+/// different seeds have different grid identifiers and digests — which is
+/// exactly the "same account, diverged contents" case repair must handle.
 fn record(sys: &GraphicalPasswordSystem, name: &str, seed: u32) -> StoredPassword {
     sys.enroll(name, &clicks(seed)).expect("enroll")
 }
@@ -74,7 +75,7 @@ enum Perturbation {
     None,
     /// B is missing record `i`.
     Missing(usize),
-    /// B holds a different record (fresh salt) for account `i`'s name.
+    /// B holds a different record (other clicks) for account `i`'s name.
     Diverged(usize),
     /// B holds one extra account A doesn't have.
     Extra,

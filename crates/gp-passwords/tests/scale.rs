@@ -1,5 +1,6 @@
-//! Store costs at 10^6 accounts: snapshot save, durable reopen, the
-//! anti-entropy range scans and the WAL record size.  Reported, not gated.
+//! Store costs at 10^6 accounts: resident bytes, snapshot save, durable
+//! reopen, the anti-entropy range scans and the WAL record size.
+//! Reported, not gated.
 //!
 //! Ignored by default (it builds a million accounts and writes them to
 //! disk); run it in release:
@@ -16,14 +17,30 @@ use std::time::Instant;
 const ACCOUNTS: usize = 1_000_000;
 const SHARDS: usize = 4;
 
-/// The `i`th study-shaped account: five Centered clicks, the study policy,
-/// a 21-byte salt and h^3000, with a distinct name and digest.  Cloned
-/// from one enrolled template, so building a million costs no hashing.
-fn account(template: &StoredPassword, i: usize) -> StoredPassword {
+/// The `i`th study-shaped account: five Centered clicks, the study policy
+/// and h^3000, with a distinct name, the 64-byte salt `system` derives
+/// from it, and a distinct digest.  Cloned from one enrolled template, so
+/// building a million costs one salt derivation each and no iterated
+/// hashing.
+fn account(
+    system: &GraphicalPasswordSystem,
+    template: &StoredPassword,
+    i: usize,
+) -> StoredPassword {
     let mut record = template.clone();
     record.username = format!("u{i:07}");
+    record.hash.salt = system.hasher().salt_for(record.username.as_bytes());
     record.hash.digest[..8].copy_from_slice(&(i as u64).to_le_bytes());
     record
+}
+
+/// This process's resident set in bytes, from `/proc/self/statm` (4 KiB
+/// pages); 0 where that file does not exist.
+fn resident_bytes() -> u64 {
+    std::fs::read_to_string("/proc/self/statm")
+        .ok()
+        .and_then(|statm| statm.split_whitespace().nth(1)?.parse::<u64>().ok())
+        .map_or(0, |pages| pages * 4096)
 }
 
 fn seconds(start: Instant) -> f64 {
@@ -52,17 +69,19 @@ fn million_account_store_costs() {
         ShardedPasswordStore::open_durable(&wal_dir, SHARDS, DurabilityOptions::default()).unwrap();
     let empty = durable.durability_stats().unwrap().wal_bytes;
     for i in 0..sample {
-        durable.insert_new(account(&template, i)).unwrap();
+        durable.insert_new(account(&system, &template, i)).unwrap();
     }
     let wal_bytes = durable.durability_stats().unwrap().wal_bytes - empty;
     drop(durable);
 
     let store = ShardedPasswordStore::new(SHARDS);
+    let resident_before = resident_bytes();
     let start = Instant::now();
     for i in 0..ACCOUNTS {
-        store.insert_new(account(&template, i)).unwrap();
+        store.insert_new(account(&system, &template, i)).unwrap();
     }
     let build_s = seconds(start);
+    let resident = resident_bytes().saturating_sub(resident_before);
 
     let snap_dir = dir.join("snapshots");
     let start = Instant::now();
@@ -92,6 +111,10 @@ fn million_account_store_costs() {
 
     println!("scale: {ACCOUNTS} study-shaped accounts, {SHARDS} shards");
     println!("  build (insert_new)       {build_s:8.3} s");
+    println!(
+        "  resident bytes/account   {:8.1}",
+        resident as f64 / ACCOUNTS as f64
+    );
     println!("  save_to_dir              {save_s:8.3} s");
     println!("  open_durable             {open_s:8.3} s");
     println!(
