@@ -11,11 +11,18 @@
 //! corruption (and a convenient hook for the fault-injection tests), not an
 //! authentication tag — the threat model for confidentiality/authenticity
 //! of the channel is out of scope here, as it is in the paper.
+//!
+//! `TcpLink` (crate private) carries frames over a TCP stream with
+//! deadline-bounded reads; both ends of replication use it through
+//! `FrameLink`.
 
 use crate::error::NetAuthError;
+use crate::server::WRITE_TIMEOUT;
 use bytes::Bytes;
 use gp_crypto::Sha256;
-use std::io::{Read, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// Protocol version carried in every frame.
 pub const PROTOCOL_VERSION: u8 = 1;
@@ -205,6 +212,96 @@ impl<R: Read> FrameReader<std::io::BufReader<R>> {
             return true;
         }
         buf.len() >= 5 + len + 4
+    }
+}
+
+/// One frame connection as either end uses it: frames queue until
+/// [`FrameLink::flush`], and a read waits no later than a deadline.  The
+/// replication protocol ([`crate::replication`]) talks through nothing
+/// else, so a test can put an in-memory network in place of [`TcpLink`],
+/// the only implementation outside tests, and choose the fate of every
+/// frame.
+pub(crate) trait FrameLink: Send + std::fmt::Debug {
+    /// Queue one frame carrying `payload`.
+    fn send(&mut self, payload: &[u8]) -> Result<(), NetAuthError>;
+    /// Write every queued frame.
+    fn flush(&mut self) -> Result<(), NetAuthError>;
+    /// The next frame's payload, or `TimedOut` once `deadline` passes.
+    fn recv_by(&mut self, deadline: Instant) -> Result<Bytes, NetAuthError>;
+}
+
+/// A read re-arms the socket's read timeout only when the deadline has
+/// moved further than this from it, so a serving loop polling on a fixed
+/// tick pays no `setsockopt` per frame.  A read overshoots its deadline by
+/// at most this much.
+const REARM_SLACK: Duration = Duration::from_millis(1);
+
+/// The [`FrameLink`] over a TCP stream: buffered frame writes, resumable
+/// frame reads.
+#[derive(Debug)]
+pub(crate) struct TcpLink {
+    reader: FrameReader<BufReader<TcpStream>>,
+    writer: FrameWriter<BufWriter<TcpStream>>,
+    /// The socket's read timeout as last set.
+    read_timeout: Option<Duration>,
+}
+
+impl TcpLink {
+    /// Wrap a connected stream.
+    pub(crate) fn new(stream: TcpStream) -> Result<Self, NetAuthError> {
+        stream.set_nodelay(true)?;
+        // A peer that stops reading must not pin this end (and with it a
+        // listener's shutdown) in a blocked write.
+        stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
+        Ok(Self {
+            reader: FrameReader::new(BufReader::new(stream.try_clone()?)),
+            writer: FrameWriter::new(BufWriter::new(stream)),
+            read_timeout: None,
+        })
+    }
+}
+
+impl FrameLink for TcpLink {
+    fn send(&mut self, payload: &[u8]) -> Result<(), NetAuthError> {
+        self.writer.write_frame_buffered(payload)
+    }
+
+    fn flush(&mut self) -> Result<(), NetAuthError> {
+        self.writer.flush()
+    }
+
+    fn recv_by(&mut self, deadline: Instant) -> Result<Bytes, NetAuthError> {
+        loop {
+            // A frame already buffered is read without touching the socket.
+            if !self.reader.frame_buffered() {
+                let remaining = deadline.saturating_duration_since(Instant::now());
+                if remaining.is_zero() {
+                    return Err(NetAuthError::Io(std::io::Error::new(
+                        std::io::ErrorKind::TimedOut,
+                        "timed out waiting for a replication frame",
+                    )));
+                }
+                if self
+                    .read_timeout
+                    .is_none_or(|armed| armed.abs_diff(remaining) > REARM_SLACK)
+                {
+                    self.reader
+                        .get_mut()
+                        .get_ref()
+                        .set_read_timeout(Some(remaining))?;
+                    self.read_timeout = Some(remaining);
+                }
+            }
+            match self.reader.read_frame() {
+                // The frame reader keeps a partial frame: read on.
+                Err(NetAuthError::Io(e))
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ) => {}
+                read => return read,
+            }
+        }
     }
 }
 

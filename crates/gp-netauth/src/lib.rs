@@ -44,7 +44,9 @@
 //! * [`replication`] — WAL-streaming replication between nodes: each
 //!   enrollment's WAL record is streamed to the account's backup node
 //!   (chosen on a consistent-hash ring) and acknowledged to the client
-//!   only after the backup's durable apply.  Each peer connection is
+//!   only after the backup's durable apply.  The replica side is one
+//!   transport-free function from a message to its replies; the listener
+//!   threads only move frames.  Each peer connection is
 //!   request/response on the sending thread: a group is pipelined and
 //!   its acks read back on the same socket.  Failure handling is
 //!   crash-only: a peer whose stream dies twice is evicted from the ring
@@ -93,6 +95,8 @@
 
 pub mod client;
 pub mod cluster;
+#[cfg(test)]
+mod cluster_explorer;
 pub mod error;
 pub mod framing;
 pub mod lockout;

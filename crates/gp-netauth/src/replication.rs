@@ -30,18 +30,24 @@
 //! PullRequest    { usernames }                stream me these records (repair pull)
 //! ```
 //!
-//! Every outbound connection is one request/response `PeerConn` driven
-//! by the calling thread.  `seq` numbers records per connection; the
-//! sender pipelines a group, flushes once, and reads the acks back on
-//! the same socket under the peer lock.  The listener applies and acks
-//! in stream order, so the ack for the group's last `seq` proves the
-//! whole group is durable on the backup.
+//! The replica side is one transport-free function, `serve_message`: it
+//! takes one decoded message and the store and returns the replies in
+//! order.  A listener connection thread only reads a frame, calls it, and
+//! writes the replies with one flush.  Every outbound connection is one
+//! request/response `PeerConn` driven by the calling thread.  Both ends
+//! talk through a `FrameLink` (queue frames, flush, receive by a
+//! deadline), whose only implementation outside tests is `TcpLink`.
+//! `seq` numbers records per connection; the sender pipelines a group,
+//! flushes once, and reads the acks back on the same connection under
+//! the peer lock.  The listener applies and acks in stream order, so the
+//! ack for the group's last `seq` proves the whole group is durable on
+//! the backup.
 //!
 //! Failure handling is crash-only: a send failure is retried once on a
 //! fresh connection (transient drop), after which the peer is declared
 //! dead and removed from the sender's ring — the next successor (or, with
 //! no live peer left, local-only operation) takes over.  A dead peer that
-//! restarts is re-admitted with [`Replicator::revive`].
+//! restarts is re-admitted with [`Replicator::update_peer`].
 //!
 //! # Catch-up and anti-entropy
 //!
@@ -70,19 +76,16 @@
 //! Repair counters surface in [`ReplicationStats`].
 
 use crate::error::NetAuthError;
-use crate::framing::{FrameReader, FrameWriter};
+use crate::framing::{FrameLink, TcpLink};
 use crate::protocol::MAX_USERNAME_LEN;
-use crate::server::{SHUTDOWN_POLL, WRITE_TIMEOUT};
+use crate::server::SHUTDOWN_POLL;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gp_passwords::wal::WalEntry;
-use gp_passwords::{
-    diff_range_entries, HashRing, RangeDigest, ShardedPasswordStore, StoredPassword,
-};
+use gp_passwords::{diff_range_entries, HashRing, RangeDigest, ShardedPasswordStore};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -431,38 +434,56 @@ pub trait ReplicationSink: Send + Sync + std::fmt::Debug {
 }
 
 // ---------------------------------------------------------------------------
+// Transport
+// ---------------------------------------------------------------------------
+
+/// Opens a [`FrameLink`] to a peer's replication listener.
+pub(crate) trait Dial: Send + Sync + std::fmt::Debug {
+    /// Connect to `peer`, listening at `addr`, within `timeout`.
+    fn dial(
+        &self,
+        peer: &str,
+        addr: SocketAddr,
+        timeout: Duration,
+    ) -> Result<Box<dyn FrameLink>, NetAuthError>;
+}
+
+#[derive(Debug)]
+struct TcpDial;
+
+impl Dial for TcpDial {
+    fn dial(
+        &self,
+        _peer: &str,
+        addr: SocketAddr,
+        timeout: Duration,
+    ) -> Result<Box<dyn FrameLink>, NetAuthError> {
+        let stream = TcpStream::connect_timeout(&addr, timeout)?;
+        Ok(Box::new(TcpLink::new(stream)?))
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Listener (replica side)
 // ---------------------------------------------------------------------------
 
 /// Handle to a running replication listener.
 ///
-/// The listener accepts connections from peer primaries and applies every
-/// [`ReplicaMessage::Record`] to the node's own durable store before
-/// acking.  Dropping the handle shuts the listener down.
+/// The listener accepts connections from peer primaries and answers each
+/// message with the replica function: every [`ReplicaMessage::Record`] is
+/// applied to the node's own durable store before it is acked.  Dropping
+/// the handle shuts the listener down.
 #[derive(Debug)]
 pub struct ReplicationHandle {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     accept_join: Option<std::thread::JoinHandle<()>>,
-    applied: Arc<AtomicU64>,
-    served: Arc<AtomicU64>,
 }
 
 impl ReplicationHandle {
     /// Address peers should stream records to.
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Number of records applied to the local store so far.
-    pub fn applied(&self) -> u64 {
-        self.applied.load(Ordering::Relaxed)
-    }
-
-    /// Number of records streamed *out* to repairing or catching-up peers
-    /// (answers to pull requests).
-    pub fn served(&self) -> u64 {
-        self.served.load(Ordering::Relaxed)
     }
 
     /// Stop accepting and applying.  Connection threads notice within one
@@ -494,14 +515,10 @@ pub fn spawn_replication_listener(
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
     let shutdown = Arc::new(AtomicBool::new(false));
-    let applied = Arc::new(AtomicU64::new(0));
-    let served = Arc::new(AtomicU64::new(0));
     let node_id = node_id.to_string();
 
     let accept_join = {
         let shutdown = Arc::clone(&shutdown);
-        let applied = Arc::clone(&applied);
-        let served = Arc::clone(&served);
         std::thread::Builder::new()
             .name(format!("repl-accept-{node_id}"))
             .spawn(move || {
@@ -520,16 +537,12 @@ pub fn spawn_replication_listener(
                             }
                             let store = Arc::clone(&store);
                             let shutdown = Arc::clone(&shutdown);
-                            let applied = Arc::clone(&applied);
-                            let served = Arc::clone(&served);
                             let node_id = node_id.clone();
                             if let Ok(join) = std::thread::Builder::new()
                                 .name(format!("repl-conn-{node_id}"))
                                 .spawn(move || {
                                     // Any error ends this connection only.
-                                    let _ = serve_replica_conn(
-                                        stream, &node_id, &store, &shutdown, &applied, &served,
-                                    );
+                                    let _ = serve_replica_conn(stream, &node_id, &store, &shutdown);
                                 })
                             {
                                 conn_joins.push(join);
@@ -552,8 +565,6 @@ pub fn spawn_replication_listener(
         addr,
         shutdown,
         accept_join: Some(accept_join),
-        applied,
-        served,
     })
 }
 
@@ -568,134 +579,126 @@ fn pair_range<'a>(
     move |key: &str| ring.replica_pair(key) == Some((primary, Some(backup)))
 }
 
-/// One inbound replication connection: handshake, then apply-and-ack
-/// records (and serve digest, range and pull requests) until the peer
+/// One inbound replication connection: read a frame, answer it with
+/// [`serve_message`], write the replies and flush once, until the peer
 /// hangs up, breaks the protocol, or shutdown is requested.
 fn serve_replica_conn(
     stream: TcpStream,
     node_id: &str,
     store: &ShardedPasswordStore,
     shutdown: &AtomicBool,
-    applied: &AtomicU64,
-    served: &AtomicU64,
 ) -> Result<(), NetAuthError> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(SHUTDOWN_POLL))?;
-    // A peer that stops reading a reply stream must not pin this thread
-    // (and with it `ReplicationHandle::shutdown`) in a blocked write.
-    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
-    let mut reader = FrameReader::new(BufReader::new(stream.try_clone()?));
-    let mut writer = FrameWriter::new(BufWriter::new(stream));
-
+    let mut link = TcpLink::new(stream)?;
     let mut greeted = false;
     while !shutdown.load(Ordering::SeqCst) {
-        let frame = match reader.read_frame() {
+        let frame = match link.recv_by(Instant::now() + SHUTDOWN_POLL) {
             Ok(frame) => frame,
-            Err(NetAuthError::Io(e))
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue;
-            }
+            Err(NetAuthError::Io(e)) if e.kind() == std::io::ErrorKind::TimedOut => continue,
             Err(e) => return Err(e),
         };
-        match ReplicaMessage::decode(frame)? {
-            ReplicaMessage::Hello { .. } if !greeted => {
-                greeted = true;
-                let reply = ReplicaMessage::HelloOk {
-                    node_id: node_id.to_string(),
-                };
-                writer.write_frame(&reply.encode())?;
+        let message = ReplicaMessage::decode(frame)?;
+        for reply in serve_message(node_id, store, &mut greeted, message)? {
+            // A shutdown mid-stream (the fault harness killing this node)
+            // stops with the replies half-sent: a pull stream then lacks
+            // its `CatchupDone`, and the requester's idempotent replay
+            // makes its retry safe.
+            if shutdown.load(Ordering::SeqCst) {
+                return Ok(());
             }
-            ReplicaMessage::Record { seq, payload } if greeted => {
-                // Checked decode, then a durable (WAL-first) apply of these
-                // very bytes *before* the ack leaves: an acked record
-                // survives this node crashing right after.
-                store.apply_replicated(&payload)?;
-                applied.fetch_add(1, Ordering::Relaxed);
-                writer.write_frame(&ReplicaMessage::Ack { seq }.encode())?;
-            }
-            ReplicaMessage::DigestRequest {
-                primary,
-                backup,
-                members,
-            } if greeted => {
-                let ring = HashRing::with_nodes(&members);
-                let digest = store.range_digest(pair_range(&ring, &primary, &backup));
-                let reply = ReplicaMessage::DigestReply {
-                    count: digest.count,
-                    sum: digest.sum,
-                    xor: digest.xor,
-                };
-                writer.write_frame(&reply.encode())?;
-            }
-            ReplicaMessage::RangeRequest {
-                primary,
-                backup,
-                members,
-            } if greeted => {
-                let ring = HashRing::with_nodes(&members);
-                let entries = store.range_entries(pair_range(&ring, &primary, &backup));
-                for chunk in entries.chunks(SYNC_CHUNK) {
-                    if shutdown.load(Ordering::SeqCst) {
-                        return Ok(());
-                    }
-                    let reply = ReplicaMessage::RangeReply {
-                        done: false,
-                        entries: chunk.to_vec(),
-                    };
-                    writer.write_frame_buffered(&reply.encode())?;
-                }
-                let last = ReplicaMessage::RangeReply {
-                    done: true,
-                    entries: Vec::new(),
-                };
-                writer.write_frame(&last.encode())?;
-            }
-            ReplicaMessage::PullRequest { usernames } if greeted => {
-                // An absent account is skipped, not an error: the
-                // requester diffed against a snapshot and the record may
-                // have been removed since.
-                let records = usernames.iter().filter_map(|name| store.get(name));
-                stream_records(&mut writer, records, shutdown, served)?;
-            }
-            // Hello out of order, HelloOk/Ack from a sender, or a record
-            // before the handshake: protocol violation, drop the conn.
-            _ => return Err(malformed("unexpected replication message")),
+            link.send(&reply.encode())?;
         }
+        link.flush()?;
     }
     Ok(())
 }
 
-/// Answer a `PullRequest`: one `Record` frame per record, then a
-/// `CatchupDone` carrying their count.  A shutdown
-/// mid-stream (the fault harness killing this node) stops with the stream
-/// half-sent and no `CatchupDone` — the requester's idempotent replay
-/// makes its retry safe.
-fn stream_records(
-    writer: &mut FrameWriter<BufWriter<TcpStream>>,
-    records: impl IntoIterator<Item = StoredPassword>,
-    shutdown: &AtomicBool,
-    served: &AtomicU64,
-) -> Result<(), NetAuthError> {
-    let mut count = 0u64;
-    for record in records {
-        if shutdown.load(Ordering::SeqCst) {
-            return Ok(());
+/// The replica side of the protocol: what node `node_id` does with one
+/// message a peer sent it, returned as the replies to send, in order.
+/// `greeted` is the connection's handshake state.
+///
+/// * `Hello` (first message only) → `HelloOk`.
+/// * `Record` → a checked, durable (WAL-first) apply of these very bytes,
+///   then `Ack`: an acked record survives this node crashing right after.
+/// * `DigestRequest` → the range's `DigestReply`.
+/// * `RangeRequest` → the range's `(name, record hash)` listing in
+///   [`SYNC_CHUNK`]-entry `RangeReply`s, then an empty final one.
+/// * `PullRequest` → one `Record` per named account held here, then
+///   `CatchupDone` with their count.  An absent account is skipped, not an
+///   error: the requester diffed against a snapshot, and the record may
+///   have been removed since.
+///
+/// Anything else (`Hello` out of order, `HelloOk`/`Ack` from a sender, a
+/// request before the handshake) is a protocol violation: the caller
+/// drops the connection.
+pub(crate) fn serve_message(
+    node_id: &str,
+    store: &ShardedPasswordStore,
+    greeted: &mut bool,
+    message: ReplicaMessage,
+) -> Result<Vec<ReplicaMessage>, NetAuthError> {
+    let replies = match message {
+        ReplicaMessage::Hello { .. } if !*greeted => {
+            *greeted = true;
+            vec![ReplicaMessage::HelloOk {
+                node_id: node_id.to_string(),
+            }]
         }
-        count += 1;
-        let message = ReplicaMessage::Record {
-            seq: count,
-            payload: WalEntry::Update(record).to_payload(),
-        };
-        writer.write_frame_buffered(&message.encode())?;
-    }
-    // Counted before the `CatchupDone` leaves, so a requester that has
-    // seen it also sees the count.
-    served.fetch_add(count, Ordering::Relaxed);
-    writer.write_frame(&ReplicaMessage::CatchupDone { count }.encode())
+        ReplicaMessage::Record { seq, payload } if *greeted => {
+            store.apply_replicated(&payload)?;
+            vec![ReplicaMessage::Ack { seq }]
+        }
+        ReplicaMessage::DigestRequest {
+            primary,
+            backup,
+            members,
+        } if *greeted => {
+            let ring = HashRing::with_nodes(&members);
+            let digest = store.range_digest(pair_range(&ring, &primary, &backup));
+            vec![ReplicaMessage::DigestReply {
+                count: digest.count,
+                sum: digest.sum,
+                xor: digest.xor,
+            }]
+        }
+        ReplicaMessage::RangeRequest {
+            primary,
+            backup,
+            members,
+        } if *greeted => {
+            let ring = HashRing::with_nodes(&members);
+            let mut entries = store
+                .range_entries(pair_range(&ring, &primary, &backup))
+                .into_iter();
+            let mut replies = Vec::new();
+            loop {
+                let chunk: Vec<(String, u64)> = entries.by_ref().take(SYNC_CHUNK).collect();
+                let done = chunk.is_empty();
+                replies.push(ReplicaMessage::RangeReply {
+                    done,
+                    entries: chunk,
+                });
+                if done {
+                    break replies;
+                }
+            }
+        }
+        ReplicaMessage::PullRequest { usernames } if *greeted => {
+            let mut replies: Vec<ReplicaMessage> = usernames
+                .iter()
+                .filter_map(|name| store.get(name))
+                .zip(1..)
+                .map(|(record, seq)| ReplicaMessage::Record {
+                    seq,
+                    payload: WalEntry::Update(record).to_payload(),
+                })
+                .collect();
+            let count = replies.len() as u64;
+            replies.push(ReplicaMessage::CatchupDone { count });
+            replies
+        }
+        _ => return Err(malformed("unexpected replication message")),
+    };
+    Ok(replies)
 }
 
 // ---------------------------------------------------------------------------
@@ -732,8 +735,7 @@ impl Default for ReplicatorConfig {
 /// stream and the repair rounds (anti-entropy and catch-up) both use it.
 #[derive(Debug)]
 struct PeerConn {
-    reader: FrameReader<BufReader<TcpStream>>,
-    writer: FrameWriter<BufWriter<TcpStream>>,
+    link: Box<dyn FrameLink>,
     /// Bound on each reply ([`PeerConn::recv`]) and on a record group's
     /// acks ([`PeerConn::send_group`]).
     io_timeout: Duration,
@@ -742,20 +744,15 @@ struct PeerConn {
 }
 
 impl PeerConn {
-    /// Connect, handshake (`Hello` / `HelloOk`), and return the ready
-    /// connection.
+    /// Handshake (`Hello` / `HelloOk`) on a fresh `link` and return the
+    /// ready connection.
     fn open(
         self_id: &str,
-        addr: SocketAddr,
-        connect_timeout: Duration,
+        link: Box<dyn FrameLink>,
         io_timeout: Duration,
     ) -> Result<Self, NetAuthError> {
-        let stream = TcpStream::connect_timeout(&addr, connect_timeout)?;
-        stream.set_nodelay(true)?;
-        stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
         let mut conn = Self {
-            reader: FrameReader::new(BufReader::new(stream.try_clone()?)),
-            writer: FrameWriter::new(BufWriter::new(stream)),
+            link,
             io_timeout,
             last_seq: 0,
         };
@@ -769,7 +766,8 @@ impl PeerConn {
     }
 
     fn send(&mut self, message: &ReplicaMessage) -> Result<(), NetAuthError> {
-        self.writer.write_frame(&message.encode())
+        self.link.send(&message.encode())?;
+        self.link.flush()
     }
 
     /// Read the next message, waiting at most `io_timeout`.
@@ -780,18 +778,7 @@ impl PeerConn {
     /// Read the next message, failing with `TimedOut` once `deadline`
     /// passes.
     fn recv_by(&mut self, deadline: Instant) -> Result<ReplicaMessage, NetAuthError> {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return Err(NetAuthError::Io(std::io::Error::new(
-                std::io::ErrorKind::TimedOut,
-                "timed out waiting for a replication reply",
-            )));
-        }
-        self.reader
-            .get_mut()
-            .get_ref()
-            .set_read_timeout(Some(remaining))?;
-        ReplicaMessage::decode(self.reader.read_frame()?)
+        ReplicaMessage::decode(self.link.recv_by(deadline)?)
     }
 
     /// Pipeline `payloads` as `Record` frames, flush once, then read acks
@@ -806,9 +793,9 @@ impl PeerConn {
                 seq: self.last_seq,
                 payload: payload.as_ref().to_vec(),
             };
-            self.writer.write_frame_buffered(&message.encode())?;
+            self.link.send(&message.encode())?;
         }
-        self.writer.flush()?;
+        self.link.flush()?;
         let deadline = Instant::now() + self.io_timeout;
         while acked < self.last_seq {
             match self.recv_by(deadline)? {
@@ -850,18 +837,6 @@ struct PeerState {
     conn: Mutex<Option<PeerConn>>,
 }
 
-/// Internal atomic counters behind [`ReplicationStats`].
-#[derive(Debug, Default)]
-struct SyncCounters {
-    records_replicated: AtomicU64,
-    anti_entropy_rounds: AtomicU64,
-    ranges_checked: AtomicU64,
-    ranges_divergent: AtomicU64,
-    records_pushed: AtomicU64,
-    records_pulled: AtomicU64,
-    sync_failures: AtomicU64,
-}
-
 /// Snapshot of a [`Replicator`]'s replication and repair counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplicationStats {
@@ -895,7 +870,8 @@ pub struct Replicator {
     config: ReplicatorConfig,
     ring: Mutex<HashRing>,
     peers: BTreeMap<String, PeerState>,
-    counters: SyncCounters,
+    stats: Mutex<ReplicationStats>,
+    dial: Box<dyn Dial>,
 }
 
 impl Replicator {
@@ -905,6 +881,16 @@ impl Replicator {
         node_id: &str,
         peers: BTreeMap<String, SocketAddr>,
         config: ReplicatorConfig,
+    ) -> Self {
+        Self::with_dial(node_id, peers, config, Box::new(TcpDial))
+    }
+
+    /// [`Replicator::new`] over another transport.
+    pub(crate) fn with_dial(
+        node_id: &str,
+        peers: BTreeMap<String, SocketAddr>,
+        config: ReplicatorConfig,
+        dial: Box<dyn Dial>,
     ) -> Self {
         let mut ring = HashRing::with_nodes(peers.keys());
         ring.join(node_id);
@@ -924,21 +910,14 @@ impl Replicator {
                     )
                 })
                 .collect(),
-            counters: SyncCounters::default(),
+            stats: Mutex::default(),
+            dial,
         }
     }
 
     /// Snapshot of the replication and anti-entropy repair counters.
     pub fn replication_stats(&self) -> ReplicationStats {
-        ReplicationStats {
-            records_replicated: self.counters.records_replicated.load(Ordering::Relaxed),
-            anti_entropy_rounds: self.counters.anti_entropy_rounds.load(Ordering::Relaxed),
-            ranges_checked: self.counters.ranges_checked.load(Ordering::Relaxed),
-            ranges_divergent: self.counters.ranges_divergent.load(Ordering::Relaxed),
-            records_pushed: self.counters.records_pushed.load(Ordering::Relaxed),
-            records_pulled: self.counters.records_pulled.load(Ordering::Relaxed),
-            sync_failures: self.counters.sync_failures.load(Ordering::Relaxed),
-        }
+        *self.stats.lock()
     }
 
     /// This node's ID.
@@ -951,14 +930,9 @@ impl Replicator {
         self.ring.lock().contains(node)
     }
 
-    /// Re-admit a previously dead peer (e.g. after an operator restarts
-    /// it); the ring is deterministic, so its old key ranges come back.
-    pub fn revive(&self, node: &str) -> bool {
-        self.peers.contains_key(node) && self.ring.lock().join(node)
-    }
-
     /// Point `node` at a new replication address (a restarted node binds a
-    /// fresh ephemeral port) and re-admit it to the ring.  Returns whether
+    /// fresh ephemeral port) and re-admit it to the ring; the ring is
+    /// deterministic, so its old key ranges come back.  Returns whether
     /// the node was known.
     pub fn update_peer(&self, node: &str, addr: SocketAddr) -> bool {
         let Some(peer) = self.peers.get(node) else {
@@ -978,26 +952,22 @@ impl Replicator {
         }
     }
 
-    /// Connect and handshake to `peer`'s current address.
-    fn connect(&self, peer: &PeerState) -> Result<PeerConn, NetAuthError> {
-        let addr = *peer.addr.lock();
-        PeerConn::open(
-            &self.node_id,
-            addr,
-            self.config.connect_timeout,
-            self.config.ack_timeout,
-        )
+    /// Connect and handshake to peer `id`'s current address.
+    fn connect(&self, id: &str) -> Result<PeerConn, NetAuthError> {
+        let addr = *self.peers[id].addr.lock();
+        let link = self.dial.dial(id, addr, self.config.connect_timeout)?;
+        PeerConn::open(&self.node_id, link, self.config.ack_timeout)
     }
 
     /// One grouped send attempt: [`PeerConn::send_group`] on `peer`'s
     /// connection (opened if needed), under the peer lock, so concurrent
     /// senders to one peer take turns.  A failed attempt drops the
     /// connection; the next attempt starts on a fresh one.
-    fn send_group_once(&self, peer: &PeerState, payloads: &[&[u8]]) -> Result<(), NetAuthError> {
-        let mut guard = peer.conn.lock();
+    fn send_group_once(&self, id: &str, payloads: &[&[u8]]) -> Result<(), NetAuthError> {
+        let mut guard = self.peers[id].conn.lock();
         let conn = match &mut *guard {
             Some(conn) => conn,
-            slot => slot.insert(self.connect(peer)?),
+            slot => slot.insert(self.connect(id)?),
         };
         let sent = conn.send_group(payloads);
         if sent.is_err() {
@@ -1071,27 +1041,18 @@ impl Replicator {
                     Err(_) => {
                         // The peer's other range would fail the same way.
                         round.failed_peers.push(peer_id.clone());
-                        self.counters.sync_failures.fetch_add(1, Ordering::Relaxed);
+                        self.stats.lock().sync_failures += 1;
                         break;
                     }
                 }
             }
         }
-        self.counters
-            .anti_entropy_rounds
-            .fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .ranges_checked
-            .fetch_add(round.ranges_checked, Ordering::Relaxed);
-        self.counters
-            .ranges_divergent
-            .fetch_add(round.ranges_divergent, Ordering::Relaxed);
-        self.counters
-            .records_pushed
-            .fetch_add(round.records_pushed, Ordering::Relaxed);
-        self.counters
-            .records_pulled
-            .fetch_add(round.records_pulled, Ordering::Relaxed);
+        let mut stats = self.stats.lock();
+        stats.anti_entropy_rounds += 1;
+        stats.ranges_checked += round.ranges_checked;
+        stats.ranges_divergent += round.ranges_divergent;
+        stats.records_pushed += round.records_pushed;
+        stats.records_pulled += round.records_pulled;
         round
     }
 
@@ -1115,7 +1076,7 @@ impl Replicator {
         let local = store.range_digest(&range);
         // A connection of its own: a repair exchange must not hold up the
         // live stream's peer lock.
-        let mut conn = self.connect(&self.peers[peer])?;
+        let mut conn = self.connect(peer)?;
         conn.send(&ReplicaMessage::DigestRequest {
             primary: primary.to_string(),
             backup: backup.to_string(),
@@ -1289,7 +1250,7 @@ impl ReplicationSink for Replicator {
             }
             let mut still_pending = Vec::new();
             for (target, indices) in groups {
-                let Some(peer) = self.peers.get(&target) else {
+                if !self.peers.contains_key(&target) {
                     // A ring member without a peer entry can only come
                     // from a stale ring view: evict it and re-route these
                     // entries on the next pass rather than bringing the
@@ -1297,14 +1258,12 @@ impl ReplicationSink for Replicator {
                     self.ring.lock().leave(&target);
                     still_pending.extend(indices);
                     continue;
-                };
+                }
                 let batch: Vec<&[u8]> = indices.iter().map(|&i| payloads[i].as_slice()).collect();
-                if self.send_group_once(peer, &batch).is_ok()
-                    || self.send_group_once(peer, &batch).is_ok()
+                if self.send_group_once(&target, &batch).is_ok()
+                    || self.send_group_once(&target, &batch).is_ok()
                 {
-                    self.counters
-                        .records_replicated
-                        .fetch_add(batch.len() as u64, Ordering::Relaxed);
+                    self.stats.lock().records_replicated += batch.len() as u64;
                     continue;
                 }
                 self.ring.lock().leave(&target);
@@ -1323,6 +1282,7 @@ impl ReplicationSink for Replicator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framing::FrameWriter;
     use gp_geometry::Point;
     use gp_passwords::prelude::*;
     use gp_passwords::DurabilityOptions;
@@ -1408,6 +1368,95 @@ mod tests {
         }
     }
 
+    /// A replica store of 300 accounts and the scripted session of the
+    /// golden-frame test: the handshake, three pipelined records, a
+    /// digest and a listing of the `(node-a → node-b)` range (about 150
+    /// entries: two chunks), and a pull naming one absent account.
+    fn golden_session() -> (Arc<ShardedPasswordStore>, Vec<ReplicaMessage>) {
+        let sys = system();
+        let store = peer_store(&sys, 300);
+        let members: Vec<String> = vec!["node-a".into(), "node-b".into()];
+        let mut session = vec![ReplicaMessage::Hello {
+            node_id: "node-b".into(),
+        }];
+        for (seq, i) in (1..=3u64).zip(300..303u32) {
+            let record = sys.enroll(&format!("user{i}"), &clicks(i)).unwrap();
+            let payload = WalEntry::Enroll(record).to_payload();
+            session.push(ReplicaMessage::Record { seq, payload });
+        }
+        session.push(ReplicaMessage::DigestRequest {
+            primary: "node-a".into(),
+            backup: "node-b".into(),
+            members: members.clone(),
+        });
+        session.push(ReplicaMessage::RangeRequest {
+            primary: "node-a".into(),
+            backup: "node-b".into(),
+            members,
+        });
+        session.push(ReplicaMessage::PullRequest {
+            usernames: vec!["user7".into(), "nobody".into(), "user301".into()],
+        });
+        (store, session)
+    }
+
+    /// The frames a replica sends for [`golden_session`], captured from
+    /// the thread-per-connection listener's socket before its loop was
+    /// split into [`serve_message`]: `HelloOk`, three `Ack`s, a
+    /// `DigestReply`, three `RangeReply`s, two `Record`s and
+    /// `CatchupDone { count: 2 }`.
+    const GOLDEN_REPLIES: &[u8] = include_bytes!("../tests/data/replica_session.golden");
+
+    fn framed(replies: impl IntoIterator<Item = ReplicaMessage>) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        let mut writer = FrameWriter::new(&mut bytes);
+        for reply in replies {
+            writer.write_frame_buffered(&reply.encode()).unwrap();
+        }
+        bytes
+    }
+
+    /// The replica function answers the scripted session with the golden
+    /// bytes: no reply, order or `CatchupDone` count may change.
+    #[test]
+    fn replica_function_replies_match_the_golden_frames() {
+        let (store, session) = golden_session();
+        let mut greeted = false;
+        let replies: Vec<ReplicaMessage> = session
+            .into_iter()
+            .flat_map(|message| serve_message("node-a", &store, &mut greeted, message).unwrap())
+            .collect();
+        let tags: Vec<u8> = replies.iter().map(|reply| reply.encode()[0]).collect();
+        assert_eq!(
+            tags,
+            [0x42, 0x44, 0x44, 0x44, 0x48, 0x4a, 0x4a, 0x4a, 0x43, 0x43, 0x46]
+        );
+        assert!(framed(replies) == GOLDEN_REPLIES, "reply bytes changed");
+    }
+
+    /// The listener sends the same bytes over TCP.
+    #[test]
+    fn listener_replies_match_the_golden_frames() {
+        let (store, session) = golden_session();
+        let mut listener = spawn_replication_listener("node-a", store).unwrap();
+        let stream = TcpStream::connect(listener.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut writer = FrameWriter::new(&stream);
+        for message in &session {
+            writer.write_frame_buffered(&message.encode()).unwrap();
+        }
+        writer.flush().unwrap();
+        let mut reader = crate::framing::FrameReader::new(&stream);
+        let mut replies = Vec::new();
+        while !matches!(replies.last(), Some(ReplicaMessage::CatchupDone { .. })) {
+            replies.push(ReplicaMessage::decode(reader.read_frame().unwrap()).unwrap());
+        }
+        assert!(framed(replies) == GOLDEN_REPLIES, "reply bytes changed");
+        listener.shutdown();
+    }
+
     fn system() -> GraphicalPasswordSystem {
         GraphicalPasswordSystem::new(
             PasswordPolicy::study_default(),
@@ -1455,7 +1504,7 @@ mod tests {
             let record = sys.enroll(&format!("user{i}"), &clicks(i)).unwrap();
             replicator.replicate(&WalEntry::Enroll(record)).unwrap();
         }
-        assert_eq!(listener.applied(), 8);
+        assert_eq!(store.len(), 8);
         // Redelivery is harmless (insert-or-replace).
         let record = sys.enroll("user0", &clicks(0)).unwrap();
         replicator.replicate(&WalEntry::Enroll(record)).unwrap();
@@ -1494,7 +1543,7 @@ mod tests {
             primary.insert_new(record.clone()).unwrap();
             replicator.replicate(&WalEntry::Enroll(record)).unwrap();
         }
-        assert_eq!(listener.applied(), 8);
+        assert_eq!(backup.len(), 8);
         listener.shutdown();
         let wal = |dir: &std::path::Path| std::fs::read(dir.join("shard-000.wal")).unwrap();
         let primary_wal = wal(&primary_dir);
@@ -1521,10 +1570,14 @@ mod tests {
         let record = sys.enroll("alice", &clicks(1)).unwrap();
         replicator.replicate(&WalEntry::Enroll(record)).unwrap();
         assert!(!replicator.is_live("backup"), "two failures evict the peer");
-        // Revive readmits it (and the next send would reconnect).
-        assert!(replicator.revive("backup"));
+        // update_peer readmits it (and the next send would reconnect).
+        assert!(replicator.update_peer("backup", dead_addr));
         assert!(replicator.is_live("backup"));
-        assert!(!replicator.revive("unknown"), "unknown nodes stay out");
+        assert!(
+            !replicator.update_peer("unknown", dead_addr),
+            "unknown nodes stay out"
+        );
+        assert!(!replicator.is_live("unknown"));
     }
 
     /// Dropping the outbound connection mid-stream is transparent: the
@@ -1580,7 +1633,6 @@ mod tests {
         assert_eq!(report.records_pulled, 32);
         assert_eq!(report.records_pushed, 0);
         assert_eq!(joiner_store.len(), 32);
-        assert_eq!(listener.served(), 32);
         for i in 0..32u32 {
             assert!(joiner_store
                 .verify(&sys, &format!("user{i}"), &clicks(i))
@@ -1623,9 +1675,8 @@ mod tests {
         let report = joiner.catch_up(&joiner_store);
         assert!(report.failed_peers.is_empty(), "{report:?}");
         assert_eq!(report.ranges_divergent, 2, "{report:?}");
-        assert_eq!(report.records_pulled, 4, "{report:?}");
+        assert_eq!(report.records_pulled, 4, "only the missing records stream");
         assert_eq!(report.records_pushed, 0, "{report:?}");
-        assert_eq!(listener.served(), 4, "only the missing records stream");
         assert_eq!(
             joiner_store.range_digest(|_| true),
             peer_store.range_digest(|_| true)
@@ -1657,7 +1708,7 @@ mod tests {
         let repeat = joiner.catch_up(&joiner_store);
         assert!(repeat.failed_peers.is_empty(), "{repeat:?}");
         assert_eq!(repeat.ranges_divergent, 0, "{repeat:?}");
-        assert_eq!(listener.served(), 11);
+        assert_eq!(repeat.records_pulled, 0, "{repeat:?}");
         listener.shutdown();
     }
 

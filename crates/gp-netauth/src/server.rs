@@ -549,7 +549,8 @@ impl AuthServer {
     ///
     /// The job carries the account's per-salt hashing state
     /// ([`ShardedPasswordStore::get_cached`]), built from the record on
-    /// lookup; for salts under 64 bytes that is a copy, not a compression.
+    /// lookup: every salt is one 64-byte block, so that costs one
+    /// compression.
     fn prepare_login(
         &self,
         username: String,

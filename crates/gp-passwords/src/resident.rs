@@ -138,7 +138,7 @@ impl PackedAccount {
 
     /// Decode the full record.
     pub(crate) fn unpack(&self) -> StoredPassword {
-        read(&self.0)
+        salted(read(&self.0))
     }
 
     /// Decode packed bytes that come from outside the process.  Errors are
@@ -149,6 +149,14 @@ impl PackedAccount {
     /// discretization parameter the scheme would refuse, a non-finite
     /// Centered offset).
     pub(crate) fn decode(bytes: &[u8]) -> std::io::Result<StoredPassword> {
+        Self::check(bytes).map(salted)
+    }
+
+    /// [`PackedAccount::decode`]'s checks, without deriving the salt (one
+    /// SHA-256): the record comes back with an empty salt.  For callers
+    /// that keep only the checked bytes and the name, as WAL replay and a
+    /// backup's apply do.
+    pub(crate) fn check(bytes: &[u8]) -> std::io::Result<StoredPassword> {
         let record = read(bytes);
         let mut repacked = Vec::with_capacity(bytes.len());
         Self::pack_into(&record, &mut repacked);
@@ -254,9 +262,10 @@ fn semantic_fault(record: &StoredPassword) -> Option<String> {
     }
 }
 
-/// The record in `bytes`, read field by field.  Exact for what
-/// [`PackedAccount::pack_into`] writes, and total (no panic, work bounded
-/// by `bytes.len()`) over anything else.
+/// The record in `bytes`, read field by field, with an empty salt
+/// ([`salted`] derives it).  Exact for what [`PackedAccount::pack_into`]
+/// writes, and total (no panic, work bounded by `bytes.len()`) over
+/// anything else.
 fn read(bytes: &[u8]) -> StoredPassword {
     let mut r = Reader(bytes);
     let username = r.str().to_owned();
@@ -303,12 +312,18 @@ fn read(bytes: &[u8]) -> StoredPassword {
         policy,
         clicks,
         hash: PasswordHash {
-            salt: account_salt(&username),
+            salt: Vec::new(),
             iterations,
             digest,
         },
         username,
     }
+}
+
+/// `record` with its salt, derived from its name.
+fn salted(mut record: StoredPassword) -> StoredPassword {
+    record.hash.salt = account_salt(&record.username);
+    record
 }
 
 /// The salt of a store account: [`GraphicalPasswordSystem`]'s, by name.
@@ -639,7 +654,12 @@ mod tests {
             edit(&mut record);
             let err = decode(&record).expect_err(what);
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
+            assert!(PackedAccount::check(PackedAccount::pack(&record).as_bytes()).is_err());
         }
+        // The check alone accepts the same record and skips only the salt.
+        let unsalted = PackedAccount::check(PackedAccount::pack(&valid).as_bytes()).unwrap();
+        assert!(unsalted.hash.salt.is_empty());
+        assert_eq!(salted(unsalted), valid);
 
         // Byte-level damage to the valid record's packed bytes.
         let bytes = PackedAccount::pack(&valid).as_bytes().to_vec();
@@ -661,6 +681,7 @@ mod tests {
             ("trailing byte", &trailing),
         ] {
             assert!(PackedAccount::decode(damaged).is_err(), "{what}");
+            assert!(PackedAccount::check(damaged).is_err(), "{what}");
         }
 
         // The payload around the record: its op byte and remove names.

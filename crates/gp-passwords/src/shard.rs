@@ -603,8 +603,9 @@ impl ShardedPasswordStore {
     /// one streamed from a replication primary, or a locally built
     /// [`WalEntry::Update`] (bulk loading, migration).
     ///
-    /// The payload passes [`WalEntry::from_payload`]'s checked decode,
-    /// which admits only the canonical bytes `to_payload` writes, so the
+    /// The payload passes [`WalEntry::from_payload`]'s checks, which
+    /// admit only the canonical bytes `to_payload` writes (the salt,
+    /// which nothing here reads, is not derived), so the
     /// bytes logged are the bytes received: the backup's WAL holds its
     /// primary's records bit for bit, and nothing is packed again.  They
     /// are appended to the owning shard's local WAL and fsynced *before*
@@ -616,7 +617,7 @@ impl ShardedPasswordStore {
     /// twice, and redelivery must be idempotent.  A payload that does not
     /// decode is [`PasswordError::CorruptRecord`], and nothing is logged.
     pub fn apply_replicated(&self, payload: &[u8]) -> Result<(), PasswordError> {
-        let entry = WalEntry::from_payload(payload).map_err(|e| PasswordError::CorruptRecord {
+        let entry = WalEntry::checked(payload).map_err(|e| PasswordError::CorruptRecord {
             reason: e.to_string(),
         })?;
         let index = shard_index(entry.username(), self.shards.len());
@@ -681,7 +682,7 @@ impl ShardedPasswordStore {
     /// with no logging (the data is already on disk).  Records re-route by
     /// account hash.
     fn replay_file(&self, path: &Path) -> Result<WalReplay, PasswordError> {
-        ShardWal::replay(path, |entry, payload| {
+        ShardWal::replay_checked(path, |entry, payload| {
             let shard = self.shard_for(entry.username());
             match entry {
                 // The checked payload is the canonical packing: keep it.

@@ -133,13 +133,28 @@ impl WalEntry {
     /// corruption, not a crash artifact, and a peer's payload is input
     /// from outside the process.
     pub fn from_payload(payload: &[u8]) -> std::io::Result<Self> {
+        Self::parse(payload, PackedAccount::decode)
+    }
+
+    /// [`WalEntry::from_payload`]'s checks without deriving the salt: an
+    /// `Enroll`/`Update` record comes back with an empty salt.  For
+    /// callers that keep the checked payload bytes and use the entry only
+    /// for its op and account name.
+    pub(crate) fn checked(payload: &[u8]) -> std::io::Result<Self> {
+        Self::parse(payload, PackedAccount::check)
+    }
+
+    fn parse(
+        payload: &[u8],
+        record: fn(&[u8]) -> std::io::Result<StoredPassword>,
+    ) -> std::io::Result<Self> {
         let invalid = |reason: String| std::io::Error::new(std::io::ErrorKind::InvalidData, reason);
         let (&tag, data) = payload
             .split_first()
             .ok_or_else(|| invalid("empty WAL payload".into()))?;
         match tag {
-            1 => PackedAccount::decode(data).map(WalEntry::Enroll),
-            OP_UPDATE => PackedAccount::decode(data).map(WalEntry::Update),
+            1 => record(data).map(WalEntry::Enroll),
+            OP_UPDATE => record(data).map(WalEntry::Update),
             3 => match std::str::from_utf8(data) {
                 Ok(name) if !name.is_empty() => Ok(WalEntry::Remove(name.to_string())),
                 _ => Err(invalid("empty or non-UTF-8 name in a remove record".into())),
@@ -376,8 +391,23 @@ impl ShardWal {
     /// follows the damage, so it cannot be a tear) is an error —
     /// that is corruption, not a crash artifact.  Entries before the error
     /// have already been applied; callers discard what they built.
-    pub fn replay(
+    pub fn replay(path: &Path, apply: impl FnMut(WalEntry, &[u8])) -> std::io::Result<WalReplay> {
+        Self::replay_with(path, WalEntry::from_payload, apply)
+    }
+
+    /// [`ShardWal::replay`] handing out [`WalEntry::checked`] entries
+    /// (empty salts), for a loader that keeps only each record's payload
+    /// bytes and name.
+    pub(crate) fn replay_checked(
         path: &Path,
+        apply: impl FnMut(WalEntry, &[u8]),
+    ) -> std::io::Result<WalReplay> {
+        Self::replay_with(path, WalEntry::checked, apply)
+    }
+
+    fn replay_with(
+        path: &Path,
+        decode: fn(&[u8]) -> std::io::Result<WalEntry>,
         mut apply: impl FnMut(WalEntry, &[u8]),
     ) -> std::io::Result<WalReplay> {
         let mut reader = match File::open(path) {
@@ -445,7 +475,8 @@ impl ShardWal {
                     torn_bytes: record.len() as u64,
                 });
             };
-            apply(decode_payload(path, payload)?, payload);
+            let entry = decode(payload).map_err(|e| corrupt(path, &e.to_string()))?;
+            apply(entry, payload);
             replayed += 1;
             at += end;
         }
@@ -464,10 +495,6 @@ pub(crate) fn put_record(out: &mut Vec<u8>, payload: &[u8]) {
 /// Append up to `n` more bytes from `reader` to `buf` (fewer at EOF).
 fn read_up_to(reader: &mut impl Read, n: usize, buf: &mut Vec<u8>) -> std::io::Result<()> {
     reader.take(n as u64).read_to_end(buf).map(drop)
-}
-
-fn decode_payload(path: &Path, payload: &[u8]) -> std::io::Result<WalEntry> {
-    WalEntry::from_payload(payload).map_err(|e| corrupt(path, &e.to_string()))
 }
 
 /// The `(payload length, checksum)` header at the start of `bytes`, if
