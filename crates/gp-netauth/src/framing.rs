@@ -12,9 +12,9 @@
 //! authentication tag — the threat model for confidentiality/authenticity
 //! of the channel is out of scope here, as it is in the paper.
 //!
-//! `TcpLink` (crate private) carries frames over a TCP stream with
-//! deadline-bounded reads; both ends of replication use it through
-//! `FrameLink`.
+//! `TcpLink` (crate private) carries a replication requester's frames
+//! over a TCP stream with deadline-bounded reads, through `FrameLink`;
+//! the listener side is served by the reactor.
 
 use crate::error::NetAuthError;
 use crate::server::WRITE_TIMEOUT;
@@ -215,9 +215,9 @@ impl<R: Read> FrameReader<std::io::BufReader<R>> {
     }
 }
 
-/// One frame connection as either end uses it: frames queue until
-/// [`FrameLink::flush`], and a read waits no later than a deadline.  The
-/// replication protocol ([`crate::replication`]) talks through nothing
+/// One frame connection as a replication requester uses it: frames
+/// queue until [`FrameLink::flush`], and a read waits no later than a
+/// deadline.  Requesters ([`crate::replication`]) talk through nothing
 /// else, so a test can put an in-memory network in place of [`TcpLink`],
 /// the only implementation outside tests, and choose the fate of every
 /// frame.
@@ -231,9 +231,9 @@ pub(crate) trait FrameLink: Send + std::fmt::Debug {
 }
 
 /// A read re-arms the socket's read timeout only when the deadline has
-/// moved further than this from it, so a serving loop polling on a fixed
-/// tick pays no `setsockopt` per frame.  A read overshoots its deadline by
-/// at most this much.
+/// moved further than this from it, so a requester reading reply after
+/// reply under one timeout pays no `setsockopt` per frame.  A read
+/// overshoots its deadline by at most this much.
 const REARM_SLACK: Duration = Duration::from_millis(1);
 
 /// The [`FrameLink`] over a TCP stream: buffered frame writes, resumable

@@ -29,11 +29,11 @@
 //!   log *before* the `Enroll` frame is acknowledged, a background
 //!   thread compacts logs into atomic snapshots, and a restart recovers
 //!   snapshots + WAL tails — no acked account is ever lost.
-//! * [`reactor`] (Linux) — the serving path: one `epoll` thread owns
-//!   every connection's nonblocking state machine and a dedicated
-//!   hash-compute pool drains prepared verify jobs, so connection count
-//!   is decoupled from thread count.  There is no other path: off Linux
-//!   [`server::AuthServer::spawn`] returns
+//! * [`reactor`] (Linux) — the one serving path, for both protocols:
+//!   one `epoll` thread owns every connection's nonblocking state machine
+//!   and a fixed pool of compute threads answers the turns it cuts, so
+//!   connection count is decoupled from thread count.  Off Linux
+//!   [`server::AuthServer::spawn`] and the replication listener return
 //!   [`std::io::ErrorKind::Unsupported`].
 //! * [`sys`] (Linux) — the minimal `epoll`/`eventfd` FFI the reactor
 //!   stands on (std already links libc; no crates involved).
@@ -45,8 +45,8 @@
 //!   enrollment's WAL record is streamed to the account's backup node
 //!   (chosen on a consistent-hash ring) and acknowledged to the client
 //!   only after the backup's durable apply.  The replica side is one
-//!   transport-free function from a message to its replies; the listener
-//!   threads only move frames.  Each peer connection is
+//!   transport-free function from a message to its replies, served by a
+//!   second instance of the reactor.  Each peer connection is
 //!   request/response on the sending thread: a group is pipelined and
 //!   its acks read back on the same socket.  Failure handling is
 //!   crash-only: a peer whose stream dies twice is evicted from the ring

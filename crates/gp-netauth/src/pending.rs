@@ -14,12 +14,13 @@ use std::fmt;
 ///
 /// Under group commit an enrollment becomes visible in memory *before*
 /// its WAL record is fsynced, so a login racing it could be acknowledged
-/// against a record a crash would lose.  `AuthServer::prepare_turn`
-/// consults this table so only a login for the *same* account parks until
-/// its enroll's barrier; every other account's traffic keeps flowing
-/// (the per-connection write barrier this replaces split the whole
-/// pipeline at every enrollment).  Nothing ever waits on the table: the
-/// reactor re-drives parked connections after each batch of completions.
+/// against a record a crash would lose.  The client service's turn
+/// cutter (`AuthServer`'s `Service::cut`) consults this table so only a
+/// login for the *same* account parks until its enroll's barrier; every
+/// other account's traffic keeps flowing (the per-connection write
+/// barrier this replaces split the whole pipeline at every enrollment).
+/// Nothing ever waits on the table: the reactor re-drives parked
+/// connections after each batch of completions.
 ///
 /// Entries are reference-counted: concurrent enrollments of one name
 /// (only one can win the duplicate check) each hold the account pending

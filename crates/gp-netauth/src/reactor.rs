@@ -1,75 +1,67 @@
-//! Event-driven serving: an `epoll` reactor plus a dedicated hash-compute
-//! pool.
+//! Event-driven serving: one `epoll` event loop plus a fixed pool of
+//! compute threads, for both of a node's protocols.
 //!
-//! This is the server's only serving path.  Parking one thread on every
-//! connection would let idle or slow clients occupy threads and cap
-//! concurrent-connection capacity near the thread count.  The paper's
-//! verification primitive (`h^1000`) makes serving cost *CPU-bound
-//! hashing*, not I/O — so the reactor splits the two concerns:
+//! Parking a thread on every connection would let idle or slow peers
+//! occupy threads and cap connection capacity near the thread count.
+//! Instead **one event-loop thread** owns every connection as a
+//! nonblocking state machine, multiplexed by level-triggered
+//! [`crate::sys::Epoll`] (an idle connection costs one fd and a few
+//! hundred bytes of buffers), and **compute threads** drain a queue of
+//! turns and post answers back through a registered
+//! [`crate::sys::EventFd`].
 //!
-//! * **One event-loop thread** owns every connection as a nonblocking
-//!   state machine (read → parse → hash-pending → write-backpressure),
-//!   multiplexed by level-triggered [`crate::sys::Epoll`].  Per-connection
-//!   cost while idle is one registered fd and a few hundred bytes of
-//!   buffers — thousands of connections are cheap.
-//! * **A small hash-compute pool** (`ServerConfig::workers` threads)
-//!   drains a queue of prepared turns, merges jobs *across connections*
-//!   until they fill [`gp_crypto::LANES`] lanes, and hashes each merged
-//!   batch in one call (`AuthServer::hash_batch`) — so lane occupancy
-//!   rises with offered load, not with thread count.  The turn queue is
-//!   the only place batches form.  Completions flow back through an
-//!   [`crate::sys::EventFd`] the reactor has registered.
+//! One loop, two services (`Service`): the loop owns accept, framing,
+//! write backpressure, the idle and write-stall sweeps, slot generations
+//! and the turn queue; a service only cuts turns off a connection's
+//! frames and answers them.  Each node runs two instances:
 //!
-//! Per-connection state machine:
+//! * **clients** ([`crate::server::AuthServer::spawn`]): a turn drains up
+//!   to 32 pipelined requests, and the `ServerConfig::workers` hash
+//!   threads merge turns *across connections* until their jobs fill
+//!   [`gp_crypto::LANES`] lanes, so lane occupancy rises with offered
+//!   load, not with thread count;
+//! * **replicas** ([`crate::replication::spawn_replication_listener`]):
+//!   the loop answers the `Hello` handshake and cuts a run of `Record`s
+//!   or one other request per turn, and
+//!   [`crate::replication::REPLICA_COMPUTE_THREADS`] threads answer each
+//!   turn with the replica function, so every WAL append, fsync and
+//!   range scan stays off the loop.  Listings go to the first compute
+//!   thread only (`Service::any_thread`), so scans never hold them all.
 //!
 //! ```text
-//!            EPOLLIN                 jobs.is_empty()
-//!   Idle ──────────────► Reading ────────────────────► settle inline ─┐
-//!    ▲                      │ hash jobs                               │
+//!            EPOLLIN                 answered on the loop
+//!   Idle ──────────────► Reading ────────────────────────► reply now ─┐
+//!    ▲                      │ compute work                            │
 //!    │                      ▼                                         │
-//!    │                HashPending (EPOLLIN off — one turn in flight)  │
+//!    │                TurnPending (EPOLLIN off — one turn in flight)  │
 //!    │                      │ completion via eventfd                  │
 //!    │                      ▼                                         ▼
-//!    └───────────────── responses queued ──► WriteBackpressure (EPOLLOUT
+//!    └───────────────── replies queued ──► WriteBackpressure (EPOLLOUT
 //!        buffer drained                       while bytes pending)
 //! ```
 //!
-//! Correctness notes:
-//!
-//! * **Ordering** — at most one turn per connection is in flight with the
-//!   compute pool, and responses within a turn are settled in pipeline
-//!   order, so replies can never reorder.
+//! * **Ordering** — at most one turn per connection is in flight, and a
+//!   turn's replies are in request order, so replies never reorder.
 //! * **No busy-waiting** — `EPOLLIN` interest is dropped while a turn is
-//!   in flight or the write buffer is over its cap, so level-triggered
-//!   epoll never spins on data we are not ready to read.
+//!   in flight or the write buffer is over its cap.
 //! * **Stale completions** — every slot carries a generation; a completion
-//!   for a connection that died mid-hash is dropped by generation
-//!   mismatch (the lockout side effects were already applied, exactly as
-//!   if the reply were lost in flight).
-//! * **Durability ordering** — settling runs on the compute thread:
-//!   each turn's enrollments stage deferred WAL appends
-//!   (`AuthServer::settle_turn`), and one group-commit barrier
-//!   (`AuthServer::commit_enrolls`) then fsyncs every touched shard
-//!   *once per coalesced batch* — strictly before any completion is
-//!   posted back to the reactor, i.e. before any `EnrollOk` bytes can
-//!   reach the wire.  An acked enrollment is therefore on stable
-//!   storage no matter when the process dies, while `n` concurrent
-//!   enrolls cost one fsync instead of `n`.
-//! * **Per-account barrier** — a login racing an in-flight enroll for
-//!   the *same* account parks (its slot joins `Reactor::parked`) until
-//!   the enroll's group commit lands; logins for other accounts flow
-//!   freely.  Parked slots are re-driven after completions are applied,
-//!   so the wait is one barrier, not a poll interval.
+//!   for a connection that died mid-turn is dropped (its side effects
+//!   stand, exactly as if the reply were lost in flight).
+//! * **Durability ordering** — a compute thread answers a whole batch
+//!   before posting it: client enrollments pass one group-commit barrier
+//!   (one fsync per touched shard), and a replica applies each `Record`
+//!   durably before its `Ack`, so no acknowledgement reaches the wire
+//!   ahead of the write it promises.
+//! * **Per-account barrier** — a client login racing an in-flight enroll
+//!   for the *same* account parks (`Reactor::parked`) until the enroll's
+//!   group commit lands, and is re-driven after completions are applied:
+//!   the wait is one barrier, not a poll interval.
 
 use crate::error::NetAuthError;
-use crate::framing::{FrameReader, FrameWriter, WriteBuffer};
-use crate::server::{
-    AuthServer, HashJob, Planned, ReactorParts, WorkerMetrics, MAX_CONSECUTIVE_PROTOCOL_ERRORS,
-    SHUTDOWN_POLL,
-};
+use crate::framing::{FrameReader, WriteBuffer};
+use crate::server::{Cut, Limits, ReactorParts, Reply, Service, WorkerMetrics, SHUTDOWN_POLL};
 use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use bytes::Bytes;
-use gp_passwords::VerifyScratch;
 use std::collections::VecDeque;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
@@ -84,7 +76,7 @@ const WAKER_TOKEN: u64 = 1;
 /// Connection slot `s` registers with token `s + TOKEN_BASE`.
 const TOKEN_BASE: u64 = 2;
 
-/// Maximum request frames drained from one connection per turn.
+/// Maximum request frames read off one connection per turn.
 const PIPELINE_MAX: usize = 32;
 
 /// Pending response bytes above which a connection stops reading new
@@ -98,50 +90,39 @@ const WRITE_BACKPRESSURE_CAP: usize = 256 * 1024;
 /// timeouts while making the scan cost negligible.
 const SWEEP_INTERVAL: std::time::Duration = std::time::Duration::from_millis(100);
 
-/// One prepared connection turn handed to the hash-compute pool.
-struct Turn {
+/// Where a turn's reply goes, and what follows it.
+struct Ticket {
     slot: usize,
     generation: u64,
-    planned: Vec<Planned>,
-    jobs: Vec<HashJob>,
-    /// Close the connection once this turn's responses are flushed
-    /// (`Quit`, EOF-with-pending-requests, or a protocol-fatal frame).
+    /// Close the connection once the reply is flushed.
     close_after: bool,
+    /// Request frames the turn consumed (its answering thread counts
+    /// them).
+    requests: usize,
 }
 
-/// A settled turn on its way back to the reactor.
-struct Completion {
-    slot: usize,
-    generation: u64,
-    /// Encoded response frames, ready for the connection's write buffer.
-    bytes: Vec<u8>,
-    close_after: bool,
-}
+/// An answered turn on its way back to the event loop.
+type Completion = (Ticket, Reply);
 
-/// Blocking multi-producer multi-consumer queue of prepared turns.
+/// Blocking multi-producer multi-consumer queue of cut turns.
 ///
 /// `pop_coalesced` is where cross-connection batching happens: a compute
-/// worker takes one turn (blocking) and then opportunistically drains more
-/// until it holds at least [`gp_crypto::LANES`] hash jobs, so a deep queue
-/// turns into full 16-lane hash runs instead of sixteen 1-lane ones.
-struct TurnQueue {
-    state: Mutex<TurnQueueState>,
+/// thread takes one turn (blocking) and then opportunistically drains
+/// more until their weight reaches [`Service::BATCH`], so a deep queue
+/// of client turns turns into full 16-lane hash runs instead of sixteen
+/// 1-lane ones.  A thread waits here for as long as there is nothing it
+/// may take; the queue's close (when the event loop ends) releases it.
+struct TurnQueue<T> {
+    state: Mutex<TurnQueueState<T>>,
     available: Condvar,
 }
 
-struct TurnQueueState {
-    turns: VecDeque<Turn>,
+struct TurnQueueState<T> {
+    turns: VecDeque<T>,
     closed: bool,
 }
 
-/// Outcome of a [`TurnQueue::pop_coalesced`] call.
-enum Popped {
-    Turns(Vec<Turn>),
-    TimedOut,
-    Closed,
-}
-
-impl TurnQueue {
+impl<T> TurnQueue<T> {
     fn new() -> Self {
         Self {
             state: Mutex::new(TurnQueueState {
@@ -152,7 +133,9 @@ impl TurnQueue {
         }
     }
 
-    fn push(&self, turn: Turn) {
+    /// Queue `turn`; `wake_all` when only some threads may take it, so
+    /// the wakeup cannot land on one that may not.
+    fn push(&self, turn: T, wake_all: bool) {
         // Poisoning only means another thread panicked while queueing; the
         // queue itself is a plain VecDeque, so keep serving rather than
         // cascading the panic through the reactor.
@@ -162,7 +145,11 @@ impl TurnQueue {
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         state.turns.push_back(turn);
         drop(state);
-        self.available.notify_one();
+        if wake_all {
+            self.available.notify_all();
+        } else {
+            self.available.notify_one();
+        }
     }
 
     fn close(&self) {
@@ -175,44 +162,39 @@ impl TurnQueue {
         self.available.notify_all();
     }
 
-    fn pop_coalesced(&self, timeout: std::time::Duration) -> Popped {
-        let mut state = self
+    /// Wait for a turn `eligible` lets this thread take, then take such
+    /// turns, oldest first, until their weight reaches `batch`; `None`
+    /// once the queue is closed and holds none.
+    fn pop_coalesced(
+        &self,
+        batch: usize,
+        weight: impl Fn(&T) -> usize,
+        eligible: impl Fn(&T) -> bool,
+    ) -> Option<Vec<T>> {
+        let state = self
             .state
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if state.turns.is_empty() {
-            if state.closed {
-                return Popped::Closed;
-            }
-            let (guard, _) = self
-                .available
-                // gp-lint: allow(L7, bounded coalescing nap: an early wake only yields a smaller batch; the reader loop re-polls)
-                .wait_timeout(state, timeout)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            state = guard;
-            if state.turns.is_empty() {
-                return if state.closed {
-                    Popped::Closed
-                } else {
-                    Popped::TimedOut
-                };
-            }
-        }
+        let mut state = self
+            .available
+            .wait_while(state, |s| !s.closed && !s.turns.iter().any(&eligible))
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let mut turns = Vec::new();
-        let mut jobs = 0usize;
-        while jobs < gp_crypto::LANES {
-            let Some(turn) = state.turns.pop_front() else {
+        let mut taken = 0usize;
+        while taken < batch {
+            let at = state.turns.iter().position(&eligible);
+            let Some(turn) = at.and_then(|at| state.turns.remove(at)) else {
                 break;
             };
-            jobs += turn.jobs.len();
+            taken += weight(&turn);
             turns.push(turn);
         }
-        Popped::Turns(turns)
+        (!turns.is_empty()).then_some(turns)
     }
 }
 
 /// One live connection owned by the reactor.
-struct Connection {
+struct Connection<C> {
     /// Resumable frame decoder over a buffered nonblocking stream.  The
     /// buffering amortizes a pipelined turn's reads into one syscall; the
     /// price is that frames can sit in user space where epoll cannot see
@@ -223,8 +205,8 @@ struct Connection {
     fd: RawFd,
     /// Pending (partially written) response bytes.
     out: WriteBuffer,
-    /// Per-connection verify scratch (reused across turns).
-    scratch: VerifyScratch,
+    /// The service's protocol state for this connection.
+    state: C,
     /// Slot generation this connection was created under.
     generation: u64,
     /// Interest mask currently registered with epoll.
@@ -233,25 +215,23 @@ struct Connection {
     turn_in_flight: bool,
     /// Flush remaining bytes, then close.
     closing: bool,
-    /// Frames read off the socket but not yet prepared — `prepare_turn`
-    /// stops at the per-account write barrier (a login racing its own
-    /// account's uncommitted enroll), leaving the rest here for the next
-    /// turn.  `None` marks an integrity failure.
-    pending: std::collections::VecDeque<Option<Bytes>>,
+    /// Frames read off the socket but not yet cut into a turn — a client
+    /// turn stops at the per-account write barrier, and a replica turn at
+    /// its first request that is not a `Record`, leaving the rest here
+    /// for the next turn.  `None` marks an integrity failure.
+    pending: VecDeque<Option<Bytes>>,
     /// The socket hit EOF (or a protocol-fatal error): stop reading and
     /// close once `pending` is processed and the output drains.
     read_eof: bool,
-    /// Streak of undecodable/corrupt frames (resets on a good frame).
-    consecutive_errors: u32,
     /// Last time the peer produced a frame (for the idle sweep).
     last_activity: Instant,
     /// When the pending output last stopped making progress (`None` while
     /// the buffer is draining or empty).  A peer that stops reading is
-    /// closed once it has stalled for `ServerConfig::write_timeout`.
+    /// closed once it has stalled for [`Limits::write_timeout`].
     write_stalled_since: Option<Instant>,
 }
 
-impl Connection {
+impl<C> Connection<C> {
     fn desired_interest(&self) -> u32 {
         let mut events = 0;
         if !self.turn_in_flight && !self.closing && self.out.pending() < WRITE_BACKPRESSURE_CAP {
@@ -268,27 +248,47 @@ impl Connection {
         }
         events
     }
-}
 
-/// What `drive_read` decided after draining a connection's ready frames.
-enum ReadOutcome {
-    /// Nothing actionable (no complete frames yet).
-    Idle,
-    /// The connection is done (EOF/error with no frames left to answer);
-    /// close once any pending output drains.
-    Close,
-    /// Queued frames are ready for a prepare turn.
-    Prepare,
+    /// Top up the frame queue from the socket, up to [`PIPELINE_MAX`].
+    fn read_frames(&mut self) {
+        while self.pending.len() < PIPELINE_MAX {
+            match self.reader.read_frame() {
+                Ok(frame) => self.pending.push_back(Some(frame)),
+                Err(NetAuthError::IntegrityFailure) => self.pending.push_back(None),
+                Err(NetAuthError::Io(e))
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    break;
+                }
+                // EOF, a protocol-fatal frame (bad version, oversized) or
+                // a hard I/O error: answer what we have, then close.
+                Err(_) => {
+                    self.read_eof = true;
+                    break;
+                }
+            }
+        }
+        // Refresh the idle clock only when the peer produced at least one
+        // *complete* frame: a byte-trickling peer (slowloris) must keep
+        // aging toward the idle sweep.
+        if !self.pending.is_empty() {
+            self.last_activity = Instant::now();
+        }
+    }
 }
 
 /// The reactor: owns the epoll instance, the listener and every
 /// connection; runs on its own thread.
-struct Reactor {
-    server: Arc<AuthServer>,
+struct Reactor<S: Service> {
+    service: Arc<S>,
+    limits: Limits,
     epoll: Epoll,
     waker: Arc<EventFd>,
     listener: TcpListener,
-    conns: Vec<Option<Connection>>,
+    conns: Vec<Option<Connection<S::Conn>>>,
     free: Vec<usize>,
     /// Slots freed while the current epoll event batch is being processed.
     /// They move to `free` only once the batch is done: a slot must not be
@@ -299,13 +299,12 @@ struct Reactor {
     /// Per-slot generation, bumped on close to fence stale completions.
     generations: Vec<u64>,
     live: usize,
-    turns: Arc<TurnQueue>,
+    turns: Arc<TurnQueue<(Ticket, S::Work)>>,
     completions: Arc<Mutex<VecDeque<Completion>>>,
-    /// Slots whose next turn opened on a login for an account with an
-    /// in-flight enroll from *another* connection: the frame waits in the
-    /// connection's queue and the slot is re-driven after completions are
-    /// applied (the group commit that clears the account also posts the
-    /// completion that wakes the loop).
+    /// Slots whose next turn parked ([`Cut::Park`]): the frames wait in
+    /// the connection's queue and the slot is re-driven after completions
+    /// are applied (the group commit that clears a client account also
+    /// posts the completion that wakes the loop).
     parked: Vec<(usize, String)>,
     shutdown: Arc<AtomicBool>,
     metrics: Arc<WorkerMetrics>,
@@ -314,13 +313,15 @@ struct Reactor {
     last_sweep: Instant,
 }
 
-/// Spawn the reactor thread and its hash-compute pool for `server` on
+/// Spawn an event loop and its compute threads serving `service` on
 /// `listener`.
-pub(crate) fn spawn_reactor(
-    server: Arc<AuthServer>,
+pub(crate) fn spawn_reactor<S: Service>(
+    service: Arc<S>,
     listener: TcpListener,
-    shutdown: Arc<AtomicBool>,
+    limits: Limits,
 ) -> Result<ReactorParts, NetAuthError> {
+    let addr = listener.local_addr()?;
+    let shutdown = Arc::new(AtomicBool::new(false));
     listener.set_nonblocking(true)?;
     let epoll = Epoll::new()?;
     let waker = Arc::new(EventFd::new()?);
@@ -331,27 +332,26 @@ pub(crate) fn spawn_reactor(
     let completions = Arc::new(Mutex::new(VecDeque::new()));
     let reactor_metrics = Arc::new(WorkerMetrics::default());
     let mut metrics = vec![Arc::clone(&reactor_metrics)];
+    let [loop_name, compute_name] = S::THREADS;
 
-    let compute_count = server.config().workers.max(1);
-    let mut compute_joins = Vec::with_capacity(compute_count);
-    for index in 0..compute_count {
+    let mut compute_joins = Vec::with_capacity(limits.compute_threads);
+    for index in 0..limits.compute_threads {
         let worker_metrics = Arc::new(WorkerMetrics::default());
         metrics.push(Arc::clone(&worker_metrics));
-        let server = Arc::clone(&server);
+        let service = Arc::clone(&service);
         let turns = Arc::clone(&turns);
         let completions = Arc::clone(&completions);
         let waker = Arc::clone(&waker);
-        let shutdown = Arc::clone(&shutdown);
         compute_joins.push(
             std::thread::Builder::new()
-                .name(format!("gp-auth-hash-{index}"))
+                .name(format!("{compute_name}-{index}"))
                 .spawn(move || {
                     compute_loop(
-                        &server,
+                        &*service,
+                        index == 0,
                         &turns,
                         &completions,
                         &waker,
-                        &shutdown,
                         &worker_metrics,
                     )
                 })
@@ -360,7 +360,8 @@ pub(crate) fn spawn_reactor(
     }
 
     let mut reactor = Reactor {
-        server,
+        service,
+        limits,
         epoll,
         waker,
         listener,
@@ -372,109 +373,63 @@ pub(crate) fn spawn_reactor(
         turns,
         completions,
         parked: Vec::new(),
-        shutdown,
+        shutdown: Arc::clone(&shutdown),
         metrics: reactor_metrics,
         last_sweep: Instant::now(),
     };
     let reactor_join = std::thread::Builder::new()
-        .name("gp-auth-reactor".into())
+        .name(loop_name.into())
         .spawn(move || reactor.run())
         .map_err(NetAuthError::Io)?;
+    let mut joins = vec![reactor_join];
+    joins.append(&mut compute_joins);
     Ok(ReactorParts {
-        reactor_join,
-        compute_joins,
+        addr,
+        shutdown,
+        joins,
         metrics,
     })
 }
 
-/// Hash-compute worker: coalesce queued turns, hash the merged batch in
-/// one call, settle in order, post completions.
-fn compute_loop(
-    server: &AuthServer,
-    turns: &TurnQueue,
+/// Compute thread: take coalesced turns, answer them, post completions,
+/// until the queue closes.  Only the `first` thread takes the turns
+/// [`Service::any_thread`] holds back from the rest.
+fn compute_loop<S: Service>(
+    service: &S,
+    first: bool,
+    turns: &TurnQueue<(Ticket, S::Work)>,
     completions: &Mutex<VecDeque<Completion>>,
     waker: &EventFd,
-    shutdown: &AtomicBool,
     metrics: &WorkerMetrics,
 ) {
-    loop {
-        let batch = match turns.pop_coalesced(SHUTDOWN_POLL) {
-            Popped::Turns(batch) => batch,
-            Popped::TimedOut => {
-                if shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-            Popped::Closed => return,
-        };
-
-        // Merge every turn's jobs into one cross-connection batch and hash
-        // it directly on this thread: the turn queue already coalesced, so
-        // distinct compute workers hash distinct batches in parallel.
-        let mut job_counts = Vec::with_capacity(batch.len());
-        let mut all_jobs = Vec::new();
-        let mut merged = batch;
-        for turn in &mut merged {
-            job_counts.push(turn.jobs.len());
-            all_jobs.append(&mut turn.jobs);
-        }
-        let digests = server.hash_batch(&all_jobs);
-
-        let mut offset = 0;
-        let mut settled_turns = Vec::with_capacity(merged.len());
-        let mut turn_meta = Vec::with_capacity(merged.len());
-        for (turn, count) in merged.into_iter().zip(job_counts) {
-            let slice = &digests[offset..offset + count];
-            offset += count;
-            turn_meta.push((turn.slot, turn.generation, turn.close_after));
-            settled_turns.push(server.settle_turn(turn.planned, slice));
-        }
-        // The group-commit barrier for the whole coalesced batch: one
-        // fsync per touched shard (and one grouped replication round)
-        // covers every enrollment settled above, and only then are the
-        // `EnrollOk`s allowed to travel back toward the wire.
-        server.commit_enrolls(&mut settled_turns);
-
-        let mut settled = Vec::with_capacity(settled_turns.len());
-        for (turn, (slot, generation, close_after)) in settled_turns.into_iter().zip(turn_meta) {
+    let weight = |(_, work): &(Ticket, S::Work)| S::weight(work);
+    let eligible = |(_, work): &(Ticket, S::Work)| first || S::any_thread(work);
+    while let Some(batch) = turns.pop_coalesced(S::BATCH, weight, eligible) {
+        let (tickets, work): (Vec<Ticket>, Vec<S::Work>) = batch.into_iter().unzip();
+        let answered = service.answer(work);
+        for ticket in &tickets {
             metrics
                 .requests
-                .fetch_add(turn.responses.len() as u64, Ordering::Relaxed);
-            let mut bytes = Vec::new();
-            let mut encode_failed = false;
-            {
-                let mut writer = FrameWriter::new(&mut bytes);
-                for response in &turn.responses {
-                    // A Vec sink cannot fail, so the only possible error
-                    // is an over-`MAX_FRAME_LEN` response.  Silently
-                    // dropping one response would desync every later
-                    // reply on the connection; deliver the in-order
-                    // prefix and close instead.
-                    if writer.write_frame_buffered(&response.encode()).is_err() {
-                        encode_failed = true;
-                        break;
-                    }
-                }
-            }
-            settled.push(Completion {
-                slot,
-                generation,
-                bytes,
-                close_after: close_after || encode_failed,
-            });
+                .fetch_add(ticket.requests as u64, Ordering::Relaxed);
         }
-        {
-            let mut queue = completions
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            queue.extend(settled);
-        }
+        completions
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .extend(tickets.into_iter().zip(answered));
         waker.signal();
     }
 }
 
-impl Reactor {
+/// However the loop ends, a panic included, close the turn queue: the
+/// compute threads drain it and exit.  Every connection drops with the
+/// reactor (peers see EOF).
+impl<S: Service> Drop for Reactor<S> {
+    fn drop(&mut self) {
+        self.turns.close();
+    }
+}
+
+impl<S: Service> Reactor<S> {
     // gp-lint: reactor-root
     fn run(&mut self) {
         let mut events = vec![EpollEvent::zeroed(); 256];
@@ -506,22 +461,19 @@ impl Reactor {
             // safe to recycle (no stale event can target them anymore).
             self.free.append(&mut self.deferred_free);
         }
-        // Reactor exit: stop the compute pool (after the queue drains) and
-        // drop every connection (peers see EOF).
-        self.turns.close();
     }
 
     /// Accept every pending connection (the listener is level-triggered:
-    /// stop at `WouldBlock`).
+    /// stop at `WouldBlock`).  No accept error ends the loop: the rest
+    /// (`ECONNABORTED`, `EMFILE`, ...) wait for the next readiness.
     fn accept_ready(&mut self) {
         loop {
             let stream = match self.listener.accept() {
                 Ok((stream, _)) => stream,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => break,
             };
-            if self.live >= self.server.config().max_connections.max(1) {
+            if self.live >= self.limits.max_connections {
                 // Over the cap: refuse by immediate close.
                 drop(stream);
                 continue;
@@ -549,14 +501,13 @@ impl Reactor {
                 reader: FrameReader::new(std::io::BufReader::new(stream)),
                 fd,
                 out: WriteBuffer::new(),
-                scratch: VerifyScratch::new(),
+                state: S::Conn::default(),
                 generation: self.generations[slot],
                 interest,
                 turn_in_flight: false,
                 closing: false,
-                pending: std::collections::VecDeque::new(),
+                pending: VecDeque::new(),
                 read_eof: false,
-                consecutive_errors: 0,
                 last_activity: Instant::now(),
                 write_stalled_since: None,
             });
@@ -564,7 +515,6 @@ impl Reactor {
             self.metrics.connections.fetch_add(1, Ordering::Relaxed);
         }
     }
-
     fn connection_event(&mut self, slot: usize, mask: u32) {
         if self.conns.get(slot).is_none_or(|c| c.is_none()) {
             // Stale event for a slot already closed earlier in this batch.
@@ -611,157 +561,64 @@ impl Reactor {
     /// One read turn.  Returns whether another queued or buffered frame is
     /// ready to process immediately.
     fn drive_read_once(&mut self, slot: usize) -> bool {
-        let outcome = {
-            let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
-                return false;
-            };
-            // Top up the frame queue from the socket (unless a previous
-            // turn stopped at a barrier and left frames queued, or the
-            // socket already ended).
-            let had_pending = !conn.pending.is_empty();
-            if !had_pending && !conn.read_eof {
-                while conn.pending.len() < PIPELINE_MAX {
-                    match conn.reader.read_frame() {
-                        Ok(frame) => conn.pending.push_back(Some(frame)),
-                        Err(NetAuthError::IntegrityFailure) => conn.pending.push_back(None),
-                        Err(NetAuthError::UnexpectedEof) => {
-                            conn.read_eof = true;
-                            break;
-                        }
-                        Err(NetAuthError::Io(e))
-                            if matches!(
-                                e.kind(),
-                                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                            ) =>
-                        {
-                            break;
-                        }
-                        // Protocol-fatal (bad version, oversized frame) or
-                        // a hard I/O error: answer what we have, then
-                        // close.
-                        Err(_) => {
-                            conn.read_eof = true;
-                            break;
-                        }
-                    }
-                }
-                // Refresh the idle clock only when the peer produced at
-                // least one *complete* frame: a byte-trickling peer
-                // (slowloris) must keep aging toward the idle sweep.
-                if !conn.pending.is_empty() {
-                    conn.last_activity = Instant::now();
-                }
-            }
-            if conn.pending.is_empty() {
-                if conn.read_eof {
-                    ReadOutcome::Close
-                } else {
-                    ReadOutcome::Idle
-                }
-            } else {
-                ReadOutcome::Prepare
-            }
+        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+            return false;
         };
-
-        match outcome {
-            ReadOutcome::Idle => {
+        // Top up the frame queue from the socket, unless a previous turn
+        // left frames queued or the socket already ended.
+        if conn.pending.is_empty() && !conn.read_eof {
+            conn.read_frames();
+        }
+        if conn.pending.is_empty() {
+            if !conn.read_eof {
+                self.sync_interest(slot);
+            } else if conn.out.is_empty() {
+                self.close_connection(slot);
+            } else {
+                // Deliver what the peer is owed first (it may have
+                // half-closed after sending its requests); the drain or
+                // the write-stall sweep finishes the close.
+                conn.closing = true;
+                self.sync_interest(slot);
+            }
+            return false;
+        }
+        let queued = conn.pending.len();
+        let cut = self
+            .service
+            .cut(&mut conn.pending, &mut conn.state, &self.metrics);
+        let requests = queued - conn.pending.len();
+        // An EOF ends the conversation once no queued frame is left.
+        let eof = conn.read_eof && conn.pending.is_empty();
+        match cut {
+            Cut::Park(key) => {
+                if !self.parked.iter().any(|(s, _)| *s == slot) {
+                    self.parked.push((slot, key));
+                }
                 self.sync_interest(slot);
                 false
             }
-            ReadOutcome::Close => {
-                let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
-                    return false;
-                };
-                if conn.out.is_empty() {
-                    self.close_connection(slot);
-                } else {
-                    // Deliver what the peer is owed first (it may have
-                    // half-closed after sending its requests); the drain
-                    // or the write-stall sweep finishes the close.
-                    conn.closing = true;
-                    self.sync_interest(slot);
-                }
-                false
+            Cut::Now(reply) => {
+                conn.out.queue_bytes(&reply.bytes);
+                conn.closing = reply.close || eof;
+                self.metrics
+                    .requests
+                    .fetch_add(requests as u64, Ordering::Relaxed);
+                self.drive_write(slot);
+                self.frame_ready(slot)
             }
-            ReadOutcome::Prepare => {
-                let server = Arc::clone(&self.server);
-                let (prepared, close_after) = {
-                    let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
-                        return false;
-                    };
-                    let prepared = server.prepare_turn(
-                        &mut conn.pending,
-                        &mut conn.scratch,
-                        &self.metrics,
-                        &mut conn.consecutive_errors,
-                    );
-                    // Close once this turn's responses flush if it ends
-                    // the conversation — but an EOF only counts once no
-                    // queued frames remain to answer.
-                    let close = prepared.quitting
-                        || conn.consecutive_errors >= MAX_CONSECUTIVE_PROTOCOL_ERRORS
-                        || (conn.read_eof && conn.pending.is_empty());
-                    (prepared, close)
+            Cut::Later(work, close) => {
+                conn.turn_in_flight = true;
+                let ticket = Ticket {
+                    slot,
+                    generation: conn.generation,
+                    close_after: close || eof,
+                    requests,
                 };
-                if prepared.planned.is_empty() && prepared.jobs.is_empty() {
-                    if let Some(username) = prepared.parked {
-                        // The turn opened on a login racing another
-                        // connection's uncommitted enroll for the same
-                        // account.  The frame is back at the queue front;
-                        // park the slot until the enroll's group commit
-                        // clears the account (`redrive_parked`).
-                        if !self.parked.iter().any(|(s, _)| *s == slot) {
-                            self.parked.push((slot, username));
-                        }
-                        self.sync_interest(slot);
-                        return false;
-                    }
-                }
-                if prepared.jobs.is_empty() {
-                    // No hashing anywhere in the turn: settle on the
-                    // reactor thread (lockout bookkeeping and encoding
-                    // only — microseconds; everything `h^k`-priced became
-                    // a job above).  The settle path statically reaches the
-                    // WAL group commit, but a turn with zero hash jobs by
-                    // construction carries no enrollment, so the commit
-                    // branch cannot execute here.
-                    // gp-lint: allow(L5, no-hash turns carry no enrolls; commit path unreachable)
-                    let responses = server.settle_responses(prepared.planned, &[]);
-                    self.metrics
-                        .requests
-                        .fetch_add(responses.len() as u64, Ordering::Relaxed);
-                    let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
-                        return false;
-                    };
-                    let mut encode_failed = false;
-                    for response in &responses {
-                        // Same policy as the compute path: an oversized
-                        // response closes the connection after the
-                        // in-order prefix rather than desyncing it.
-                        if conn.out.queue_frame(&response.encode()).is_err() {
-                            encode_failed = true;
-                            break;
-                        }
-                    }
-                    conn.closing = close_after || encode_failed;
-                    self.drive_write(slot);
-                    self.frame_ready(slot)
-                } else {
-                    let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
-                        return false;
-                    };
-                    conn.turn_in_flight = true;
-                    let turn = Turn {
-                        slot,
-                        generation: conn.generation,
-                        planned: prepared.planned,
-                        jobs: prepared.jobs,
-                        close_after,
-                    };
-                    self.sync_interest(slot);
-                    self.turns.push(turn);
-                    false
-                }
+                self.sync_interest(slot);
+                let wake_all = !S::any_thread(&work);
+                self.turns.push((ticket, work), wake_all);
+                false
             }
         }
     }
@@ -818,7 +675,7 @@ impl Reactor {
         }
     }
 
-    /// Apply settled turns from the compute pool to their connections.
+    /// Apply answered turns from the compute pool to their connections.
     fn process_completions(&mut self) {
         let drained: Vec<Completion> = {
             let mut queue = self
@@ -827,26 +684,24 @@ impl Reactor {
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             queue.drain(..).collect()
         };
-        for completion in drained {
-            let Some(Some(conn)) = self.conns.get_mut(completion.slot) else {
+        for (ticket, reply) in drained {
+            let Some(Some(conn)) = self.conns.get_mut(ticket.slot) else {
                 continue;
             };
-            if conn.generation != completion.generation {
+            if conn.generation != ticket.generation {
                 // The connection this turn belonged to is gone; the slot
                 // was recycled.  Drop the bytes.
                 continue;
             }
             conn.turn_in_flight = false;
-            conn.out.queue_bytes(&completion.bytes);
-            if completion.close_after {
-                conn.closing = true;
-            }
-            self.drive_write(completion.slot);
+            conn.out.queue_bytes(&reply.bytes);
+            conn.closing |= ticket.close_after || reply.close;
+            self.drive_write(ticket.slot);
             // The turn's completion re-opens reading; frames that arrived
             // during the turn may be buffered in user space (epoll only
             // sees the kernel buffer).
-            if self.frame_ready(completion.slot) {
-                self.drive_read(completion.slot);
+            if self.frame_ready(ticket.slot) {
+                self.drive_read(ticket.slot);
             }
         }
     }
@@ -865,7 +720,7 @@ impl Reactor {
             if self.conns.get(slot).is_none_or(|c| c.is_none()) {
                 continue; // closed while parked
             }
-            if self.server.pending().is_pending(&username) {
+            if self.service.still_parked(&username) {
                 self.parked.push((slot, username));
                 continue;
             }
@@ -893,17 +748,15 @@ impl Reactor {
 
     /// Drop connections that have been silent past the idle timeout (the
     /// slowloris defense) and connections whose peer has accepted no
-    /// response bytes for `ServerConfig::write_timeout` (without this, a
-    /// peer that stops reading would pin its buffers and a
-    /// `max_connections` slot forever).
+    /// response bytes for the write timeout (without this, a peer that
+    /// stops reading would pin its buffers and a connection slot forever).
     fn sweep_idle(&mut self) {
         let now = Instant::now();
         if now.duration_since(self.last_sweep) < SWEEP_INTERVAL {
             return;
         }
         self.last_sweep = now;
-        let idle_timeout = self.server.config().idle_timeout;
-        let write_timeout = self.server.config().write_timeout;
+        let (idle_timeout, write_timeout) = (self.limits.idle_timeout, self.limits.write_timeout);
         let stale: Vec<usize> = self
             .conns
             .iter()
@@ -943,11 +796,38 @@ impl Reactor {
 mod tests {
     use super::*;
     use crate::client::AuthClient;
+    use crate::framing::FrameWriter;
     use crate::protocol::{ClientMessage, LoginDecision, ServerMessage};
-    use crate::server::ServerConfig;
+    use crate::server::{AuthServer, ServerConfig};
     use gp_geometry::Point;
     use std::io::{Read as _, Write as _};
     use std::time::Duration;
+
+    /// A turn only the first compute thread may take waits for it: the
+    /// others take the turns behind it, and leave once the queue closes.
+    #[test]
+    fn held_back_turns_wait_for_the_first_compute_thread() {
+        let queue = TurnQueue::new();
+        queue.push(("listing", 1), true);
+        queue.push(("record", 1), false);
+        queue.push(("record", 1), false);
+        let weight = |_: &(&str, usize)| 1;
+        let others = |turn: &(&str, usize)| turn.0 == "record";
+        let taken = queue.pop_coalesced(1, weight, others).unwrap();
+        assert_eq!(taken, [("record", 1)]);
+        queue.close();
+        assert_eq!(
+            queue.pop_coalesced(4, weight, others).unwrap(),
+            [("record", 1)]
+        );
+        assert_eq!(queue.pop_coalesced(4, weight, others), None);
+        let first = |_: &(&str, usize)| true;
+        assert_eq!(
+            queue.pop_coalesced(4, weight, first).unwrap(),
+            [("listing", 1)]
+        );
+        assert_eq!(queue.pop_coalesced(4, weight, first), None);
+    }
 
     fn clicks() -> Vec<Point> {
         vec![
@@ -1113,7 +993,7 @@ mod tests {
         // Hold victor's account barrier open, exactly as if his
         // enrollment's group commit were still in flight on another
         // connection.
-        handle.server().pending().begin("victor");
+        handle.server().pending.begin("victor");
 
         let mut racing = std::net::TcpStream::connect(handle.addr()).unwrap();
         racing
@@ -1151,7 +1031,7 @@ mod tests {
         // Lift the barrier: `redrive_parked` re-prepares the slot within
         // one loop wake and the response arrives (Rejected — the account
         // was never actually enrolled in this test).
-        handle.server().pending().end("victor");
+        handle.server().pending.end("victor");
         racing
             .set_read_timeout(Some(Duration::from_secs(5)))
             .unwrap();

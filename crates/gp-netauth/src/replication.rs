@@ -32,11 +32,15 @@
 //!
 //! The replica side is one transport-free function, `serve_message`: it
 //! takes one decoded message and the store and returns the replies in
-//! order.  A listener connection thread only reads a frame, calls it, and
-//! writes the replies with one flush.  Every outbound connection is one
-//! request/response `PeerConn` driven by the calling thread.  Both ends
-//! talk through a `FrameLink` (queue frames, flush, receive by a
-//! deadline), whose only implementation outside tests is `TcpLink`.
+//! order.  The listener is the same event loop that serves clients
+//! ([`crate::reactor`]), running a second service: the loop answers the
+//! `Hello` handshake and cuts each connection's frames into turns — a run
+//! of `Record`s or one other request — and [`REPLICA_COMPUTE_THREADS`]
+//! threads answer each turn with `serve_message`, so no WAL write, fsync
+//! or range scan runs on the loop, and no connection gets a thread.
+//! Every outbound connection is one request/response `PeerConn` driven
+//! by the calling thread over a `FrameLink` (queue frames, flush, receive
+//! by a deadline), whose only implementation outside tests is `TcpLink`.
 //! `seq` numbers records per connection; the sender pipelines a group,
 //! flushes once, and reads the acks back on the same connection under
 //! the peer lock.  The listener applies and acks in stream order, so the
@@ -47,7 +51,11 @@
 //! fresh connection (transient drop), after which the peer is declared
 //! dead and removed from the sender's ring — the next successor (or, with
 //! no live peer left, local-only operation) takes over.  A dead peer that
-//! restarts is re-admitted with [`Replicator::update_peer`].
+//! restarts is re-admitted with [`Replicator::update_peer`]; one reachable
+//! at its old address again (a healed partition) is re-admitted by the
+//! next anti-entropy round once a sync of its range with it succeeds.  A
+//! handshake names the node that answers it, so a node that took over a
+//! dead peer's port is refused, not mistaken for the peer.
 //!
 //! # Catch-up and anti-entropy
 //!
@@ -67,7 +75,7 @@
 //!
 //! * **Anti-entropy** ([`Replicator::anti_entropy_round`], run
 //!   periodically by [`spawn_anti_entropy`]) checks the `(self → peer)`
-//!   range with every live peer.
+//!   range with every peer; an evicted one rejoins once it syncs.
 //! * **Catch-up** ([`Replicator::catch_up`]) is the same round run by a
 //!   (re)joining node over both the `(self → peer)` and the
 //!   `(peer → self)` ranges, so it moves only the records its own WAL
@@ -78,14 +86,16 @@
 use crate::error::NetAuthError;
 use crate::framing::{FrameLink, TcpLink};
 use crate::protocol::MAX_USERNAME_LEN;
-use crate::server::SHUTDOWN_POLL;
+use crate::server::{
+    spawn_reactor, Cut, Limits, ReactorParts, Reply, Service, WorkerMetrics, WRITE_TIMEOUT,
+};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gp_passwords::wal::WalEntry;
 use gp_passwords::{diff_range_entries, HashRing, RangeDigest, ShardedPasswordStore};
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -109,6 +119,19 @@ const MAX_SYNC_LIST: usize = 4096;
 /// frame far under [`crate::framing::MAX_FRAME_LEN`] even with
 /// maximum-length account names.
 const SYNC_CHUNK: usize = 128;
+
+/// Compute threads of a node's replication listener.  A three-node
+/// ring's two peers stream to a node at once, so each stream's WAL
+/// appends and fsyncs get a thread; with more peers, turns queue.  Only
+/// the first thread answers listings (digests, range listings, pulls),
+/// so a repair scan never holds both: a live `Record` waits at most for
+/// another stream's apply.
+pub const REPLICA_COMPUTE_THREADS: usize = 2;
+
+/// Replication connections a listener holds open at once; accepts past
+/// the cap are closed.  A node of an n-node cluster holds about
+/// 2(n − 1): each peer's live stream and its repair exchange.
+const MAX_REPLICA_CONNECTIONS: usize = 1024;
 
 /// Messages exchanged on a replication connection.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -475,97 +498,119 @@ impl Dial for TcpDial {
 /// the handle shuts the listener down.
 #[derive(Debug)]
 pub struct ReplicationHandle {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    accept_join: Option<std::thread::JoinHandle<()>>,
+    reactor: ReactorParts,
 }
 
 impl ReplicationHandle {
     /// Address peers should stream records to.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.reactor.addr
     }
 
-    /// Stop accepting and applying.  Connection threads notice within one
-    /// poll tick, or within the socket write timeout when a peer stopped
-    /// reading a record stream; records already applied stay durable
-    /// (crash-only — there is no other stop path for the fault harness to
-    /// diverge from).
+    /// Stop accepting and applying: the event loop exits within one poll
+    /// tick, dropping every connection mid-reply or not, and the compute
+    /// threads finish the turns already queued.  Applied records stay
+    /// durable (crash-only: the fault harness stops a node no other way).
     pub fn shutdown(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(join) = self.accept_join.take() {
-            let _ = join.join();
-        }
-    }
-}
-
-impl Drop for ReplicationHandle {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.reactor.stop();
     }
 }
 
 /// Spawn a replication listener on an ephemeral loopback port, applying
-/// records to `store`.
+/// records to `store`: an event loop and [`REPLICA_COMPUTE_THREADS`]
+/// compute threads, however many peers connect.
 pub fn spawn_replication_listener(
     node_id: &str,
     store: Arc<ShardedPasswordStore>,
 ) -> Result<ReplicationHandle, NetAuthError> {
     let listener = TcpListener::bind(("127.0.0.1", 0))?;
-    let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let node_id = node_id.to_string();
-
-    let accept_join = {
-        let shutdown = Arc::clone(&shutdown);
-        std::thread::Builder::new()
-            .name(format!("repl-accept-{node_id}"))
-            .spawn(move || {
-                let mut conn_joins: Vec<std::thread::JoinHandle<()>> = Vec::new();
-                while !shutdown.load(Ordering::SeqCst) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            // Reap exited connection threads: an unjoined
-                            // handle keeps its thread's stack mapped.
-                            for join in std::mem::take(&mut conn_joins) {
-                                if join.is_finished() {
-                                    let _ = join.join();
-                                } else {
-                                    conn_joins.push(join);
-                                }
-                            }
-                            let store = Arc::clone(&store);
-                            let shutdown = Arc::clone(&shutdown);
-                            let node_id = node_id.clone();
-                            if let Ok(join) = std::thread::Builder::new()
-                                .name(format!("repl-conn-{node_id}"))
-                                .spawn(move || {
-                                    // Any error ends this connection only.
-                                    let _ = serve_replica_conn(stream, &node_id, &store, &shutdown);
-                                })
-                            {
-                                conn_joins.push(join);
-                            }
-                        }
-                        // No accept error ends the listener: `WouldBlock`
-                        // is the idle poll, and the rest (`ECONNABORTED`,
-                        // `EMFILE`, `ENFILE`, ...) pass.  Only shutdown
-                        // stops the loop, so peers can always reach us.
-                        Err(_) => std::thread::sleep(Duration::from_millis(5)),
-                    }
-                }
-                for join in conn_joins {
-                    let _ = join.join();
-                }
-            })?
+    let replica = Replica {
+        node_id: node_id.to_string(),
+        store,
     };
+    let limits = Limits {
+        compute_threads: REPLICA_COMPUTE_THREADS,
+        max_connections: MAX_REPLICA_CONNECTIONS,
+        // A live stream may be quiet for any length of time.
+        idle_timeout: Duration::ZERO,
+        write_timeout: WRITE_TIMEOUT,
+    };
+    let reactor = spawn_reactor(Arc::new(replica), listener, limits)?;
+    Ok(ReplicationHandle { reactor })
+}
 
-    Ok(ReplicationHandle {
-        addr,
-        shutdown,
-        accept_join: Some(accept_join),
-    })
+/// The replica side as the event loop serves it.
+#[derive(Debug)]
+pub(crate) struct Replica {
+    pub(crate) node_id: String,
+    pub(crate) store: Arc<ShardedPasswordStore>,
+}
+
+/// The event loop answers the handshake — its one implementation — and
+/// cuts each turn: a run of `Record`s, or one other request, so a peer
+/// that pipelines listings gets them built one at a time.  A malformed
+/// frame or a message out of order closes the connection once the
+/// replies to earlier frames are out.
+impl Service for Replica {
+    /// Whether the connection's `Hello` came in.
+    type Conn = bool;
+    type Work = Vec<ReplicaMessage>;
+    const THREADS: [&'static str; 2] = ["gp-repl-reactor", "gp-repl-apply"];
+
+    // gp-lint: reactor-root
+    fn cut(
+        &self,
+        frames: &mut VecDeque<Option<Bytes>>,
+        greeted: &mut bool,
+        _metrics: &WorkerMetrics,
+    ) -> Cut<Vec<ReplicaMessage>> {
+        let is_record =
+            |frame: &Option<Bytes>| frame.as_ref().and_then(|f| f.first()) == Some(&TAG_RECORD);
+        let mut turn = Vec::new();
+        while let Some(frame) = frames.pop_front() {
+            let record = is_record(&frame);
+            match frame.map(ReplicaMessage::decode) {
+                Some(Ok(ReplicaMessage::Hello { .. })) if !*greeted => {
+                    *greeted = true;
+                    let hello = ReplicaMessage::HelloOk {
+                        node_id: self.node_id.clone(),
+                    };
+                    return Cut::Now(Reply::frames([hello.encode()], false));
+                }
+                Some(Ok(message)) if *greeted => turn.push(message),
+                // A malformed frame, or a request before the handshake.
+                _ => return Cut::Later(turn, true),
+            }
+            if !record || !frames.front().is_some_and(is_record) {
+                break;
+            }
+        }
+        Cut::Later(turn, false)
+    }
+
+    /// Only a run of `Record`s may take any compute thread.
+    fn any_thread(turn: &Vec<ReplicaMessage>) -> bool {
+        matches!(turn.first(), Some(ReplicaMessage::Record { .. }))
+    }
+
+    /// Answer each turn's messages in order with [`serve_message`] (each
+    /// `Record` applied durably before its `Ack`).  An error — a message
+    /// out of order, or a failed apply — ends the turn and closes the
+    /// connection after the replies before it.
+    fn answer(&self, batch: Vec<Vec<ReplicaMessage>>) -> Vec<Reply> {
+        batch
+            .into_iter()
+            .map(|turn| {
+                let mut replies = Vec::new();
+                let failed = turn.into_iter().any(|message| {
+                    serve_message(&self.store, message)
+                        .map(|answer| replies.extend(answer))
+                        .is_err()
+                });
+                Reply::frames(replies.iter().map(ReplicaMessage::encode), failed)
+            })
+            .collect()
+    }
 }
 
 /// The range predicate both sides of a digest exchange agree on: a key is
@@ -579,44 +624,10 @@ fn pair_range<'a>(
     move |key: &str| ring.replica_pair(key) == Some((primary, Some(backup)))
 }
 
-/// One inbound replication connection: read a frame, answer it with
-/// [`serve_message`], write the replies and flush once, until the peer
-/// hangs up, breaks the protocol, or shutdown is requested.
-fn serve_replica_conn(
-    stream: TcpStream,
-    node_id: &str,
-    store: &ShardedPasswordStore,
-    shutdown: &AtomicBool,
-) -> Result<(), NetAuthError> {
-    let mut link = TcpLink::new(stream)?;
-    let mut greeted = false;
-    while !shutdown.load(Ordering::SeqCst) {
-        let frame = match link.recv_by(Instant::now() + SHUTDOWN_POLL) {
-            Ok(frame) => frame,
-            Err(NetAuthError::Io(e)) if e.kind() == std::io::ErrorKind::TimedOut => continue,
-            Err(e) => return Err(e),
-        };
-        let message = ReplicaMessage::decode(frame)?;
-        for reply in serve_message(node_id, store, &mut greeted, message)? {
-            // A shutdown mid-stream (the fault harness killing this node)
-            // stops with the replies half-sent: a pull stream then lacks
-            // its `CatchupDone`, and the requester's idempotent replay
-            // makes its retry safe.
-            if shutdown.load(Ordering::SeqCst) {
-                return Ok(());
-            }
-            link.send(&reply.encode())?;
-        }
-        link.flush()?;
-    }
-    Ok(())
-}
-
-/// The replica side of the protocol: what node `node_id` does with one
-/// message a peer sent it, returned as the replies to send, in order.
-/// `greeted` is the connection's handshake state.
+/// The replica side of the protocol after the handshake (which
+/// [`Replica::cut`] answers): what a node does with one request a peer
+/// sent it, returned as the replies to send, in order.
 ///
-/// * `Hello` (first message only) → `HelloOk`.
 /// * `Record` → a checked, durable (WAL-first) apply of these very bytes,
 ///   then `Ack`: an acked record survives this node crashing right after.
 /// * `DigestRequest` → the range's `DigestReply`.
@@ -627,23 +638,14 @@ fn serve_replica_conn(
 ///   error: the requester diffed against a snapshot, and the record may
 ///   have been removed since.
 ///
-/// Anything else (`Hello` out of order, `HelloOk`/`Ack` from a sender, a
-/// request before the handshake) is a protocol violation: the caller
-/// drops the connection.
-pub(crate) fn serve_message(
-    node_id: &str,
+/// Anything else (a second `Hello`, `HelloOk`/`Ack` from a sender) is a
+/// protocol violation: the caller drops the connection.
+fn serve_message(
     store: &ShardedPasswordStore,
-    greeted: &mut bool,
     message: ReplicaMessage,
 ) -> Result<Vec<ReplicaMessage>, NetAuthError> {
     let replies = match message {
-        ReplicaMessage::Hello { .. } if !*greeted => {
-            *greeted = true;
-            vec![ReplicaMessage::HelloOk {
-                node_id: node_id.to_string(),
-            }]
-        }
-        ReplicaMessage::Record { seq, payload } if *greeted => {
+        ReplicaMessage::Record { seq, payload } => {
             store.apply_replicated(&payload)?;
             vec![ReplicaMessage::Ack { seq }]
         }
@@ -651,7 +653,7 @@ pub(crate) fn serve_message(
             primary,
             backup,
             members,
-        } if *greeted => {
+        } => {
             let ring = HashRing::with_nodes(&members);
             let digest = store.range_digest(pair_range(&ring, &primary, &backup));
             vec![ReplicaMessage::DigestReply {
@@ -664,7 +666,7 @@ pub(crate) fn serve_message(
             primary,
             backup,
             members,
-        } if *greeted => {
+        } => {
             let ring = HashRing::with_nodes(&members);
             let mut entries = store
                 .range_entries(pair_range(&ring, &primary, &backup))
@@ -682,15 +684,12 @@ pub(crate) fn serve_message(
                 }
             }
         }
-        ReplicaMessage::PullRequest { usernames } if *greeted => {
+        ReplicaMessage::PullRequest { usernames } => {
             let mut replies: Vec<ReplicaMessage> = usernames
                 .iter()
-                .filter_map(|name| store.get(name))
+                .filter_map(|name| store.update_payload(name))
                 .zip(1..)
-                .map(|(record, seq)| ReplicaMessage::Record {
-                    seq,
-                    payload: WalEntry::Update(record).to_payload(),
-                })
+                .map(|(payload, seq)| ReplicaMessage::Record { seq, payload })
                 .collect();
             let count = replies.len() as u64;
             replies.push(ReplicaMessage::CatchupDone { count });
@@ -744,10 +743,12 @@ struct PeerConn {
 }
 
 impl PeerConn {
-    /// Handshake (`Hello` / `HelloOk`) on a fresh `link` and return the
-    /// ready connection.
+    /// Handshake (`Hello` / `HelloOk`) on a fresh `link` to node `peer`
+    /// and return the ready connection.  Any other node answering at the
+    /// address (one that took over a dead node's port) is refused.
     fn open(
         self_id: &str,
+        peer: &str,
         link: Box<dyn FrameLink>,
         io_timeout: Duration,
     ) -> Result<Self, NetAuthError> {
@@ -760,8 +761,8 @@ impl PeerConn {
             node_id: self_id.to_string(),
         })?;
         match conn.recv()? {
-            ReplicaMessage::HelloOk { .. } => Ok(conn),
-            _ => Err(malformed("expected replication handshake reply")),
+            ReplicaMessage::HelloOk { node_id } if node_id == peer => Ok(conn),
+            _ => Err(malformed("expected the peer's handshake reply")),
         }
     }
 
@@ -859,11 +860,12 @@ pub struct ReplicationStats {
 
 /// The primary-side replication sender.
 ///
-/// Owns a [`HashRing`] over the full cluster membership (itself included)
-/// and, for each entry, streams the WAL payload to the entry's backup —
-/// the first ring successor of the account that is not this node.  Peers
-/// that fail a send twice are declared dead and leave the ring, shifting
-/// subsequent traffic to the next successor.
+/// Owns a [`HashRing`] over the full cluster membership (itself
+/// included; only known peers ever join it) and, for each entry, streams
+/// the WAL payload to the entry's backup — the first ring successor of
+/// the account that is not this node.  Peers that fail a send twice are
+/// declared dead and leave the ring, shifting subsequent traffic to the
+/// next successor.
 #[derive(Debug)]
 pub struct Replicator {
     node_id: String,
@@ -956,7 +958,7 @@ impl Replicator {
     fn connect(&self, id: &str) -> Result<PeerConn, NetAuthError> {
         let addr = *self.peers[id].addr.lock();
         let link = self.dial.dial(id, addr, self.config.connect_timeout)?;
-        PeerConn::open(&self.node_id, link, self.config.ack_timeout)
+        PeerConn::open(&self.node_id, id, link, self.config.ack_timeout)
     }
 
     /// One grouped send attempt: [`PeerConn::send_group`] on `peer`'s
@@ -976,8 +978,10 @@ impl Replicator {
         sent
     }
 
-    /// One anti-entropy round: for every live peer, digest-compare the
+    /// One anti-entropy round: for every peer, digest-compare the
     /// `(self → peer)` range and repair any divergence record-by-record.
+    /// A peer the write path evicted is synced under a ring that includes
+    /// it, and rejoins the ring once that succeeds.
     ///
     /// The primary *pushes* records the backup lacks (or holds with
     /// different bytes — primary wins, it acked them) and *pulls* records
@@ -990,14 +994,14 @@ impl Replicator {
     }
 
     /// Catch a (re)joining node up: an anti-entropy round over both the
-    /// `(self → peer)` and the `(peer → self)` range of every live peer in
-    /// this node's ring, so only the records its own WAL did not recover
-    /// move.  A range exchange that fails is retried once on a fresh
-    /// connection, and a peer that fails twice is skipped for the round;
-    /// an empty [`AntiEntropyRound::failed_peers`] means every range this
-    /// node holds was compared and repaired.  The caller
-    /// decides whether to admit the node anyway (availability) or keep
-    /// its traffic gate closed.
+    /// `(self → peer)` and the `(peer → self)` range of every peer, so
+    /// only the records its own WAL did not recover move.  A range
+    /// exchange that fails is retried once on a fresh connection, and a
+    /// peer that fails twice is skipped for the round; an empty
+    /// [`AntiEntropyRound::failed_peers`] means every range this node
+    /// holds was compared and repaired.  The caller decides whether to
+    /// admit the node anyway (availability) or keep its traffic gate
+    /// closed.
     ///
     /// Completeness: for a key in a `(self, X)` or `(X, self)` pair, `X`
     /// was the key's primary while this node was down, so `X`'s listing
@@ -1010,16 +1014,16 @@ impl Replicator {
     /// The round behind [`Replicator::anti_entropy_round`] (`two_way`
     /// false) and [`Replicator::catch_up`] (`two_way` true).
     fn sync_round(&self, store: &ShardedPasswordStore, two_way: bool) -> AntiEntropyRound {
-        let (ring, members): (HashRing, Vec<String>) = {
-            let ring = self.ring.lock();
-            let members = ring.nodes().map(String::from).collect();
-            (ring.clone(), members)
-        };
         let mut round = AntiEntropyRound::default();
-        for peer_id in &members {
-            if *peer_id == self.node_id || !self.peers.contains_key(peer_id) {
-                continue;
-            }
+        for peer_id in self.peers.keys() {
+            // A peer the write path evicted is synced under a ring that
+            // includes it, and rejoins once that succeeds (a healed
+            // partition).  Its compute threads answer the exchange, so a
+            // node that only answers the handshake (applies failing,
+            // threads stalled) stays out, as does an unreachable one.
+            let mut ring = self.ring.lock().clone();
+            let evicted = ring.join(peer_id);
+            let members: Vec<String> = ring.nodes().map(String::from).collect();
             let mut ranges = vec![(self.node_id.as_str(), peer_id.as_str())];
             if two_way {
                 ranges.push((peer_id.as_str(), self.node_id.as_str()));
@@ -1045,6 +1049,9 @@ impl Replicator {
                         break;
                     }
                 }
+            }
+            if evicted && round.failed_peers.last() != Some(peer_id) {
+                self.ring.lock().join(peer_id);
             }
         }
         let mut stats = self.stats.lock();
@@ -1120,8 +1127,7 @@ impl Replicator {
         // Send this side's copies the way the live stream sends a group.
         let payloads: Vec<Vec<u8>> = send
             .iter()
-            .filter_map(|name| store.get(name))
-            .map(|record| WalEntry::Update(record).to_payload())
+            .filter_map(|name| store.update_payload(name))
             .collect();
         conn.send_group(&payloads)?;
 
@@ -1162,14 +1168,16 @@ pub struct AntiEntropyRound {
 /// Dropping the handle stops the thread.
 #[derive(Debug)]
 pub struct AntiEntropyHandle {
-    shutdown: Arc<AtomicBool>,
+    /// Dropping it wakes the thread, which then exits.
+    stop: Option<mpsc::Sender<()>>,
     join: Option<std::thread::JoinHandle<()>>,
 }
 
 impl AntiEntropyHandle {
-    /// Stop the thread; returns once it has exited (within one poll tick).
+    /// Stop the thread; returns once it has exited (at once, or when the
+    /// round it is running ends).
     pub fn shutdown(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.stop = None;
         if let Some(join) = self.join.take() {
             let _ = join.join();
         }
@@ -1189,23 +1197,15 @@ pub fn spawn_anti_entropy(
     store: Arc<ShardedPasswordStore>,
     interval: Duration,
 ) -> Result<AntiEntropyHandle, NetAuthError> {
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let join = {
-        let shutdown = Arc::clone(&shutdown);
-        let name = format!("anti-entropy-{}", replicator.node_id());
-        std::thread::Builder::new().name(name).spawn(move || {
-            let mut next = Instant::now() + interval;
-            while !shutdown.load(Ordering::SeqCst) {
-                if Instant::now() >= next {
-                    let _ = replicator.anti_entropy_round(&store);
-                    next = Instant::now() + interval;
-                }
-                std::thread::sleep(SHUTDOWN_POLL.min(interval));
-            }
-        })?
-    };
+    let (stop, stopped) = mpsc::channel::<()>();
+    let name = format!("anti-entropy-{}", replicator.node_id());
+    let join = std::thread::Builder::new().name(name).spawn(move || {
+        while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
+            let _ = replicator.anti_entropy_round(&store);
+        }
+    })?;
     Ok(AntiEntropyHandle {
-        shutdown,
+        stop: Some(stop),
         join: Some(join),
     })
 }
@@ -1250,15 +1250,6 @@ impl ReplicationSink for Replicator {
             }
             let mut still_pending = Vec::new();
             for (target, indices) in groups {
-                if !self.peers.contains_key(&target) {
-                    // A ring member without a peer entry can only come
-                    // from a stale ring view: evict it and re-route these
-                    // entries on the next pass rather than bringing the
-                    // commit path down.
-                    self.ring.lock().leave(&target);
-                    still_pending.extend(indices);
-                    continue;
-                }
                 let batch: Vec<&[u8]> = indices.iter().map(|&i| payloads[i].as_slice()).collect();
                 if self.send_group_once(&target, &batch).is_ok()
                     || self.send_group_once(&target, &batch).is_ok()
@@ -1282,6 +1273,7 @@ impl ReplicationSink for Replicator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster_explorer::{reply_payloads, serve_frame};
     use crate::framing::FrameWriter;
     use gp_geometry::Point;
     use gp_passwords::prelude::*;
@@ -1402,7 +1394,7 @@ mod tests {
 
     /// The frames a replica sends for [`golden_session`], captured from
     /// the thread-per-connection listener's socket before its loop was
-    /// split into [`serve_message`]: `HelloOk`, three `Ack`s, a
+    /// split into a replica function: `HelloOk`, three `Ack`s, a
     /// `DigestReply`, three `RangeReply`s, two `Record`s and
     /// `CatchupDone { count: 2 }`.
     const GOLDEN_REPLIES: &[u8] = include_bytes!("../tests/data/replica_session.golden");
@@ -1416,15 +1408,26 @@ mod tests {
         bytes
     }
 
-    /// The replica function answers the scripted session with the golden
-    /// bytes: no reply, order or `CatchupDone` count may change.
+    /// The replica service (the loop's handshake and cut, then the
+    /// compute side's answer, frame by frame) answers the scripted
+    /// session with the golden bytes: no reply, order or `CatchupDone`
+    /// count may change.
     #[test]
     fn replica_function_replies_match_the_golden_frames() {
         let (store, session) = golden_session();
+        let replica = Replica {
+            node_id: "node-a".into(),
+            store,
+        };
         let mut greeted = false;
         let replies: Vec<ReplicaMessage> = session
             .into_iter()
-            .flat_map(|message| serve_message("node-a", &store, &mut greeted, message).unwrap())
+            .flat_map(|message| {
+                let reply = serve_frame(&replica, &mut greeted, message.encode());
+                assert!(!reply.close, "the session is well-formed");
+                reply_payloads(&reply)
+            })
+            .map(|payload| ReplicaMessage::decode(payload).unwrap())
             .collect();
         let tags: Vec<u8> = replies.iter().map(|reply| reply.encode()[0]).collect();
         assert_eq!(
@@ -1597,6 +1600,81 @@ mod tests {
         replicator.replicate(&WalEntry::Enroll(record)).unwrap();
         assert!(replicator.is_live("backup"), "a drop is not a death");
         assert_eq!(store.len(), 2);
+        listener.shutdown();
+    }
+
+    /// A node answering at a peer's address under another node ID (one
+    /// that took over a dead node's port) gets none of the peer's records
+    /// and does not bring the evicted peer back: the handshake names the
+    /// node that answers it.
+    #[test]
+    fn a_listener_with_another_node_id_is_not_taken_for_the_peer() {
+        let sys = system();
+        let other = Arc::new(ShardedPasswordStore::new(2));
+        let mut listener = spawn_replication_listener("node-x", Arc::clone(&other)).unwrap();
+        let peers = BTreeMap::from([("backup".to_string(), listener.addr())]);
+        let replicator = Replicator::new("primary", peers, ReplicatorConfig::default());
+        let store = ShardedPasswordStore::new(2);
+        let record = sys.enroll("alice", &clicks(1)).unwrap();
+        store.insert_new(record.clone()).unwrap();
+        replicator.replicate(&WalEntry::Enroll(record)).unwrap();
+        assert!(
+            !replicator.is_live("backup"),
+            "two refused handshakes evict"
+        );
+        let round = replicator.anti_entropy_round(&store);
+        assert!(!replicator.is_live("backup"), "the evicted peer stays out");
+        assert_eq!(round.records_pushed, 0);
+        assert_eq!(other.len(), 0, "node-x got none of the peer's records");
+        listener.shutdown();
+    }
+
+    /// An evicted peer whose compute threads are stalled — its event loop
+    /// still answers the handshake — stays evicted; once they answer
+    /// again, the next round's range sync re-admits it.
+    #[test]
+    fn evicted_peer_rejoins_only_once_its_compute_threads_answer() {
+        let sys = system();
+        let backup = Arc::new(ShardedPasswordStore::new(1));
+        backup
+            .insert_new(sys.enroll("seed", &clicks(0)).unwrap())
+            .unwrap();
+        let mut listener = spawn_replication_listener("backup", Arc::clone(&backup)).unwrap();
+        // A scan holds the backup's only shard lock, so every apply waits.
+        let (release, stalled) = std::sync::mpsc::channel::<()>();
+        let (held_tx, held) = std::sync::mpsc::channel();
+        let holder = {
+            let backup = Arc::clone(&backup);
+            std::thread::spawn(move || {
+                backup.range_digest(|_| {
+                    held_tx.send(()).unwrap();
+                    stalled.recv().is_ok()
+                })
+            })
+        };
+        held.recv().unwrap();
+        let config = ReplicatorConfig {
+            ack_timeout: Duration::from_millis(300),
+            ..ReplicatorConfig::default()
+        };
+        let peers = BTreeMap::from([("backup".to_string(), listener.addr())]);
+        let replicator = Replicator::new("primary", peers, config);
+        let store = ShardedPasswordStore::new(2);
+        let record = sys.enroll("alice", &clicks(1)).unwrap();
+        store.insert_new(record.clone()).unwrap();
+        replicator.replicate(&WalEntry::Enroll(record)).unwrap();
+        assert!(!replicator.is_live("backup"), "two unacked sends evict");
+        replicator.anti_entropy_round(&store);
+        assert!(
+            !replicator.is_live("backup"),
+            "a handshake alone does not re-admit"
+        );
+        release.send(()).unwrap();
+        holder.join().unwrap();
+        let round = replicator.anti_entropy_round(&store);
+        assert!(replicator.is_live("backup"), "a synced range re-admits");
+        assert!(round.failed_peers.is_empty());
+        assert!(backup.get("alice").is_some());
         listener.shutdown();
     }
 

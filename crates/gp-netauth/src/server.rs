@@ -3,9 +3,11 @@
 //! The serving path is built for concurrency in three layers:
 //!
 //! 1. **Sharded state** — accounts live in a
-//!    [`ShardedPasswordStore`] (which also caches each account's per-salt
-//!    hashing state) and failure counts in a sharded [`LockoutTracker`],
-//!    so serving threads contend only when they touch the same partition.
+//!    [`ShardedPasswordStore`] and failure counts in a sharded
+//!    [`LockoutTracker`], so serving threads contend only when they touch
+//!    the same partition.  The store caches no hashing state: a login's
+//!    lookup derives the account's salt and absorbs it, about two
+//!    compressions.
 //!    A login for an unknown name is refused before the tracker sees it,
 //!    so failure state never outgrows the enrolled accounts.  It lives in
 //!    this process only: a restart resets every count.
@@ -29,6 +31,7 @@
 //! reactor's state machines drive.
 
 use crate::error::NetAuthError;
+use crate::framing::FrameWriter;
 use crate::lockout::LockoutTracker;
 use crate::pending::PendingAccounts;
 use crate::protocol::{ClientMessage, LoginDecision, ServerMessage};
@@ -48,19 +51,21 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 #[cfg(target_os = "linux")]
-use crate::reactor::spawn_reactor;
+pub(crate) use crate::reactor::spawn_reactor;
 
 /// Consecutive undecodable/corrupt frames tolerated on one connection
 /// before the server gives up on it (a desynced or hostile peer).
-pub(crate) const MAX_CONSECUTIVE_PROTOCOL_ERRORS: u32 = 32;
+const MAX_CONSECUTIVE_PROTOCOL_ERRORS: u32 = 32;
 
-/// How often the serving and snapshot threads re-check the shutdown flag.
+/// How often the event loops and the snapshot thread re-check the
+/// shutdown flag.
 pub(crate) const SHUTDOWN_POLL: Duration = Duration::from_millis(50);
 
 /// Default [`ServerConfig::write_timeout`]: a peer that accepts no
 /// response bytes for this long (it stopped reading) is closed by the
-/// reactor's stall sweep instead of pinning its buffers.  Replication
-/// sockets, on both ends, use it as their socket write timeout.
+/// reactor's stall sweep instead of pinning its buffers.  The replica
+/// event loop uses it too, and a replication requester's socket uses it
+/// as its write timeout.
 pub(crate) const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// How connections are multiplexed onto threads.  The reactor is the only
@@ -285,7 +290,7 @@ impl BatchCounters {
 }
 
 /// One hash job: iterate `salt || pre_image` under the account's salt.
-pub(crate) struct HashJob {
+struct HashJob {
     /// Precomputed per-salt hashing state for the account under attempt.
     hasher: SaltedHasher,
     /// The encoded attempt (output of `prepare_verify` / `prepare_enroll`).
@@ -293,7 +298,7 @@ pub(crate) struct HashJob {
 }
 
 /// What phase 1 of request processing decided for one pipelined request.
-pub(crate) enum Planned {
+enum Planned {
     /// Response is already known (cheap messages, protocol errors,
     /// unknown accounts, structurally invalid enrollments).
     Respond(ServerMessage),
@@ -315,26 +320,10 @@ pub(crate) enum Planned {
     },
 }
 
-/// One connection turn after phase 1: the in-order response plan, the hash
-/// jobs it needs, and whether the turn ends the connection.
-///
-/// The reactor ships a turn with hash jobs to the hash-compute pool and
-/// settles it on completion; a turn without any settles inline.
-pub(crate) struct PreparedTurn {
-    pub(crate) planned: Vec<Planned>,
-    pub(crate) jobs: Vec<HashJob>,
-    pub(crate) quitting: bool,
-    /// `Some(account)` when the turn stopped early at a login for an
-    /// account whose enrollment is in flight but not yet group-committed
-    /// (the per-account write barrier).  The login's frame is back at the
-    /// front of the queue; prepare again once the account's barrier lands.
-    pub(crate) parked: Option<String>,
-}
-
 /// One settled enrollment awaiting its group-commit barrier: which
 /// response to patch if the barrier fails, which shard to flush, and the
 /// record clone to stream to the replication sink (when one is attached).
-pub(crate) struct EnrollCommit {
+struct EnrollCommit {
     response_index: usize,
     username: String,
     shard: usize,
@@ -344,8 +333,8 @@ pub(crate) struct EnrollCommit {
 /// One turn after phase 3 ([`AuthServer::settle_turn`]): the in-order
 /// responses, plus the enrollments whose `EnrollOk`s are provisional
 /// until [`AuthServer::commit_enrolls`] runs their barrier.
-pub(crate) struct SettledTurn {
-    pub(crate) responses: Vec<ServerMessage>,
+struct SettledTurn {
+    responses: Vec<ServerMessage>,
     enrolls: Vec<EnrollCommit>,
 }
 
@@ -360,7 +349,7 @@ pub struct AuthServer {
     batch: BatchCounters,
     /// Accounts whose enrollment is accepted but not yet group-committed
     /// (the per-account write barrier).
-    pending: PendingAccounts,
+    pub(crate) pending: PendingAccounts,
     /// When set, every successful enrollment is streamed here before the
     /// `EnrollOk` is released (see [`crate::replication`]).
     replication: Option<Arc<dyn ReplicationSink>>,
@@ -440,11 +429,6 @@ impl AuthServer {
         &self.system
     }
 
-    /// The per-account write barrier table (serving internals and tests).
-    pub(crate) fn pending(&self) -> &PendingAccounts {
-        &self.pending
-    }
-
     /// Handle a single request (protocol logic, no I/O).
     ///
     /// Logins and enrollments run the same split-phase prepare / hash /
@@ -462,8 +446,12 @@ impl AuthServer {
                 self.prepare_login(username, &clicks, &mut VerifyScratch::new(), &mut jobs)
             }
         };
-        let digests = self.hash_batch(&jobs);
-        self.settle_responses(vec![planned], &digests)
+        let turn = HashTurn {
+            planned: vec![planned],
+            jobs,
+        };
+        self.settle_batch(vec![turn])
+            .concat()
             .pop()
             .unwrap_or_else(|| ServerMessage::Error {
                 reason: "internal: settle produced no response".to_string(),
@@ -477,7 +465,7 @@ impl AuthServer {
     /// built under it, and a login whose record was stored under another
     /// count fails `prepare_verify`'s provenance check before any job
     /// exists.  Returns one digest per job, in input order.
-    pub(crate) fn hash_batch(&self, jobs: &[HashJob]) -> Vec<Digest> {
+    fn hash_batch(&self, jobs: &[HashJob]) -> Vec<Digest> {
         if jobs.is_empty() {
             return Vec::new();
         }
@@ -548,9 +536,8 @@ impl AuthServer {
     /// to `jobs` for the hash step.
     ///
     /// The job carries the account's per-salt hashing state
-    /// ([`ShardedPasswordStore::get_cached`]), built from the record on
-    /// lookup: every salt is one 64-byte block, so that costs one
-    /// compression.
+    /// ([`ShardedPasswordStore::get_cached`]), built on lookup: deriving
+    /// the one-block salt and absorbing it costs about two compressions.
     fn prepare_login(
         &self,
         username: String,
@@ -585,97 +572,6 @@ impl AuthServer {
         }
     }
 
-    /// Phase 1 for one turn: pop frames off the connection's queue
-    /// (`None` marks a frame that failed its integrity check), prepare
-    /// logins/enrollments, and collect the turn's hash jobs.
-    /// `consecutive_errors` carries the connection's bad-frame streak
-    /// across turns; a decodable frame resets it.
-    ///
-    /// Enrollments do **not** end the turn: they batch with the logins
-    /// behind them, and their `EnrollOk`s are released together after the
-    /// turn's single group-commit barrier.  Two things end a turn early,
-    /// leaving later frames queued:
-    ///
-    /// * `Quit` — the connection is done (callers drop the rest);
-    /// * a login for an account whose enrollment is pending (the
-    ///   *per-account* write barrier, [`PendingAccounts`]): its frame
-    ///   goes back to the front of the queue and the turn reports
-    ///   `parked`, to be prepared again once the enrollment's group
-    ///   commit lands.  Logins for every *other* account flow untouched.
-    pub(crate) fn prepare_turn(
-        &self,
-        frames: &mut std::collections::VecDeque<Option<Bytes>>,
-        scratch: &mut VerifyScratch,
-        metrics: &WorkerMetrics,
-        consecutive_errors: &mut u32,
-    ) -> PreparedTurn {
-        let mut planned = Vec::with_capacity(frames.len());
-        let mut jobs = Vec::new();
-        let mut quitting = false;
-        let mut parked = None;
-        while let Some(frame) = frames.pop_front() {
-            let (message, raw) = match frame {
-                None => {
-                    metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    *consecutive_errors += 1;
-                    planned.push(Planned::Respond(ServerMessage::Error {
-                        reason: NetAuthError::IntegrityFailure.to_string(),
-                    }));
-                    continue;
-                }
-                Some(frame) => {
-                    // Cheap refcount clone, kept only in case this frame
-                    // parks and must be re-queued for the next turn.
-                    let raw = frame.clone();
-                    match ClientMessage::decode(frame) {
-                        Ok(message) => (message, raw),
-                        Err(e) => {
-                            metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                            *consecutive_errors += 1;
-                            planned.push(Planned::Respond(ServerMessage::Error {
-                                reason: format!("bad request: {e}"),
-                            }));
-                            continue;
-                        }
-                    }
-                }
-            };
-            *consecutive_errors = 0;
-            match message {
-                ClientMessage::Quit => {
-                    planned.push(Planned::Respond(ServerMessage::Goodbye));
-                    quitting = true;
-                    break;
-                }
-                ClientMessage::Login { username, clicks } => {
-                    if self.pending.is_pending(&username) {
-                        // Same-account barrier: this login may only be
-                        // prepared after the enrollment it races is
-                        // committed (in-order pipelining keeps the frames
-                        // behind it queued too).
-                        frames.push_front(Some(raw));
-                        parked = Some(username);
-                        break;
-                    }
-                    metrics.logins.fetch_add(1, Ordering::Relaxed);
-                    planned.push(self.prepare_login(username, &clicks, scratch, &mut jobs));
-                }
-                ClientMessage::Enroll { username, clicks } => {
-                    planned.push(self.prepare_enroll(username, &clicks, &mut jobs));
-                }
-                ClientMessage::GetConfig => {
-                    planned.push(Planned::Respond(self.config_message()));
-                }
-            }
-        }
-        PreparedTurn {
-            planned,
-            jobs,
-            quitting,
-            parked,
-        }
-    }
-
     /// Phase 3 for a whole turn: settle every planned request against the
     /// lockout state, in pipeline order, and produce the in-order
     /// responses.  `digests` are the turn's hash results, indexed by each
@@ -687,7 +583,7 @@ impl AuthServer {
     /// the slot.  Nothing from the returned [`SettledTurn`] may reach a
     /// client until [`AuthServer::commit_enrolls`] runs the group-commit
     /// barrier over it.
-    pub(crate) fn settle_turn(&self, planned: Vec<Planned>, digests: &[Digest]) -> SettledTurn {
+    fn settle_turn(&self, planned: Vec<Planned>, digests: &[Digest]) -> SettledTurn {
         let mut enrolls = Vec::new();
         let responses = planned
             .into_iter()
@@ -746,7 +642,7 @@ impl AuthServer {
     /// round, then every pending account barrier lifts.  On failure the
     /// provisional `EnrollOk`s are patched to errors in place — callers
     /// must not have released any response before this returns.
-    pub(crate) fn commit_enrolls(&self, turns: &mut [SettledTurn]) {
+    fn commit_enrolls(&self, turns: &mut [SettledTurn]) {
         if turns.iter().all(|turn| turn.enrolls.is_empty()) {
             return;
         }
@@ -788,20 +684,30 @@ impl AuthServer {
         }
     }
 
-    /// Settle one turn and commit it immediately: the single-turn
-    /// convenience over [`AuthServer::settle_turn`] +
-    /// [`AuthServer::commit_enrolls`] used by
-    /// [`AuthServer::handle_message`] and the reactor's hash-free turns.
-    /// The reactor's compute loop calls the two phases itself so one
-    /// barrier covers a whole coalesced batch.
-    pub(crate) fn settle_responses(
-        &self,
-        planned: Vec<Planned>,
-        digests: &[Digest],
-    ) -> Vec<ServerMessage> {
-        let mut turn = self.settle_turn(planned, digests);
-        self.commit_enrolls(std::slice::from_mut(&mut turn));
-        turn.responses
+    /// Phases 2 to 4 for a coalesced batch of turns: hash every turn's
+    /// jobs in one call, settle the turns in order, then run one
+    /// group-commit barrier for the whole batch — one fsync per touched
+    /// shard (and one grouped replication round) covers every enrollment,
+    /// and only then may the `EnrollOk`s travel back toward the wire.
+    /// Returns each turn's responses.
+    fn settle_batch(&self, mut batch: Vec<HashTurn>) -> Vec<Vec<ServerMessage>> {
+        let counts: Vec<usize> = batch.iter().map(|turn| turn.jobs.len()).collect();
+        let jobs: Vec<HashJob> = batch
+            .iter_mut()
+            .flat_map(|turn| turn.jobs.drain(..))
+            .collect();
+        let digests = self.hash_batch(&jobs);
+        let mut offset = 0;
+        let mut settled: Vec<SettledTurn> = batch
+            .into_iter()
+            .zip(counts)
+            .map(|(turn, count)| {
+                offset += count;
+                self.settle_turn(turn.planned, &digests[offset - count..offset])
+            })
+            .collect();
+        self.commit_enrolls(&mut settled);
+        settled.into_iter().map(|turn| turn.responses).collect()
     }
 
     /// Phase 2 of login handling: settle one attempt against the lockout
@@ -833,16 +739,16 @@ impl AuthServer {
     /// [`std::io::ErrorKind::Unsupported`].
     pub fn spawn(self) -> Result<ServerHandle, NetAuthError> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
         let server = Arc::new(self);
-        let parts = spawn_reactor(Arc::clone(&server), listener, Arc::clone(&shutdown))?;
+        let limits = Limits {
+            compute_threads: server.config.workers.max(1),
+            max_connections: server.config.max_connections.max(1),
+            idle_timeout: server.config.idle_timeout,
+            write_timeout: server.config.write_timeout,
+        };
+        let reactor = spawn_reactor(Arc::clone(&server), listener, limits)?;
         let mut handle = ServerHandle {
-            addr,
-            shutdown,
-            reactor_join: Some(parts.reactor_join),
-            compute_joins: parts.compute_joins,
-            worker_metrics: parts.metrics,
+            reactor,
             server,
             snapshot_join: None,
             graceful: true,
@@ -853,7 +759,7 @@ impl AuthServer {
         if let Some(durability) = &handle.server.config().durability {
             let interval = durability.snapshot_interval;
             let store = handle.server.store();
-            let shutdown = Arc::clone(&handle.shutdown);
+            let shutdown = Arc::clone(&handle.reactor.shutdown);
             handle.snapshot_join = Some(
                 std::thread::Builder::new()
                     .name("gp-auth-snapshot".into())
@@ -865,21 +771,276 @@ impl AuthServer {
     }
 }
 
-/// The running pieces [`AuthServer::spawn`] assembles into a
-/// [`ServerHandle`]: the reactor thread, the compute-worker threads, and
-/// the per-thread metrics (reactor first, then one per compute worker).
+/// A running event loop ([`crate::reactor`]).  Stopping or dropping it
+/// raises its shutdown flag, wakes the loop with a throwaway connection
+/// to `addr`, and joins its threads, the event loop's first, so the
+/// compute threads drain the turn queue the loop closes on exit.
+#[derive(Debug)]
 pub(crate) struct ReactorParts {
-    pub(crate) reactor_join: JoinHandle<()>,
-    pub(crate) compute_joins: Vec<JoinHandle<()>>,
+    pub(crate) addr: SocketAddr,
+    pub(crate) shutdown: Arc<AtomicBool>,
+    pub(crate) joins: Vec<JoinHandle<()>>,
+    /// The event loop's counters, then each compute thread's.
     pub(crate) metrics: Vec<Arc<WorkerMetrics>>,
+}
+
+impl ReactorParts {
+    pub(crate) fn stop(&mut self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        if !self.joins.is_empty() {
+            let _ = TcpStream::connect(self.addr);
+        }
+        for join in self.joins.drain(..) {
+            let _ = join.join();
+        }
+    }
+}
+
+impl Drop for ReactorParts {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+/// What one event-loop instance allows its connections.
+pub(crate) struct Limits {
+    /// Compute threads answering turns.
+    pub(crate) compute_threads: usize,
+    /// Connections accepted past this many open ones are closed at once.
+    pub(crate) max_connections: usize,
+    /// As [`ServerConfig::idle_timeout`] (`Duration::ZERO`: never).
+    pub(crate) idle_timeout: Duration,
+    /// As [`ServerConfig::write_timeout`].
+    pub(crate) write_timeout: Duration,
+}
+
+/// One protocol served by the event loop.  The loop owns accept,
+/// framing, write backpressure, the sweeps and the turn queue; a service
+/// only cuts turns off a connection's frames and answers them.
+pub(crate) trait Service: Send + Sync + 'static {
+    /// A connection's protocol state, kept by the event loop.
+    type Conn: Default + Send;
+    /// A turn cut on the event loop and answered on a compute thread.
+    type Work: Send + 'static;
+    /// The event-loop thread's name and the compute threads' prefix
+    /// (the kernel keeps 15 bytes of a name).
+    const THREADS: [&'static str; 2];
+    /// A compute thread takes queued turns until their summed
+    /// [`Service::weight`] reaches this.
+    const BATCH: usize = 1;
+
+    /// Cut the next turn off `frames` (never empty; `None` marks a frame
+    /// that failed its integrity check).  Runs on the event loop, so
+    /// nothing it reaches may block (gp-lint L5; each implementation is
+    /// a reachability root).
+    fn cut(
+        &self,
+        frames: &mut std::collections::VecDeque<Option<Bytes>>,
+        conn: &mut Self::Conn,
+        metrics: &WorkerMetrics,
+    ) -> Cut<Self::Work>;
+
+    /// How much of [`Service::BATCH`] one turn fills.
+    fn weight(_work: &Self::Work) -> usize {
+        1
+    }
+
+    /// Whether any compute thread may answer this turn.  The turns it
+    /// refuses wait for the first thread, so they never hold every one.
+    fn any_thread(_work: &Self::Work) -> bool {
+        true
+    }
+
+    /// Answer a coalesced batch of turns on a compute thread: one reply
+    /// per turn, in order.
+    fn answer(&self, batch: Vec<Self::Work>) -> Vec<Reply>;
+
+    /// Whether a connection parked on `key` must keep waiting.
+    fn still_parked(&self, _key: &str) -> bool {
+        false
+    }
+}
+
+/// What [`Service::cut`] made of a connection's next frames.
+pub(crate) enum Cut<W> {
+    /// The turn waits on `key` (its frames stay queued) until
+    /// [`Service::still_parked`] clears it.
+    Park(String),
+    /// Answered on the event loop.
+    Now(Reply),
+    /// For a compute thread; `true` closes the connection once the
+    /// reply is delivered.
+    Later(W, bool),
+}
+
+/// A turn's encoded reply frames.
+pub(crate) struct Reply {
+    pub(crate) bytes: Vec<u8>,
+    /// Close the connection once these bytes are delivered.
+    pub(crate) close: bool,
+}
+
+impl Reply {
+    /// Frame `payloads` in order.  An over-[`crate::framing::MAX_FRAME_LEN`]
+    /// payload cannot be framed, and dropping it would desync every later
+    /// reply on the connection: deliver the in-order prefix and close.
+    pub(crate) fn frames(payloads: impl IntoIterator<Item = Bytes>, mut close: bool) -> Self {
+        let mut bytes = Vec::new();
+        let mut writer = FrameWriter::new(&mut bytes);
+        for payload in payloads {
+            if writer.write_frame_buffered(&payload).is_err() {
+                close = true;
+                break;
+            }
+        }
+        Self { bytes, close }
+    }
+}
+
+/// A client connection's protocol state.
+#[derive(Default)]
+pub(crate) struct ClientConn {
+    /// Verify scratch, reused across turns.
+    scratch: VerifyScratch,
+    /// Streak of undecodable/corrupt frames (resets on a good frame).
+    consecutive_errors: u32,
+}
+
+/// A client turn with hash jobs: the in-order response plan and its jobs.
+pub(crate) struct HashTurn {
+    planned: Vec<Planned>,
+    jobs: Vec<HashJob>,
+}
+
+/// The client protocol.  A turn drains up to 32 pipelined requests; one
+/// with hash jobs goes to the hash-compute pool, which coalesces turns
+/// across connections until they fill [`gp_crypto::LANES`] lanes.
+impl Service for AuthServer {
+    type Conn = ClientConn;
+    type Work = HashTurn;
+    const THREADS: [&'static str; 2] = ["gp-auth-reactor", "gp-auth-hash"];
+    const BATCH: usize = gp_crypto::LANES;
+
+    /// Phase 1 for one turn: pop frames off the connection's queue,
+    /// prepare logins/enrollments, and collect the turn's hash jobs.  A
+    /// turn without any is settled here; one with jobs goes to the pool.
+    /// A decodable frame resets the connection's bad-frame streak, and a
+    /// streak of [`MAX_CONSECUTIVE_PROTOCOL_ERRORS`] closes it.
+    ///
+    /// Enrollments do **not** end the turn: they batch with the logins
+    /// behind them, and their `EnrollOk`s are released together after the
+    /// turn's single group-commit barrier.  Two things end a turn early,
+    /// leaving later frames queued:
+    ///
+    /// * `Quit` — the connection is done (callers drop the rest);
+    /// * a login for an account whose enrollment is pending (the
+    ///   *per-account* write barrier, [`PendingAccounts`]): its frame
+    ///   goes back to the front of the queue, and a turn that opens on it
+    ///   parks until the enrollment's group commit lands.  Logins for
+    ///   every *other* account flow untouched.
+    // gp-lint: reactor-root
+    fn cut(
+        &self,
+        frames: &mut std::collections::VecDeque<Option<Bytes>>,
+        conn: &mut ClientConn,
+        metrics: &WorkerMetrics,
+    ) -> Cut<HashTurn> {
+        let mut planned = Vec::with_capacity(frames.len());
+        let mut jobs = Vec::new();
+        let mut quitting = false;
+        let mut parked = None;
+        while let Some(frame) = frames.pop_front() {
+            // Cheap refcount clone, kept only in case this frame parks and
+            // must be re-queued for the next turn.
+            let raw = frame.clone();
+            let message = match frame.map(ClientMessage::decode) {
+                Some(Ok(message)) => message,
+                bad => {
+                    metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                    conn.consecutive_errors += 1;
+                    let reason = match bad {
+                        Some(Err(e)) => format!("bad request: {e}"),
+                        _ => NetAuthError::IntegrityFailure.to_string(),
+                    };
+                    planned.push(Planned::Respond(ServerMessage::Error { reason }));
+                    continue;
+                }
+            };
+            conn.consecutive_errors = 0;
+            match message {
+                ClientMessage::Quit => {
+                    planned.push(Planned::Respond(ServerMessage::Goodbye));
+                    quitting = true;
+                    break;
+                }
+                ClientMessage::Login { username, clicks } => {
+                    if self.pending.is_pending(&username) {
+                        // Same-account barrier: this login may only be
+                        // prepared after the enrollment it races is
+                        // committed (in-order pipelining keeps the frames
+                        // behind it queued too).
+                        frames.push_front(raw);
+                        parked = Some(username);
+                        break;
+                    }
+                    metrics.logins.fetch_add(1, Ordering::Relaxed);
+                    planned.push(self.prepare_login(
+                        username,
+                        &clicks,
+                        &mut conn.scratch,
+                        &mut jobs,
+                    ));
+                }
+                ClientMessage::Enroll { username, clicks } => {
+                    planned.push(self.prepare_enroll(username, &clicks, &mut jobs));
+                }
+                ClientMessage::GetConfig => {
+                    planned.push(Planned::Respond(self.config_message()));
+                }
+            }
+        }
+        let close = quitting || conn.consecutive_errors >= MAX_CONSECUTIVE_PROTOCOL_ERRORS;
+        match parked {
+            Some(username) if planned.is_empty() => Cut::Park(username),
+            _ if jobs.is_empty() => {
+                // No hashing anywhere in the turn: settle on the event loop
+                // (lockout bookkeeping and encoding only — microseconds).
+                // The settle path statically reaches the WAL group commit,
+                // but a turn with zero hash jobs by construction carries no
+                // enrollment, so the commit branch cannot execute here.
+                // gp-lint: allow(L5, no-hash turns carry no enrolls; commit path unreachable)
+                let responses = self.settle_batch(vec![HashTurn { planned, jobs }]).concat();
+                Cut::Now(Reply::frames(
+                    responses.iter().map(ServerMessage::encode),
+                    close,
+                ))
+            }
+            _ => Cut::Later(HashTurn { planned, jobs }, close),
+        }
+    }
+
+    fn weight(turn: &HashTurn) -> usize {
+        turn.jobs.len()
+    }
+
+    fn answer(&self, batch: Vec<HashTurn>) -> Vec<Reply> {
+        self.settle_batch(batch)
+            .iter()
+            .map(|responses| Reply::frames(responses.iter().map(ServerMessage::encode), false))
+            .collect()
+    }
+
+    fn still_parked(&self, username: &str) -> bool {
+        self.pending.is_pending(username)
+    }
 }
 
 /// Off Linux there is no epoll, so there is nothing to serve with.
 #[cfg(not(target_os = "linux"))]
-fn spawn_reactor(
-    _server: Arc<AuthServer>,
+pub(crate) fn spawn_reactor<S: Service>(
+    _service: Arc<S>,
     _listener: TcpListener,
-    _shutdown: Arc<AtomicBool>,
+    _limits: Limits,
 ) -> Result<ReactorParts, NetAuthError> {
     Err(NetAuthError::Io(std::io::ErrorKind::Unsupported.into()))
 }
@@ -904,11 +1065,8 @@ fn snapshot_loop(store: &ShardedPasswordStore, interval: Duration, shutdown: &At
 /// dropped.
 #[derive(Debug)]
 pub struct ServerHandle {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    reactor_join: Option<JoinHandle<()>>,
-    compute_joins: Vec<JoinHandle<()>>,
-    worker_metrics: Vec<Arc<WorkerMetrics>>,
+    /// Its shutdown flag also stops the snapshot thread.
+    reactor: ReactorParts,
     server: Arc<AuthServer>,
     snapshot_join: Option<JoinHandle<()>>,
     /// Whether shutdown performs the final durable compaction.
@@ -919,7 +1077,7 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// The address the server is listening on.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.reactor.addr
     }
 
     /// The server behind this handle (store, lockout, config access).
@@ -933,7 +1091,8 @@ impl ServerHandle {
         let server = &self.server;
         ServerStats {
             workers: self
-                .worker_metrics
+                .reactor
+                .metrics
                 .iter()
                 .enumerate()
                 .map(|(i, m)| m.snapshot(i))
@@ -964,15 +1123,7 @@ impl ServerHandle {
     }
 
     fn shutdown_inner(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Wake the event loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(join) = self.reactor_join.take() {
-            let _ = join.join();
-        }
-        for join in self.compute_joins.drain(..) {
-            let _ = join.join();
-        }
+        self.reactor.stop();
         if let Some(join) = self.snapshot_join.take() {
             let _ = join.join();
         }
@@ -1201,8 +1352,9 @@ mod tests {
 
     /// In-memory driver for the turn phases: decode every frame in
     /// `input` (a frame failing its integrity check becomes `None`), then
-    /// run prepare / hash / settle turns over them as the reactor does,
-    /// stopping at `Quit`.  Returns the responses in order.
+    /// cut and answer turns over them as the reactor does, stopping where
+    /// a turn closes the connection (`Quit`).  Returns the responses in
+    /// order.
     fn serve_pipeline(
         server: &AuthServer,
         input: &[u8],
@@ -1217,19 +1369,23 @@ mod tests {
                 Err(_) => break,
             }
         }
-        let mut scratch = VerifyScratch::new();
-        let mut consecutive_errors = 0;
+        let mut conn = ClientConn::default();
         let mut responses = Vec::new();
         while !frames.is_empty() {
-            let turn =
-                server.prepare_turn(&mut frames, &mut scratch, metrics, &mut consecutive_errors);
-            assert!(
-                !turn.planned.is_empty(),
-                "turn parked on a barrier nothing lifts"
-            );
-            let digests = server.hash_batch(&turn.jobs);
-            responses.extend(server.settle_responses(turn.planned, &digests));
-            if turn.quitting {
+            let reply = match server.cut(&mut frames, &mut conn, metrics) {
+                Cut::Park(_) => panic!("turn parked on a barrier nothing lifts"),
+                Cut::Now(reply) => reply,
+                Cut::Later(work, close) => {
+                    let mut reply = server.answer(vec![work]).remove(0);
+                    reply.close |= close;
+                    reply
+                }
+            };
+            let mut replies = FrameReader::new(reply.bytes.as_slice());
+            while let Ok(frame) = replies.read_frame() {
+                responses.push(ServerMessage::decode(frame).unwrap());
+            }
+            if reply.close {
                 break;
             }
         }

@@ -73,8 +73,9 @@ fn wait_until_stalled(stream: &TcpStream) {
 
 /// A peer that pipelines `RangeRequest`s and then never reads must not
 /// wedge `ReplicationHandle::shutdown`: the listings (~12 MB, far more
-/// than the socket buffers hold) block the serving thread in a write,
-/// and only the listener's 5 s socket write timeout frees it.
+/// than the socket buffers hold) fill the connection's write buffer, the
+/// event loop stops reading it but never blocks on the write, and the
+/// stall sweep closes it after 5 s without progress (`WRITE_TIMEOUT`).
 #[cfg(target_os = "linux")]
 #[test]
 fn shutdown_is_not_wedged_by_a_joiner_that_stops_reading() {
@@ -135,9 +136,10 @@ fn maps_lines() -> usize {
         .count()
 }
 
-/// The listener reaps exited connection threads as it accepts: every
-/// anti-entropy round opens (and closes) one connection, so without
-/// reaping N rounds leave ~2N stale mappings behind.
+/// Every anti-entropy round opens (and closes) one connection, so a
+/// listener that left a thread behind per connection would grow the map
+/// by ~2N lines over N rounds.  The replica event loop starts no thread
+/// per connection.
 #[cfg(target_os = "linux")]
 #[test]
 fn listener_reaps_exited_connection_threads() {

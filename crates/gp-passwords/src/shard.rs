@@ -715,6 +715,19 @@ impl ShardedPasswordStore {
             .map(PackedAccount::unpack)
     }
 
+    /// An account's record as a WAL `Update` payload (op byte, then the
+    /// packed record), copied from its resident bytes: the bytes
+    /// `WalEntry::Update(record).to_payload()` builds, without unpacking
+    /// the record or deriving its salt.
+    pub fn update_payload(&self, username: &str) -> Option<Vec<u8>> {
+        let accounts = self.shard_for(username).accounts.read();
+        let packed = accounts.get(username)?.as_bytes();
+        let mut payload = Vec::with_capacity(1 + packed.len());
+        payload.push(OP_UPDATE);
+        payload.extend_from_slice(packed);
+        Some(payload)
+    }
+
     /// Fetch a copy of an account's stored record together with its
     /// per-salt hashing state, ready for the batched verify path.  The
     /// salt is derived from the name and the hasher built after the shard
@@ -1565,6 +1578,27 @@ mod tests {
         assert!(recovered.verify(&sys, "alice", &clicks(0.0)).unwrap());
         assert!(recovered.get("bob").is_none(), "removal replicated");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The payload copied from an account's resident bytes is the one its
+    /// decoded record re-packs to, for every account: names of 1 to 196
+    /// bytes across four shards.
+    #[test]
+    fn update_payload_matches_the_repacked_record() {
+        let sys = system();
+        let store = ShardedPasswordStore::new(4);
+        for i in 0..40u32 {
+            let name = format!("{i:0>width$}", width = 1 + 5 * i as usize);
+            let record = sys.enroll(&name, &clicks(f64::from(i))).unwrap();
+            store.insert_new(record).unwrap();
+        }
+        let names = store.usernames();
+        assert_eq!(names.len(), 40);
+        for name in names {
+            let repacked = WalEntry::Update(store.get(&name).unwrap()).to_payload();
+            assert_eq!(store.update_payload(&name), Some(repacked), "{name}");
+        }
+        assert_eq!(store.update_payload("nobody"), None);
     }
 
     #[test]
