@@ -6,7 +6,8 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use gp_bench::example_clicks;
 use gp_crypto::iterated::Kernel;
 use gp_crypto::{
-    iterated_hash, iterated_hash_reference, PasswordHasher, SaltedHasher, Sha256, LANES,
+    iterated_hash, iterated_hash_reference, PasswordHasher, SaltedHasher, Sha256,
+    AVX512_MIN_CHAINS, LANES,
 };
 use gp_discretization::prelude::*;
 use gp_geometry::{ImageDims, Point};
@@ -122,6 +123,30 @@ fn bench_iterated_hash_fast_paths(c: &mut Criterion) {
         let mut out = Vec::new();
         for kernel in Kernel::available() {
             let case = format!("h3000_16_chains_{shape}_{}", kernel.name());
+            group.bench_function(case, |b| {
+                b.iter(|| {
+                    kernel.many_salted_into(black_box(&hasher_refs), &msg_refs, 3000, &mut out);
+                    black_box(&out);
+                })
+            });
+        }
+    }
+
+    // Partial batches of derived salts at h^3000, the widths around the
+    // crossover `AVX512_MIN_CHAINS` names: the `avx512` row is one padded
+    // AVX-512 pass at every width, the `sha-ni` row SHA-NI alone, and
+    // `sha-ni+avx512` whichever of the two the crossover picks.
+    for n in [4, 8, AVX512_MIN_CHAINS, 12] {
+        let salts: Vec<Vec<u8>> = (0..n)
+            .map(|i| password_hasher.salt_for(&name(i, 5)))
+            .collect();
+        let hashers: Vec<SaltedHasher> = salts.iter().map(|s| SaltedHasher::new(s)).collect();
+        let hasher_refs: Vec<&SaltedHasher> = hashers.iter().collect();
+        let messages: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8; 40]).collect();
+        let msg_refs: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
+        let mut out = Vec::new();
+        for kernel in Kernel::available() {
+            let case = format!("h3000_partial_chains_{n}_{}", kernel.name());
             group.bench_function(case, |b| {
                 b.iter(|| {
                     kernel.many_salted_into(black_box(&hasher_refs), &msg_refs, 3000, &mut out);

@@ -41,8 +41,9 @@ use core::arch::x86_64::{
 /// Which kernel runs is [`Kernel`]'s rule, by CPUID and group size: every
 /// full group of `LANES` chains whose salt fills whole blocks runs as one
 /// hand-written AVX-512 pass, one chain per 32-bit lane of a zmm register,
-/// where the CPU has it, and the rest runs on SHA-NI where the CPU has
-/// that ([`Kernel`] gives the measured times).
+/// where the CPU has it, and so does a remainder of at least
+/// [`AVX512_MIN_CHAINS`], its idle lanes padded; a smaller remainder runs
+/// on SHA-NI where the CPU has that ([`Kernel`] gives the measured times).
 pub const LANES: usize = 16;
 
 /// Apply SHA-256 `iterations` times to `salt || message`:
@@ -109,11 +110,33 @@ pub fn iterated_hash_many_salted_into(
 /// chains fill those slots until the 16 XMM registers spill.  Measured at
 /// h^3000 on a 2-vCPU Xeon (medians of 7 alternating runs), 16 one-block
 /// login chains took 2.3 ms at 2 chains per pass, 2.2 ms at 4 and 2.5 ms at
-/// 8.  On a CPU with AVX-512 the SHA-NI kernel sees only what is left of a
-/// group after its full [`LANES`]-wide passes, so at most 15 chains: 0 to 3
-/// passes of four and one narrower pass.
+/// 8.  On a CPU with AVX-512 the SHA-NI kernel sees only a group's
+/// remainder after its full [`LANES`]-wide passes, and only when that is
+/// smaller than [`AVX512_MIN_CHAINS`]: 0 to 2 passes of four and one
+/// narrower pass.
 #[cfg(target_arch = "x86_64")]
 const SHANI_CHAINS: usize = 4;
+
+/// The fewest aligned chains left over after a group's full [`LANES`]-wide
+/// passes that run as one more, padded, AVX-512 pass on a CPU with both
+/// AVX-512 and SHA-NI; a smaller remainder runs on SHA-NI.  (Without
+/// SHA-NI every remainder takes the AVX-512 pass: about 1.0 ms at h^3000
+/// beats both a padded portable pass, ~4 ms, and one scalar chain,
+/// ~1.2 ms.)
+///
+/// A pass costs the same however many lanes are busy, while SHA-NI costs
+/// grow with the chain count, so this is their crossover.  Measured at
+/// h^3000 on a 2-vCPU Xeon with SHA-NI and AVX-512 (`micro_primitives`
+/// medians, three runs), SHA-NI took 0.98–1.31 ms for 8 chains,
+/// 1.13–1.42 ms for 9, 1.26–1.56 ms for 10 and 1.49–2.06 ms for 12, and
+/// one padded pass 0.95–1.07 ms at every width from 6 to 14; medians of
+/// 41 runs on a host of the same kind put SHA-NI at 0.89 ms for 8 chains
+/// and 1.03 ms for 9 against 0.95–1.05 ms.  The crossover sits at 8–9
+/// chains, so 9 is the first width where the pass wins on both.  The
+/// `h3000_partial_chains_*` rows of `micro_primitives` measure it again,
+/// and a release-only timing guard asserts a padded pass beats SHA-NI on
+/// 12 chains.
+pub const AVX512_MIN_CHAINS: usize = 9;
 
 /// The compression kernels iterated hashing runs on: which of the CPU's
 /// `Avx512` and `ShaNi` detection tokens it holds.  Production entry
@@ -125,16 +148,19 @@ const SHANI_CHAINS: usize = 4;
 /// blocks (every salt [`PasswordHasher::salt_for`] derives), so that a
 /// round is one compression of `digest || padding` from the salt's
 /// midstate, the digest at offset 0.  The rule, by CPUID and group size
-/// only: every full [`LANES`]-wide group of such chains runs through the
-/// register-resident AVX-512 pass when the CPU has AVX-512F and
-/// AVX-512VL; the rest of the group runs on SHA-NI, four chains at a time,
-/// when the CPU has it, and otherwise on the portable loop (padded to full
-/// width, or scalar for 1–3 chains).  Chains under any other salt run the
-/// portable loop on every kernel.  Measured at h^3000 on a 2-vCPU Sapphire
-/// Rapids Xeon (`micro_primitives` medians), 16 chains take 1.1–1.3 ms on
-/// AVX-512 against 2.5–2.9 ms on SHA-NI, whatever their names' lengths,
-/// and a lone chain stays on SHA-NI (0.17 ms).  A release-only timing
-/// guard asserts the 16-chain side of that.
+/// only: when the CPU has AVX-512F and AVX-512VL, every full
+/// [`LANES`]-wide group of such chains runs through the register-resident
+/// AVX-512 pass, and so does the remainder, its idle lanes padded, if it
+/// holds at least [`AVX512_MIN_CHAINS`] chains or the CPU lacks SHA-NI;
+/// what is left runs on SHA-NI, four chains at a time, when the CPU has
+/// it, and otherwise on the portable loop (padded to full width, or scalar
+/// for 1–3 chains).  Chains under any other salt run the portable loop on
+/// every kernel.  Measured at h^3000 on a 2-vCPU Sapphire Rapids Xeon
+/// (`micro_primitives` medians), 16 chains take 1.0–1.3 ms on AVX-512
+/// against 2.0–2.9 ms on SHA-NI, whatever their names' lengths, one pass
+/// costs about the same with idle lanes, and a lone chain stays on SHA-NI
+/// (0.17 ms).  Release-only timing guards assert the 16-chain side of
+/// that and a padded pass beating SHA-NI on 12 chains.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Kernel {
     /// Run full `LANES`-wide groups through `avx512_rounds`.
@@ -238,10 +264,11 @@ impl Kernel {
 /// every `i` in `group`; either every entry of `group` is
 /// [`RoundTemplate::aligned`] or none is.  Every iterated-hash entry point
 /// funnels through here, and here alone [`Kernel`]'s dispatch rule is
-/// applied: an aligned group's full [`LANES`]-wide chunks go to
-/// [`avx512_rounds`] under an `Avx512` token and the rest to
-/// [`advance_shani`] under a `ShaNi` token; everything else goes to
-/// [`advance_lanes`].
+/// applied: under an `Avx512` token an aligned group's full [`LANES`]-wide
+/// chunks go to [`avx512_rounds`], and so does its remainder when it holds
+/// at least [`AVX512_MIN_CHAINS`] chains, or any chain at all without a
+/// `ShaNi` token; what is left goes to [`advance_shani`] under a `ShaNi`
+/// token; everything else goes to [`advance_lanes`].
 #[allow(unsafe_code)]
 fn advance_group<'t>(
     kernel: Kernel,
@@ -252,18 +279,24 @@ fn advance_group<'t>(
 ) {
     #[cfg(target_arch = "x86_64")]
     if group.first().is_some_and(|&i| template(i).aligned()) {
-        let (full, rest) = match kernel.avx512 {
-            Some(Avx512 { .. }) => group.split_at(group.len() / LANES * LANES),
-            None => group.split_at(0),
+        let on_avx512 = match (kernel.avx512, kernel.shani) {
+            (None, _) => 0,
+            (Some(Avx512 { .. }), Some(ShaNi { .. }))
+                if group.len() % LANES < AVX512_MIN_CHAINS =>
+            {
+                group.len() / LANES * LANES
+            }
+            (Some(Avx512 { .. }), _) => group.len(),
         };
-        // SAFETY: `full` is non-empty only under an `Avx512` token, which
+        let (wide, rest) = group.split_at(on_avx512);
+        // SAFETY: `wide` is non-empty only under an `Avx512` token, which
         // exists only if `Avx512::detect` saw avx512f and avx512vl, and
         // `advance_shani` runs only under a `ShaNi` token, which exists only
         // if `ShaNi::detect` saw sha, sse2, ssse3, sse4.1 and avx: the
         // features the two callees enable.
         // gp-lint: allow(L3, the target-feature calls; their Avx512 and ShaNi tokens prove the CPUID checks passed)
         unsafe {
-            for lanes in full.chunks_exact(LANES) {
+            for lanes in wide.chunks(LANES) {
                 avx512_rounds(&template, lanes, rounds, out);
             }
             match kernel.shani {
@@ -449,8 +482,8 @@ fn shani_rounds<'t, const N: usize>(
 /// The portable half of [`advance_group`]: full [`LANES`]-wide passes of
 /// the lane loop as the build compiled it, then the remainder, padded to
 /// full width or scalar.  It runs every chain under a salt that does not
-/// fill whole blocks, and the aligned chains a CPU without SHA-NI leaves
-/// after its AVX-512 passes.
+/// fill whole blocks, and the aligned chains of a CPU with neither SHA-NI
+/// nor AVX-512.
 fn advance_lanes<'t>(
     template: &impl Fn(usize) -> &'t RoundTemplate,
     group: &[usize],
@@ -571,10 +604,15 @@ macro_rules! compress_avx512 {
     }};
 }
 
-/// One full [`LANES`]-wide group of aligned chains advanced `rounds - 1`
-/// rounds with AVX-512, one chain per 32-bit lane.
+/// Up to [`LANES`] aligned chains advanced `rounds - 1` rounds with
+/// AVX-512, one chain per 32-bit lane.
 ///
-/// The eight chaining-state words of the sixteen chains stay in eight zmm
+/// A pass costs the same however many of its lanes are busy, so
+/// [`advance_group`] also sends it a partial group: idle lanes are padded
+/// with copies of the first chain, as the portable loop pads, and only the
+/// real chains are written back.
+///
+/// The eight chaining-state words of the sixteen lanes stay in eight zmm
 /// registers for every round, and they are the round's message words 0–7
 /// as they stand; words 8–15 are the per-lane padding and length words,
 /// and the feed-forward adds the per-lane midstates.  The rotates are
@@ -590,11 +628,15 @@ macro_rules! compress_avx512 {
 #[target_feature(enable = "avx512f,avx512vl")]
 fn avx512_rounds<'t>(
     template: &impl Fn(usize) -> &'t RoundTemplate,
-    lanes: &[usize],
+    chains: &[usize],
     rounds: u32,
     out: &mut [Digest],
 ) {
-    let lanes: &[usize; LANES] = lanes.try_into().expect("one full lane group");
+    debug_assert!(!chains.is_empty() && chains.len() <= LANES);
+    // Pad lanes mirror chain 0: they read its digest on entry and are
+    // never written back.
+    let lanes: [usize; LANES] =
+        core::array::from_fn(|l| chains.get(l).copied().unwrap_or(chains[0]));
     let templates = lanes.map(template);
     let midstate: [__m512i; 8] =
         core::array::from_fn(|w| lane_vector(templates.map(|t| t.initial_state[w])));
@@ -615,7 +657,7 @@ fn avx512_rounds<'t>(
         );
     }
     let words = digest.map(|v| vector_lanes(v));
-    for (l, &i) in lanes.iter().enumerate() {
+    for (l, &i) in chains.iter().enumerate() {
         out[i] = state_to_digest(&words.map(|w| w[l]));
     }
 }
@@ -1116,18 +1158,37 @@ mod tests {
             .collect()
     }
 
+    /// A round template with a random midstate and random bytes around
+    /// the digest slot at `digest_offset`.
+    fn random_template(seed: u64, digest_offset: usize) -> RoundTemplate {
+        let bytes = noise(seed, 32 + ROUND_BUF_LEN);
+        RoundTemplate {
+            initial_state: core::array::from_fn(|w| {
+                u32::from_be_bytes(bytes[4 * w..4 * w + 4].try_into().unwrap())
+            }),
+            buffer: bytes[32..].try_into().unwrap(),
+            blocks: (digest_offset + DIGEST_LEN + 9).div_ceil(BLOCK_LEN),
+            digest_offset,
+        }
+    }
+
+    fn random_digest(seed: u64) -> Digest {
+        noise(seed, DIGEST_LEN).try_into().unwrap()
+    }
+
     #[test]
     fn kernels_match_scalar_round_at_every_width() {
         // One round from random states over random round messages: each
         // kernel must equal the scalar `RoundTemplate::advance`.  Aligned
-        // groups of 1-17 chains reach every SHA-NI width the build
-        // instantiates (1-4), one full AVX-512 pass (16) and a pass with a
-        // one-chain remainder (17).  Groups at digest offsets 1-63, one-
-        // and two-block rounds side by side, run the portable lanes on
-        // every kernel.  The random bytes under the digest slot must not
-        // leak into the round.
+        // groups of 1-32 chains reach every SHA-NI width the build
+        // instantiates (1-4), a padded AVX-512 pass at every partial width,
+        // one full pass (16) and every split of a full pass and a
+        // remainder (17-32), on either side of `AVX512_MIN_CHAINS`.
+        // Groups at digest offsets 1-63, one- and two-block rounds side by
+        // side, run the portable lanes on every kernel.  The random bytes
+        // under the digest slot must not leak into the round.
         for kernel in Kernel::available() {
-            for n in 1..=LANES + 1 {
+            for n in 1..=2 * LANES {
                 for first in [0usize, 1, 23, 24, 40, 63] {
                     let seed = (first * 100 + n) as u64;
                     let templates: Vec<RoundTemplate> = (0..n)
@@ -1136,23 +1197,11 @@ mod tests {
                                 0 => 0,
                                 _ => (first + 7 * i) % 63 + 1,
                             };
-                            let bytes = noise(seed * 100 + i as u64, 32 + ROUND_BUF_LEN);
-                            RoundTemplate {
-                                initial_state: core::array::from_fn(|w| {
-                                    u32::from_be_bytes(bytes[4 * w..4 * w + 4].try_into().unwrap())
-                                }),
-                                buffer: bytes[32..].try_into().unwrap(),
-                                blocks: (digest_offset + DIGEST_LEN + 9).div_ceil(BLOCK_LEN),
-                                digest_offset,
-                            }
+                            random_template(seed * 100 + i as u64, digest_offset)
                         })
                         .collect();
                     let mut digests: Vec<Digest> = (0..n)
-                        .map(|i| {
-                            noise(seed * 1000 + i as u64, DIGEST_LEN)
-                                .try_into()
-                                .unwrap()
-                        })
+                        .map(|i| random_digest(seed * 1000 + i as u64))
                         .collect();
                     let expected: Vec<Digest> = templates
                         .iter()
@@ -1166,6 +1215,60 @@ mod tests {
                         "{kernel:?}, {n} chains, first offset {first}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn padded_passes_write_only_their_own_chains() {
+        // Aligned chains at every third index, behind an unaligned chain at
+        // index 0 and beside unaligned ones, so a pad lane that wrote back
+        // to its own lane index, or to any slot but its group's, would
+        // overwrite an unaligned chain's digest.  Advancing the aligned
+        // group alone must leave every other slot as it was; advancing the
+        // unaligned group after it must leave each slot exactly as the
+        // portable kernel does.
+        for n in 1..=2 * LANES {
+            let len = 3 * n + 1;
+            let aligned: Vec<usize> = (0..n).map(|j| 3 * j + 1).collect();
+            let unaligned: Vec<usize> = (0..len).filter(|i| i % 3 != 1).collect();
+            let templates: Vec<RoundTemplate> = (0..len)
+                .map(|i| {
+                    let digest_offset = if i % 3 == 1 { 0 } else { 1 + i % 40 };
+                    random_template((n * 1000 + i) as u64, digest_offset)
+                })
+                .collect();
+            let start: Vec<Digest> = (0..len)
+                .map(|i| random_digest((n * 1000 + i) as u64 + 7))
+                .collect();
+            let run = |kernel: Kernel| {
+                let mut digests = start.clone();
+                advance_group(kernel, |i| &templates[i], &aligned, 3, &mut digests);
+                for &i in &unaligned {
+                    assert_eq!(
+                        digests[i], start[i],
+                        "{kernel:?}, {n} aligned chains wrote unaligned slot {i}"
+                    );
+                }
+                advance_group(kernel, |i| &templates[i], &unaligned, 3, &mut digests);
+                digests
+            };
+            let portable = run(Kernel {
+                #[cfg(target_arch = "x86_64")]
+                avx512: None,
+                #[cfg(target_arch = "x86_64")]
+                shani: None,
+            });
+            for &i in &aligned {
+                let mut template = templates[i];
+                let expected = template.advance(&template.clone().advance(&start[i]));
+                assert_eq!(
+                    portable[i], expected,
+                    "portable, {n} aligned chains, slot {i}"
+                );
+            }
+            for kernel in Kernel::available() {
+                assert_eq!(run(kernel), portable, "{kernel:?}, {n} aligned chains");
             }
         }
     }
@@ -1490,6 +1593,47 @@ mod tests {
                 "the AVX-512 pass took {avx512_time:?} against SHA-NI's \
                  {shani_wide_time:?} for {LANES} chains with {salt_len}-byte salts"
             );
+        }
+    }
+
+    /// [`AVX512_MIN_CHAINS`]' premise: past the crossover, a padded
+    /// AVX-512 pass must beat SHA-NI on the same chains.  It asserts at 12
+    /// chains, where the margin is wide (normally 1.0 vs 1.3-2.0 ms at
+    /// h^3000), and prints the times at the crossover and one chain below
+    /// it, so a log shows whether the constant still sits where it was
+    /// measured.
+    #[cfg(all(not(debug_assertions), target_arch = "x86_64"))]
+    #[test]
+    fn a_padded_avx512_pass_beats_shani_past_the_crossover() {
+        let (Some(avx512), Some(shani)) = (Avx512::detect(), ShaNi::detect()) else {
+            println!(
+                "notice: this CPU lacks AVX-512 or SHA-NI; the crossover timing guard is skipped"
+            );
+            return;
+        };
+        let avx512 = Kernel {
+            avx512: Some(avx512),
+            shani: None,
+        };
+        let shani = Kernel {
+            avx512: None,
+            shani: Some(shani),
+        };
+        for width in [AVX512_MIN_CHAINS - 1, AVX512_MIN_CHAINS, 12] {
+            let (hashers, messages) = timing_chains(width, 64);
+            let avx512_time = fastest_h3000(avx512, &hashers, &messages, || {});
+            let shani_time = fastest_h3000(shani, &hashers, &messages, || {});
+            println!(
+                "padded AVX-512 {avx512_time:?} vs SHA-NI {shani_time:?}: \
+                 {width} chains, 64-byte salt, h^3000"
+            );
+            if width == 12 {
+                assert!(
+                    avx512_time < shani_time,
+                    "a padded AVX-512 pass took {avx512_time:?} against SHA-NI's \
+                     {shani_time:?} for {width} chains"
+                );
+            }
         }
     }
 

@@ -37,12 +37,15 @@
 //! * every full group of [`LANES`] such chains runs through one
 //!   hand-written AVX-512F/VL pass, on CPUs that have it: one chain per
 //!   32-bit lane, the chaining state, which is also each round's first
-//!   eight message words, held in zmm registers for every round (1.1–1.3
-//!   ms for 16 h^3000 chains on a 2-vCPU Sapphire Rapids Xeon);
-//! * the rest of the group runs on x86-64 CPUs with the SHA extensions and
+//!   eight message words, held in zmm registers for every round (1.0–1.3
+//!   ms for 16 h^3000 chains on a 2-vCPU Sapphire Rapids Xeon).  A pass
+//!   costs the same with idle lanes, so a remainder of at least
+//!   [`AVX512_MIN_CHAINS`] chains (any remainder, on a CPU without
+//!   SHA-NI) runs as one more pass, padded;
+//! * a smaller remainder runs on x86-64 CPUs with the SHA extensions and
 //!   AVX through one SHA-NI round loop that interleaves up to four chains
 //!   and keeps each chain's state in its SHA-NI registers for every round
-//!   (0.17 ms for one h^3000 chain, 2.5–2.9 ms for 16, same host).  AVX is
+//!   (0.17 ms for one h^3000 chain, ~1.0 ms for 8, same host).  AVX is
 //!   needed only for the `vzeroupper` that keeps the legacy-SSE `sha256*`
 //!   instructions clear of the ~100× SSE/AVX transition penalty;
 //! * elsewhere, and for salts of any other length on every CPU, the
@@ -55,7 +58,7 @@
 //! its CPUID check made; the tests run every path on every kernel the CPU
 //! has, and release-only tests fail if the SHA-NI kernel stops beating
 //! the portable one, alone or right after an AVX-512 pass, or if the
-//! AVX-512 pass stops beating SHA-NI on 16 chains.
+//! AVX-512 pass stops beating SHA-NI on 16 chains, or, padded, on 12.
 //!
 //! # Example
 //!
@@ -82,6 +85,6 @@ pub use ct::ct_eq;
 pub use hmac::HmacSha256;
 pub use iterated::{
     iterated_hash, iterated_hash_many_salted, iterated_hash_many_salted_into,
-    iterated_hash_reference, PasswordHash, PasswordHasher, SaltedHasher, LANES,
+    iterated_hash_reference, PasswordHash, PasswordHasher, SaltedHasher, AVX512_MIN_CHAINS, LANES,
 };
 pub use sha256::{Digest, Midstate, Sha256, DIGEST_LEN};

@@ -59,7 +59,7 @@
 
 use crate::error::NetAuthError;
 use crate::framing::{FrameReader, WriteBuffer};
-use crate::server::{Cut, Limits, ReactorParts, Reply, Service, WorkerMetrics, SHUTDOWN_POLL};
+use crate::server::{Cut, Limits, ReactorParts, Reply, Service, WorkerMetrics};
 use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use bytes::Bytes;
 use std::collections::VecDeque;
@@ -311,6 +311,10 @@ struct Reactor<S: Service> {
     /// When the last idle/stall sweep ran (sweeps are rate-limited to
     /// [`SWEEP_INTERVAL`]).
     last_sweep: Instant,
+    /// Connections whose output is pending (`write_stalled_since` set):
+    /// while there are none and no idle timeout is set, no sweep can
+    /// close anything, and the loop sleeps until an event.
+    stalled: usize,
 }
 
 /// Spawn an event loop and its compute threads serving `service` on
@@ -376,6 +380,7 @@ pub(crate) fn spawn_reactor<S: Service>(
         shutdown: Arc::clone(&shutdown),
         metrics: reactor_metrics,
         last_sweep: Instant::now(),
+        stalled: 0,
     };
     let reactor_join = std::thread::Builder::new()
         .name(loop_name.into())
@@ -434,10 +439,9 @@ impl<S: Service> Reactor<S> {
     fn run(&mut self) {
         let mut events = vec![EpollEvent::zeroed(); 256];
         while !self.shutdown.load(Ordering::SeqCst) {
-            let n = match self
-                .epoll
-                .wait(&mut events, SHUTDOWN_POLL.as_millis() as i32)
-            {
+            // `ReactorParts::stop` wakes the wait with a connection after
+            // raising the flag, so only the sweeps need a timed wake.
+            let n = match self.epoll.wait(&mut events, self.wait_timeout_ms()) {
                 Ok(n) => n,
                 Err(_) => break,
             };
@@ -461,6 +465,21 @@ impl<S: Service> Reactor<S> {
             // safe to recycle (no stale event can target them anymore).
             self.free.append(&mut self.deferred_free);
         }
+    }
+
+    /// How long the loop may sleep in `epoll_wait`: until the next sweep
+    /// is due while a sweep could close something (a connection is open
+    /// under an idle timeout, or one has output pending under a write
+    /// timeout), otherwise until an event arrives (`-1`).
+    fn wait_timeout_ms(&self) -> i32 {
+        let idle = self.live > 0 && !self.limits.idle_timeout.is_zero();
+        let stalled = self.stalled > 0 && !self.limits.write_timeout.is_zero();
+        if !(idle || stalled) {
+            return -1;
+        }
+        // At most `SWEEP_INTERVAL`, so the milliseconds fit an `i32`.
+        let due = (self.last_sweep + SWEEP_INTERVAL).saturating_duration_since(Instant::now());
+        due.as_micros().div_ceil(1000) as i32
     }
 
     /// Accept every pending connection (the listener is level-triggered:
@@ -644,6 +663,7 @@ impl<S: Service> Reactor<S> {
                 return;
             };
             let before = conn.out.pending();
+            let was_stalled = conn.write_stalled_since.is_some();
             let result = conn.out.flush_to(conn.reader.get_mut().get_mut());
             // Track write progress: any accepted byte restarts the stall
             // window, so only a peer taking *nothing* for `write_timeout`
@@ -655,6 +675,11 @@ impl<S: Service> Reactor<S> {
                 Ok(false) => Some(Instant::now()),
                 _ => None,
             };
+            match (was_stalled, conn.write_stalled_since.is_some()) {
+                (false, true) => self.stalled += 1,
+                (true, false) => self.stalled -= 1,
+                _ => {}
+            }
             result
         };
         match result {
@@ -783,6 +808,7 @@ impl<S: Service> Reactor<S> {
     fn close_connection(&mut self, slot: usize) {
         if let Some(conn) = self.conns[slot].take() {
             let _ = self.epoll.delete(conn.fd);
+            self.stalled -= usize::from(conn.write_stalled_since.is_some());
             self.generations[slot] = self.generations[slot].wrapping_add(1);
             self.deferred_free.push(slot);
             self.parked.retain(|(s, _)| *s != slot);

@@ -46,9 +46,10 @@ use gp_passwords::{
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 #[cfg(target_os = "linux")]
 pub(crate) use crate::reactor::spawn_reactor;
@@ -56,10 +57,6 @@ pub(crate) use crate::reactor::spawn_reactor;
 /// Consecutive undecodable/corrupt frames tolerated on one connection
 /// before the server gives up on it (a desynced or hostile peer).
 const MAX_CONSECUTIVE_PROTOCOL_ERRORS: u32 = 32;
-
-/// How often the event loops and the snapshot thread re-check the
-/// shutdown flag.
-pub(crate) const SHUTDOWN_POLL: Duration = Duration::from_millis(50);
 
 /// Default [`ServerConfig::write_timeout`]: a peer that accepts no
 /// response bytes for this long (it stopped reading) is closed by the
@@ -463,8 +460,8 @@ impl AuthServer {
     /// it into kernel-sized groups itself.  Every job iterates
     /// [`GraphicalPasswordSystem::iterations`]: an enrollment's record is
     /// built under it, and a login whose record was stored under another
-    /// count fails `prepare_verify`'s provenance check before any job
-    /// exists.  Returns one digest per job, in input order.
+    /// count fails `prepare_verify_from_store`'s provenance check before
+    /// any job exists.  Returns one digest per job, in input order.
     fn hash_batch(&self, jobs: &[HashJob]) -> Vec<Digest> {
         if jobs.is_empty() {
             return Vec::new();
@@ -537,7 +534,9 @@ impl AuthServer {
     ///
     /// The job carries the account's per-salt hashing state
     /// ([`ShardedPasswordStore::get_cached`]), built on lookup: deriving
-    /// the one-block salt and absorbing it costs about two compressions.
+    /// the one-block salt and absorbing it costs about two compressions,
+    /// paid once per login, since the store derived the record's salt and
+    /// provenance does not derive it again.
     fn prepare_login(
         &self,
         username: String,
@@ -555,10 +554,13 @@ impl AuthServer {
             // the decision is re-checked) without paying for a hash.
             return Planned::LoginNoHash { username };
         }
-        match self.system.prepare_verify(&stored, clicks, scratch) {
+        match self
+            .system
+            .prepare_verify_from_store(&stored, clicks, scratch)
+        {
             // Structurally invalid attempts (wrong click count, clicks
             // outside the image) are failures; so are records whose
-            // salt/iteration provenance can never match this system.
+            // domain/iteration provenance can never match this system.
             Err(_) | Ok(None) => Planned::LoginNoHash { username },
             Ok(Some(pre_image)) => {
                 let job_index = jobs.len();
@@ -750,6 +752,7 @@ impl AuthServer {
         let mut handle = ServerHandle {
             reactor,
             server,
+            snapshot_stop: None,
             snapshot_join: None,
             graceful: true,
         };
@@ -759,11 +762,12 @@ impl AuthServer {
         if let Some(durability) = &handle.server.config().durability {
             let interval = durability.snapshot_interval;
             let store = handle.server.store();
-            let shutdown = Arc::clone(&handle.reactor.shutdown);
+            let (stop, stopped) = mpsc::channel();
+            handle.snapshot_stop = Some(stop);
             handle.snapshot_join = Some(
                 std::thread::Builder::new()
                     .name("gp-auth-snapshot".into())
-                    .spawn(move || snapshot_loop(&store, interval, &shutdown))
+                    .spawn(move || snapshot_loop(&store, interval, &stopped))
                     .map_err(NetAuthError::Io)?,
             );
         }
@@ -1046,18 +1050,14 @@ pub(crate) fn spawn_reactor<S: Service>(
 }
 
 /// Background compaction loop: every `interval`, snapshot the shards
-/// whose WAL grew past the store's threshold.  Errors are dropped — the
-/// next tick retries, and the WAL itself keeps every acked mutation safe
-/// in the meantime.
-fn snapshot_loop(store: &ShardedPasswordStore, interval: Duration, shutdown: &AtomicBool) {
+/// whose WAL grew past the store's threshold, until the sender of
+/// `stopped` is dropped, which wakes the wait at once.  Errors are
+/// dropped — the next tick retries, and the WAL itself keeps every acked
+/// mutation safe in the meantime.
+fn snapshot_loop(store: &ShardedPasswordStore, interval: Duration, stopped: &mpsc::Receiver<()>) {
     let interval = interval.max(Duration::from_millis(1));
-    let mut last = Instant::now();
-    while !shutdown.load(Ordering::SeqCst) {
-        std::thread::sleep(SHUTDOWN_POLL.min(interval));
-        if last.elapsed() >= interval {
-            let _ = store.snapshot_if_due();
-            last = Instant::now();
-        }
+    while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
+        let _ = store.snapshot_if_due();
     }
 }
 
@@ -1065,9 +1065,10 @@ fn snapshot_loop(store: &ShardedPasswordStore, interval: Duration, shutdown: &At
 /// dropped.
 #[derive(Debug)]
 pub struct ServerHandle {
-    /// Its shutdown flag also stops the snapshot thread.
     reactor: ReactorParts,
     server: Arc<AuthServer>,
+    /// Dropping it wakes the snapshot thread, which then exits.
+    snapshot_stop: Option<mpsc::Sender<()>>,
     snapshot_join: Option<JoinHandle<()>>,
     /// Whether shutdown performs the final durable compaction.
     /// [`ServerHandle::abort`] clears it to simulate a crash.
@@ -1124,6 +1125,7 @@ impl ServerHandle {
 
     fn shutdown_inner(&mut self) {
         self.reactor.stop();
+        self.snapshot_stop = None;
         if let Some(join) = self.snapshot_join.take() {
             let _ = join.join();
         }
@@ -1622,6 +1624,51 @@ mod tests {
         assert_eq!(clicks, 5);
         client.quit().unwrap();
         handle.shutdown();
+    }
+
+    /// Idle waits have no poll interval, so shutdown must wake them: the
+    /// event loop with no connection (no sweep due, so it waits for an
+    /// event) and with one open under an idle timeout (a timed wake), and
+    /// a snapshot thread an hour from its next tick.
+    #[test]
+    fn shutdown_wakes_idle_waits_at_once() {
+        let dir = std::env::temp_dir().join(format!(
+            "gp-server-idle-shutdown-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        for (idle_timeout, connect) in [(Duration::ZERO, false), (Duration::from_secs(3600), true)]
+        {
+            let config = ServerConfig {
+                idle_timeout,
+                durability: Some(DurabilityConfig {
+                    snapshot_interval: Duration::from_secs(3600),
+                    ..DurabilityConfig::at(&dir)
+                }),
+                ..ServerConfig::fast_for_tests()
+            };
+            let handle = AuthServer::open(config)
+                .expect("open durable server")
+                .spawn()
+                .expect("spawn server");
+            let held = connect.then(|| TcpStream::connect(handle.addr()).expect("connect"));
+            std::thread::sleep(Duration::from_millis(150));
+            // On its own thread, so a wait nothing wakes fails the test
+            // instead of hanging it.
+            let (done, finished) = mpsc::channel();
+            let stopper = std::thread::spawn(move || {
+                handle.shutdown();
+                let _ = done.send(());
+            });
+            assert!(
+                finished.recv_timeout(Duration::from_secs(5)).is_ok(),
+                "shutdown took over 5 s (idle timeout {idle_timeout:?}, connection held: {connect})"
+            );
+            stopper.join().expect("shutdown thread");
+            drop(held);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -321,6 +321,28 @@ impl GraphicalPasswordSystem {
         Ok(Some(scratch.pre_image.clone()))
     }
 
+    /// [`GraphicalPasswordSystem::prepare_verify`] for a record fetched
+    /// from a [`ShardedPasswordStore`](crate::shard::ShardedPasswordStore),
+    /// the serving path.  The store keeps no salt: it derives every
+    /// record's salt from the name under [`Self::HASH_DOMAIN`] and refuses
+    /// an enrollment under any other.  So provenance here is this system's
+    /// iteration count and domain, and the salt is not derived a second
+    /// time; a record from anywhere else belongs to `prepare_verify`.
+    pub fn prepare_verify_from_store(
+        &self,
+        stored: &StoredPassword,
+        clicks: &[Point],
+        scratch: &mut VerifyScratch,
+    ) -> Result<Option<Vec<u8>>, PasswordError> {
+        self.discretize_attempt(stored, clicks, scratch)?;
+        if stored.hash.iterations != self.hasher.iterations
+            || self.hasher.domain != Self::HASH_DOMAIN
+        {
+            return Ok(None);
+        }
+        Ok(Some(scratch.pre_image.clone()))
+    }
+
     /// Phase 2 of a split verification: compare a candidate digest (the
     /// iterated hash of a [`GraphicalPasswordSystem::prepare_verify`]
     /// pre-image under the record's salt) against the stored digest in
@@ -541,6 +563,54 @@ mod tests {
         assert!(!system
             .verify_with_scratch(&grafted, &clicks(), &mut scratch)
             .unwrap());
+        // Mallory's record under alice's name: its digest matches its
+        // salt and these clicks, so only the salt check refuses it.
+        let mut grafted = system.enroll("mallory", &clicks()).unwrap();
+        grafted.username = "alice".into();
+        assert!(!system.verify(&grafted, &clicks()).unwrap());
+    }
+
+    #[test]
+    fn store_records_skip_the_salt_but_not_the_domain_or_iterations() {
+        use crate::shard::ShardedPasswordStore;
+        let system = system_centered();
+        let store = ShardedPasswordStore::new(4);
+        store
+            .insert_new(system.enroll("alice", &clicks()).unwrap())
+            .unwrap();
+        let (stored, _) = store.get_cached("alice").unwrap();
+        let mut scratch = VerifyScratch::new();
+        assert_eq!(
+            system
+                .prepare_verify_from_store(&stored, &clicks(), &mut scratch)
+                .unwrap(),
+            system
+                .prepare_verify(&stored, &clicks(), &mut scratch)
+                .unwrap(),
+        );
+        // A system under another domain or iteration count refuses every
+        // store record before any hash.
+        let foreign_domain = GraphicalPasswordSystem {
+            hasher: PasswordHasher::new("gp-passwords/other", system.iterations()),
+            ..system.clone()
+        };
+        let foreign_iterations = GraphicalPasswordSystem::new(
+            PasswordPolicy::study_default(),
+            DiscretizationConfig::centered(9),
+            7,
+        );
+        for other in [&foreign_domain, &foreign_iterations] {
+            assert_eq!(
+                other
+                    .prepare_verify_from_store(&stored, &clicks(), &mut scratch)
+                    .unwrap(),
+                None
+            );
+        }
+        // Structural errors still surface as errors.
+        assert!(system
+            .prepare_verify_from_store(&stored, &clicks()[..3], &mut scratch)
+            .is_err());
     }
 
     #[test]
