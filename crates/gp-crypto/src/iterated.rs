@@ -1029,11 +1029,6 @@ impl PasswordHasher {
         }
     }
 
-    /// Create a hasher with [`Self::DEFAULT_ITERATIONS`].
-    pub fn with_default_iterations(domain: impl Into<String>) -> Self {
-        Self::new(domain, Self::DEFAULT_ITERATIONS)
-    }
-
     /// Build the salt for a given user identifier.
     ///
     /// The salt is one 64-byte block, `SHA-256(domain || 0x1f || user_id)
@@ -1820,12 +1815,5 @@ mod tests {
         let a = PasswordHasher::new("passpoints", 10);
         let b = PasswordHasher::new("netauth", 10);
         assert_ne!(a.hash(b"user", b"m").digest, b.hash(b"user", b"m").digest);
-    }
-
-    #[test]
-    fn default_iterations_match_paper_example() {
-        assert_eq!(PasswordHasher::DEFAULT_ITERATIONS, 1000);
-        let h = PasswordHasher::with_default_iterations("x");
-        assert_eq!(h.iterations, 1000);
     }
 }

@@ -13,8 +13,6 @@
 //! * [`sha256`] — FIPS 180-4 SHA-256 with an incremental [`Sha256`] hasher,
 //!   a single-compression fast path for one-block messages, and a reusable
 //!   [`Midstate`] for fixed prefixes (salts).
-//! * [`hmac`] — HMAC-SHA-256 (RFC 2104) used for keyed integrity checks in
-//!   the networked authentication substrate.
 //! * [`iterated`] — iterated ("stretched") hashing `h^k`: the scalar
 //!   one-shot/midstate path ([`SaltedHasher`]), the batched paths
 //!   ([`SaltedHasher::iterated_many_into`], [`iterated_hash_many_salted`])
@@ -77,12 +75,10 @@
 
 pub mod ct;
 pub mod hex;
-pub mod hmac;
 pub mod iterated;
 pub mod sha256;
 
 pub use ct::ct_eq;
-pub use hmac::HmacSha256;
 pub use iterated::{
     iterated_hash, iterated_hash_many_salted, iterated_hash_many_salted_into,
     iterated_hash_reference, PasswordHash, PasswordHasher, SaltedHasher, AVX512_MIN_CHAINS, LANES,

@@ -375,14 +375,6 @@ impl Sha256 {
         out
     }
 
-    /// Hash state after `update` calls without consuming the hasher.
-    ///
-    /// Equivalent to `self.clone().finalize()`; useful when the same prefix
-    /// is extended in several ways (e.g. trying candidate grid identifiers).
-    pub fn finalize_clone(&self) -> Digest {
-        self.clone().finalize()
-    }
-
     fn pad_byte(&mut self, byte: u8) {
         self.buffer[self.buffer_len] = byte;
         self.buffer_len += 1;
@@ -550,17 +542,6 @@ hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
             h.update(chunk);
         }
         assert_eq!(h.finalize(), expected);
-    }
-
-    #[test]
-    fn finalize_clone_does_not_consume() {
-        let mut h = Sha256::new();
-        h.update(b"prefix");
-        let d1 = h.finalize_clone();
-        h.update(b"-suffix");
-        let d2 = h.finalize();
-        assert_eq!(d1, Sha256::digest(b"prefix"));
-        assert_eq!(d2, Sha256::digest(b"prefix-suffix"));
     }
 
     #[test]

@@ -24,11 +24,11 @@ use std::collections::HashMap;
 /// a later class may never acquire an earlier (or equal) one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LockClass {
-    /// Per-shard snapshot serialization lock (`snap_locks`).
+    /// The node's compaction lock (`snapshot_lock`).
     Snap,
     /// Per-shard account map `RwLock` (`accounts`).
     Accounts,
-    /// Per-shard WAL mutex (`wals`).
+    /// The node's WAL mutex (`wal`).
     Wal,
 }
 

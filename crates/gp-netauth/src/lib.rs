@@ -25,10 +25,10 @@
 //!   coalesced across connections as one multi-lane
 //!   [`gp_crypto::iterated_hash_many_salted_into`] call.  With
 //!   [`server::DurabilityConfig`] set, the store is crash-safe: every
-//!   enrollment is written and fsynced to a per-shard write-ahead
+//!   enrollment is written and fsynced to the node's write-ahead
 //!   log *before* the `Enroll` frame is acknowledged, a background
-//!   thread compacts logs into atomic snapshots, and a restart recovers
-//!   snapshots + WAL tails — no acked account is ever lost.
+//!   thread compacts the log into atomic snapshots, and a restart recovers
+//!   snapshots + the log — no acked account is ever lost.
 //! * [`reactor`] (Linux) — the one serving path, for both protocols:
 //!   one `epoll` thread owns every connection's nonblocking state machine
 //!   and a fixed pool of compute threads answers the turns it cuts, so

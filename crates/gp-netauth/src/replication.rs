@@ -1527,8 +1527,8 @@ mod tests {
     }
 
     /// A backup logs the payload bytes its primary sent, not a re-encoding:
-    /// after the same enrollments, its one-shard WAL file is byte-identical
-    /// to the primary's.
+    /// after the same enrollments, its log segment is byte-identical to the
+    /// primary's.
     #[test]
     fn backup_wal_holds_the_primarys_payload_bytes() {
         let sys = system();
@@ -1548,7 +1548,16 @@ mod tests {
         }
         assert_eq!(backup.len(), 8);
         listener.shutdown();
-        let wal = |dir: &std::path::Path| std::fs::read(dir.join("shard-000.wal")).unwrap();
+        // Both logs were compacted once, at open, so each is one segment.
+        let wal = |dir: &std::path::Path| {
+            let segments: Vec<_> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|entry| entry.unwrap().path())
+                .filter(|path| path.extension().is_some_and(|ext| ext == "wal"))
+                .collect();
+            assert_eq!(segments.len(), 1, "{segments:?}");
+            std::fs::read(&segments[0]).unwrap()
+        };
         let primary_wal = wal(&primary_dir);
         assert!(primary_wal.len() > 8 * 100, "8 records logged");
         assert_eq!(wal(&backup_dir), primary_wal);

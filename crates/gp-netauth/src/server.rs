@@ -80,24 +80,26 @@ pub enum ServingMode {
 ///
 /// When set on [`ServerConfig::durability`], the store is opened with
 /// [`ShardedPasswordStore::open_durable`]: every enrollment is appended to
-/// the owning shard's write-ahead log and fsynced *before* the `Enroll`
-/// frame is acknowledged, a background thread compacts per-shard logs past
-/// `snapshot_threshold_bytes` without blocking verifies, and a restart
-/// recovers the newest intact snapshots plus each WAL's intact tail.
+/// the node's write-ahead log and fsynced *before* the `Enroll` frame is
+/// acknowledged, a background thread compacts the log into per-shard
+/// snapshots once it passes `snapshot_threshold_bytes`, without blocking
+/// verifies, and a restart recovers the newest intact snapshots plus the
+/// log's intact records.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DurabilityConfig {
     /// Directory holding the per-shard snapshots (`shard-NNN.pwd`) and
-    /// write-ahead logs (`shard-NNN.wal`).
+    /// the node's one write-ahead log, in numbered segments
+    /// (`log-NNNNNNNNNN.wal`).
     pub dir: PathBuf,
-    /// Per-shard WAL size (bytes) past which the background snapshot
-    /// thread compacts the shard.
+    /// Log size (bytes, across its segments) past which the background
+    /// snapshot thread compacts the store.
     pub snapshot_threshold_bytes: u64,
     /// How often the background snapshot thread checks the thresholds.
     pub snapshot_interval: Duration,
 }
 
 impl DurabilityConfig {
-    /// Defaults at `dir`: compact a shard once its log passes 1 MiB, check
+    /// Defaults at `dir`: compact once the log passes 1 MiB, check
     /// every 200 ms.
     pub fn at(dir: impl Into<PathBuf>) -> Self {
         Self {
@@ -756,9 +758,9 @@ impl AuthServer {
             snapshot_join: None,
             graceful: true,
         };
-        // Durable stores get a background compaction thread: per-shard
-        // WALs past the size threshold are folded into atomic snapshots
-        // without blocking verifies (readers never wait on a snapshot).
+        // Durable stores get a background compaction thread: a log past
+        // the size threshold is folded into atomic snapshots without
+        // blocking verifies (readers never wait on a snapshot).
         if let Some(durability) = &handle.server.config().durability {
             let interval = durability.snapshot_interval;
             let store = handle.server.store();

@@ -30,16 +30,16 @@
 //!   layer batch the expensive iterated hashing across attempts;
 //! * [`shard::ShardedPasswordStore`] — the concurrent multi-account store
 //!   the networked server holds: N independently locked shards keyed by
-//!   account hash (`new(1)` is a single-lock store), a line-oriented text
-//!   file per shard that holds only clear grid identifiers and hashes, and
-//!   a [`shard::ShardStats`] snapshot API;
+//!   account hash (`new(1)` is a single-lock store), a snapshot file per
+//!   shard that holds only clear grid identifiers and hashes, and a
+//!   [`shard::ShardStats`] snapshot API;
 //! * [`wal`] — the crash-safe durability layer under the sharded store:
-//!   per-shard append-only write-ahead logs (length-prefixed, checksummed,
-//!   torn-tail-tolerant replay) and atomic snapshot publication
-//!   ([`wal::atomic_write`]).  A store opened with
+//!   one append-only write-ahead log per node in numbered segments
+//!   (length-prefixed, checksummed, torn-tail-tolerant replay) and atomic
+//!   snapshot publication ([`wal::atomic_write`]).  A store opened with
 //!   [`shard::ShardedPasswordStore::open_durable`] logs and fsyncs every
 //!   mutation before acknowledging it and recovers crash-only: newest
-//!   intact snapshots + replayed WAL tails;
+//!   intact snapshots + the replayed log;
 //! * [`ring::HashRing`] — consistent-hash placement of accounts onto a
 //!   ring of node IDs (virtual points, per-key successor lists), the
 //!   routing and backup-selection substrate for the replicated cluster
@@ -107,7 +107,7 @@ pub use shard::{
 };
 pub use stored::{ClickRecord, StoredPassword};
 pub use system::{GraphicalPasswordSystem, VerifyScratch};
-pub use wal::{ShardWal, WalEntry, WalReplay};
+pub use wal::{Wal, WalEntry};
 
 /// Convenient glob-import of the most commonly used items.
 pub mod prelude {

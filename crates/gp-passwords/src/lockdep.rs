@@ -30,7 +30,7 @@ pub struct LockClass {
 }
 
 impl LockClass {
-    /// Per-shard snapshot serialization lock (`snap_locks`), acquired first.
+    /// The node's compaction lock (`snapshot_lock`), acquired first.
     pub const SNAP: LockClass = LockClass {
         name: "snap",
         rank: 10,
@@ -40,7 +40,7 @@ impl LockClass {
         name: "accounts",
         rank: 20,
     };
-    /// Per-shard WAL (`wals`), acquired last.
+    /// The node's WAL (`wal`), acquired last.
     pub const WAL: LockClass = LockClass {
         name: "wal",
         rank: 30,

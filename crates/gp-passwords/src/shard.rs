@@ -7,12 +7,11 @@
 //! one salted, iterated hash per account — so compromising the store (or
 //! the disk under it) yields exactly the information the paper's
 //! offline-attack analysis (§5.1) assumes.  The account space is split into
-//! `N` small, independently locked shards — the cluster-hash-table shape
-//! from the cheap-recovery literature: each shard is a self-contained unit
-//! that can be persisted, reloaded and inspected on its own, so writers on
-//! different shards never contend and one shard can be recovered (or
-//! migrated) without touching the rest.  `ShardedPasswordStore::new(1)`
-//! is the single-lock store.
+//! `N` small, independently locked shards, so writers on different shards
+//! never contend for the account maps.  The shards split the locks and the
+//! snapshot files, not the log: a durable node keeps one write-ahead log,
+//! so durability costs the same whatever the shard count.
+//! `ShardedPasswordStore::new(1)` is the single-lock store.
 //!
 //! Routing is by [`shard_index`], an FNV-1a hash of the account name
 //! reduced modulo the shard count.  The mapping is an implementation detail
@@ -23,24 +22,26 @@
 //!
 //! # Durability
 //!
-//! A store opened with [`ShardedPasswordStore::open_durable`] pairs every
-//! shard with an append-only [`ShardWal`]: each mutation is logged and
-//! fsynced *before* it is applied in
-//! memory and acknowledged, so a crash at any instant loses no
-//! acknowledged mutation.  Snapshots ([`ShardedPasswordStore::snapshot_shard`])
-//! compact a shard's log: the shard file is atomically published
-//! (tmp + fsync + rename + dir fsync via [`atomic_write`]) and the WAL
-//! truncated.  Recovery is crash-only: load whatever intact snapshots
-//! exist, replay each WAL's intact prefix over them
-//! (tolerating a torn final record), re-snapshot, and serve.
+//! A store opened with [`ShardedPasswordStore::open_durable`] logs every
+//! mutation to the node's one append-only [`Wal`] and fsyncs it *before*
+//! the mutation is applied in memory and acknowledged, so a crash at any
+//! instant loses no acknowledged mutation; a group-commit barrier
+//! ([`ShardedPasswordStore::commit_shards`]) is one fsync, however many
+//! shards its records touched.  Compaction
+//! ([`ShardedPasswordStore::snapshot_all`]) rotates the log to a new
+//! segment, atomically publishes every shard file (tmp + fsync + rename +
+//! dir fsync via [`atomic_write`]), then deletes the segments the
+//! snapshots cover.  Recovery is crash-only: load whatever intact
+//! snapshots exist, replay the log's segments over them (tolerating a
+//! torn final record in the last), compact, and serve.
 //!
 //! # Lock order (machine-checked)
 //!
 //! Every lock in this module belongs to the canonical hierarchy
 //! `snap → accounts → wal` ([`crate::lockdep::LockClass`]): a thread may
-//! acquire a shard's snapshot lock, then its account map, then its WAL, and
-//! never the other way around. This used to be a comment-only invariant; it
-//! is now enforced twice over:
+//! acquire the node's compaction lock, then a shard's account map, then
+//! the node's log, and never the other way around. This used to be a
+//! comment-only invariant; it is now enforced twice over:
 //!
 //! * statically — `gp-lint` rule **L2** extracts every acquisition site,
 //!   builds the inter-function acquisition-order graph, and fails CI on any
@@ -56,8 +57,7 @@ use crate::resident::{account_salt, PackedAccount};
 use crate::stored::StoredPassword;
 use crate::system::GraphicalPasswordSystem;
 use crate::wal::{
-    atomic_write, fnv1a64, put_record, sync_dir, ShardWal, WalEntry, WalReplay, OP_UPDATE,
-    WAL_MAGIC,
+    atomic_write, fnv1a64, put_record, sync_dir, Wal, WalEntry, OP_UPDATE, WAL_MAGIC,
 };
 use gp_crypto::SaltedHasher;
 use gp_geometry::Point;
@@ -230,12 +230,11 @@ pub struct ShardStats {
     pub lookups: u64,
 }
 
-/// Tuning for a durable store: when per-shard logs are compacted into
-/// snapshots.
+/// Tuning for a durable store: when the log is compacted into snapshots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DurabilityOptions {
-    /// WAL size (bytes) past which [`ShardedPasswordStore::snapshot_if_due`]
-    /// compacts the shard.
+    /// Log size (bytes, across its segments) past which
+    /// [`ShardedPasswordStore::snapshot_if_due`] compacts the store.
     pub snapshot_threshold_bytes: u64,
 }
 
@@ -250,37 +249,37 @@ impl Default for DurabilityOptions {
 /// Aggregate durability counters for a durable store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DurabilityStats {
-    /// Total bytes currently held across every shard's WAL.
+    /// Bytes currently held across the log's segments.
     pub wal_bytes: u64,
-    /// WAL records appended since the store was opened.
+    /// Log records appended since the store was opened.
     pub wal_appends: u64,
-    /// Fsyncs issued across every WAL since the store was opened.
+    /// Fsyncs that made log records durable since the store was opened
+    /// (see [`Wal::syncs`]).
     pub wal_syncs: u64,
-    /// Snapshot compactions performed since the store was opened.
+    /// Compactions (every shard snapshotted, the covered segments
+    /// deleted) since the store was opened.
     pub snapshots: u64,
-    /// WAL records replayed during recovery at open.
+    /// Log records replayed during recovery at open.
     pub replayed_records: u64,
-    /// WAL files whose final record was torn by a crash (recovered by
-    /// dropping only the torn tail).
+    /// Log segments whose final record was torn by a crash (recovered by
+    /// dropping only the torn tail): 0 or 1.
     pub torn_tails: u64,
     /// Group-commit barriers executed ([`ShardedPasswordStore::commit_shards`]):
-    /// each one flushes *every* deferred append across its shard set in
-    /// at most one fsync per shard.
+    /// each one flushes *every* staged append in at most one fsync.
     pub group_commits: u64,
 }
 
-/// The durable half of a store: the directory, the per-shard logs, and
+/// The durable half of a store: the directory, the node's log, and
 /// recovery/compaction counters.
 #[derive(Debug)]
 struct DurabilityState {
     dir: PathBuf,
     options: DurabilityOptions,
-    wals: Vec<OrderedMutex<ShardWal>>,
-    /// Serializes concurrent snapshots of the same shard (they would
-    /// otherwise race on the snapshot tmp file).  Deliberately separate
-    /// from the WAL mutex so the append path never waits on snapshot
-    /// file I/O.
-    snap_locks: Vec<OrderedMutex<()>>,
+    wal: OrderedMutex<Wal>,
+    /// Serializes compactions (they would otherwise race on the snapshot
+    /// tmp files and on the segments).  Deliberately separate from the
+    /// log's mutex so the append path never waits on snapshot file I/O.
+    snapshot_lock: OrderedMutex<()>,
     snapshots: AtomicU64,
     group_commits: AtomicU64,
     replayed_records: u64,
@@ -297,12 +296,8 @@ fn shard_pwd_name(shard: usize) -> String {
     format!("shard-{shard:03}.pwd")
 }
 
-fn shard_wal_name(shard: usize) -> String {
-    format!("shard-{shard:03}.wal")
-}
-
-/// The `shard-*<suffix>` files under `dir` (e.g. `.pwd`, `.wal`), sorted
-/// by name — i.e. by shard index.
+/// The `shard-*<suffix>` files under `dir` (e.g. `.pwd`), sorted by name —
+/// i.e. by shard index.
 fn shard_files(dir: &Path, suffix: &str) -> Result<Vec<PathBuf>, PasswordError> {
     let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| storage_error(&format!("read {}", dir.display()), e))?
@@ -317,21 +312,17 @@ fn shard_files(dir: &Path, suffix: &str) -> Result<Vec<PathBuf>, PasswordError> 
     Ok(paths)
 }
 
-/// Parse `shard-NNN.<ext>` (including `.pwd.tmp` leftovers) into the
-/// shard index, for stale-file cleanup.
+/// Parse `shard-NNN.pwd` (or a `.pwd.tmp` leftover) into the shard index,
+/// for stale-file cleanup.
 fn parse_shard_file_index(name: &str) -> Option<usize> {
     let rest = name.strip_prefix("shard-")?;
-    let digits = rest.split('.').next()?;
-    if !matches!(
-        rest.split_once('.'),
-        Some((_, "pwd" | "wal" | "pwd.tmp" | "wal.tmp"))
-    ) {
+    let (digits, "pwd" | "pwd.tmp") = rest.split_once('.')? else {
         return None;
-    }
+    };
     digits.parse().ok()
 }
 
-/// Remove shard files (`.pwd`, `.wal`, stray `.tmp`) whose index is at or
+/// Remove snapshot files (`.pwd`, stray `.pwd.tmp`) whose index is at or
 /// past `shards`.  Without this, saving a store with fewer shards into a
 /// directory previously saved with more leaves stale `shard-NNN.pwd`
 /// files behind, and a later load would merge their outdated records back
@@ -362,8 +353,8 @@ fn remove_stale_shard_files(dir: &Path, shards: usize) -> std::io::Result<()> {
 ///
 /// Stores created with [`ShardedPasswordStore::new`] are purely in-memory
 /// (mutations return `Ok` without touching disk); stores opened with
-/// [`ShardedPasswordStore::open_durable`] write every mutation to a
-/// per-shard WAL before acknowledging it.
+/// [`ShardedPasswordStore::open_durable`] write every mutation to the
+/// node's log before acknowledging it.
 #[derive(Debug)]
 pub struct ShardedPasswordStore {
     shards: Vec<Shard>,
@@ -389,64 +380,39 @@ impl ShardedPasswordStore {
     /// 1. every intact `shard-NNN.pwd` snapshot is loaded (records
     ///    re-route by account hash, so the on-disk shard count need not
     ///    match `shards`);
-    /// 2. every `shard-NNN.wal` is replayed over the snapshots, in file
-    ///    order then append order, tolerating a torn final record;
-    /// 3. each shard is re-snapshotted atomically and its WAL truncated,
-    ///    so the directory is compact and `shards`-shaped again;
-    /// 4. shard files beyond `shards` are removed (their records were
-    ///    re-routed into the surviving shards by step 3).
+    /// 2. the log's segments are replayed over the snapshots in number
+    ///    order, tolerating a torn final record in the last one, which is
+    ///    cut off before the log appends again;
+    /// 3. the store compacts ([`ShardedPasswordStore::snapshot_all`]), so
+    ///    the directory holds `shards` snapshots and one empty segment.
     ///
-    /// After recovery, every mutation appends to the owning shard's WAL
-    /// (and fsyncs it) before it is acknowledged.
+    /// A directory holding a per-shard log of the earlier layout
+    /// (`shard-NNN.wal`) is refused as [`PasswordError::CorruptRecord`],
+    /// naming the file.  After recovery, every mutation appends to the
+    /// log (and is fsynced) before it is acknowledged.
     pub fn open_durable(
         dir: &Path,
         shards: usize,
         options: DurabilityOptions,
     ) -> Result<Self, PasswordError> {
-        let shards = shards.max(1);
         std::fs::create_dir_all(dir)
             .map_err(|e| storage_error(&format!("create {}", dir.display()), e))?;
         let mut store = Self::new(shards);
-
-        // 1) Newest intact snapshots.
         store.load_snapshots(dir)?;
-
-        // 2) WAL tails over the snapshots.
-        let mut replayed_records = 0u64;
-        let mut torn_tails = 0u64;
-        for path in shard_files(dir, ".wal")? {
-            let replay = store.replay_file(&path)?;
-            replayed_records += replay.records;
-            torn_tails += u64::from(replay.torn_bytes > 0);
-        }
-
-        // 3) Open this shard count's logs and compact everything down to
-        //    fresh snapshots + empty WALs.
-        let mut wals = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let path = dir.join(shard_wal_name(shard));
-            let wal = ShardWal::open_or_create(&path)
-                .map_err(|e| storage_error(&format!("open {}", path.display()), e))?;
-            wals.push(OrderedMutex::new(LockClass::WAL, wal));
-        }
+        let (wal, replay) =
+            Wal::recover(dir, |entry, payload| store.apply_recovered(entry, payload))
+                .map_err(|e| recovery_error(dir, e))?;
         store.durability = Some(DurabilityState {
             dir: dir.to_path_buf(),
             options,
-            wals,
-            snap_locks: (0..shards)
-                .map(|_| OrderedMutex::new(LockClass::SNAP, ()))
-                .collect(),
+            wal: OrderedMutex::new(LockClass::WAL, wal),
+            snapshot_lock: OrderedMutex::new(LockClass::SNAP, ()),
             snapshots: AtomicU64::new(0),
             group_commits: AtomicU64::new(0),
-            replayed_records,
-            torn_tails,
+            replayed_records: replay.records,
+            torn_tails: u64::from(replay.torn_bytes > 0),
         });
         store.snapshot_all()?;
-
-        // 4) Nothing beyond the current shard count may survive to be
-        //    merged back in by a future recovery.
-        remove_stale_shard_files(dir, shards)
-            .map_err(|e| storage_error(&format!("clean {}", dir.display()), e))?;
         Ok(store)
     }
 
@@ -455,7 +421,7 @@ impl ShardedPasswordStore {
         self.shards.len()
     }
 
-    /// Whether mutations are written to a WAL before acknowledgement.
+    /// Whether mutations are written to the log before acknowledgement.
     pub fn is_durable(&self) -> bool {
         self.durability.is_some()
     }
@@ -463,20 +429,16 @@ impl ShardedPasswordStore {
     /// Aggregate WAL/snapshot/recovery counters, when durable.
     pub fn durability_stats(&self) -> Option<DurabilityStats> {
         let d = self.durability.as_ref()?;
-        let mut stats = DurabilityStats {
+        let wal = d.wal.lock();
+        Some(DurabilityStats {
+            wal_bytes: wal.len_bytes(),
+            wal_appends: wal.appends(),
+            wal_syncs: wal.syncs(),
             snapshots: d.snapshots.load(Ordering::Relaxed),
-            group_commits: d.group_commits.load(Ordering::Relaxed),
             replayed_records: d.replayed_records,
             torn_tails: d.torn_tails,
-            ..DurabilityStats::default()
-        };
-        for wal in &d.wals {
-            let wal = wal.lock();
-            stats.wal_bytes += wal.len_bytes();
-            stats.wal_appends += wal.appends();
-            stats.wal_syncs += wal.syncs();
-        }
-        Some(stats)
+            group_commits: d.group_commits.load(Ordering::Relaxed),
+        })
     }
 
     fn shard_for(&self, username: &str) -> &Shard {
@@ -507,27 +469,27 @@ impl ShardedPasswordStore {
     }
 
     /// Insert a pre-built record only if the account does not exist yet —
-    /// the duplicate check, the WAL append and the insert happen under one
+    /// the duplicate check, the log append and the insert happen under one
     /// shard-lock acquisition, so concurrent enrollments of the same name
     /// cannot both succeed.  The serving layer's split-phase enrollment
     /// settles through this (the hash was computed before the lock is
-    /// taken); on a durable store the WAL append and its fsync complete
+    /// taken); on a durable store the log append and its fsync complete
     /// before `Ok` is returned, so an acked enrollment survives any crash.
     pub fn insert_new(&self, stored: StoredPassword) -> Result<(), PasswordError> {
         self.insert_enrolled(stored, false).map(drop)
     }
 
     /// The group-commit half of [`ShardedPasswordStore::insert_new`]:
-    /// duplicate check, *staged* WAL append (no per-record fsync) and
+    /// duplicate check, *staged* log append (no per-record fsync) and
     /// in-memory insert under one shard-lock acquisition.  Returns the
     /// owning shard's index — the caller's group-commit set.
     ///
     /// The record is in the log and visible in memory, but **not yet
     /// committed**: a crash before the next
-    /// [`ShardedPasswordStore::commit_shards`] barrier over that shard
-    /// may lose it.  The caller must not acknowledge the enrollment (and
-    /// must hold back same-account reads it intends to ack — the serving
-    /// layer's per-account pending table) until the barrier returns.
+    /// [`ShardedPasswordStore::commit_shards`] barrier may lose it.  The
+    /// caller must not acknowledge the enrollment (and must hold back
+    /// same-account reads it intends to ack — the serving layer's
+    /// per-account pending table) until the barrier returns.
     pub fn insert_new_deferred(&self, stored: StoredPassword) -> Result<usize, PasswordError> {
         self.insert_enrolled(stored, true)
     }
@@ -558,13 +520,12 @@ impl ShardedPasswordStore {
         Ok(index)
     }
 
-    /// The group-commit barrier: fsync every deferred append in the named
-    /// shards — at most **one** fsync per distinct shard, however many
-    /// records each accumulated.  Only after this
-    /// returns `Ok` may the mutations inserted via
-    /// [`ShardedPasswordStore::insert_new_deferred`] be acknowledged.
-    /// Duplicate shard indices are welcome (the per-shard flush is
-    /// idempotent); a no-op on an in-memory store or an empty set.
+    /// The group-commit barrier: fsync every staged append in the log —
+    /// **one** fsync for any non-empty set of shards (the indices
+    /// [`ShardedPasswordStore::insert_new_deferred`] returned), however
+    /// many records they accumulated, and none if a barrier already
+    /// covered them.  Only after this returns `Ok` may those mutations be
+    /// acknowledged.  A no-op on an in-memory store or an empty set.
     pub fn commit_shards(
         &self,
         shards: impl IntoIterator<Item = usize>,
@@ -572,31 +533,15 @@ impl ShardedPasswordStore {
         let Some(d) = &self.durability else {
             return Ok(());
         };
-        let mut seen = vec![false; self.shards.len()];
-        let mut any = false;
-        for index in shards {
-            if std::mem::replace(&mut seen[index], true) {
-                continue;
-            }
-            d.wals[index]
-                .lock()
-                .group_commit()
-                .map_err(|e| storage_error(&format!("wal group commit (shard {index})"), e))?;
-            any = true;
+        if shards.into_iter().next().is_none() {
+            return Ok(());
         }
-        if any {
-            d.group_commits.fetch_add(1, Ordering::Relaxed);
-        }
+        d.wal
+            .lock()
+            .group_commit()
+            .map_err(|e| storage_error("wal group commit", e))?;
+        d.group_commits.fetch_add(1, Ordering::Relaxed);
         Ok(())
-    }
-
-    /// Commit-sequence watermark of one shard's WAL, when durable:
-    /// `(appended, durable)`.  Test/observability hook for the
-    /// group-commit invariant `durable == appended` after a barrier.
-    pub fn wal_watermark(&self, shard: usize) -> Option<(u64, u64)> {
-        let d = self.durability.as_ref()?;
-        let wal = d.wals[shard].lock();
-        Some((wal.appended_seq(), wal.durable_seq()))
     }
 
     /// Durably apply a record payload ([`WalEntry::to_payload`] bytes):
@@ -606,10 +551,10 @@ impl ShardedPasswordStore {
     /// The payload passes [`WalEntry::from_payload`]'s checks, which
     /// admit only the canonical bytes `to_payload` writes (the salt,
     /// which nothing here reads, is not derived), so the
-    /// bytes logged are the bytes received: the backup's WAL holds its
+    /// bytes logged are the bytes received: the backup's log holds its
     /// primary's records bit for bit, and nothing is packed again.  They
-    /// are appended to the owning shard's local WAL and fsynced *before*
-    /// the in-memory apply, under one shard-lock acquisition — so when
+    /// are appended to the local log and fsynced *before* the in-memory
+    /// apply, under one shard-lock acquisition — so when
     /// this returns `Ok`, acknowledging the replication message gives the
     /// primary the same durability guarantee a local ack carries.  Inserts
     /// apply as insert-or-replace (no duplicate check): a primary that
@@ -629,11 +574,11 @@ impl ShardedPasswordStore {
     /// inspects the map and decides whether the mutation happens at all
     /// (`Err` refuses it, `Ok(false)` skips it).  An admitted `entry`'s
     /// `payload`, which must equal `entry.to_payload()`, is
-    /// appended to the shard's WAL — `staged` for the next
+    /// appended to the log — `staged` for the next
     /// [`ShardedPasswordStore::commit_shards`] barrier, or fsynced at
-    /// once — and only then applied to the map, so WAL order
+    /// once — and only then applied to the map, so log order
     /// matches apply order and a failed append (rolled back, or the log
-    /// poisoned, by [`ShardWal`]) leaves the map untouched.  Returns
+    /// poisoned, by [`Wal`]) leaves the map untouched.  Returns
     /// whether the mutation was applied.
     fn log_and_apply(
         &self,
@@ -657,15 +602,11 @@ impl ShardedPasswordStore {
             return Ok(false);
         }
         if let Some(d) = &self.durability {
-            let mut wal = d.wals[index].lock();
-            let logged = if staged {
+            d.wal
+                .lock()
                 // gp-lint: allow(L8, by-design durability barrier: the accounts lock orders the WAL append ahead of the map mutation)
-                wal.append_staged(payload).map(drop)
-            } else {
-                // gp-lint: allow(L8, by-design durability barrier: the accounts lock orders the WAL append ahead of the map mutation)
-                wal.append_flushed(payload)
-            };
-            logged.map_err(|e| storage_error(&format!("wal append (shard {index})"), e))?;
+                .append_record(payload, !staged)
+                .map_err(|e| storage_error("wal append", e))?;
         }
         match packed {
             Some(packed) => {
@@ -678,30 +619,21 @@ impl ShardedPasswordStore {
         Ok(true)
     }
 
-    /// Apply every record of the WAL or snapshot at `path` in memory,
-    /// with no logging (the data is already on disk).  Records re-route by
-    /// account hash.
-    fn replay_file(&self, path: &Path) -> Result<WalReplay, PasswordError> {
-        ShardWal::replay_checked(path, |entry, payload| {
-            let shard = self.shard_for(entry.username());
-            match entry {
-                // The checked payload is the canonical packing: keep it.
-                WalEntry::Enroll(_) | WalEntry::Update(_) => {
-                    let packed = PackedAccount::from_packed(&payload[1..]);
-                    shard.accounts.write().replace(packed);
-                }
-                WalEntry::Remove(username) => {
-                    shard.accounts.write().remove(username.as_str());
-                }
+    /// Apply one record read back from disk (a snapshot's or the log's)
+    /// in memory, with no logging: the data is already on disk.  Records
+    /// re-route by account hash.
+    fn apply_recovered(&self, entry: WalEntry, payload: &[u8]) {
+        let shard = self.shard_for(entry.username());
+        match entry {
+            // The checked payload is the canonical packing: keep it.
+            WalEntry::Enroll(_) | WalEntry::Update(_) => {
+                let packed = PackedAccount::from_packed(&payload[1..]);
+                shard.accounts.write().replace(packed);
             }
-        })
-        .map_err(|e| match e.kind() {
-            // The message names the file.
-            std::io::ErrorKind::InvalidData => PasswordError::CorruptRecord {
-                reason: e.to_string(),
-            },
-            _ => storage_error(&format!("replay {}", path.display()), e),
-        })
+            WalEntry::Remove(username) => {
+                shard.accounts.write().remove(username.as_str());
+            }
+        }
     }
 
     /// Fetch a copy of an account's stored record.
@@ -879,7 +811,7 @@ impl ShardedPasswordStore {
     /// neither the shard's file nor a copy of its accounts is ever whole
     /// in memory.  Accounts are visited once each, in name order; a writer
     /// that lands between two batches may or may not be reflected (see
-    /// [`ShardedPasswordStore::snapshot_shard`] for why that is safe).
+    /// [`ShardedPasswordStore::snapshot_all`] for why that is safe).
     fn write_shard(&self, index: usize, out: &mut impl Write) -> std::io::Result<()> {
         out.write_all(WAL_MAGIC)?;
         let (mut records, mut payload) = (Vec::new(), Vec::new());
@@ -920,7 +852,7 @@ impl ShardedPasswordStore {
     /// shards' *new* contents — the old snapshots remain intact.  Shards
     /// stream out in batches, so under concurrent writers a file holds,
     /// per account, one state that account had during the save; a durable
-    /// store's snapshots recover full consistency from the WAL instead.
+    /// store's snapshots recover full consistency from the log instead.
     pub fn save_to_dir(&self, dir: &Path) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
         for shard in 0..self.shards.len() {
@@ -934,7 +866,7 @@ impl ShardedPasswordStore {
     /// Load every `shard-NNN.pwd` file under `dir` into an in-memory
     /// store with `shards` partitions.  Records are re-routed by account
     /// hash, so the on-disk shard count need not match `shards`.  (For a
-    /// store that also replays WALs and stays durable, use
+    /// store that also replays the log and stays durable, use
     /// [`ShardedPasswordStore::open_durable`].)
     pub fn load_from_dir(dir: &Path, shards: usize) -> Result<Self, PasswordError> {
         let store = Self::new(shards);
@@ -948,7 +880,8 @@ impl ShardedPasswordStore {
     /// record in one is corruption, not a torn append.
     fn load_snapshots(&self, dir: &Path) -> Result<(), PasswordError> {
         for path in shard_files(dir, ".pwd")? {
-            let replay = self.replay_file(&path)?;
+            let replay = Wal::replay(&path, |entry, payload| self.apply_recovered(entry, payload))
+                .map_err(|e| recovery_error(&path, e))?;
             if replay.torn_bytes > 0 {
                 return Err(PasswordError::CorruptRecord {
                     reason: format!(
@@ -962,81 +895,78 @@ impl ShardedPasswordStore {
         Ok(())
     }
 
-    /// Atomically publish shard `index`'s snapshot and truncate its WAL.
-    /// No-op on an in-memory store.
+    /// Compact the log: rotate it to a new segment, publish every shard's
+    /// snapshot (and remove snapshot files beyond the shard count), then
+    /// delete the segments the snapshots cover.  No-op on an in-memory
+    /// store.
     ///
-    /// Locking: the snapshot streams to its file in batches (see
-    /// `write_shard`), each rendered under a short *read* hold of the
-    /// shard's account lock — never across file I/O — so concurrent
+    /// No writer can make a compaction skip its deletion.  A writer logs
+    /// a record and applies it under one hold of its shard's account
+    /// lock, so every record in a retired segment is in the map before a
+    /// batch of `write_shard` (run after the rotation) can read that
+    /// shard.  A writer racing the snapshot lands in the new segment: the
+    /// file may or may not reflect it, and replaying that segment over
+    /// the file ends every account at its last logged state.  Snapshots
+    /// stream in batches, each read under a short *read* hold of the
+    /// shard's account lock, never across file I/O, so concurrent
     /// verifies proceed untouched and a writer waits at most for one
-    /// batch.  The WAL length is read before the first batch; a writer
-    /// appends to the WAL and updates the map under one account-lock
-    /// hold, so every record the log holds at that point is in the map
-    /// the batches read.  After the snapshot is published, the WAL is
-    /// truncated only if *no* record was appended since — then no batch
-    /// raced a writer, and the file is exactly the logged state.  A raced
-    /// truncation is simply skipped: the file may then mix states from
-    /// before and after a racing write, but every such write is still in
-    /// the log, replaying the log over the file ends each account at its
-    /// last logged state, and the next compaction pass retries.
-    pub fn snapshot_shard(&self, index: usize) -> Result<(), PasswordError> {
+    /// batch.  A crash anywhere leaves either the retired segments (and
+    /// old or new snapshots) or only new snapshots over the new segment;
+    /// both recover to the logged state.
+    pub fn snapshot_all(&self) -> Result<(), PasswordError> {
         let Some(d) = &self.durability else {
             return Ok(());
         };
-        // One snapshot of a given shard at a time (they would race on
-        // the tmp file); appenders never take this lock.
-        let _serialize = d.snap_locks[index].lock();
-        let covered_len = {
-            let wal = d.wals[index].lock();
-            wal.len_bytes()
-        };
-        let path = d.dir.join(shard_pwd_name(index));
-        // gp-lint: allow(L8, the snap lock exists to serialize snapshot writers; the blocking write is the protected work)
-        atomic_write(&path, |file| self.write_shard(index, file))
-            .map_err(|e| storage_error(&format!("snapshot {}", path.display()), e))?;
-        let mut wal = d.wals[index].lock();
-        if wal.len_bytes() == covered_len {
-            wal.reset()
-                .map_err(|e| storage_error(&format!("truncate wal (shard {index})"), e))?;
-        }
+        let _serialize = d.snapshot_lock.lock();
+        // gp-lint: allow(L8, the snapshot lock exists to serialize compactions; their blocking file I/O is the protected work)
+        self.compact(d)
+    }
+
+    /// The body of [`ShardedPasswordStore::snapshot_all`], under its lock.
+    fn compact(&self, d: &DurabilityState) -> Result<(), PasswordError> {
+        d.wal
+            .lock()
+            .rotate()
+            .map_err(|e| storage_error("rotate wal", e))?;
+        self.save_to_dir(&d.dir)
+            .map_err(|e| storage_error(&format!("snapshot {}", d.dir.display()), e))?;
+        d.wal
+            .lock()
+            .delete_retired()
+            .map_err(|e| storage_error("delete retired wal segments", e))?;
         d.snapshots.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Snapshot every shard (graceful shutdown, recovery compaction).
-    /// No-op on an in-memory store.
-    pub fn snapshot_all(&self) -> Result<(), PasswordError> {
-        for shard in 0..self.shards.len() {
-            self.snapshot_shard(shard)?;
-        }
-        Ok(())
-    }
-
-    /// Snapshot every shard whose WAL has grown past `threshold_bytes`;
-    /// returns how many were compacted.  The background compaction entry
-    /// point: cheap when nothing crossed the threshold (one short mutex
-    /// acquisition per shard).
-    pub fn snapshot_if_past(&self, threshold_bytes: u64) -> Result<usize, PasswordError> {
+    /// Compact ([`ShardedPasswordStore::snapshot_all`]) if the log has
+    /// grown past [`DurabilityOptions::snapshot_threshold_bytes`], or an
+    /// earlier failure poisoned it (rotation re-arms it); returns whether
+    /// it did.  The background compaction entry point: cheap when nothing
+    /// is due (one short mutex acquisition).
+    pub fn snapshot_if_due(&self) -> Result<bool, PasswordError> {
         let Some(d) = &self.durability else {
-            return Ok(0);
+            return Ok(false);
         };
-        let mut compacted = 0;
-        for index in 0..self.shards.len() {
-            if d.wals[index].lock().len_bytes() > threshold_bytes {
-                self.snapshot_shard(index)?;
-                compacted += 1;
-            }
+        let due = {
+            let wal = d.wal.lock();
+            wal.len_bytes() > d.options.snapshot_threshold_bytes || wal.is_poisoned()
+        };
+        if due {
+            self.snapshot_all()?;
         }
-        Ok(compacted)
+        Ok(due)
     }
+}
 
-    /// Snapshot every shard whose WAL crossed the configured threshold
-    /// ([`DurabilityOptions::snapshot_threshold_bytes`]).
-    pub fn snapshot_if_due(&self) -> Result<usize, PasswordError> {
-        match &self.durability {
-            Some(d) => self.snapshot_if_past(d.options.snapshot_threshold_bytes),
-            None => Ok(0),
-        }
+/// A snapshot or log that cannot be read back: corruption (the message
+/// names the file) is [`PasswordError::CorruptRecord`], anything else a
+/// storage error at `path`.
+fn recovery_error(path: &Path, e: std::io::Error) -> PasswordError {
+    match e.kind() {
+        std::io::ErrorKind::InvalidData => PasswordError::CorruptRecord {
+            reason: e.to_string(),
+        },
+        _ => storage_error(&format!("recover {}", path.display()), e),
     }
 }
 
@@ -1069,6 +999,15 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// The paths of the log segments under `dir`, in number order.
+    fn segment_paths(dir: &Path) -> Vec<PathBuf> {
+        let numbers = crate::wal::segments(dir).unwrap();
+        numbers
+            .into_iter()
+            .map(|n| dir.join(crate::wal::segment_name(n)))
+            .collect()
     }
 
     #[test]
@@ -1217,7 +1156,7 @@ mod tests {
 
         // A shard file replays on its own: one update record per account.
         let mut single = Vec::new();
-        let replay = ShardWal::replay(&dir.join(shard_pwd_name(0)), |e, _| single.push(e)).unwrap();
+        let replay = Wal::replay(&dir.join(shard_pwd_name(0)), |e, _| single.push(e)).unwrap();
         assert_eq!(replay.torn_bytes, 0);
         assert_eq!(single.len(), store.stats()[0].accounts);
         assert!(single.iter().all(|e| matches!(e, WalEntry::Update(_))));
@@ -1283,7 +1222,7 @@ mod tests {
         v1_wal.extend_from_slice(b"\x03alice");
         for (file, bytes) in [
             (shard_pwd_name(0), v1_snapshot.as_bytes()),
-            (shard_wal_name(0), &v1_wal[..]),
+            (crate::wal::segment_name(1), &v1_wal[..]),
         ] {
             let dir = temp_dir("v1-format");
             std::fs::create_dir_all(&dir).unwrap();
@@ -1299,6 +1238,73 @@ mod tests {
             }
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    #[test]
+    fn a_leftover_per_shard_log_is_refused_naming_the_file() {
+        // A directory written by the per-shard layout: its `shard-NNN.wal`
+        // may hold acked records, so recovery must not start around it.
+        let sys = system();
+        let dir = temp_dir("per-shard-log");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut wal = WAL_MAGIC.to_vec();
+        let record = sys.enroll("alice", &clicks(0.0)).unwrap();
+        put_record(&mut wal, &WalEntry::Enroll(record).to_payload());
+        std::fs::write(dir.join("shard-000.wal"), &wal).unwrap();
+        let err =
+            ShardedPasswordStore::open_durable(&dir, 1, DurabilityOptions::default()).unwrap_err();
+        assert!(
+            matches!(err, PasswordError::CorruptRecord { .. }),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("shard-000.wal"), "{err}");
+        assert!(dir.join("shard-000.wal").exists(), "the file is left alone");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_torn_tail_in_a_segment_a_later_one_follows_is_corruption() {
+        // Rotation syncs a segment whole before the next one exists, so
+        // only the last segment may end in a torn record.
+        let sys = system();
+        let dir = temp_dir("torn-interior-segment");
+        let store =
+            ShardedPasswordStore::open_durable(&dir, 2, DurabilityOptions::default()).unwrap();
+        for i in 0..3 {
+            store
+                .enroll(&sys, &format!("user{i}"), &clicks(i as f64))
+                .unwrap();
+        }
+        drop(store);
+        let [segment] = &segment_paths(&dir)[..] else {
+            panic!("one segment after open");
+        };
+        let bytes = std::fs::read(segment).unwrap();
+        std::fs::write(segment, &bytes[..bytes.len() - 5]).unwrap();
+        // Alone, the cut is the torn tail of a crashed append.
+        let scratch = temp_dir("torn-interior-segment-copy");
+        std::fs::create_dir_all(&scratch).unwrap();
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let entry = entry.unwrap();
+            std::fs::copy(entry.path(), scratch.join(entry.file_name())).unwrap();
+        }
+        let recovered =
+            ShardedPasswordStore::open_durable(&scratch, 2, DurabilityOptions::default()).unwrap();
+        assert_eq!(recovered.len(), 2);
+        drop(recovered);
+        // With a later segment after it, the same cut is corruption.
+        let number = crate::wal::segments(&dir).unwrap()[0];
+        std::fs::write(dir.join(crate::wal::segment_name(number + 1)), WAL_MAGIC).unwrap();
+        let err =
+            ShardedPasswordStore::open_durable(&dir, 2, DurabilityOptions::default()).unwrap_err();
+        assert!(
+            matches!(err, PasswordError::CorruptRecord { .. }),
+            "{err:?}"
+        );
+        let name = segment.file_name().unwrap().to_str().unwrap();
+        assert!(err.to_string().contains(name), "names the segment: {err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&scratch).unwrap();
     }
 
     #[test]
@@ -1318,15 +1324,14 @@ mod tests {
         store.enroll(&sys, "bob", &bob).unwrap(); // bob: WAL only
         drop(store);
 
-        let read = |name: String| std::fs::read(dir.join(name)).unwrap();
-        let pwd = read(shard_pwd_name(shard_index("alice", 2)));
-        let wal = read(shard_wal_name(shard_index("bob", 2)));
+        let pwd = std::fs::read(dir.join(shard_pwd_name(shard_index("alice", 2)))).unwrap();
+        let wal = std::fs::read(&segment_paths(&dir)[0]).unwrap();
         assert!(
             wal.len() > crate::wal::WAL_MAGIC.len(),
             "bob's record is in the WAL"
         );
         let mut snapshot = Vec::new();
-        ShardWal::replay(
+        Wal::replay(
             &dir.join(shard_pwd_name(shard_index("alice", 2))),
             |e, _| snapshot.push(e),
         )
@@ -1463,18 +1468,21 @@ mod tests {
     fn durable_snapshot_compacts_and_recovery_replays_the_tail() {
         let sys = system();
         let dir = temp_dir("durable-snap");
+        let options = DurabilityOptions {
+            snapshot_threshold_bytes: 0,
+        };
         {
-            let store =
-                ShardedPasswordStore::open_durable(&dir, 2, DurabilityOptions::default()).unwrap();
+            let store = ShardedPasswordStore::open_durable(&dir, 2, options).unwrap();
             for i in 0..6 {
                 store
                     .enroll(&sys, &format!("user{i}"), &clicks(i as f64))
                     .unwrap();
             }
-            // Compact: WALs empty, snapshots hold the 6 accounts.
-            assert_eq!(store.snapshot_if_past(0).unwrap(), 2);
+            // Compact: one empty segment, snapshots hold the 6 accounts.
+            assert!(store.snapshot_if_due().unwrap());
             let stats = store.durability_stats().unwrap();
-            assert_eq!(stats.wal_bytes, 2 * crate::wal::WAL_MAGIC.len() as u64);
+            assert_eq!(stats.wal_bytes, crate::wal::WAL_MAGIC.len() as u64);
+            assert_eq!(segment_paths(&dir).len(), 1);
             // The tail: 2 more enrolls only the WAL knows about.
             for i in 6..8 {
                 store
@@ -1513,20 +1521,25 @@ mod tests {
         assert_eq!(narrow.shard_count(), 2);
         assert_eq!(narrow.len(), 16);
         drop(narrow);
-        // Only shard-000/001 files survive on disk.
+        // Only the shard-000/001 snapshots and the one segment survive.
         let mut names: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok())
             .map(|e| e.file_name().to_string_lossy().into_owned())
             .collect();
         names.sort();
+        let segment = segment_paths(&dir)[0]
+            .file_name()
+            .unwrap()
+            .to_str()
+            .unwrap()
+            .to_string();
         assert_eq!(
             names,
             vec![
+                segment,
                 "shard-000.pwd".to_string(),
-                "shard-000.wal".to_string(),
-                "shard-001.pwd".to_string(),
-                "shard-001.wal".to_string()
+                "shard-001.pwd".to_string()
             ]
         );
         // And a fresh wide open still sees every account.
@@ -1602,40 +1615,41 @@ mod tests {
     }
 
     #[test]
-    fn deferred_inserts_group_commit_with_one_fsync_per_shard() {
+    fn a_barrier_over_four_shards_is_one_fsync() {
         let sys = system();
         let dir = temp_dir("group-commit");
         {
             let store =
-                ShardedPasswordStore::open_durable(&dir, 2, DurabilityOptions::default()).unwrap();
+                ShardedPasswordStore::open_durable(&dir, 4, DurabilityOptions::default()).unwrap();
             let syncs_before = store.durability_stats().unwrap().wal_syncs;
             let mut touched = Vec::new();
             for i in 0..8 {
                 let record = sys.enroll(&format!("user{i}"), &clicks(i as f64)).unwrap();
                 touched.push(store.insert_new_deferred(record).unwrap());
             }
-            // Before the barrier: appended but not durable.
-            for shard in 0..2 {
-                let (appended, durable) = store.wal_watermark(shard).unwrap();
-                assert!(durable <= appended);
-            }
+            touched.sort_unstable();
+            touched.dedup();
+            assert_eq!(
+                touched,
+                vec![0, 1, 2, 3],
+                "the 8 enrolls touch all 4 shards"
+            );
+            // Before the barrier: appended, but no fsync yet.
+            let staged = store.durability_stats().unwrap();
+            assert_eq!((staged.wal_appends, staged.wal_syncs), (8, syncs_before));
             store.commit_shards(touched.iter().copied()).unwrap();
             let stats = store.durability_stats().unwrap();
-            assert!(
-                stats.wal_syncs - syncs_before <= 2,
-                "8 enrolls over 2 shards: at most one fsync per shard, got {}",
-                stats.wal_syncs - syncs_before
+            assert_eq!(
+                stats.wal_syncs - syncs_before,
+                1,
+                "8 enrolls over 4 shards, one barrier: one fsync"
             );
             assert_eq!(stats.group_commits, 1);
-            for shard in 0..2 {
-                let (appended, durable) = store.wal_watermark(shard).unwrap();
-                assert_eq!(appended, durable, "the barrier commits every append");
-            }
             // Crash (drop without snapshot): every committed record must
-            // recover from the WAL alone.
+            // recover from the log alone.
         }
         let recovered =
-            ShardedPasswordStore::open_durable(&dir, 2, DurabilityOptions::default()).unwrap();
+            ShardedPasswordStore::open_durable(&dir, 4, DurabilityOptions::default()).unwrap();
         assert_eq!(recovered.len(), 8);
         for i in 0..8 {
             assert!(recovered
@@ -1671,7 +1685,7 @@ mod tests {
             shard_index("bob", 2)
         );
         plain.commit_shards([shard_index("bob", 2)]).unwrap();
-        assert!(plain.wal_watermark(0).is_none());
+        assert!(plain.durability_stats().is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1759,13 +1773,13 @@ mod tests {
             })
         };
         while !writer.is_finished() {
-            store.snapshot_shard(0).unwrap();
+            store.snapshot_all().unwrap();
         }
         writer.join().unwrap();
         // The shard is quiet now: its next snapshot is exactly the map.
-        store.snapshot_shard(0).unwrap();
+        store.snapshot_all().unwrap();
         let mut names = Vec::new();
-        ShardWal::replay(&dir.join(shard_pwd_name(0)), |e, _| {
+        Wal::replay(&dir.join(shard_pwd_name(0)), |e, _| {
             names.push(e.username().to_string())
         })
         .unwrap();
@@ -1804,7 +1818,7 @@ mod tests {
             let store = Arc::clone(&store);
             std::thread::spawn(move || {
                 for _ in 0..16 {
-                    store.snapshot_if_past(0).unwrap();
+                    store.snapshot_all().unwrap();
                 }
             })
         };
@@ -1816,6 +1830,94 @@ mod tests {
         let recovered =
             ShardedPasswordStore::open_durable(&dir, 4, DurabilityOptions::default()).unwrap();
         assert_eq!(recovered.len(), 32, "no enroll lost to a racing snapshot");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_poisoned_log_is_due_for_compaction_which_re_arms_it() {
+        let sys = system();
+        let dir = temp_dir("poisoned-compaction");
+        let store =
+            ShardedPasswordStore::open_durable(&dir, 2, DurabilityOptions::default()).unwrap();
+        store.enroll(&sys, "alice", &clicks(0.0)).unwrap();
+        assert!(!store.snapshot_if_due().unwrap(), "far below the threshold");
+        store
+            .durability
+            .as_ref()
+            .unwrap()
+            .wal
+            .lock()
+            .poison_for_test();
+        assert!(matches!(
+            store.enroll(&sys, "bob", &clicks(1.0)),
+            Err(PasswordError::Storage { .. })
+        ));
+        assert!(
+            store.get("bob").is_none(),
+            "a refused append is not applied"
+        );
+        assert!(store.snapshot_if_due().unwrap(), "a poisoned log is due");
+        store.enroll(&sys, "bob", &clicks(1.0)).unwrap();
+        drop(store);
+        let recovered =
+            ShardedPasswordStore::open_durable(&dir, 2, DurabilityOptions::default()).unwrap();
+        assert_eq!(recovered.usernames(), vec!["alice", "bob"]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn every_compaction_deletes_what_it_covers_under_a_racing_writer() {
+        // A writer keeps logging while compactions run back to back: none
+        // is skipped for it, so each leaves exactly one segment behind.
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+        let sys = system();
+        let dir = temp_dir("racing-compaction");
+        let store = Arc::new(
+            ShardedPasswordStore::open_durable(&dir, 4, DurabilityOptions::default()).unwrap(),
+        );
+        let mirror = Arc::new(ShardedPasswordStore::new(4));
+        let done = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let (store, mirror, done) =
+                (Arc::clone(&store), Arc::clone(&mirror), Arc::clone(&done));
+            let template = sys.enroll("template", &clicks(0.0)).unwrap();
+            std::thread::spawn(move || {
+                let mut i = 0u32;
+                while !done.load(Ordering::Acquire) {
+                    let mut record = template.clone();
+                    record.username = format!("user{:03}", i % 97);
+                    record.hash.salt = account_salt(&record.username);
+                    record.hash.digest[0] = i as u8;
+                    if i % 5 == 4 {
+                        store.remove(&record.username).unwrap();
+                        mirror.remove(&record.username).unwrap();
+                    } else {
+                        let payload = WalEntry::Update(record).to_payload();
+                        store.apply_replicated(&payload).unwrap();
+                        mirror.apply_replicated(&payload).unwrap();
+                    }
+                    i += 1;
+                }
+                i
+            })
+        };
+        for round in 0..20 {
+            store.snapshot_all().unwrap();
+            assert_eq!(
+                segment_paths(&dir).len(),
+                1,
+                "compaction {round} left its covered segments behind"
+            );
+        }
+        done.store(true, Ordering::Release);
+        let writes = writer.join().unwrap();
+        assert!(writes > 0);
+        assert_eq!(store.durability_stats().unwrap().snapshots, 21, "open + 20");
+        drop(store);
+        let recovered =
+            ShardedPasswordStore::open_durable(&dir, 3, DurabilityOptions::default()).unwrap();
+        assert_eq!(recovered.records(), mirror.records());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

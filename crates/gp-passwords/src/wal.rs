@@ -1,4 +1,4 @@
-//! Per-shard write-ahead logging and atomic snapshot primitives.
+//! The node's write-ahead log and atomic snapshot primitives.
 //!
 //! The sharded store's original persistence (`std::fs::write` per shard)
 //! had a crash window: a power cut mid-write truncates a shard file, the
@@ -7,19 +7,25 @@
 //! building blocks that close that window, in the crash-only shape the
 //! cheap-recovery literature argues for:
 //!
-//! * [`ShardWal`] — an append-only, length-prefixed, checksummed log of
-//!   mutations (enroll / update / remove).  A mutation is acknowledged
-//!   only after its record is appended and fsynced, so recovery can
-//!   replay everything the server ever acked.  [`ShardWal::replay`] tolerates a *torn tail*
-//!   — a final record cut at any byte by a crash — and recovers exactly
-//!   the preceding prefix.
+//! * [`Wal`] — the node's one append-only, length-prefixed, checksummed
+//!   log of mutations (enroll / update / remove), whatever its shard
+//!   count.  A mutation is acknowledged only after its record is appended
+//!   and fsynced, so recovery can replay everything the server ever
+//!   acked, and one fsync commits every record staged before it.  Replay
+//!   tolerates a *torn tail* — a final record cut at any byte by a crash
+//!   — and recovers exactly the preceding prefix.
 //! * [`atomic_write`] — snapshot publication as `write tmp → fsync →
 //!   rename → fsync dir`, so a snapshot file is either the complete old
 //!   version or the complete new version, never a truncated hybrid.
 //!
+//! The log is a run of numbered segment files, `log-NNNNNNNNNN.wal`, known
+//! only to this module.  Compaction never truncates a segment: it rotates
+//! to a new one, the store publishes its snapshots, and the older segments
+//! are deleted, so a writer racing it never makes it skip the deletion.
+//!
 //! # Record format
 //!
-//! WALs and shard snapshots share one framing:
+//! Log segments and shard snapshots share one framing:
 //!
 //! ```text
 //! file   := MAGIC record*
@@ -32,23 +38,23 @@
 //! ```
 //!
 //! A snapshot is the same file holding one `update` record per account,
-//! in name order, read back through [`ShardWal::replay`].  The replication
-//! stream carries the payloads verbatim.  Files of another format (the
-//! `GP-WAL1` log, the `# gp-passwords store v1` text snapshot, the
-//! `GP-WAL2` log whose packed accounts stored their salt) are refused by
-//! their magic.
+//! in name order.  The replication stream carries the payloads verbatim.
+//! Files of another format (the `GP-WAL1` log, the `# gp-passwords store
+//! v1` text snapshot, the `GP-WAL2` log whose packed accounts stored their
+//! salt) are refused by their magic, and so is a per-shard `shard-NNN.wal`
+//! of the earlier layout, by its name.
 //!
-//! The log has a single appender (the owning shard, under its lock)
-//! writing strictly forward, so a checksum/length violation on the
-//! *final* record can only be the torn tail of a crashed append — replay
-//! stops there and reports the dropped byte count.  A violation with
-//! intact records *after* it cannot be a tear (nothing appends past an
-//! unfinished record): that is mid-file corruption and replay surfaces
-//! it as an error rather than silently truncating the acked suffix.
-//! Likewise a record whose checksum *passes* but whose payload does not
-//! decode is real corruption (or a software bug) and is an error.  A
-//! snapshot is published whole by [`atomic_write`], so its loader treats
-//! even a torn tail as corruption.
+//! The log has one appender at a time (its mutex) writing strictly
+//! forward, so a checksum/length violation on the *final* record of the
+//! last segment can only be the torn tail of a crashed append — replay
+//! stops there and reports the dropped byte count, and recovery cuts it
+//! off.  A violation with intact records *after* it cannot be a tear
+//! (nothing appends past an unfinished record): that is mid-file
+//! corruption, an error rather than a silent truncation of the acked
+//! suffix.  So is a damaged tail in any segment but the last, which
+//! rotation synced whole, and a record whose checksum *passes* but whose
+//! payload does not decode.  A snapshot is published whole by
+//! [`atomic_write`], so its loader treats even a torn tail as corruption.
 
 use crate::resident::PackedAccount;
 use crate::stored::StoredPassword;
@@ -114,7 +120,7 @@ impl WalEntry {
     }
 
     /// Encode as a record payload (`op:u8` + data) — the exact bytes
-    /// [`ShardWal`] appends, reused verbatim as the replication stream's
+    /// [`Wal`] appends, reused verbatim as the replication stream's
     /// record body so primary and backup log bit-identical records.
     pub fn to_payload(&self) -> Vec<u8> {
         let mut payload = vec![self.tag()];
@@ -164,71 +170,138 @@ impl WalEntry {
     }
 }
 
-/// The result of replaying one WAL file.
-#[derive(Debug, Clone, Copy)]
-pub struct WalReplay {
+/// The result of replaying one record file (from [`Wal::recover`], of
+/// every segment of the log).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct WalReplay {
     /// Records decoded and handed to the replay closure.
-    pub records: u64,
+    pub(crate) records: u64,
     /// Bytes dropped at the end of the file (a record torn by a crash
     /// mid-append; zero for a cleanly closed log).
-    pub torn_bytes: u64,
+    pub(crate) torn_bytes: u64,
 }
 
-/// An open per-shard write-ahead log (single appender: the owning shard,
-/// under its lock).
+/// The file name of log segment `number`.
+pub(crate) fn segment_name(number: u64) -> String {
+    format!("log-{number:010}.wal")
+}
+
+/// The numbers of the log segments under `dir`, ascending.  A per-shard
+/// log of the earlier layout (`shard-NNN.wal`) is refused, naming the
+/// file: recovering around it would drop the records it holds.
+pub(crate) fn segments(dir: &Path) -> std::io::Result<Vec<u64>> {
+    let mut numbers = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let name = entry?.file_name();
+        let Some(name) = name.to_str() else { continue };
+        if let Some(number) = name
+            .strip_prefix("log-")
+            .and_then(|n| n.strip_suffix(".wal"))
+        {
+            numbers.extend(number.parse().ok().filter(|&n| segment_name(n) == name));
+        } else if name.starts_with("shard-") && name.ends_with(".wal") {
+            let reason = "a per-shard log of an earlier layout; the store keeps one log per node";
+            return Err(corrupt(&dir.join(name), reason));
+        }
+    }
+    numbers.sort_unstable();
+    Ok(numbers)
+}
+
+/// Open segment `number` under `dir` for appending and fsync it, keeping
+/// its first `keep` bytes: a torn tail past them is cut off, and a segment
+/// without a whole header (a new one, or one whose creation was torn)
+/// restarts with one.
+fn open_segment(dir: &Path, number: u64, keep: u64) -> std::io::Result<(File, u64)> {
+    let path = dir.join(segment_name(number));
+    let mut file = OpenOptions::new().create(true).append(true).open(path)?;
+    let len = if keep < WAL_MAGIC.len() as u64 {
+        file.set_len(0)?;
+        file.write_all(WAL_MAGIC)?;
+        WAL_MAGIC.len() as u64
+    } else {
+        file.set_len(keep)?;
+        keep
+    };
+    file.sync_all()?;
+    Ok((file, len))
+}
+
+/// The node's write-ahead log: appends go to the newest of its segments,
+/// one appender at a time (its owner's mutex serializes them).
 #[derive(Debug)]
-pub struct ShardWal {
+pub struct Wal {
+    dir: PathBuf,
+    /// The segment appends go to, and its number; the older segments
+    /// still on disk are numbered `oldest..segment`.
     file: File,
-    path: PathBuf,
+    segment: u64,
+    oldest: u64,
+    /// Bytes in the current segment (header included), and in the older
+    /// segments still on disk.
+    len: u64,
+    retired: u64,
     /// Commit sequencing (pure state machine, model tested under
     /// gp-sched — see [`crate::watermark::Watermark`]).
     mark: Watermark,
-    /// Current file length in bytes (header included).
-    len: u64,
     appends: u64,
     syncs: u64,
-    /// A failed append could not be rolled back: the bytes past the last
-    /// good record are in an unknown state, so further appends would land
-    /// *after* a tear and be silently dropped by replay.  All appends
-    /// fail until the log is recovered (reopened) or reset.
+    /// A failed append could not be rolled back, or a rotation failed:
+    /// the bytes past the last good record are in an unknown state, so
+    /// further appends would land *after* a tear and be silently dropped
+    /// by replay.  All appends fail until the log is recovered (reopened)
+    /// or rotated.
     poisoned: bool,
 }
 
-impl ShardWal {
-    /// Open `path` for appending, creating it (with the magic header) if
-    /// absent or empty.  Existing contents are preserved — replay them
-    /// with [`ShardWal::replay`] *before* opening for append.
-    pub fn open_or_create(path: &Path) -> std::io::Result<Self> {
-        let mut file = OpenOptions::new().create(true).append(true).open(path)?;
-        let mut len = file.metadata()?.len();
-        if len < WAL_MAGIC.len() as u64 {
-            // Fresh log — or a crash tore the very creation of one.  The
-            // bytes so far carry no records; restart the header cleanly.
-            file.set_len(0)?;
-            file.write_all(WAL_MAGIC)?;
-            file.sync_all()?;
-            len = WAL_MAGIC.len() as u64;
+impl Wal {
+    /// Recover the log under `dir`: replay every segment in number order
+    /// through `apply` (see [`Wal::replay`]), then open the last one for
+    /// appending, its torn tail cut off.  A directory without segments
+    /// starts the log at segment 1.  Besides [`Wal::replay`]'s errors, a
+    /// damaged tail in a segment that a later one follows is corruption.
+    pub(crate) fn recover(
+        dir: &Path,
+        mut apply: impl FnMut(WalEntry, &[u8]),
+    ) -> std::io::Result<(Self, WalReplay)> {
+        let numbers = segments(dir)?;
+        let (mut replayed, mut retired, mut keep) = (WalReplay::default(), 0, 0);
+        for (i, &number) in numbers.iter().enumerate() {
+            let path = dir.join(segment_name(number));
+            let len = std::fs::metadata(&path)?.len();
+            let replay = Self::replay(&path, &mut apply)?;
+            if i + 1 < numbers.len() && replay.torn_bytes > 0 {
+                let reason = "damaged final record in a segment that a later one follows \
+                              — rotation synced it whole, so not a torn tail";
+                return Err(corrupt(&path, reason));
+            }
+            retired += keep;
+            keep = len - replay.torn_bytes;
+            replayed.records += replay.records;
+            replayed.torn_bytes += replay.torn_bytes;
         }
-        Ok(Self {
+        let segment = numbers.last().map_or(1, |&last| last);
+        let (file, len) = open_segment(dir, segment, keep)?;
+        sync_dir(dir)?;
+        let wal = Self {
+            dir: dir.to_path_buf(),
             file,
-            path: path.to_path_buf(),
-            mark: Watermark::new(),
+            segment,
+            oldest: numbers.first().map_or(segment, |&first| first),
             len,
+            retired,
+            mark: Watermark::new(),
             appends: 0,
             syncs: 0,
             poisoned: false,
-        })
+        };
+        Ok((wal, replayed))
     }
 
-    /// The log's file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Current log length in bytes (magic header included) — the
+    /// Bytes held across the log's segments (headers included) — the
     /// compaction trigger input.
     pub fn len_bytes(&self) -> u64 {
-        self.len
+        self.retired + self.len
     }
 
     /// Appends since this handle was opened.
@@ -236,61 +309,25 @@ impl ShardWal {
         self.appends
     }
 
-    /// Fsyncs issued by this handle.
+    /// Fsyncs that made appended records durable (flushed appends,
+    /// barriers, rotations) since this handle was opened.
     pub fn syncs(&self) -> u64 {
         self.syncs
     }
 
-    /// Commit sequence of the last appended record (0 before any append).
-    pub fn appended_seq(&self) -> u64 {
-        self.mark.appended_seq()
-    }
-
-    /// The commit-sequence watermark: the highest appended sequence known
-    /// to be on stable storage.  `durable_seq() == appended_seq()` means
-    /// every append is committed; anything above the watermark is still
-    /// awaiting its group-commit barrier.
-    pub fn durable_seq(&self) -> u64 {
-        self.mark.durable_seq()
-    }
-
-    /// Append one record carrying `payload` ([`WalEntry::to_payload`])
-    /// and fsync it.  When this returns `Ok`, the record is on stable
-    /// storage — only then may the mutation be acknowledged.
-    pub fn append_flushed(&mut self, payload: &[u8]) -> std::io::Result<()> {
-        self.append_record(payload, true).map(drop)
-    }
-
-    /// Stage a record carrying `payload` *without* the per-append
-    /// fsync — the group-commit fast path.  The record is in the log (a
-    /// crash may still lose it until a barrier lands) but **must not be
-    /// acknowledged** until [`ShardWal::group_commit`] or
-    /// [`ShardWal::sync`] advances the durable watermark past the
-    /// returned commit sequence.
-    pub fn append_staged(&mut self, payload: &[u8]) -> std::io::Result<u64> {
-        self.append_record(payload, false)
-    }
-
-    /// The group-commit barrier: fsync every staged append in **one**
-    /// disk operation, instead of one per append, if anything is
-    /// outstanding.  Returns the durable commit-sequence watermark after
-    /// the barrier: every previously appended record is committed when
-    /// this returns.
-    pub fn group_commit(&mut self) -> std::io::Result<u64> {
-        if self.mark.barrier_needs_sync() {
-            self.sync()?;
-        }
-        Ok(self.mark.durable_seq())
-    }
-
-    /// Frame `payload` as one record and write it in one call (a crash can
-    /// still tear it mid-record, but replay recovers the full prefix
-    /// regardless of where the tear lands); with `flush`, fsync it now.
-    fn append_record(&mut self, payload: &[u8], flush: bool) -> std::io::Result<u64> {
+    /// Append one record carrying `payload` ([`WalEntry::to_payload`]) in
+    /// one write (a crash can still tear it; replay recovers the prefix
+    /// wherever the tear lands), and return its commit sequence.  With
+    /// `flush`, the record is fsynced before this returns `Ok`, and the
+    /// mutation may be acknowledged then.  Without, it is *staged*: a
+    /// crash may lose it, and it **must not be acknowledged** until
+    /// [`Wal::group_commit`] or [`Wal::rotate`] advances the durable
+    /// watermark past the returned sequence.
+    pub fn append_record(&mut self, payload: &[u8], flush: bool) -> std::io::Result<u64> {
         if self.poisoned {
             return Err(std::io::Error::other(format!(
-                "{}: WAL poisoned by an earlier unrecoverable append failure",
-                self.path.display()
+                "{}: WAL poisoned by an earlier unrecoverable failure",
+                self.dir.join(segment_name(self.segment)).display()
             )));
         }
         let mut buf = Vec::new();
@@ -333,38 +370,68 @@ impl ShardWal {
         }
     }
 
+    /// The group-commit barrier: fsync every staged append in **one**
+    /// disk operation, instead of one per append, if anything is
+    /// outstanding.  Returns the durable commit-sequence watermark after
+    /// the barrier: every previously appended record is committed when
+    /// this returns.
+    pub fn group_commit(&mut self) -> std::io::Result<u64> {
+        if self.mark.barrier_needs_sync() {
+            self.sync()?;
+        }
+        Ok(self.mark.durable_seq())
+    }
+
     /// Flush appended records to stable storage now, advancing the
     /// durable commit-sequence watermark.
-    pub fn sync(&mut self) -> std::io::Result<()> {
+    fn sync(&mut self) -> std::io::Result<()> {
         self.file.sync_all()?;
         self.syncs += 1;
         self.mark.note_synced();
         Ok(())
     }
 
-    /// Truncate the log back to its magic header — called after the
-    /// shard's snapshot has been atomically published, which supersedes
-    /// every logged record.  Durable immediately; but even if the
-    /// truncation itself were lost to a crash, replaying the stale
-    /// records over the snapshot is idempotent.
-    pub fn reset(&mut self) -> std::io::Result<()> {
-        self.file.set_len(WAL_MAGIC.len() as u64)?;
-        // Append mode writes at the (new) end-of-file; rewind is only
-        // needed for platforms that track the cursor independently.
-        self.file.seek(std::io::SeekFrom::End(0))?;
-        self.file.sync_all()?;
-        self.syncs += 1;
-        self.len = WAL_MAGIC.len() as u64;
-        // Every logged record is superseded by the published snapshot:
-        // the watermark catches up (monotonic — it never rewinds).
-        self.mark.note_synced();
-        // Truncating to the header discards any un-rolled-back tear.
+    /// Start the next segment: fsync the current one, so every record
+    /// appended so far is committed and the segment ends whole, then
+    /// create the next one, fsync it and the directory, and append there.
+    /// Every record in an older segment was applied by its appender before
+    /// this took the log, so snapshots taken after it returns cover them
+    /// all; once those are published, [`Wal::delete_retired`] removes the
+    /// older segments.  A poisoned log cuts its tear off first, which
+    /// re-arms it.  A failed rotation poisons the log: it may have left a
+    /// partial next segment, after which an append torn in this one would
+    /// read as corruption.
+    pub fn rotate(&mut self) -> std::io::Result<()> {
+        if self.poisoned {
+            self.file.set_len(self.len)?;
+        }
+        self.poisoned = true;
+        self.sync()?;
+        let (file, len) = open_segment(&self.dir, self.segment + 1, 0)?;
+        sync_dir(&self.dir)?;
+        self.file = file;
+        self.segment += 1;
+        self.retired += std::mem::replace(&mut self.len, len);
         self.poisoned = false;
         Ok(())
     }
 
-    /// Whether an unrecoverable append failure has disabled this log
-    /// (every further append fails until [`ShardWal::reset`]).
+    /// Delete every segment older than the current one, oldest first, then
+    /// fsync the directory.  Call only once snapshots taken after the
+    /// [`Wal::rotate`] that retired them are published.
+    pub fn delete_retired(&mut self) -> std::io::Result<()> {
+        for number in self.oldest..self.segment {
+            match std::fs::remove_file(self.dir.join(segment_name(number))) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
+                _ => self.oldest = number + 1,
+            }
+        }
+        self.retired = 0;
+        sync_dir(&self.dir)
+    }
+
+    /// Whether an unrecoverable failure has disabled this log (every
+    /// further append fails until [`Wal::rotate`] succeeds).
     pub fn is_poisoned(&self) -> bool {
         self.poisoned
     }
@@ -376,38 +443,24 @@ impl ShardWal {
         self.poisoned = true;
     }
 
-    /// Decode every intact record in the WAL (or snapshot) at `path`, in
-    /// file order, and hand each to `apply` as soon as it is decoded,
-    /// together with its checked payload bytes (canonical: exactly what
+    /// Decode every intact record in the log segment or snapshot at
+    /// `path`, in file order, and hand each to `apply` as soon as it is
+    /// decoded, as a [`WalEntry::checked`] entry (no salt derived) with its
+    /// checked payload bytes (canonical: exactly what
     /// [`WalEntry::to_payload`] writes for the entry).  The file is read
-    /// record by record, so recovery holds one record at a time, never the
-    /// whole log.  A torn final record is tolerated and reported via
+    /// record by record, so replay holds one record at a time, never the
+    /// whole file.  A torn final record is tolerated and reported via
     /// [`WalReplay::torn_bytes`].
     ///
-    /// A missing file replays as empty (a crash before the first append).
-    /// A present file with a wrong magic (another format, or an older
-    /// version of this one), an intact (checksummed) record that fails to
-    /// decode, or damage to an *interior* record (an intact record
-    /// follows the damage, so it cannot be a tear) is an error —
-    /// that is corruption, not a crash artifact.  Entries before the error
-    /// have already been applied; callers discard what they built.
-    pub fn replay(path: &Path, apply: impl FnMut(WalEntry, &[u8])) -> std::io::Result<WalReplay> {
-        Self::replay_with(path, WalEntry::from_payload, apply)
-    }
-
-    /// [`ShardWal::replay`] handing out [`WalEntry::checked`] entries
-    /// (empty salts), for a loader that keeps only each record's payload
-    /// bytes and name.
-    pub(crate) fn replay_checked(
+    /// A missing file replays as empty.  A present file with a wrong
+    /// magic (another format, or an older version of this one), an intact
+    /// (checksummed) record that fails to decode, or damage to an
+    /// *interior* record (an intact record follows the damage, so it
+    /// cannot be a tear) is an error — that is corruption, not a crash
+    /// artifact.  Entries before the error have already been applied;
+    /// callers discard what they built.
+    pub(crate) fn replay(
         path: &Path,
-        apply: impl FnMut(WalEntry, &[u8]),
-    ) -> std::io::Result<WalReplay> {
-        Self::replay_with(path, WalEntry::checked, apply)
-    }
-
-    fn replay_with(
-        path: &Path,
-        decode: fn(&[u8]) -> std::io::Result<WalEntry>,
         mut apply: impl FnMut(WalEntry, &[u8]),
     ) -> std::io::Result<WalReplay> {
         let mut reader = match File::open(path) {
@@ -475,7 +528,7 @@ impl ShardWal {
                     torn_bytes: record.len() as u64,
                 });
             };
-            let entry = decode(payload).map_err(|e| corrupt(path, &e.to_string()))?;
+            let entry = WalEntry::checked(payload).map_err(|e| corrupt(path, &e.to_string()))?;
             apply(entry, payload);
             replayed += 1;
             at += end;
@@ -610,12 +663,28 @@ mod tests {
 
     fn replay_all(path: &Path) -> std::io::Result<Replayed> {
         let mut entries = Vec::new();
-        let summary = ShardWal::replay(path, |entry, _| entries.push(entry))?;
+        let summary = Wal::replay(path, |_, payload| {
+            entries.push(WalEntry::from_payload(payload).unwrap())
+        })?;
         assert_eq!(summary.records, entries.len() as u64);
         Ok(Replayed {
             entries,
             torn_bytes: summary.torn_bytes,
         })
+    }
+
+    /// Recover the log under `dir`, returning it with the names of the
+    /// accounts it replayed.
+    fn recover(dir: &Path) -> (Wal, Vec<String>) {
+        let mut names = Vec::new();
+        let (wal, replay) =
+            Wal::recover(dir, |entry, _| names.push(entry.username().to_string())).unwrap();
+        assert_eq!(replay.records, names.len() as u64);
+        (wal, names)
+    }
+
+    fn segment(dir: &Path, number: u64) -> PathBuf {
+        dir.join(segment_name(number))
     }
 
     fn enroll(record: &StoredPassword) -> WalEntry {
@@ -625,19 +694,20 @@ mod tests {
     #[test]
     fn append_replay_round_trip_all_ops() {
         let dir = temp_dir("roundtrip");
-        let path = dir.join("shard-000.wal");
         let (a, b) = (sample("alice", 0.0), sample("bob", 3.0));
         {
-            let mut wal = ShardWal::open_or_create(&path).unwrap();
-            wal.append_flushed(&enroll(&a).to_payload()).unwrap();
-            wal.append_flushed(&WalEntry::Update(b.clone()).to_payload())
+            let (mut wal, replayed) = recover(&dir);
+            assert!(replayed.is_empty());
+            wal.append_record(&enroll(&a).to_payload(), true).unwrap();
+            wal.append_record(&WalEntry::Update(b.clone()).to_payload(), true)
                 .unwrap();
-            wal.append_flushed(&WalEntry::Remove("alice".into()).to_payload())
+            wal.append_record(&WalEntry::Remove("alice".into()).to_payload(), true)
                 .unwrap();
             assert_eq!(wal.appends(), 3);
-            assert!(wal.syncs() >= 3, "every flushed append fsyncs");
+            assert_eq!(wal.syncs(), 3, "every flushed append fsyncs");
         }
-        let replay = replay_all(&path).unwrap();
+        assert_eq!(segments(&dir).unwrap(), vec![1], "a fresh log is segment 1");
+        let replay = replay_all(&segment(&dir, 1)).unwrap();
         assert_eq!(replay.torn_bytes, 0);
         assert_eq!(
             replay.entries,
@@ -653,17 +723,17 @@ mod tests {
     #[test]
     fn reopening_appends_after_existing_records() {
         let dir = temp_dir("reopen");
-        let path = dir.join("w.wal");
         let (a, b) = (sample("alice", 0.0), sample("bob", 3.0));
         {
-            let mut wal = ShardWal::open_or_create(&path).unwrap();
-            wal.append_flushed(&enroll(&a).to_payload()).unwrap();
+            let (mut wal, _) = recover(&dir);
+            wal.append_record(&enroll(&a).to_payload(), true).unwrap();
         }
         {
-            let mut wal = ShardWal::open_or_create(&path).unwrap();
-            wal.append_flushed(&enroll(&b).to_payload()).unwrap();
+            let (mut wal, replayed) = recover(&dir);
+            assert_eq!(replayed, vec!["alice"]);
+            wal.append_record(&enroll(&b).to_payload(), true).unwrap();
         }
-        let replay = replay_all(&path).unwrap();
+        let replay = replay_all(&segment(&dir, 1)).unwrap();
         assert_eq!(
             replay.entries,
             vec![WalEntry::Enroll(a), WalEntry::Enroll(b)]
@@ -672,21 +742,51 @@ mod tests {
     }
 
     #[test]
+    fn recovery_cuts_a_torn_tail_off_before_appending() {
+        let dir = temp_dir("recover-torn");
+        let (a, b, c) = (
+            sample("alice", 0.0),
+            sample("bob", 3.0),
+            sample("carol", 6.0),
+        );
+        {
+            let (mut wal, _) = recover(&dir);
+            wal.append_record(&enroll(&a).to_payload(), true).unwrap();
+            wal.append_record(&enroll(&b).to_payload(), true).unwrap();
+        }
+        let path = segment(&dir, 1);
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
+        let (mut wal, replayed) = recover(&dir);
+        assert_eq!(replayed, vec!["alice"], "bob's record was torn");
+        wal.append_record(&enroll(&c).to_payload(), true).unwrap();
+        drop(wal);
+        // Carol's record follows alice's: no tear is left between them.
+        let replay = replay_all(&path).unwrap();
+        assert_eq!(
+            replay.entries,
+            vec![WalEntry::Enroll(a), WalEntry::Enroll(c)]
+        );
+        assert_eq!(replay.torn_bytes, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn truncation_at_every_byte_recovers_the_exact_prefix() {
         let dir = temp_dir("torn");
-        let path = dir.join("w.wal");
         let records: Vec<StoredPassword> = (0..3)
             .map(|i| sample(&format!("user{i}"), i as f64))
             .collect();
         let mut boundaries = vec![WAL_MAGIC.len() as u64];
         {
-            let mut wal = ShardWal::open_or_create(&path).unwrap();
+            let (mut wal, _) = recover(&dir);
             for record in &records {
-                wal.append_flushed(&enroll(record).to_payload()).unwrap();
+                wal.append_record(&enroll(record).to_payload(), true)
+                    .unwrap();
                 boundaries.push(wal.len_bytes());
             }
         }
-        let full = std::fs::read(&path).unwrap();
+        let full = std::fs::read(segment(&dir, 1)).unwrap();
         let torn = dir.join("torn.wal");
         for cut in 0..=full.len() {
             std::fs::write(&torn, &full[..cut]).unwrap();
@@ -719,15 +819,15 @@ mod tests {
     #[test]
     fn corrupt_tail_checksum_drops_only_the_final_record() {
         let dir = temp_dir("checksum");
-        let path = dir.join("w.wal");
         let (a, b) = (sample("alice", 0.0), sample("bob", 3.0));
         let first_end;
         {
-            let mut wal = ShardWal::open_or_create(&path).unwrap();
-            wal.append_flushed(&enroll(&a).to_payload()).unwrap();
+            let (mut wal, _) = recover(&dir);
+            wal.append_record(&enroll(&a).to_payload(), true).unwrap();
             first_end = wal.len_bytes() as usize;
-            wal.append_flushed(&enroll(&b).to_payload()).unwrap();
+            wal.append_record(&enroll(&b).to_payload(), true).unwrap();
         }
+        let path = segment(&dir, 1);
         let mut bytes = std::fs::read(&path).unwrap();
         *bytes.last_mut().unwrap() ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
@@ -767,7 +867,7 @@ mod tests {
         std::fs::write(&bad_payload, &bytes).unwrap();
         assert!(replay_all(&bad_payload).is_err());
 
-        // Missing file: empty replay (crash before the first append).
+        // Missing file: empty replay.
         let missing = replay_all(&dir.join("nope.wal")).unwrap();
         assert!(missing.entries.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -776,18 +876,19 @@ mod tests {
     #[test]
     fn interior_checksum_flip_is_an_error_not_a_silent_truncation() {
         let dir = temp_dir("interior");
-        let path = dir.join("w.wal");
         let records: Vec<StoredPassword> = (0..3)
             .map(|i| sample(&format!("user{i}"), i as f64))
             .collect();
         let mut boundaries = vec![WAL_MAGIC.len()];
         {
-            let mut wal = ShardWal::open_or_create(&path).unwrap();
+            let (mut wal, _) = recover(&dir);
             for record in &records {
-                wal.append_flushed(&enroll(record).to_payload()).unwrap();
+                wal.append_record(&enroll(record).to_payload(), true)
+                    .unwrap();
                 boundaries.push(wal.len_bytes() as usize);
             }
         }
+        let path = segment(&dir, 1);
         let pristine = std::fs::read(&path).unwrap();
         // Flip one payload byte in each *interior* record (0 and 1):
         // intact records follow, so replay must refuse rather than drop
@@ -816,18 +917,19 @@ mod tests {
     #[test]
     fn interior_length_corruption_is_an_error_not_a_silent_truncation() {
         let dir = temp_dir("interior-len");
-        let path = dir.join("w.wal");
         let records: Vec<StoredPassword> = (0..3)
             .map(|i| sample(&format!("user{i}"), i as f64))
             .collect();
         let mut boundaries = vec![WAL_MAGIC.len()];
         {
-            let mut wal = ShardWal::open_or_create(&path).unwrap();
+            let (mut wal, _) = recover(&dir);
             for record in &records {
-                wal.append_flushed(&enroll(record).to_payload()).unwrap();
+                wal.append_record(&enroll(record).to_payload(), true)
+                    .unwrap();
                 boundaries.push(wal.len_bytes() as usize);
             }
         }
+        let path = segment(&dir, 1);
         let pristine = std::fs::read(&path).unwrap();
         // Bit 7 of the length's high byte makes it garbage (past
         // MAX_RECORD_LEN); of its low byte, a length that is in range but
@@ -874,104 +976,121 @@ mod tests {
     }
 
     #[test]
-    fn reset_truncates_to_header_and_new_appends_replay_alone() {
-        let dir = temp_dir("reset");
-        let path = dir.join("w.wal");
+    fn rotation_retires_the_segment_and_deletion_removes_it() {
+        let dir = temp_dir("rotate");
         let (a, b) = (sample("alice", 0.0), sample("bob", 3.0));
-        let mut wal = ShardWal::open_or_create(&path).unwrap();
-        wal.append_flushed(&enroll(&a).to_payload()).unwrap();
-        wal.reset().unwrap();
-        assert_eq!(wal.len_bytes(), WAL_MAGIC.len() as u64);
-        wal.append_flushed(&enroll(&b).to_payload()).unwrap();
+        let (mut wal, _) = recover(&dir);
+        wal.append_record(&enroll(&a).to_payload(), true).unwrap();
+        let first = wal.len_bytes();
+        wal.rotate().unwrap();
+        wal.append_record(&enroll(&b).to_payload(), true).unwrap();
+        assert_eq!(segments(&dir).unwrap(), vec![1, 2]);
+        assert_eq!(
+            wal.len_bytes(),
+            first + std::fs::metadata(segment(&dir, 2)).unwrap().len(),
+            "the log's bytes span both segments until deletion"
+        );
+        wal.delete_retired().unwrap();
+        assert_eq!(segments(&dir).unwrap(), vec![2]);
+        assert_eq!(
+            wal.len_bytes(),
+            std::fs::metadata(segment(&dir, 2)).unwrap().len()
+        );
         drop(wal);
-        let replay = replay_all(&path).unwrap();
-        assert_eq!(replay.entries, vec![WalEntry::Enroll(b)]);
+        let (_, replayed) = recover(&dir);
+        assert_eq!(replayed, vec!["bob"]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn poisoned_log_refuses_appends_until_reset() {
+    fn poisoned_log_refuses_appends_until_rotated() {
         let dir = temp_dir("poison");
-        let path = dir.join("w.wal");
         let (a, b) = (sample("alice", 0.0), sample("bob", 3.0));
-        let mut wal = ShardWal::open_or_create(&path).unwrap();
-        wal.append_flushed(&enroll(&a).to_payload()).unwrap();
+        let (mut wal, _) = recover(&dir);
+        wal.append_record(&enroll(&a).to_payload(), true).unwrap();
         wal.poison_for_test();
         assert!(wal.is_poisoned());
         // No append may land past a potential tear: it would be dropped
         // by replay while its caller believed it was acknowledged.
-        assert!(wal.append_flushed(&enroll(&b).to_payload()).is_err());
+        assert!(wal.append_record(&enroll(&b).to_payload(), true).is_err());
         assert!(wal
-            .append_flushed(&WalEntry::Remove("alice".into()).to_payload())
+            .append_record(&WalEntry::Remove("alice".into()).to_payload(), false)
             .is_err());
-        let replay = replay_all(&path).unwrap();
-        assert_eq!(replay.entries, vec![WalEntry::Enroll(a)]);
-        // Truncating to the header discards the tear and re-arms the log.
-        wal.reset().unwrap();
+        assert_eq!(
+            replay_all(&segment(&dir, 1)).unwrap().entries,
+            vec![WalEntry::Enroll(a)]
+        );
+        // Rotation cuts the tear off and re-arms the log.
+        wal.rotate().unwrap();
         assert!(!wal.is_poisoned());
-        wal.append_flushed(&enroll(&b).to_payload()).unwrap();
+        wal.append_record(&enroll(&b).to_payload(), true).unwrap();
         drop(wal);
-        let replay = replay_all(&path).unwrap();
-        assert_eq!(replay.entries, vec![WalEntry::Enroll(b)]);
+        assert_eq!(
+            replay_all(&segment(&dir, 2)).unwrap().entries,
+            vec![WalEntry::Enroll(b)]
+        );
+        let (_, replayed) = recover(&dir);
+        assert_eq!(replayed, vec!["alice", "bob"]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn staged_appends_commit_once_per_group_and_advance_the_watermark() {
         let dir = temp_dir("group");
-        let path = dir.join("w.wal");
-        let mut wal = ShardWal::open_or_create(&path).unwrap();
-        let open_syncs = wal.syncs();
+        let (mut wal, _) = recover(&dir);
         let mut seqs = Vec::new();
         for i in 0..5 {
             let seq = wal
-                .append_staged(&enroll(&sample(&format!("u{i}"), i as f64)).to_payload())
+                .append_record(
+                    &enroll(&sample(&format!("u{i}"), i as f64)).to_payload(),
+                    false,
+                )
                 .unwrap();
             seqs.push(seq);
         }
         assert_eq!(seqs, vec![1, 2, 3, 4, 5], "commit sequences are dense");
-        assert_eq!(wal.appended_seq(), 5);
+        assert_eq!(wal.mark.appended_seq(), 5);
         assert_eq!(
-            wal.durable_seq(),
+            wal.mark.durable_seq(),
             0,
             "staged appends stay below the watermark until the barrier"
         );
-        assert_eq!(wal.syncs() - open_syncs, 0, "no per-append fsync");
+        assert_eq!(wal.syncs(), 0, "no per-append fsync");
         let watermark = wal.group_commit().unwrap();
         assert_eq!(watermark, 5, "one barrier commits the whole group");
-        assert_eq!(wal.durable_seq(), 5);
-        assert_eq!(wal.syncs() - open_syncs, 1, "5 appends, 1 fsync");
+        assert_eq!(wal.mark.durable_seq(), 5);
+        assert_eq!(wal.syncs(), 1, "5 appends, 1 fsync");
         // An empty barrier is free.
         assert_eq!(wal.group_commit().unwrap(), 5);
-        assert_eq!(wal.syncs() - open_syncs, 1);
+        assert_eq!(wal.syncs(), 1);
         // Every staged record replays.
         drop(wal);
-        let replay = replay_all(&path).unwrap();
+        let replay = replay_all(&segment(&dir, 1)).unwrap();
         assert_eq!(replay.entries.len(), 5);
         assert_eq!(replay.torn_bytes, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn sync_and_reset_catch_the_watermark_up() {
+    fn flushed_appends_and_rotation_catch_the_watermark_up() {
         let dir = temp_dir("watermark");
-        let path = dir.join("w.wal");
-        let mut wal = ShardWal::open_or_create(&path).unwrap();
-        wal.append_staged(&enroll(&sample("alice", 0.0)).to_payload())
+        let (mut wal, _) = recover(&dir);
+        wal.append_record(&enroll(&sample("alice", 0.0)).to_payload(), false)
             .unwrap();
-        wal.sync().unwrap();
+        wal.append_record(&enroll(&sample("bob", 3.0)).to_payload(), true)
+            .unwrap();
         assert_eq!(
-            wal.durable_seq(),
-            1,
-            "an explicit sync commits the staged append"
+            wal.mark.durable_seq(),
+            2,
+            "a flushed append commits the staged one before it"
         );
-        wal.append_staged(&enroll(&sample("bob", 3.0)).to_payload())
+        wal.append_record(&enroll(&sample("carol", 6.0)).to_payload(), false)
             .unwrap();
-        wal.reset().unwrap();
+        wal.rotate().unwrap();
         assert_eq!(
-            (wal.appended_seq(), wal.durable_seq()),
-            (2, 2),
-            "a snapshot supersedes the log; the watermark never rewinds"
+            (wal.mark.appended_seq(), wal.mark.durable_seq()),
+            (3, 3),
+            "rotation syncs the segment it retires"
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }

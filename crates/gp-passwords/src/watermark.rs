@@ -1,6 +1,6 @@
 //! Pure group-commit watermark arithmetic.
 //!
-//! [`Watermark`] is the state machine behind [`crate::wal::ShardWal`]'s
+//! [`Watermark`] is the state machine behind [`crate::wal::Wal`]'s
 //! commit sequencing: which sequence numbers have been appended, which are
 //! on stable storage, and when a sync is owed. It touches no I/O, so the
 //! gp-sched model tests (`tests/sched_watermark.rs`) can drive it under a

@@ -2,15 +2,16 @@
 //!
 //! Two angles:
 //!
-//! * a deterministic torn-write harness that truncates a shard's WAL at
-//!   *every byte* and asserts recovery yields exactly the intact prefix
-//!   of enrollments — no account lost before the tear, none invented
-//!   after it;
+//! * a deterministic torn-write harness that truncates the node's log
+//!   segment at *every byte* and asserts recovery yields exactly the
+//!   intact prefix of enrollments — no account lost before the tear, none
+//!   invented after it;
 //! * a property test that drives an arbitrary interleaving of enrolls,
 //!   updates and removals (with a snapshot compaction dropped somewhere
-//!   in the middle) against a durable store and an in-memory mirror,
-//!   then proves recovery — under an arbitrary *different* shard count —
-//!   reproduces the mirror exactly.
+//!   in the middle, and a crash image taken between its last snapshot's
+//!   publication and its segment deletion) against a durable store and
+//!   an in-memory mirror, then proves recovery — under an arbitrary
+//!   *different* shard count — reproduces the mirror exactly.
 
 use gp_geometry::Point;
 use gp_passwords::prelude::*;
@@ -47,6 +48,25 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// The log segments under `dir`: one `.wal` file per segment, sorted by
+/// name, i.e. by segment number.
+fn log_segments(dir: &Path) -> Vec<PathBuf> {
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "wal"))
+        .collect();
+    paths.sort();
+    paths
+}
+
+/// The single log segment a compacted store appends to.
+fn only_segment(dir: &Path) -> PathBuf {
+    let mut segments = log_segments(dir);
+    assert_eq!(segments.len(), 1, "{segments:?}");
+    segments.remove(0)
+}
+
 fn copy_dir(from: &Path, to: &Path) {
     let _ = std::fs::remove_dir_all(to);
     std::fs::create_dir_all(to).unwrap();
@@ -56,22 +76,23 @@ fn copy_dir(from: &Path, to: &Path) {
     }
 }
 
-/// Truncate the (single) shard WAL at every byte boundary and assert the
-/// recovered store holds exactly the enrollments whose records lie fully
-/// below the cut.
+/// Truncate the log's (single) segment at every byte boundary and assert
+/// the recovered store holds exactly the enrollments whose records lie
+/// fully below the cut.
 #[test]
 fn wal_truncated_at_every_byte_recovers_the_exact_prefix() {
     let sys = system();
     let dir = temp_dir("torn");
-    let wal_path = dir.join("shard-000.wal");
     let users = 4usize;
-    // `boundaries[i]` = WAL length right after user `i`'s enrollment was
-    // acknowledged (every ack follows an fsync, so the on-disk length is
-    // current).
+    // `boundaries[i]` = segment length right after user `i`'s enrollment
+    // was acknowledged (every ack follows an fsync, so the on-disk length
+    // is current).
     let mut boundaries = Vec::new();
+    let wal_path;
     {
         let store =
-            ShardedPasswordStore::open_durable(&dir, 1, DurabilityOptions::default()).unwrap();
+            ShardedPasswordStore::open_durable(&dir, 2, DurabilityOptions::default()).unwrap();
+        wal_path = only_segment(&dir);
         for i in 0..users {
             store
                 .enroll(&sys, &format!("user{i}"), &clicks(i as u32))
@@ -86,9 +107,13 @@ fn wal_truncated_at_every_byte_recovers_the_exact_prefix() {
     let scratch = temp_dir("torn-scratch");
     for cut in 0..=wal_bytes.len() {
         copy_dir(&dir, &scratch);
-        std::fs::write(scratch.join("shard-000.wal"), &wal_bytes[..cut]).unwrap();
+        std::fs::write(
+            scratch.join(wal_path.file_name().unwrap()),
+            &wal_bytes[..cut],
+        )
+        .unwrap();
         let recovered =
-            ShardedPasswordStore::open_durable(&scratch, 1, DurabilityOptions::default())
+            ShardedPasswordStore::open_durable(&scratch, 2, DurabilityOptions::default())
                 .unwrap_or_else(|e| panic!("recovery must tolerate a cut at byte {cut}: {e}"));
         let intact = boundaries.iter().filter(|b| **b <= cut as u64).count();
         assert_eq!(
@@ -160,7 +185,7 @@ fn interior_wal_corruption_fails_recovery_distinctly_from_a_torn_tail() {
             store.enroll(&sys, &format!("user{i}"), &clicks(i)).unwrap();
         }
     }
-    let wal = dir.join("shard-000.wal");
+    let wal = only_segment(&dir);
     let pristine = std::fs::read(&wal).unwrap();
 
     // Flip a payload byte of the *second* record: interior damage with
@@ -244,6 +269,7 @@ proptest! {
     ) {
         let sys = system();
         let dir = temp_dir("prop");
+        let crash = temp_dir("prop-crash");
         let options = DurabilityOptions::default();
         let mirror = ShardedPasswordStore::new(shards_before);
         {
@@ -253,17 +279,34 @@ proptest! {
                 apply_op(&durable, &mirror, &sys, *op, *user, *seed);
                 if step == snapshot_at {
                     // Mid-sequence compaction: later recovery must stitch
-                    // snapshot + WAL tail together.
-                    durable.snapshot_if_past(0).unwrap();
+                    // snapshot + log tail together.
+                    let retired: Vec<(PathBuf, Vec<u8>)> = log_segments(&dir)
+                        .into_iter()
+                        .map(|path| (path.clone(), std::fs::read(&path).unwrap()))
+                        .collect();
+                    durable.snapshot_all().unwrap();
+                    // Crash after the compaction published its last
+                    // snapshot but before it deleted the segments those
+                    // snapshots cover: recovery replays them over the
+                    // new snapshots.
+                    copy_dir(&dir, &crash);
+                    for (path, bytes) in &retired {
+                        std::fs::write(crash.join(path.file_name().unwrap()), bytes).unwrap();
+                    }
+                    prop_assert_eq!(log_segments(&crash).len(), retired.len() + 1);
+                    let recovered =
+                        ShardedPasswordStore::open_durable(&crash, shards_after, options).unwrap();
+                    prop_assert_eq!(recovered.records(), mirror.records());
                 }
             }
-            // Crash: dropped with whatever snapshots/WALs exist.
+            // Crash: dropped with whatever snapshots/segments exist.
         }
         let recovered =
             ShardedPasswordStore::open_durable(&dir, shards_after, options).unwrap();
         prop_assert_eq!(recovered.shard_count(), shards_after);
         prop_assert_eq!(recovered.records(), mirror.records());
         std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&crash).unwrap();
     }
 }
 

@@ -1,7 +1,7 @@
 //! Exhaustive interleaving model test for the group-commit watermark.
 //!
 //! [`gp_passwords::watermark::Watermark`] is the pure state machine behind
-//! `ShardWal`'s commit sequencing. Here it is wrapped in gp-sched shim
+//! the node log's (`Wal`'s) commit sequencing. Here it is wrapped in gp-sched shim
 //! primitives and driven by concurrent appenders, a group-committer, and
 //! an acknowledgement checker under the deterministic scheduler. Unlike
 //! the `--cfg gp_sched` model tests in gp-netauth, this runs in the plain
@@ -22,7 +22,7 @@ struct SimWal {
 
 impl SimWal {
     /// The group-commit barrier: fsync if anything is outstanding, then
-    /// advance the durable watermark — exactly `ShardWal::group_commit`'s
+    /// advance the durable watermark — exactly `Wal::group_commit`'s
     /// ordering (sync_all first, bookkeeping after).
     fn group_commit(&mut self) -> u64 {
         if self.mark.barrier_needs_sync() {
@@ -118,7 +118,7 @@ fn rollback_keeps_watermark_consistent() {
         let failing = thread::spawn(move || {
             let mut w = wal2.lock();
             let _seq = w.mark.begin_append();
-            // The write failed: retire the seq (ShardWal's error path).
+            // The write failed: retire the seq (`Wal::append_record`'s error path).
             w.mark.rollback_append();
         });
         {

@@ -7,7 +7,7 @@
 //!
 //! | Re-export | Crate | Contents |
 //! |---|---|---|
-//! | [`crypto`] | `gp-crypto` | SHA-256, HMAC, iterated/salted password hashing |
+//! | [`crypto`] | `gp-crypto` | SHA-256, iterated/salted password hashing |
 //! | [`geometry`] | `gp-geometry` | points, rectangles, grids, tolerance squares |
 //! | [`discretization`] | `gp-discretization` | Centered, Robust and static-grid discretization; password-space math |
 //! | [`passwords`] | `gp-passwords` | PassPoints / Cued Click-Points / Persuasive CCP, hashed storage, account store |
